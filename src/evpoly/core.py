@@ -29,6 +29,7 @@ __all__ = [
     "DegenerateVertexError",
     "det2",
     "det3",
+    "face_solve",
     "forward_diff",
     "second_diff",
     "third_diff",
@@ -110,6 +111,14 @@ class GridSeq:
             raise IndexError(f"slot {slot} outside [{self.base}, {self.base + len(self.values)})")
         return self.values[j]
 
+    def window(self, start: int, count: int) -> np.ndarray:
+        """Values at slots ``start .. start+count-1`` (mod N when closed)."""
+        j = start - self.base
+        if self.topology is Topology.OPEN and not 0 <= j <= j + count <= len(self.values):
+            raise IndexError(f"slots [{start}, {start + count}) outside "
+                             f"[{self.base}, {self.base + len(self.values)})")
+        return np.roll(self.values, -j, axis=0)[:count]
+
     def with_values(self, values) -> "GridSeq":
         return GridSeq(values, self.grid, self.topology, self.base)
 
@@ -126,6 +135,24 @@ def det3(u, v, w) -> float | np.ndarray:
          - u[..., 1] * (v[..., 0] * w[..., 2] - v[..., 2] * w[..., 0])
          + u[..., 2] * (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]))
     return float(r) if r.ndim == 0 else r
+
+
+def face_solve(v, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``(x, y)`` of ``v = x*a + y*b`` in a face plane, per row.
+
+    With ``n = a x b``:
+
+        x = ((v x b) . n) / |n|^2,   y = ((a x v) . n) / |n|^2
+
+    so ``x*a + y*b`` is the orthogonal projection of ``v`` onto the plane
+    of ``a`` and ``b``: the exact solution when ``v`` lies in that plane
+    and the least-squares one otherwise.  Rows with ``a`` parallel to ``b``
+    come back non-finite.
+    """
+    n = np.cross(a, b)
+    nn = np.einsum("...i,...i->...", n, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return det3(v, b, n) / nn, det3(a, v, n) / nn
 
 
 def det2(u, v) -> float | np.ndarray:

@@ -20,6 +20,7 @@ from .core import (
     Polygon3,
     Topology,
     det3,
+    face_solve,
 )
 from .meshes import Mesh
 
@@ -121,8 +122,9 @@ class FrameReport:
         return not self.bad_sides and not self.bad_vertices
 
 
-def _edges(f: FramedPolygon) -> np.ndarray:
-    return f.polygon.sides().values
+def _ends(a: np.ndarray, nsides: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex rows at the near and the far end of each side."""
+    return a[:nsides], np.roll(a, -1, axis=0)[:nsides]
 
 
 def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> FrameReport:
@@ -133,56 +135,22 @@ def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Fram
     per vertex is the smallest sine of the angle between the direction
     and its adjacent sides.
     """
-    p = f.polygon.points
-    e = _edges(f)
-    dh = f.unit_directions
-    n = len(p)
-    nsides = f.n_sides()
-
+    e = f.polygon.sides().values
     eh = e / np.linalg.norm(e, axis=1, keepdims=True)
-    dl = dh
-    dr = np.roll(dh, -1, axis=0)
-    if not f.closed:
-        dl, dr = dh[:-1], dh[1:]
+    n, nsides = len(f.polygon), len(e)
+    dl, dr = _ends(f.unit_directions, nsides)
     cop = np.abs(det3(eh, dl, dr))
-    bad_sides = [int(k) for k in np.nonzero(cop > tol_face)[0]]
 
-    margins = np.full(n, np.inf)
-    for i in range(n):
-        adjacent = []
-        if f.closed:
-            adjacent = [eh[i % nsides], eh[(i - 1) % nsides]]
-        else:
-            if i < nsides:
-                adjacent.append(eh[i])
-            if i > 0:
-                adjacent.append(eh[i - 1])
-        for a in adjacent:
-            margins[i] = min(margins[i], float(np.linalg.norm(np.cross(dh[i], a))))
-    bad_vertices = [int(i) for i in np.nonzero(margins <= tol_face)[0]]
+    def on_vertices(side_values):
+        out = np.full(n, np.inf)
+        out[:nsides] = side_values
+        return out
 
-    return FrameReport(cop, margins, bad_sides, bad_vertices, tol_face)
-
-
-def _face_decompose(edge: np.ndarray, d0: np.ndarray, d1: np.ndarray, side: int):
-    """Write ``edge = p*d0 + q*d1`` in the face plane.
-
-    Solves a 2x2 system in the two coordinates that survive discarding
-    the dominant component of the face normal.  Returns None when d0 and
-    d1 are (anti)parallel, which is the cylinder-like case.
-    """
-    nrm = np.cross(d0, d1)
-    s = np.linalg.norm(nrm)
-    if s <= 1e-12:
-        return None
-    drop = int(np.argmax(np.abs(nrm)))
-    keep = [j for j in range(3) if j != drop]
-    a = np.array([[d0[keep[0]], d1[keep[0]]], [d0[keep[1]], d1[keep[1]]]])
-    try:
-        p, q = np.linalg.solve(a, edge[keep])
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateFrameError(side, "singular face basis") from exc
-    return float(p), float(q)
+    # side k meets direction k at its near end and direction k+1 at its far end
+    margins = np.minimum(on_vertices(np.linalg.norm(np.cross(dl, eh), axis=1)),
+                         np.roll(on_vertices(np.linalg.norm(np.cross(dr, eh), axis=1)), 1))
+    return FrameReport(cop, margins, np.flatnonzero(cop > tol_face).tolist(),
+                       np.flatnonzero(margins <= tol_face).tolist(), tol_face)
 
 
 def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
@@ -191,11 +159,14 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
 
     The field is fixed by ``xi(0) = seed_scale * d(0)/|d(0)|`` and the
     per-side recursion obtained from decomposing each side in the face
-    basis of its two end directions: with side = p*d0 + q*d1,
+    basis of its two end directions (``core.face_solve``): with
+    side = p*d0 + q*d1,
 
-        s_next = -q * s / p,   sigma = s / p.
+        s_next = -q * s / p,   sigma = s / p,
 
-    Scaling the seed scales both xi and sigma linearly.
+    so the scales are ``seed_scale`` times a cumulative product.  Scaling
+    the seed scales both xi and sigma linearly.  A side whose step leaves
+    a scale or sigma non-finite raises ``DegenerateFrameError``.
     """
     if seed_scale == 0.0:
         raise GeometryError("seed_scale must be nonzero")
@@ -204,42 +175,33 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
         raise GeometryError(
             f"frame validation failed (sides {report.bad_sides}, vertices {report.bad_vertices})")
 
-    e = _edges(f)
+    e = f.polygon.sides().values
     dh = f.unit_directions
-    n = len(f.polygon)
-    nsides = f.n_sides()
+    n, nsides = len(dh), len(e)
+    d0, d1 = _ends(dh, nsides)
+    p, q = face_solve(e, d0, d1)
+    # parallel end directions: prism-like face, xi is constant along it
+    # and sigma vanishes
+    parallel = np.linalg.norm(np.cross(d0, d1), axis=1) <= 1e-12
+    singular = ~parallel & (np.abs(p) <= 1e-14 * (np.abs(q) + 1.0))
+    if singular.any():
+        raise DegenerateFrameError(int(np.argmax(singular)),
+                                   "side parallel to far direction, recursion singular")
 
-    s = np.empty(n)
-    sigma = np.empty(nsides)
-    s[0] = seed_scale
-    s_wrap = None
-    for k in range(nsides):
-        i, j = k, (k + 1) % n
-        pq = _face_decompose(e[k], dh[i], dh[j], k)
-        if pq is None:
-            # parallel end directions: prism-like face, xi is constant
-            # along it and sigma vanishes.
-            flip = float(np.sign(np.dot(dh[i], dh[j])))
-            nxt = s[k % n] * flip
-            sigma[k] = 0.0
-        else:
-            p, q = pq
-            if abs(p) <= 1e-14 * (abs(q) + 1.0):
-                raise DegenerateFrameError(k, "side parallel to far direction, recursion singular")
-            nxt = -q * s[k % n] / p
-            sigma[k] = s[k % n] / p
-        if j == 0:
-            s_wrap = nxt
-        else:
-            s[j] = nxt
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = np.where(parallel, np.sign(np.einsum("ij,ij->i", d0, d1)), -q / p)
+        # s(0), then the scale at the far end of each side
+        scales = np.cumprod(np.concatenate([[seed_scale], ratio]))
+        sigma = np.where(parallel, 0.0, scales[:nsides] / p)
+    overflow = ~(np.isfinite(scales[1:]) & np.isfinite(sigma))
+    if overflow.any():
+        raise DegenerateFrameError(int(np.argmax(overflow)),
+                                   "the Darboux recursion overflows (scale or sigma not finite)")
 
     topo = f.polygon.topology
-    xi = GridSeq(s[:, None] * dh, Grid.VERTEX, topo)
-    sg = GridSeq(sigma, Grid.SIDE, topo)
-    holonomy = None
-    if f.closed and s_wrap is not None:
-        holonomy = float(s_wrap / s[0])
-    return DarbouxField(xi, sg, holonomy)
+    xi = GridSeq(scales[:n, None] * dh, Grid.VERTEX, topo)
+    holonomy = float(scales[-1] / seed_scale) if f.closed else None
+    return DarbouxField(xi, GridSeq(sigma, Grid.SIDE, topo), holonomy)
 
 
 def osculating_points(f: FramedPolygon, df: DarbouxField,
@@ -252,29 +214,25 @@ def osculating_points(f: FramedPolygon, df: DarbouxField,
     support lines) and come back as NaN rows, with their indices listed
     separately.
     """
-    p = f.polygon.points
-    xi = df.xi.values
     sigma = df.sigma.values
-    n = len(p)
     nsides = len(sigma)
-    out = np.full((nsides, 3), np.nan)
-    at_infinity = []
-    scale = f.polygon.diameter()
-    for k in range(nsides):
-        i, j = k, (k + 1) % n
-        if sigma[k] == 0.0 or not np.isfinite(1.0 / sigma[k]):
-            at_infinity.append(k)
-            continue
-        o1 = p[i] + xi[i] / sigma[k]
-        o2 = p[j] + xi[j] / sigma[k]
-        gap = np.linalg.norm(o1 - o2)
-        ref = max(np.linalg.norm(o1 - p[i]), np.linalg.norm(o2 - p[j]), scale)
-        if gap > agreement_tol * ref:
-            raise GeometryError(
-                f"side {k}: the two support-line evaluations disagree (gap {gap:.3e})")
-        out[k] = 0.5 * (o1 + o2)
-    seq = GridSeq(out, Grid.SIDE, f.polygon.topology, finite=not at_infinity)
-    return seq, at_infinity
+    p0, p1 = _ends(f.polygon.points, nsides)
+    x0, x1 = _ends(df.xi.values, nsides)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_infinity = ~np.isfinite(1.0 / sigma)
+        o1 = p0 + x0 / sigma[:, None]
+        o2 = p1 + x1 / sigma[:, None]
+        gap = np.linalg.norm(o1 - o2, axis=1)
+        ref = np.maximum(np.maximum(np.linalg.norm(o1 - p0, axis=1), np.linalg.norm(o2 - p1, axis=1)),
+                         f.polygon.diameter())
+    bad = ~at_infinity & (gap > agreement_tol * ref)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise GeometryError(
+            f"side {k}: the two support-line evaluations disagree (gap {gap[k]:.3e})")
+    out = np.where(at_infinity[:, None], np.nan, 0.5 * (o1 + o2))
+    seq = GridSeq(out, Grid.SIDE, f.polygon.topology, finite=not at_infinity.any())
+    return seq, np.flatnonzero(at_infinity).tolist()
 
 
 def osculating_developable(f: FramedPolygon, df: DarbouxField,
@@ -287,20 +245,12 @@ def osculating_developable(f: FramedPolygon, df: DarbouxField,
     """
     if extent is None:
         extent = 2.0 * f.polygon.diameter()
-    p = f.polygon.points
     xi = df.xi.values
-    xh = xi / np.linalg.norm(xi, axis=1, keepdims=True)
-    n = len(p)
-    verts = []
-    faces = []
-    for k in range(f.n_sides()):
-        i, j = k, (k + 1) % n
-        quad = [p[i] - extent * xh[i], p[i] + extent * xh[i],
-                p[j] + extent * xh[j], p[j] - extent * xh[j]]
-        b = len(verts)
-        verts.extend(quad)
-        faces.append([b, b + 1, b + 2, b + 3])
-    return Mesh(np.array(verts), faces)
+    nsides = f.n_sides()
+    p0, p1 = _ends(f.polygon.points, nsides)
+    x0, x1 = _ends(extent * (xi / np.linalg.norm(xi, axis=1, keepdims=True)), nsides)
+    quads = np.stack([p0 - x0, p0 + x0, p1 + x1, p1 - x1], axis=1)
+    return Mesh(quads.reshape(-1, 3), np.arange(4 * nsides).reshape(nsides, 4).tolist())
 
 
 class SurfaceKind(enum.Enum):

@@ -34,6 +34,7 @@ from .core import (
     Topology,
     det2,
     det3,
+    face_solve,
 )
 from .darboux import DarbouxField, FramedPolygon, osculating_points
 from .equal_volume import centroaffine_volumes, darboux_volumes
@@ -98,15 +99,9 @@ class FrenetData:
 
     def compatibility_residual(self, sigma: GridSeq) -> np.ndarray:
         """|  -tau*sigma - (rho2(k) - rho1(k+1)) | per side."""
-        t = self.tau.values
-        r2 = self.rho2.values
-        if self.topology is Topology.CLOSED:
-            r1n = np.roll(self.rho1.values, -1)
-            sg = sigma.values
-        else:
-            r1n = self.rho1.values           # rho1 base is rho2 base + 1 already
-            sg = np.array([sigma.at(k) for k in self.tau.slots])
-        return np.abs(-t * sg - (r2 - r1n))
+        k0, m = self.tau.base, len(self.tau)
+        return np.abs(-self.tau.values * sigma.window(k0, m)
+                      - (self.rho2.values - self.rho1.window(k0 + 1, m)))
 
 
 def _third_diffs(p: np.ndarray, closed: bool):
@@ -120,37 +115,15 @@ def _third_diffs(p: np.ndarray, closed: bool):
     return d3, np.arange(1, len(p) - 2)
 
 
-def _solve_pair(d3, edge, xi_near, xi_far, mode: SolveMode):
-    """Solve both Frenet decompositions of one third difference.
-
-    Returns (rho_far, rho_near, tau, residual, tau_gap) where rho_far
-    pairs with xi at the left vertex and rho_near with the right one.
-    """
-    normal = np.cross(edge, xi_near)
-    nn = np.linalg.norm(normal)
-    if nn == 0.0:
-        raise GeometryError("degenerate face basis in Frenet solve")
-    normal = normal / nn
-    res = abs(float(np.dot(d3, normal)))
-
-    def solve_one(xi):
-        a = np.stack([-edge, xi], axis=1)
-        if mode is SolveMode.EXACT:
-            keep = [j for j in range(3) if j != int(np.argmax(np.abs(normal)))]
-            return np.linalg.solve(a[keep], d3[keep])
-        sol, *_ = np.linalg.lstsq(a, d3, rcond=None)
-        return sol
-
-    rho_near, tau_a = solve_one(xi_far)   # expansion against far-end xi
-    rho_far, tau_b = solve_one(xi_near)   # expansion against near-end xi
-    gap = abs(float(tau_a - tau_b))
-    tau = 0.5 * float(tau_a + tau_b)
-    return float(rho_far), float(rho_near), tau, res, gap
-
-
 def frenet(f: FramedPolygon, df: DarbouxField,
            mode: SolveMode = SolveMode.EXACT) -> FrenetData:
-    """Frenet coefficient sequences of an equal-volume framed polygon."""
+    """Frenet coefficient sequences of an equal-volume framed polygon.
+
+    Both decompositions of each third difference go through
+    ``core.face_solve``, which is exact for in-plane vectors and least
+    squares otherwise; ``mode`` only selects the volume gate and the tau
+    agreement check of the exact mode.
+    """
     p = f.polygon.points
     n = len(p)
     if n < 5 and not f.closed:
@@ -162,40 +135,35 @@ def frenet(f: FramedPolygon, df: DarbouxField,
             "the third difference leaves the face plane, so the exact solve "
             "does not apply (resample first or use least-squares mode)")
 
-    xi = df.xi.values
     d3, slots = _third_diffs(p, f.closed)
-    m = len(slots)
-    rho1 = np.empty(m)
-    rho2 = np.empty(m)
-    tau = np.empty(m)
-    res = np.empty(m)
-    gap = np.empty(m)
-    for j, k in enumerate(slots):
-        edge = p[(k + 1) % n] - p[k]
-        r1, r2, t, rr, g = _solve_pair(d3[j], edge, xi[k], xi[(k + 1) % n], mode)
-        rho1[j], rho2[j], tau[j], res[j], gap[j] = r1, r2, t, rr, g
-        if mode is SolveMode.EXACT and g > TAU_AGREEMENT_TOL * max(1.0, abs(t)):
-            raise GeometryError(
-                f"side {int(k)}: the two tau evaluations disagree by {g:.3e}")
+    k0, m = int(slots[0]), len(slots)
+    edge = f.polygon.sides().window(k0, m)
+    xi_near, xi_far = df.xi.window(k0, m), df.xi.window(k0 + 1, m)
+    rho2, tau_a = face_solve(d3, -edge, xi_far)     # rho2 at vertex k
+    rho1, tau_b = face_solve(d3, -edge, xi_near)    # rho1 at vertex k+1
+    normal = np.cross(edge, xi_near)
+    nn = np.linalg.norm(normal, axis=1)
+    bad = (nn == 0.0) | ~np.isfinite(rho1 + rho2 + tau_a + tau_b)
+    if bad.any():
+        raise GeometryError(f"side {int(slots[np.argmax(bad)])}: degenerate face basis in Frenet solve")
+    res = np.abs(np.einsum("ij,ij->i", d3, normal)) / nn
+    gap = np.abs(tau_a - tau_b)
+    tau = 0.5 * (tau_a + tau_b)
+    bad = gap > TAU_AGREEMENT_TOL * np.maximum(1.0, np.abs(tau))
+    if mode is SolveMode.EXACT and bad.any():
+        j = int(np.argmax(bad))
+        raise GeometryError(f"side {int(slots[j])}: the two tau evaluations disagree by {gap[j]:.3e}")
 
     topo = f.polygon.topology
     if f.closed:
-        return FrenetData(
-            rho1=GridSeq(np.roll(rho1, 1), Grid.VERTEX, topo),  # rho1 slot k+1
-            rho2=GridSeq(rho2, Grid.VERTEX, topo),
-            tau=GridSeq(tau, Grid.SIDE, topo),
-            c=rep.c_hat,
-            residual=GridSeq(res, Grid.SIDE, topo),
-            tau_gap=GridSeq(gap, Grid.SIDE, topo),
-        )
-    base = int(slots[0])
+        rho1 = np.roll(rho1, 1)       # rho1 of side k sits at vertex k+1
     return FrenetData(
-        rho1=GridSeq(rho1, Grid.VERTEX, topo, base + 1),
-        rho2=GridSeq(rho2, Grid.VERTEX, topo, base),
-        tau=GridSeq(tau, Grid.SIDE, topo, base),
+        rho1=GridSeq(rho1, Grid.VERTEX, topo, 0 if f.closed else k0 + 1),
+        rho2=GridSeq(rho2, Grid.VERTEX, topo, k0),
+        tau=GridSeq(tau, Grid.SIDE, topo, k0),
         c=rep.c_hat,
-        residual=GridSeq(res, Grid.SIDE, topo, base),
-        tau_gap=GridSeq(gap, Grid.SIDE, topo, base),
+        residual=GridSeq(res, Grid.SIDE, topo, k0),
+        tau_gap=GridSeq(gap, Grid.SIDE, topo, k0),
     )
 
 
@@ -261,33 +229,28 @@ def centroaffine_frenet(p: Polygon3, origin=(0.0, 0.0, 0.0),
 
 def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float,
                     closed_tol: float = 1e-9) -> GridSeq:
-    """Anti-difference gauge: lambda(i) - lambda(i+1) = tau(side i)."""
+    """Anti-difference gauge: lambda(i) - lambda(i+1) = tau(side i).
+
+    Summed outwards from the anchor, one side at a time.
+    """
     t = tau.values
     if tau.topology is Topology.CLOSED:
         total = float(t.sum())
         scale = float(np.abs(t).sum()) or 1.0
         if abs(total) > closed_tol * scale:
             raise GaugeObstructionError(total)
-        lam = np.empty(len(t))
-        lam[anchor_index % len(t)] = anchor_value
-        n = len(t)
-        for j in range(1, n):
-            i = (anchor_index + j) % n
-            lam[i] = lam[(i - 1) % n] - t[(i - 1) % n]
-        return GridSeq(lam, Grid.VERTEX, Topology.CLOSED)
+        a = anchor_index % len(t)
+        lam = np.cumsum(np.concatenate([[anchor_value], -np.roll(t, -a)[:-1]]))
+        return GridSeq(np.roll(lam, a), Grid.VERTEX, Topology.CLOSED)
     # open: lambda lives on vertices base .. base+len(tau)
     base = tau.base
     m = len(t) + 1
     j0 = anchor_index - base
     if not 0 <= j0 < m:
         raise GeometryError(f"anchor {anchor_index} outside gauge window [{base}, {base + m})")
-    lam = np.empty(m)
-    lam[j0] = anchor_value
-    for j in range(j0 + 1, m):
-        lam[j] = lam[j - 1] - t[j - 1]
-    for j in range(j0 - 1, -1, -1):
-        lam[j] = lam[j + 1] + t[j]
-    return GridSeq(lam, Grid.VERTEX, tau.topology, base)
+    ahead = np.cumsum(np.concatenate([[anchor_value], -t[j0:]]))
+    behind = np.cumsum(np.concatenate([[anchor_value], t[:j0][::-1]]))
+    return GridSeq(np.concatenate([behind[:0:-1], ahead]), Grid.VERTEX, tau.topology, base)
 
 
 @dataclass(frozen=True)
@@ -313,81 +276,62 @@ def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
     support-line intersection O with the point Q where the parallel
     normal vectors through the two end vertices meet.
     """
-    p = f.polygon.points
-    n = len(p)
-    closed = f.closed
-    xi = df.xi.values
-    sigma = df.sigma
-
+    P = f.polygon.vertices
     if gauge is None:
-        gauge = (0 if closed else fr.tau.base, 0.0)
+        gauge = (0 if f.closed else fr.tau.base, 0.0)
     lam = lambda_from_tau(fr.tau, gauge[0], gauge[1])
 
     # eta(i) = phi''(i) + lambda(i) xi(i) on the gauge window
-    eta_vals = []
-    for i in lam.slots:
-        pp = p[(i + 1) % n] - 2 * p[i % n] + p[(i - 1) % n]
-        eta_vals.append(pp + lam.at(int(i)) * xi[i % n])
-    eta_vals = np.asarray(eta_vals)
-    eta = GridSeq(eta_vals, Grid.VERTEX, lam.topology, lam.base)
+    lo, m = lam.base, len(lam)
+    pp = P.window(lo + 1, m) - 2 * P.window(lo, m) + P.window(lo - 1, m)
+    eta = GridSeq(pp + lam.values[:, None] * df.xi.window(lo, m),
+                  Grid.VERTEX, lam.topology, lo)
 
     # mu per side, from both end expansions
-    mu_vals = []
-    mu_slots = fr.tau.slots
-    for k in mu_slots:
-        s = sigma.at(int(k))
-        m_a = fr.rho1.at(int(k) + 1) + s * lam.at(int(k) + 1) if not closed else \
-            fr.rho1.values[(k + 1) % n] + s * lam.values[(k + 1) % n]
-        m_b = fr.rho2.at(int(k)) + s * lam.at(int(k)) if not closed else \
-            fr.rho2.values[k % n] + s * lam.values[k % n]
-        gap = abs(m_a - m_b)
-        if gap > agreement_tol * max(1.0, abs(m_a)):
-            raise GeometryError(f"side {int(k)}: the two mu evaluations disagree by {gap:.3e}")
-        mu_vals.append(0.5 * (m_a + m_b))
-    mu_vals = np.asarray(mu_vals)
-    mu = GridSeq(mu_vals, Grid.SIDE, fr.tau.topology, fr.tau.base)
+    k0, m = fr.tau.base, len(fr.tau)
+    sg = df.sigma.window(k0, m)
+    m_a = fr.rho1.window(k0 + 1, m) + sg * lam.window(k0 + 1, m)
+    m_b = fr.rho2.window(k0, m) + sg * lam.window(k0, m)
+    gap = np.abs(m_a - m_b)
+    bad = gap > agreement_tol * np.maximum(1.0, np.abs(m_a))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise GeometryError(f"side {k0 + j}: the two mu evaluations disagree by {gap[j]:.3e}")
+    mu = GridSeq(0.5 * (m_a + m_b), Grid.SIDE, fr.tau.topology, k0)
 
     O_all, inf_O = osculating_points(f, df)
-    scale = f.polygon.diameter()
+    O = O_all.window(k0, m)
+    o_inf = np.isnan(O[:, 0])
+    p0, p1 = P.window(k0, m), P.window(k0 + 1, m)
+    e_near, e_far = eta.window(k0, m), eta.window(k0 + 1, m)
+    mu_col = mu.values[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_inf = ~np.isfinite(1.0 / mu.values)
+        q1 = p0 + e_near / mu_col
+        q2 = p1 + e_far / mu_col
+        gapq = np.linalg.norm(q1 - q2, axis=1)
+        ref = np.maximum(np.linalg.norm(q1 - p0, axis=1), f.polygon.diameter())
+    bad = ~q_inf & (gapq > agreement_tol * ref)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise GeometryError(f"side {k0 + j}: the two Q evaluations disagree by {gapq[j]:.3e}")
+    q_pts = np.where(q_inf[:, None], np.nan, 0.5 * (q1 + q2))
 
-    q_pts = np.full((len(mu_slots), 3), np.nan)
-    inf_Q = []
-    lines = []
-    for j, k in enumerate(mu_slots):
-        k = int(k)
-        m = mu_vals[j]
-        e_near = eta.at(k) if not closed else eta.values[k % n]
-        e_far = eta.at(k + 1) if not closed else eta.values[(k + 1) % n]
-        if m == 0.0 or not np.isfinite(1.0 / m):
-            inf_Q.append(k)
-            o_here = O_all.at(k) if k not in inf_O else None
-            if o_here is not None:
-                d = e_near / np.linalg.norm(e_near)
-                lines.append((np.asarray(o_here), d))
-            else:
-                lines.append(None)
-            continue
-        q1 = p[k % n] + e_near / m
-        q2 = p[(k + 1) % n] + e_far / m
-        gapq = np.linalg.norm(q1 - q2)
-        ref = max(np.linalg.norm(q1 - p[k % n]), scale)
-        if gapq > agreement_tol * ref:
-            raise GeometryError(f"side {k}: the two Q evaluations disagree by {gapq:.3e}")
-        q_pts[j] = 0.5 * (q1 + q2)
-        if k in inf_O:
-            lines.append((q_pts[j], xi[k % n] / np.linalg.norm(xi[k % n])))
-        else:
-            o_here = np.asarray(O_all.at(k))
-            d = q_pts[j] - o_here
-            nd = np.linalg.norm(d)
-            if nd == 0.0:
-                # O and Q coincide; the line direction degenerates to eta
-                d = e_near
-                nd = np.linalg.norm(d)
-            lines.append((o_here, d / nd))
+    # The focal line joins O and Q.  With O at infinity it runs through Q
+    # along xi; with Q at infinity, or Q = O, it runs through O along eta.
+    origin = np.where(o_inf[:, None], q_pts, O)
+    d = np.where(o_inf[:, None], df.xi.window(k0, m), q_pts - O)
+    with np.errstate(invalid="ignore"):
+        use_eta = ~o_inf & (q_inf | (np.linalg.norm(d, axis=1) == 0.0))
+        d = np.where(use_eta[:, None], e_near, d)
+        d = d / np.linalg.norm(d, axis=1, keepdims=True)
+    lines = list(zip(origin, d))
+    for j in np.flatnonzero(o_inf & q_inf):
+        lines[j] = None
 
-    Q = GridSeq(q_pts, Grid.SIDE, fr.tau.topology, fr.tau.base, finite=not inf_Q)
-    return FocalSetData(lam, eta, mu, Q, O_all, lines, gauge, inf_O, inf_Q)
+    Q = GridSeq(q_pts, Grid.SIDE, fr.tau.topology, k0, finite=not q_inf.any())
+    return FocalSetData(lam, eta, mu, Q, O_all, lines, gauge, inf_O,
+                        (k0 + np.flatnonzero(q_inf)).tolist())
 
 
 def focal_set_mesh(fd: FocalSetData, extent: float | None = None) -> Mesh:
@@ -397,44 +341,32 @@ def focal_set_mesh(fd: FocalSetData, extent: float | None = None) -> Mesh:
     two adjacent focal lines; each line is sampled between its O and Q
     anchor points extended by ``extent`` on both ends.
     """
-    usable = [(int(k), ln) for k, ln in zip(fd.mu.slots, fd.lines) if ln is not None]
+    usable = np.array([ln is not None for ln in fd.lines], dtype=bool)
+    idx = np.flatnonzero(usable)
+    origin = np.array([fd.lines[j][0] for j in idx]).reshape(-1, 3)
+    d = np.array([fd.lines[j][1] for j in idx]).reshape(-1, 3)
     if extent is None:
-        anchors = [ln[0] for _, ln in usable]
-        span = np.ptp(np.asarray(anchors), axis=0) if anchors else np.ones(3)
+        span = np.ptp(origin, axis=0) if len(idx) else np.ones(3)
         extent = 2.0 * max(float(np.linalg.norm(span)), 1.0)
 
-    by_slot = dict(usable)
-    verts: list = []
-    faces = []
-    lines_idx = []
-    closed = fd.mu.topology is Topology.CLOSED
-    n = len(fd.mu.values) if closed else None
+    q = fd.Q.values[idx]
+    with np.errstate(invalid="ignore"):
+        t_q = np.where(np.isfinite(q).all(axis=1), np.einsum("ij,ij->i", q - origin, d), 0.0)
+    lo = (np.minimum(0.0, t_q) - extent)[:, None]
+    hi = (np.maximum(0.0, t_q) + extent)[:, None]
+    verts = np.stack([origin + lo * d, origin + hi * d], axis=1).reshape(-1, 3)
+    lines_idx = np.arange(2 * len(idx)).reshape(-1, 2).tolist()
 
-    def line_points(k):
-        origin, d = by_slot[k]
-        j = list(fd.mu.slots).index(k)
-        q = fd.Q.values[j]
-        if np.all(np.isfinite(q)):
-            t_q = float(np.dot(q - origin, d))
-        else:
-            t_q = 0.0
-        lo, hi = min(0.0, t_q) - extent, max(0.0, t_q) + extent
-        return origin + lo * d, origin + hi * d
-
-    slots = sorted(by_slot)
-    for k in slots:
-        a, b = line_points(k)
-        base_idx = len(verts)
-        verts.extend([a, b])
-        lines_idx.append([base_idx, base_idx + 1])
-
-    pos = {k: 2 * j for j, k in enumerate(slots)}
-    for k in slots:
-        k_next = (k + 1) % n if closed else k + 1
-        if k_next in by_slot:
-            i0, i1 = pos[k], pos[k_next]
-            faces.append([i0, i0 + 1, i1 + 1, i1])
-    return Mesh(np.asarray(verts), faces, lines_idx)
+    # one face between the lines of neighbouring sides
+    nxt = idx + 1
+    if fd.mu.topology is Topology.CLOSED:
+        nxt %= len(usable)
+    both = nxt < len(usable)
+    both[both] = usable[nxt[both]]
+    i0 = 2 * np.flatnonzero(both)
+    i1 = 2 * (np.cumsum(usable)[nxt[both]] - 1)
+    faces = np.stack([i0, i0 + 1, i1 + 1, i1], axis=1).tolist()
+    return Mesh(verts, faces, lines_idx)
 
 
 class FocalKind(enum.Enum):
@@ -460,13 +392,8 @@ def _rel_spread(x: np.ndarray) -> float:
 def classify_focal(df: DarbouxField, fd: FocalSetData,
                    tol: float = 1e-6) -> FocalClass:
     """Single-line focal set iff both sigma and mu have constant sign pattern."""
-    mu_window = fd.mu.values
-    if fd.mu.topology is Topology.CLOSED:
-        sg = df.sigma.values
-    else:
-        sg = np.array([df.sigma.at(int(k)) for k in fd.mu.slots])
-    s_spread = _rel_spread(sg)
-    m_spread = _rel_spread(mu_window)
+    s_spread = _rel_spread(df.sigma.window(fd.mu.base, len(fd.mu)))
+    m_spread = _rel_spread(fd.mu.values)
     if s_spread <= tol and m_spread <= tol:
         finite = [ln for ln in fd.lines if ln is not None]
         origin = np.mean([ln[0] for ln in finite], axis=0)
@@ -556,34 +483,15 @@ def mu_prime_check(fr: FrenetData, fd: FocalSetData, sigma: GridSeq) -> MuPrimeR
     The identity assumes sigma is constant along the polygon (silhouette
     or cone framing); for sigma = -1 it reads mu' = rho' + tau.
     """
-    closed = fr.topology is Topology.CLOSED
-    mu = fd.mu
-    tau = fr.tau
-    r1 = fr.rho1
-    r2 = fr.rho2
-    res1 = []
-    res2 = []
-    mp_list = []
-    if closed:
-        n = len(mu.values)
-        sg = sigma.values
-        for i in range(n):
-            mp = mu.values[i] - mu.values[(i - 1) % n]
-            e1 = abs(mp - (r1.values[(i + 1) % n] - r1.values[i]
-                           - sg[i] * tau.values[i]))
-            e2 = abs(mp - (r2.values[i] - r2.values[(i - 1) % n]
-                           - sg[(i - 1) % n] * tau.values[(i - 1) % n]))
-            res1.append(e1)
-            res2.append(e2)
-            mp_list.append(mp)
-    else:
-        lo = mu.base + 1
-        hi = mu.base + len(mu.values)
-        for i in range(lo, hi):
-            mp = mu.at(i) - mu.at(i - 1)
-            e1 = abs(mp - (r1.at(i + 1) - r1.at(i) - sigma.at(i) * tau.at(i)))
-            e2 = abs(mp - (r2.at(i) - r2.at(i - 1) - sigma.at(i - 1) * tau.at(i - 1)))
-            res1.append(e1)
-            res2.append(e2)
-            mp_list.append(mp)
-    return MuPrimeReport(np.asarray(res1), np.asarray(res2), np.asarray(mp_list))
+    # open: the first side of the mu window has no left neighbour
+    open_ = int(fr.topology is Topology.OPEN)
+    lo, m = fd.mu.base + open_, len(fd.mu) - open_
+
+    def win(seq, start):
+        return seq.window(start, m)
+
+    mp = win(fd.mu, lo) - win(fd.mu, lo - 1)
+    res1 = np.abs(mp - (win(fr.rho1, lo + 1) - win(fr.rho1, lo) - win(sigma, lo) * win(fr.tau, lo)))
+    res2 = np.abs(mp - (win(fr.rho2, lo) - win(fr.rho2, lo - 1)
+                        - win(sigma, lo - 1) * win(fr.tau, lo - 1)))
+    return MuPrimeReport(res1, res2, mp)

@@ -50,11 +50,13 @@ def random_cone_fixture(rng, n=30):
     return FramedPolygon.silhouette(pts, apex, closed=False), apex
 
 
-def random_generic_framed(rng, n=15):
+def random_generic_framed(rng, n=15, closed=False):
     """Framed polygon with valid coplanar faces but non-constant sigma.
 
     Direction i+1 is a transversal combination of side i and direction i,
-    so every face is planar by construction.
+    so every face is planar by construction.  When closed, the last vertex
+    is placed on a line through vertex 0 that keeps the closing face,
+    spanned by directions N-1 and 0, planar as well.
     """
     pts = np.cumsum(rng.normal(size=(n, 3)), axis=0)
     d = np.empty((n, 3))
@@ -63,5 +65,9 @@ def random_generic_framed(rng, n=15):
         edge = pts[i + 1] - pts[i]
         a = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
         b = rng.uniform(0.4, 1.5) * rng.choice([-1.0, 1.0])
+        if closed and i == n - 2:
+            w = a * (pts[0] - pts[i]) + b * d[i] + rng.uniform(-1.0, 1.0) * d[0]
+            pts[i + 1] = pts[0] + rng.uniform(0.2, 0.6) * w
+            edge = pts[i + 1] - pts[i]
         d[i + 1] = a * edge + b * d[i]
-    return FramedPolygon.build(pts, d, closed=False)
+    return FramedPolygon.build(pts, d, closed=closed)
