@@ -74,11 +74,8 @@ class PlanarEqualAreaPolygon:
             raise GeometryError("too few vertices for an equal-area polygon")
         Gamma = GridSeq(pts, Grid.SIDE, topo)
         gamma = forward_diff(Gamma)
-        g = gamma.values
-        if closed:
-            areas = det2(g, np.roll(g, -1, axis=0))
-        else:
-            areas = det2(g[:-1], g[1:])
+        _, (g0, g1) = gamma.stencil(0, 1)
+        areas = det2(g0, g1)
         c = float(np.median(areas))
         if c == 0.0:
             raise NotEqualAreaError("vanishing edge-pair area")
@@ -110,21 +107,16 @@ def support_function(G: PlanarEqualAreaPolygon, P,
     the inputs are inconsistent.
     """
     P = np.asarray(P, dtype=float)
-    G_v = G.Gamma.values
     g = G.gamma.values
-    n = len(G_v)
-    scale = float(np.max(np.abs(G_v - P))) or 1.0
-    z = np.empty(len(g))
-    for j, i in enumerate(G.gamma.slots):
-        right = G_v[i % n] if G.closed else G.Gamma.at(int(i))
-        left = G_v[(i - 1) % n] if G.closed else G.Gamma.at(int(i) - 1)
-        z_r = det2(right - P, g[j])
-        z_l = det2(left - P, g[j])
-        if abs(z_r - z_l) > agreement_tol * scale * max(1.0, float(np.linalg.norm(g[j]))):
-            raise GeometryError(
-                f"vertex {int(i)}: support function ambiguous, gamma is not Gamma'")
-        z[j] = 0.5 * (z_r + z_l)
-    return GridSeq(z, Grid.VERTEX, G.gamma.topology, G.gamma.base)
+    first, (left, right) = G.Gamma.stencil(-1, 0)
+    scale = float(np.max(np.abs(G.Gamma.values - P))) or 1.0
+    z_r = det2(right - P, g)
+    z_l = det2(left - P, g)
+    bad = np.abs(z_r - z_l) > agreement_tol * scale * np.maximum(1.0, np.linalg.norm(g, axis=1))
+    if bad.any():
+        i = first + int(np.argmax(bad))
+        raise GeometryError(f"vertex {i}: support function ambiguous, gamma is not Gamma'")
+    return GridSeq(0.5 * (z_r + z_l), Grid.VERTEX, G.gamma.topology, G.gamma.base)
 
 
 def silhouette_lift(G: PlanarEqualAreaPolygon, P) -> Polygon3:
@@ -150,10 +142,7 @@ def area_lift(G: PlanarEqualAreaPolygon, P) -> GridSeq:
     Gn = G.normalized()
     z = support_function(Gn, P)
     G_v = Gn.Gamma.values
-    if G.closed:
-        Z = np.concatenate([[0.0], np.cumsum(np.roll(z.values, -1)[:-1])])
-    else:
-        Z = np.concatenate([[0.0], np.cumsum(z.values)])
+    Z = np.concatenate([[0.0], np.cumsum(z.window(1, len(G_v) - 1))])
     pts = np.column_stack([G_v, Z])
     return GridSeq(pts, Grid.SIDE, Gn.Gamma.topology, Gn.Gamma.base)
 
@@ -166,17 +155,10 @@ def recover_base_point(G: PlanarEqualAreaPolygon, z: GridSeq):
     (P, residual).
     """
     g = G.gamma.values
-    G_v = G.Gamma.values
-    n = len(G_v)
-    rows = []
-    rhs = []
-    for j, i in enumerate(G.gamma.slots):
-        right = G_v[i % n] if G.closed else G.Gamma.at(int(i))
-        # [P, gamma] = Px*gy - Py*gx
-        rows.append([g[j][1], -g[j][0]])
-        rhs.append(det2(right, g[j]) - z.values[j])
-    a = np.asarray(rows)
-    b = np.asarray(rhs)
+    right = G.Gamma.window(G.gamma.base, len(g))
+    # [P, gamma] = Px*gy - Py*gx
+    a = np.column_stack([g[:, 1], -g[:, 0]])
+    b = det2(right, g) - z.values
     sol, *_ = np.linalg.lstsq(a, b, rcond=None)
     res = float(np.max(np.abs(a @ sol - b))) if len(b) else 0.0
     return sol, res
@@ -188,27 +170,16 @@ def affine_curvature(G: PlanarEqualAreaPolygon) -> GridSeq:
     For a unit equal-area polygon gamma(i+1) + gamma(i-1) is parallel to
     gamma(i); k is 2 minus that proportionality factor.
     """
-    g = G.gamma.values
-    n = len(g)
-    if G.closed:
-        s = np.roll(g, -1, axis=0) + np.roll(g, 1, axis=0)
-        slots = np.arange(n)
-        base = 0
-    else:
-        s = g[2:] + g[:-2]
-        slots = np.arange(1, n - 1)
-        base = G.gamma.base + 1
-    k = np.empty(len(slots))
-    for j in range(len(slots)):
-        gi = g[(slots[j] - G.gamma.base) % n] if G.closed else g[j + 1]
-        r = float(np.dot(s[j], gi) / np.dot(gi, gi))
-        off = s[j] - r * gi
-        if np.linalg.norm(off) > 1e-8 * max(1.0, np.linalg.norm(s[j])):
-            raise NotEqualAreaError(
-                f"vertex {int(slots[j])}: neighbour sum not parallel to gamma")
-        k[j] = 2.0 - r
-    topo = G.gamma.topology
-    return GridSeq(k, Grid.VERTEX, topo, 0 if G.closed else base)
+    first, (g_prev, g, g_next) = G.gamma.stencil(-1, 0, 1)
+    s = g_next + g_prev
+    # row-wise dot products by matmul, which rounds as np.dot does
+    r = (s[:, None] @ g[:, :, None] / (g[:, None] @ g[:, :, None]))[:, 0, 0]
+    off = s - r[:, None] * g
+    bad = np.linalg.norm(off, axis=1) > 1e-8 * np.maximum(1.0, np.linalg.norm(s, axis=1))
+    if bad.any():
+        raise NotEqualAreaError(
+            f"vertex {first + int(np.argmax(bad))}: neighbour sum not parallel to gamma")
+    return GridSeq(2.0 - r, Grid.VERTEX, G.gamma.topology, first)
 
 
 def lift_residuals(G: PlanarEqualAreaPolygon, P):
@@ -220,27 +191,12 @@ def lift_residuals(G: PlanarEqualAreaPolygon, P):
     Gn = G.normalized()
     k = affine_curvature(Gn)
     z = support_function(Gn, P)
-    g = Gn.gamma.values
-    zv = z.values
-    n = len(g)
-    r_g = 0.0
-    r_z = 0.0
+    _, (g_prev, g, g_next) = Gn.gamma.stencil(-1, 0, 1)
+    _, (z_prev, zv, z_next) = z.stencil(-1, 0, 1)
+    kk = k.values
     sign = 1.0 if Gn.area_constant > 0 else -1.0
-    for i in k.slots:
-        i = int(i)
-        if Gn.closed:
-            j = i % n
-            gpp = g[(j + 1) % n] - 2 * g[j] + g[(j - 1) % n]
-            zpp = zv[(j + 1) % n] - 2 * zv[j] + zv[(j - 1) % n]
-            gi, zi = g[j], zv[j]
-        else:
-            j = i - Gn.gamma.base
-            gpp = g[j + 1] - 2 * g[j] + g[j - 1]
-            zpp = zv[j + 1] - 2 * zv[j] + zv[j - 1]
-            gi, zi = g[j], zv[j]
-        kk = k.at(i)
-        r_g = max(r_g, float(np.max(np.abs(gpp + kk * gi))))
-        r_z = max(r_z, abs(zpp + kk * zi - sign))
+    r_g = float(np.max(np.abs(g_next - 2 * g + g_prev + kk[:, None] * g)))
+    r_z = float(np.max(np.abs(z_next - 2 * zv + z_prev + kk * zv - sign)))
     return r_g, r_z
 
 

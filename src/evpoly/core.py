@@ -112,12 +112,32 @@ class GridSeq:
         return self.values[j]
 
     def window(self, start: int, count: int) -> np.ndarray:
-        """Values at slots ``start .. start+count-1`` (mod N when closed)."""
+        """Values at slots ``start .. start+count-1`` (mod N when closed).
+
+        Open sequences return a read-only view of ``values``.
+        """
         j = start - self.base
-        if self.topology is Topology.OPEN and not 0 <= j <= j + count <= len(self.values):
+        if self.topology is Topology.CLOSED:
+            return np.roll(self.values, -j, axis=0)[:count]
+        if not 0 <= j <= j + count <= len(self.values):
             raise IndexError(f"slots [{start}, {start + count}) outside "
                              f"[{self.base}, {self.base + len(self.values)})")
-        return np.roll(self.values, -j, axis=0)[:count]
+        return self.values[j:j + count]
+
+    def stencil(self, *offsets: int) -> tuple[int, list[np.ndarray]]:
+        """Values at ``slot + o`` for each offset, over every slot where all exist.
+
+        That is every slot (mod N) when closed, and the interior run
+        ``base - min(offsets) .. base + n-1 - max(offsets)`` when open.
+        Returns the first such slot and one aligned array per offset.
+        """
+        n = len(self.values)
+        first, count = 0, n
+        if self.topology is Topology.OPEN:
+            first, count = self.base - min(offsets), n - max(offsets) + min(offsets)
+            if count < 1:
+                raise GeometryError(f"need more than {n} entries for offsets {offsets}")
+        return first, [self.window(first + o, count) for o in offsets]
 
     def with_values(self, values) -> "GridSeq":
         return GridSeq(values, self.grid, self.topology, self.base)
@@ -171,17 +191,11 @@ def forward_diff(s: GridSeq) -> GridSeq:
     a side-grid difference lands on the vertex between the two sides
     (base shifts by one).
     """
-    a = s.values
-    if len(a) < 2:
+    if len(s.values) < 2:
         raise GeometryError("need at least 2 entries to difference")
-    if s.topology is Topology.CLOSED:
-        d = np.roll(a, -1, axis=0) - a
-        if s.grid is Grid.SIDE:
-            d = a - np.roll(a, 1, axis=0)
-        return GridSeq(d, s.grid.other(), s.topology, 0)
-    d = a[1:] - a[:-1]
-    base = s.base if s.grid is Grid.VERTEX else s.base + 1
-    return GridSeq(d, s.grid.other(), s.topology, base)
+    lo, hi = (0, 1) if s.grid is Grid.VERTEX else (-1, 0)
+    first, (a, b) = s.stencil(lo, hi)
+    return GridSeq(b - a, s.grid.other(), s.topology, first)
 
 
 def second_diff(s: GridSeq) -> GridSeq:
@@ -210,11 +224,10 @@ class Polygon3:
         a = v.values
         if a.ndim != 2 or a.shape[1] != 3:
             raise GeometryError("polygon vertices must be 3-vectors")
-        d = np.roll(a, -1, axis=0) - a if v.topology is Topology.CLOSED else a[1:] - a[:-1]
-        norms = np.linalg.norm(d, axis=1)
-        bad = np.nonzero(norms == 0.0)[0]
-        if bad.size:
-            raise DegenerateVertexError(int(bad[0]))
+        d = forward_diff(v)
+        bad = np.linalg.norm(d.values, axis=1) == 0.0
+        if bad.any():
+            raise DegenerateVertexError(d.base + int(np.argmax(bad)))
 
     @classmethod
     def from_points(cls, points, closed: bool = False) -> "Polygon3":

@@ -122,11 +122,6 @@ class FrameReport:
         return not self.bad_sides and not self.bad_vertices
 
 
-def _ends(a: np.ndarray, nsides: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-vertex rows at the near and the far end of each side."""
-    return a[:nsides], np.roll(a, -1, axis=0)[:nsides]
-
-
 def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> FrameReport:
     """Check the planar-quadrilateral-face hypothesis and transversality.
 
@@ -138,7 +133,7 @@ def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Fram
     e = f.polygon.sides().values
     eh = e / np.linalg.norm(e, axis=1, keepdims=True)
     n, nsides = len(f.polygon), len(e)
-    dl, dr = _ends(f.unit_directions, nsides)
+    _, (dl, dr) = f.directions.with_values(f.unit_directions).stencil(0, 1)
     cop = np.abs(det3(eh, dl, dr))
 
     def on_vertices(side_values):
@@ -178,7 +173,7 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
     e = f.polygon.sides().values
     dh = f.unit_directions
     n, nsides = len(dh), len(e)
-    d0, d1 = _ends(dh, nsides)
+    _, (d0, d1) = f.directions.with_values(dh).stencil(0, 1)
     p, q = face_solve(e, d0, d1)
     # parallel end directions: prism-like face, xi is constant along it
     # and sigma vanishes
@@ -215,9 +210,8 @@ def osculating_points(f: FramedPolygon, df: DarbouxField,
     separately.
     """
     sigma = df.sigma.values
-    nsides = len(sigma)
-    p0, p1 = _ends(f.polygon.points, nsides)
-    x0, x1 = _ends(df.xi.values, nsides)
+    _, (p0, p1) = f.polygon.vertices.stencil(0, 1)
+    _, (x0, x1) = df.xi.stencil(0, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         at_infinity = ~np.isfinite(1.0 / sigma)
         o1 = p0 + x0 / sigma[:, None]
@@ -247,8 +241,9 @@ def osculating_developable(f: FramedPolygon, df: DarbouxField,
         extent = 2.0 * f.polygon.diameter()
     xi = df.xi.values
     nsides = f.n_sides()
-    p0, p1 = _ends(f.polygon.points, nsides)
-    x0, x1 = _ends(extent * (xi / np.linalg.norm(xi, axis=1, keepdims=True)), nsides)
+    _, (p0, p1) = f.polygon.vertices.stencil(0, 1)
+    unit = df.xi.with_values(extent * (xi / np.linalg.norm(xi, axis=1, keepdims=True)))
+    _, (x0, x1) = unit.stencil(0, 1)
     quads = np.stack([p0 - x0, p0 + x0, p1 + x1, p1 - x1], axis=1)
     return Mesh(quads.reshape(-1, 3), np.arange(4 * nsides).reshape(nsides, 4).tolist())
 

@@ -2,10 +2,10 @@
 
 The interchange format is a single JSON object: kind ("polygon3",
 "polygon2", "framed3"), closed flag, vertex list, optional per-vertex
-directions (framed3), grid ("vertex" or "side") and a free-form metadata
-map.  Floats are serialized with shortest round-trip repr, so write then
-read reproduces coordinates bit-exactly.  Bare CSV vertex lists (one
-vertex per line) are also accepted on input.
+directions (framed3) and a free-form metadata map; the reader ignores
+other keys.  Floats are serialized with shortest round-trip repr, so
+write then read reproduces coordinates bit-exactly.  Bare CSV vertex
+lists (one vertex per line) are also accepted on input.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class PolygonDocument:
     closed: bool
     vertices: np.ndarray
     directions: np.ndarray | None = None
-    grid: str = "vertex"
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -55,8 +54,6 @@ class PolygonDocument:
                 raise DocumentError("directions must match vertices in shape")
         elif self.directions is not None:
             raise DocumentError(f"{self.kind} does not carry directions")
-        if self.grid not in ("vertex", "side"):
-            raise DocumentError(f"unknown grid {self.grid!r}")
         if not np.all(np.isfinite(self.vertices)):
             raise DocumentError("non-finite vertex coordinate")
 
@@ -84,7 +81,6 @@ def write_document(doc: PolygonDocument, path) -> None:
     payload = {
         "kind": doc.kind,
         "closed": doc.closed,
-        "grid": doc.grid,
         "vertices": doc.vertices.tolist(),
         "metadata": doc.metadata,
     }
@@ -137,7 +133,6 @@ def read_document(path) -> PolygonDocument:
             closed=bool(payload.get("closed", False)),
             vertices=payload["vertices"],
             directions=payload.get("directions"),
-            grid=payload.get("grid", "vertex"),
             metadata=payload.get("metadata", {}),
         )
     except KeyError as exc:

@@ -58,25 +58,18 @@ def _report(vols: np.ndarray, topology: Topology, base: int) -> VolumeReport:
 
 def darboux_volumes(f: FramedPolygon, df: DarbouxField) -> VolumeReport:
     """Volumes [side(i-1/2), side(i+1/2), xi(i)] at interior vertices."""
-    e = f.polygon.sides().values
-    xi = df.xi.values
-    if f.closed:
-        vols = det3(np.roll(e, 1, axis=0), e, xi)
-        return _report(vols, Topology.CLOSED, 0)
-    vols = det3(e[:-1], e[1:], xi[1:-1])
-    return _report(vols, Topology.OPEN, 1)
+    first, (e_left, e_right) = f.polygon.sides().stencil(-1, 0)
+    xi = df.xi.window(first, len(e_left))
+    return _report(det3(e_left, e_right, xi), f.polygon.topology, first)
 
 
 def centroaffine_volumes(p: Polygon3, origin=(0.0, 0.0, 0.0)) -> VolumeReport:
     """Volumes of consecutive vertex triples relative to a base point."""
     if len(p) < 3:
         raise GeometryError("need at least 3 vertices")
-    q = p.points - np.asarray(origin, dtype=float)
-    if p.closed:
-        vols = det3(np.roll(q, 1, axis=0), q, np.roll(q, -1, axis=0))
-        return _report(vols, Topology.CLOSED, 0)
-    vols = det3(q[:-2], q[1:-1], q[2:])
-    return _report(vols, Topology.OPEN, 1)
+    q = p.vertices.with_values(p.points - np.asarray(origin, dtype=float))
+    first, (q0, q1, q2) = q.stencil(-1, 0, 1)
+    return _report(det3(q0, q1, q2), p.topology, first)
 
 
 def space_volumes(P: GridSeq) -> VolumeReport:

@@ -11,12 +11,13 @@ side vector and either end's Darboux vector:
 sequences satisfy  -tau*sigma = rho2(k) - rho1(k+1)  on every side.
 
 Open-topology windows (N vertices):
-    third differences / tau / mu / Q : sides   1 .. N-4
-    rho2                             : vertices 1 .. N-4
-    rho1                             : vertices 2 .. N-3
-    lambda / eta                     : vertices 1 .. N-3
+    third differences / tau / mu / Q : sides   1 .. N-3
+    rho2                             : vertices 1 .. N-3
+    rho1                             : vertices 2 .. N-2
+    lambda / eta                     : vertices 1 .. N-2
     O                                : sides   0 .. N-2
-Closed polygons use all N slots, indices mod N.
+Closed polygons use all N slots, indices mod N; both come from the
+stencil ``GridSeq.stencil(-1, 0, 1, 2)`` of the third difference.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .core import (
     det2,
     det3,
     face_solve,
+    forward_diff,
 )
 from .darboux import DarbouxField, FramedPolygon, osculating_points
 from .equal_volume import centroaffine_volumes, darboux_volumes
@@ -104,15 +106,29 @@ class FrenetData:
                       - (self.rho2.values - self.rho1.window(k0 + 1, m)))
 
 
-def _third_diffs(p: np.ndarray, closed: bool):
-    """Third differences per side and the slots they live on."""
-    if closed:
-        n = len(p)
-        k = np.arange(n)
-        d3 = p[(k + 2) % n] - 3 * p[(k + 1) % n] + 3 * p[k] - p[(k - 1) % n]
-        return d3, k
-    d3 = p[3:] - 3 * p[2:-1] + 3 * p[1:-2] - p[:-3]
-    return d3, np.arange(1, len(p) - 2)
+def _third_diffs(p: GridSeq):
+    """Third differences per side, their first slot and the four vertex stencils."""
+    first, (pm, p0, p1, p2) = p.stencil(-1, 0, 1, 2)
+    return first, p2 - 3 * p1 + 3 * p0 - pm, (pm, p0, p1, p2)
+
+
+def _frenet_data(topo: Topology, first: int, c: float, rho1, rho2, tau,
+                 residual, gap) -> FrenetData:
+    """FrenetData from per-side arrays that start at side ``first``.
+
+    The rho1 of side k belongs to vertex k+1, so on a closed polygon its
+    array turns by one slot to keep base 0.
+    """
+    closed = topo is Topology.CLOSED
+    return FrenetData(
+        rho1=GridSeq(np.roll(rho1, 1) if closed else rho1, Grid.VERTEX, topo,
+                     0 if closed else first + 1),
+        rho2=GridSeq(rho2, Grid.VERTEX, topo, first),
+        tau=GridSeq(tau, Grid.SIDE, topo, first),
+        c=c,
+        residual=GridSeq(residual, Grid.SIDE, topo, first),
+        tau_gap=GridSeq(gap, Grid.SIDE, topo, first),
+    )
 
 
 def frenet(f: FramedPolygon, df: DarbouxField,
@@ -135,9 +151,9 @@ def frenet(f: FramedPolygon, df: DarbouxField,
             "the third difference leaves the face plane, so the exact solve "
             "does not apply (resample first or use least-squares mode)")
 
-    d3, slots = _third_diffs(p, f.closed)
-    k0, m = int(slots[0]), len(slots)
-    edge = f.polygon.sides().window(k0, m)
+    k0, d3, (_, p0, p1, _) = _third_diffs(f.polygon.vertices)
+    m = len(d3)
+    edge = p1 - p0
     xi_near, xi_far = df.xi.window(k0, m), df.xi.window(k0 + 1, m)
     rho2, tau_a = face_solve(d3, -edge, xi_far)     # rho2 at vertex k
     rho1, tau_b = face_solve(d3, -edge, xi_near)    # rho1 at vertex k+1
@@ -145,26 +161,16 @@ def frenet(f: FramedPolygon, df: DarbouxField,
     nn = np.linalg.norm(normal, axis=1)
     bad = (nn == 0.0) | ~np.isfinite(rho1 + rho2 + tau_a + tau_b)
     if bad.any():
-        raise GeometryError(f"side {int(slots[np.argmax(bad)])}: degenerate face basis in Frenet solve")
+        k = k0 + int(np.argmax(bad))
+        raise GeometryError(f"side {k}: degenerate face basis in Frenet solve")
     res = np.abs(np.einsum("ij,ij->i", d3, normal)) / nn
     gap = np.abs(tau_a - tau_b)
     tau = 0.5 * (tau_a + tau_b)
     bad = gap > TAU_AGREEMENT_TOL * np.maximum(1.0, np.abs(tau))
     if mode is SolveMode.EXACT and bad.any():
         j = int(np.argmax(bad))
-        raise GeometryError(f"side {int(slots[j])}: the two tau evaluations disagree by {gap[j]:.3e}")
-
-    topo = f.polygon.topology
-    if f.closed:
-        rho1 = np.roll(rho1, 1)       # rho1 of side k sits at vertex k+1
-    return FrenetData(
-        rho1=GridSeq(rho1, Grid.VERTEX, topo, 0 if f.closed else k0 + 1),
-        rho2=GridSeq(rho2, Grid.VERTEX, topo, k0),
-        tau=GridSeq(tau, Grid.SIDE, topo, k0),
-        c=rep.c_hat,
-        residual=GridSeq(res, Grid.SIDE, topo, k0),
-        tau_gap=GridSeq(gap, Grid.SIDE, topo, k0),
-    )
+        raise GeometryError(f"side {k0 + j}: the two tau evaluations disagree by {gap[j]:.3e}")
+    return _frenet_data(f.polygon.topology, k0, rep.c_hat, rho1, rho2, tau, res, gap)
 
 
 def _silhouette_frame(p: Polygon3, origin) -> tuple[FramedPolygon, DarbouxField]:
@@ -174,8 +180,7 @@ def _silhouette_frame(p: Polygon3, origin) -> tuple[FramedPolygon, DarbouxField]
     f = FramedPolygon.silhouette(pts, o, closed=p.closed)
     topo = p.vertices.topology
     xi = GridSeq(pts - o, Grid.VERTEX, topo)
-    nsides = len(pts) if p.closed else len(pts) - 1
-    sigma = GridSeq(np.full(nsides, -1.0), Grid.SIDE, topo)
+    sigma = GridSeq(np.full(f.n_sides(), -1.0), Grid.SIDE, topo)
     return f, DarbouxField(xi, sigma, 1.0 if p.closed else None)
 
 
@@ -189,42 +194,21 @@ def centroaffine_frenet(p: Polygon3, origin=(0.0, 0.0, 0.0),
     goes through the generic per-side 2x2 path.  Both are exposed so they
     can be cross-checked.
     """
-    f, df = _silhouette_frame(p, origin)
     if method == "solve" or mode is not SolveMode.EXACT:
-        return frenet(f, df, mode)
+        return frenet(*_silhouette_frame(p, origin), mode)
 
     rep = centroaffine_volumes(p, origin)
     if rep.spread > EQUAL_VOLUME_TOL:
         raise NotEqualVolumeError(
             f"volume spread {rep.spread:.3e} exceeds {EQUAL_VOLUME_TOL:.0e}")
     c = rep.c_hat
-    q = p.points - np.asarray(origin, dtype=float)
-    n = len(q)
-    d3, slots = _third_diffs(q, p.closed)
-    m = len(slots)
-    rho1 = np.empty(m)
-    rho2 = np.empty(m)
-    tau = np.empty(m)
-    for j, k in enumerate(slots):
-        d_a = det3(q[(k - 1) % n], q[k % n], q[(k + 2) % n])
-        d_b = det3(q[(k + 2) % n], q[(k + 1) % n], q[(k - 1) % n])
-        rho2[j] = 3.0 + d_b / c
-        rho1[j] = 3.0 - d_a / c          # value at vertex k+1
-        tau[j] = (d_a + d_b) / c
-    topo = p.vertices.topology
-    zeros = np.zeros(m)
-    if p.closed:
-        return FrenetData(GridSeq(np.roll(rho1, 1), Grid.VERTEX, topo),
-                          GridSeq(rho2, Grid.VERTEX, topo),
-                          GridSeq(tau, Grid.SIDE, topo), c,
-                          GridSeq(zeros, Grid.SIDE, topo),
-                          GridSeq(zeros, Grid.SIDE, topo))
-    base = int(slots[0])
-    return FrenetData(GridSeq(rho1, Grid.VERTEX, topo, base + 1),
-                      GridSeq(rho2, Grid.VERTEX, topo, base),
-                      GridSeq(tau, Grid.SIDE, topo, base), c,
-                      GridSeq(zeros, Grid.SIDE, topo, base),
-                      GridSeq(zeros, Grid.SIDE, topo, base))
+    q = p.vertices.with_values(p.points - np.asarray(origin, dtype=float))
+    k0, (qm, q0, q1, q2) = q.stencil(-1, 0, 1, 2)
+    d_a = det3(qm, q0, q2)
+    d_b = det3(q2, q1, qm)
+    zeros = np.zeros(len(d_a))
+    return _frenet_data(p.topology, k0, c, 3.0 - d_a / c, 3.0 + d_b / c,
+                        (d_a + d_b) / c, zeros, zeros)
 
 
 def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float,
@@ -436,32 +420,22 @@ def planar_reduction(p: Polygon3, normal, tol: float = 1e-9) -> PlanarReduction:
     v = np.cross(nrm, u)
     xy = np.stack([(pts - c0) @ u, (pts - c0) @ v], axis=1)
 
-    closed = p.closed
-    n = len(xy)
-    if closed:
-        e = np.roll(xy, -1, axis=0) - xy
-        areas = det2(np.roll(e, 1, axis=0), e)
-    else:
-        e = xy[1:] - xy[:-1]
-        areas = det2(e[:-1], e[1:])
+    xy_seq = GridSeq(xy, Grid.VERTEX, p.topology)
+    _, (e_left, e_right) = forward_diff(xy_seq).stencil(-1, 0)
+    areas = det2(e_left, e_right)
     a_hat = float(np.median(areas))
     spread = float(np.max(np.abs(areas - a_hat)) / abs(a_hat)) if a_hat != 0 else np.inf
     equal_area = spread <= 1e-8
 
-    d3, slots = _third_diffs(xy, closed)
-    rho = np.empty(len(slots))
-    q_pts = []
-    for j, k in enumerate(slots):
-        edge = xy[(k + 1) % n] - xy[k % n]
-        rho[j] = -float(np.dot(d3[j], edge) / np.dot(edge, edge))
-        pp = xy[(k + 1) % n] - 2 * xy[k % n] + xy[(k - 1) % n]
-        if rho[j] != 0.0:
-            ev = xy[k % n] + pp / rho[j]
-            q_pts.append(c0 + ev[0] * u + ev[1] * v)
-    topo = p.vertices.topology
-    rho_seq = GridSeq(rho, Grid.SIDE, topo, 0 if closed else int(slots[0]))
-    return PlanarReduction(equal_area, a_hat, spread, rho_seq,
-                           np.asarray(q_pts), (c0, u, v, nrm))
+    k0, d3, (pm, p0, p1, _) = _third_diffs(xy_seq)
+    edge = p1 - p0
+    # row-wise dot products by matmul, which rounds as np.dot does
+    rho = -(d3[:, None] @ edge[:, :, None] / (edge[:, None] @ edge[:, :, None]))[:, 0, 0]
+    turn = rho != 0.0
+    ev = p0[turn] + (p1 - 2 * p0 + pm)[turn] / rho[turn, None]
+    q_pts = c0 + ev[:, :1] * u + ev[:, 1:] * v
+    return PlanarReduction(equal_area, a_hat, spread, GridSeq(rho, Grid.SIDE, p.topology, k0),
+                           q_pts, (c0, u, v, nrm))
 
 
 @dataclass(frozen=True)
@@ -483,14 +457,13 @@ def mu_prime_check(fr: FrenetData, fd: FocalSetData, sigma: GridSeq) -> MuPrimeR
     The identity assumes sigma is constant along the polygon (silhouette
     or cone framing); for sigma = -1 it reads mu' = rho' + tau.
     """
-    # open: the first side of the mu window has no left neighbour
-    open_ = int(fr.topology is Topology.OPEN)
-    lo, m = fd.mu.base + open_, len(fd.mu) - open_
+    lo, (mu_left, mu_right) = fd.mu.stencil(-1, 0)
+    m = len(mu_left)
 
     def win(seq, start):
         return seq.window(start, m)
 
-    mp = win(fd.mu, lo) - win(fd.mu, lo - 1)
+    mp = mu_right - mu_left
     res1 = np.abs(mp - (win(fr.rho1, lo + 1) - win(fr.rho1, lo) - win(sigma, lo) * win(fr.tau, lo)))
     res2 = np.abs(mp - (win(fr.rho2, lo) - win(fr.rho2, lo - 1)
                         - win(sigma, lo - 1) * win(fr.tau, lo - 1)))

@@ -28,6 +28,7 @@ from .core import (
     Topology,
     det2,
     det3,
+    forward_diff,
 )
 from .invariants import SolveMode, centroaffine_frenet
 
@@ -89,27 +90,17 @@ def b_sequence(poly) -> GridSeq:
 
     Accepts a (N, 2) array or a vertex GridSeq.  Raises on any b <= 0.
     """
-    if isinstance(poly, GridSeq):
-        pts = poly.values
-        topo = poly.topology
-    else:
-        pts = np.asarray(poly, dtype=float)
-        topo = Topology.OPEN
-    if len(pts) < 3:
+    if not isinstance(poly, GridSeq):
+        poly = GridSeq(poly, Grid.VERTEX)
+    if len(poly) < 3:
         raise GeometryError("need at least 3 vertices")
-    if topo is Topology.CLOSED:
-        e = np.roll(pts, -1, axis=0) - pts
-        b = det2(np.roll(e, 1, axis=0), e)
-        base = 0
-    else:
-        e = pts[1:] - pts[:-1]
-        b = det2(e[:-1], e[1:])
-        base = 1
-    bad = np.nonzero(b <= 0.0)[0]
-    if bad.size:
-        j = int(bad[0])
-        raise InflectionError(j + base, float(b[j]))
-    return GridSeq(b, Grid.VERTEX, topo, base)
+    first, (e_left, e_right) = forward_diff(poly).stencil(-1, 0)
+    b = det2(e_left, e_right)
+    bad = b <= 0.0
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise InflectionError(first + j, float(b[j]))
+    return GridSeq(b, Grid.VERTEX, poly.topology, first)
 
 
 @dataclass(frozen=True)
@@ -158,13 +149,13 @@ def lift_representative(poly: PlanarProjectivePolygon,
         norm = default_normalization(poly)
     if norm.a1 <= 0 or norm.a2 <= 0 or norm.c <= 0:
         raise GeometryError("lift seeds and volume constant must be positive")
-    b = poly.b
     pts = poly.vertices.values
     n = len(pts)
+    b = poly.b.window(1, n - 2)
     a = np.empty(n)
     a[0], a[1] = norm.a1, norm.a2
     for i in range(1, n - 1):
-        denom = a[i - 1] * a[i] * float(b.at(i))
+        denom = a[i - 1] * a[i] * b[i - 1]
         a[i + 1] = norm.c / denom
         if not np.isfinite(a[i + 1]):
             raise GeometryError(f"vertex {i + 1}: lift recursion overflowed")
@@ -195,36 +186,20 @@ def projective_lengths(phi: Polygon3, mode: SolveMode = SolveMode.EXACT,
     if len(phi) < 6:
         raise GeometryError("need at least 6 vertices for projective lengths")
     fr = centroaffine_frenet(phi, mode=mode)
-    r1, r2, tau = fr.rho1, fr.rho2, fr.tau
-    topo = phi.vertices.topology
-
-    if phi.closed:
-        n = len(tau.values)
-        d1 = np.roll(r1.values, -1) - r1.values
-        d2 = np.roll(r2.values, -1) - r2.values
-        t1 = signed_cbrt(d1 + 2.0 * tau.values)
-        t2 = signed_cbrt(d2 + 2.0 * tau.values)
-        terms1 = GridSeq(t1, Grid.SIDE, topo)
-        terms2 = GridSeq(t2, Grid.SIDE, topo)
-        rng = (0, n - 1)
-        return ProjectiveLengthReport(float(t1.sum()), float(t2.sum()),
-                                      terms1, terms2, rng, normalization)
-
-    # open windows: rho1' on sides [r1.base, ...], rho2' on [r2.base, ...]
-    start = max(r1.base, r2.base + 1, tau.base)
-    stop1 = min(r1.base + len(r1.values) - 2, tau.base + len(tau.values) - 1)
-    stop2 = min(r2.base + len(r2.values) - 2, tau.base + len(tau.values) - 1)
+    tau = fr.tau
+    d1, d2 = forward_diff(fr.rho1), forward_diff(fr.rho2)
+    start = max(d1.base, d2.base, tau.base)
+    stop1, stop2 = (min(d.base + len(d), tau.base + len(tau)) - 1 for d in (d1, d2))
     if stop1 < start or stop2 < start:
         raise GeometryError("polygon too short for a nonempty summation window")
-    k1 = np.arange(start, stop1 + 1)
-    k2 = np.arange(start, stop2 + 1)
-    t1 = signed_cbrt(np.array([r1.at(k + 1) - r1.at(k) + 2.0 * tau.at(k) for k in k1]))
-    t2 = signed_cbrt(np.array([r2.at(k + 1) - r2.at(k) + 2.0 * tau.at(k) for k in k2]))
-    terms1 = GridSeq(t1, Grid.SIDE, topo, int(start))
-    terms2 = GridSeq(t2, Grid.SIDE, topo, int(start))
+    m1, m2 = stop1 + 1 - start, stop2 + 1 - start
+    t1 = signed_cbrt(d1.window(start, m1) + 2.0 * tau.window(start, m1))
+    t2 = signed_cbrt(d2.window(start, m2) + 2.0 * tau.window(start, m2))
+    topo = phi.topology
     return ProjectiveLengthReport(float(t1.sum()), float(t2.sum()),
-                                  terms1, terms2,
-                                  (int(start), int(stop1)), normalization)
+                                  GridSeq(t1, Grid.SIDE, topo, start),
+                                  GridSeq(t2, Grid.SIDE, topo, start),
+                                  (start, stop1), normalization)
 
 
 def smooth_reference_length(rho_prime_plus_2tau, t0: float, t1: float) -> float:

@@ -83,6 +83,45 @@ class TestGridSeq:
         assert s.at(7) == 2.0
         assert s.at(-1) == 4.0
 
+    def test_open_window_is_a_read_only_view(self):
+        s = GridSeq(np.arange(6.0), Grid.VERTEX, base=2)
+        w = s.window(3, 4)
+        assert np.shares_memory(w, s.values)
+        assert list(w) == [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(ValueError):
+            w[0] = 5.0
+
+    def test_stencil_open_with_base(self):
+        v = np.arange(10.0) ** 2
+        s = GridSeq(v, Grid.SIDE, base=3)
+        first, (a, b, c) = s.stencil(-2, 0, 1)
+        # slot k needs slots k-2 and k+1, which exist for k in 5 .. 11
+        assert first == 5
+        k = np.arange(5, 12)
+        for got, off in ((a, -2), (b, 0), (c, 1)):
+            assert np.array_equal(got, v[k + off - 3])
+
+    def test_stencil_closed_wraps(self):
+        v = np.arange(7.0) ** 2
+        s = GridSeq(v, Grid.VERTEX, Topology.CLOSED)
+        first, (a, b, c) = s.stencil(-1, 0, 2)
+        assert first == 0
+        k = np.arange(7)
+        for got, off in ((a, -1), (b, 0), (c, 2)):
+            assert np.array_equal(got, v[(k + off) % 7])
+
+    def test_stencil_offsets_need_not_include_zero(self):
+        v = np.arange(5.0)
+        first, (a, b) = GridSeq(v, Grid.VERTEX).stencil(1, 3)
+        assert first == -1
+        assert np.array_equal(a, v[:3]) and np.array_equal(b, v[2:])
+
+    def test_stencil_too_short(self):
+        s = GridSeq(np.arange(3.0), Grid.VERTEX, base=1)
+        assert len(s.stencil(-1, 0, 1)[1][0]) == 1
+        with pytest.raises(GeometryError):
+            s.stencil(-1, 0, 1, 2)
+
     def test_values_are_frozen(self):
         s = GridSeq(np.arange(3.0), Grid.VERTEX)
         with pytest.raises(ValueError):

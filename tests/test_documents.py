@@ -33,6 +33,18 @@ class TestRoundTrip:
         assert np.array_equal(back.directions, f.directions.values)
         assert back.to_framed().closed is False
 
+    @pytest.mark.parametrize("grid", ["vertex", "side"])
+    def test_reads_documents_that_carry_a_grid(self, tmp_path, grid):
+        # older writers stored a "grid" key; the reader ignores it
+        path = tmp_path / "g.json"
+        path.write_text('{"kind": "polygon3", "closed": true, "grid": "%s", '
+                        '"vertices": [[0, 0, 0], [1, 0, 0], [1, 2, 0]], '
+                        '"metadata": {"note": "x"}}' % grid)
+        doc = read_document(path)
+        assert (doc.kind, doc.closed, doc.metadata) == ("polygon3", True, {"note": "x"})
+        assert np.array_equal(doc.vertices, [[0, 0, 0], [1, 0, 0], [1, 2, 0]])
+        assert doc.to_polygon().closed
+
     def test_write_is_deterministic(self, rng, tmp_path):
         doc = PolygonDocument("polygon2", True, rng.normal(size=(5, 2)))
         a, b = tmp_path / "a.json", tmp_path / "b.json"

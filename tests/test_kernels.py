@@ -1,9 +1,12 @@
 """The batched Darboux, Frenet and focal kernels against short references.
 
 The references here are deliberately plain: a sequential product loop for
-the Darboux scales and an exact rational least-squares solve of the same
-float64 data for the Frenet coefficients.  The error-path cases inject one
-bad side and check that the error names it.
+the Darboux scales, an exact rational least-squares solve of the same
+float64 data for the Frenet coefficients, and the per-side loops that the
+batched determinant Frenet and planar reduction replaced.  A closed
+polygon must give, bit for bit, what the open polygon padded with its
+wrap-around vertices gives.  The error-path cases inject one bad side and
+check that the error names it.
 """
 
 import dataclasses
@@ -18,8 +21,19 @@ from hypothesis import strategies as st
 from conftest import random_cone_fixture, random_equal_volume_polygon, random_generic_framed
 
 from evpoly import cli
-from evpoly.constructions import ExampleSpiralRepresentative, sample_curve
-from evpoly.core import GeometryError, Grid, GridSeq
+from evpoly.constructions import (
+    Ellipse,
+    ExampleSpiralRepresentative,
+    GridScheme,
+    PlanarEqualAreaPolygon,
+    affine_curvature,
+    random_equal_area,
+    regular_equal_area,
+    sample_curve,
+    silhouette_lift,
+    support_function,
+)
+from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology, det3
 from evpoly.darboux import (
     DarbouxField,
     DegenerateFrameError,
@@ -29,7 +43,9 @@ from evpoly.darboux import (
     validate_frame,
 )
 from evpoly.documents import PolygonDocument, write_document
-from evpoly.invariants import SolveMode, focal_data, frenet
+from evpoly.equal_volume import centroaffine_volumes, darboux_volumes
+from evpoly.invariants import SolveMode, centroaffine_frenet, focal_data, frenet, planar_reduction
+from evpoly.projective import b_sequence
 
 REL_TOL = 1e-12
 
@@ -114,6 +130,142 @@ def test_batched_kernels_match_references(kind, closed, seed, n):
         assert_close(fr.rho2.at(k), float(rho2), rho2_scale)
         assert_close(fr.rho1.at(k + 1), float(rho1), rho1_scale)
         assert_close(fr.tau.at(k), float((tau_a + tau_b) / 2), max(tau_a_scale, tau_b_scale))
+
+
+# ---------------------------------------------------------------- one stencil for both topologies
+
+
+def pad(values, lead, trail):
+    """A closed polygon's slots as an open run, with wrap-around slots on both ends."""
+    return np.concatenate([values[len(values) - lead:], values, values[:trail]])
+
+
+def assert_same_slots(closed, open_, lead):
+    """The open result covers every slot of the closed one, bit for bit."""
+    assert len(open_) == len(closed)
+    assert np.array_equal(closed.window(open_.base - lead, len(open_)), open_.values)
+
+
+def closed_equal_area(rng, n):
+    """A regular n-gon under a random orientation-preserving linear map."""
+    m = rng.normal(size=(2, 2))
+    m[:, 0] *= np.sign(np.linalg.det(m))
+    Gamma = regular_equal_area(n).Gamma.values @ m.T
+    return PlanarEqualAreaPolygon.from_vertices(Gamma, closed=True)
+
+
+@given(k=st.integers(3, 20), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_closed_equals_open_padded_with_wrap_around(k, seed):
+    rng = np.random.default_rng(seed)
+    n = 2 * k + 1
+    G = closed_equal_area(rng, n)
+    P = rng.normal(size=2) * 0.3
+
+    G_open = PlanarEqualAreaPolygon.from_vertices(pad(G.Gamma.values, 1, 0))
+    assert_same_slots(support_function(G, P), support_function(G_open, P), 1)
+    G_open = PlanarEqualAreaPolygon.from_vertices(pad(G.Gamma.values, 2, 1))
+    assert_same_slots(affine_curvature(G), affine_curvature(G_open), 2)
+
+    t = 2 * np.pi * (np.arange(n) + rng.uniform(0.0, 0.8, n)) / n
+    convex = np.column_stack([1.5 * np.cos(t), 0.7 * np.sin(t)])
+    assert_same_slots(b_sequence(GridSeq(convex, Grid.VERTEX, Topology.CLOSED)),
+                      b_sequence(pad(convex, 1, 1)), 1)
+
+    pts, xi = rng.normal(size=(2, n, 3))
+    closed = FramedPolygon.silhouette(pts, closed=True)
+    df = DarbouxField(GridSeq(xi, Grid.VERTEX, Topology.CLOSED),
+                      GridSeq(np.zeros(n), Grid.SIDE, Topology.CLOSED))
+    open_ = FramedPolygon.silhouette(pad(pts, 1, 1))
+    df_open = DarbouxField(GridSeq(pad(xi, 1, 1), Grid.VERTEX), GridSeq(np.zeros(n + 1), Grid.SIDE))
+    assert_same_slots(darboux_volumes(closed, df).volumes,
+                      darboux_volumes(open_, df_open).volumes, 1)
+    e = np.roll(pts, -1, axis=0) - pts
+    assert np.array_equal(darboux_volumes(closed, df).values, det3(np.roll(e, 1, axis=0), e, xi))
+
+    # The padded run repeats vertex 0's triple volume once.  With n odd and
+    # vertex 0 carrying the median volume, both medians (the constant c)
+    # are that same volume, so the Frenet values must agree bitwise too.
+    phi = silhouette_lift(G, P).points
+    vols = centroaffine_volumes(Polygon3.from_points(phi, closed=True)).values
+    phi = Polygon3.from_points(np.roll(phi, -int(np.argmax(vols == np.median(vols))), axis=0),
+                               closed=True)
+    assert_same_slots(centroaffine_volumes(phi).volumes,
+                      centroaffine_volumes(Polygon3.from_points(pad(phi.points, 1, 1))).volumes, 1)
+    fr = centroaffine_frenet(phi)
+    fr_open = centroaffine_frenet(Polygon3.from_points(pad(phi.points, 1, 2)))
+    for name in ("rho1", "rho2", "tau"):
+        assert_same_slots(getattr(fr, name), getattr(fr_open, name), 1)
+
+
+def reference_centroaffine_frenet(q, c, slots):
+    """The per-side determinant loop that the batched form replaced.
+
+    Returns rho1 (of side k, so at vertex k+1), rho2 and tau per side.
+    """
+    n = len(q)
+    rows = []
+    for k in slots:
+        d_a = det3(q[(k - 1) % n], q[k % n], q[(k + 2) % n])
+        d_b = det3(q[(k + 2) % n], q[(k + 1) % n], q[(k - 1) % n])
+        rows.append((3.0 - d_a / c, 3.0 + d_b / c, (d_a + d_b) / c))
+    return np.array(rows).T
+
+
+def reference_planar_reduction(xy, slots):
+    """The per-side curvature and evolute loop that the batched form replaced."""
+    n = len(xy)
+    rho, evolute = [], []
+    for k in slots:
+        d3 = xy[(k + 2) % n] - 3 * xy[(k + 1) % n] + 3 * xy[k % n] - xy[(k - 1) % n]
+        edge = xy[(k + 1) % n] - xy[k % n]
+        r = -float(np.dot(d3, edge) / np.dot(edge, edge))
+        rho.append(r)
+        pp = xy[(k + 1) % n] - 2 * xy[k % n] + xy[(k - 1) % n]
+        if r != 0.0:
+            evolute.append(xy[k % n] + pp / r)
+    return np.array(rho), np.array(evolute)
+
+
+def side_slots(n, closed):
+    return range(n) if closed else range(1, n - 2)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_centroaffine_frenet_matches_per_side_loop(closed, seed):
+    rng = np.random.default_rng(seed)
+    if closed:
+        phi = silhouette_lift(closed_equal_area(rng, 9 + seed), rng.normal(size=2) * 0.3)
+    else:
+        phi = random_equal_volume_polygon(rng, 12 + seed)
+    fr = centroaffine_frenet(phi, method="determinant")
+    slots = side_slots(len(phi), closed)
+    rho1, rho2, tau = reference_centroaffine_frenet(phi.points, fr.c, slots)
+    assert np.array_equal(fr.rho1.window(slots[0] + 1, len(slots)), rho1)
+    assert np.array_equal(fr.rho2.values, rho2)
+    assert np.array_equal(fr.tau.values, tau)
+    assert (fr.rho2.base, fr.tau.base) == (slots[0], slots[0])
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_planar_reduction_matches_per_side_loop(closed, seed):
+    rng = np.random.default_rng(seed)
+    G = closed_equal_area(rng, 9 + seed) if closed else random_equal_area(12 + seed, rng)
+    frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    pts = G.Gamma.values @ frame[:2] + rng.normal(size=3)
+    red = planar_reduction(Polygon3.from_points(pts, closed=closed), frame[2])
+    c0, u, v, _ = red.frame
+    xy = np.stack([(pts - c0) @ u, (pts - c0) @ v], axis=1)
+    slots = side_slots(len(pts), closed)
+    rho, evolute = reference_planar_reduction(xy, slots)
+    evolute = c0 + evolute[:, :1] * u + evolute[:, 1:] * v
+    # the dot products moved from np.dot to matmul: 1e-14 of max(|value|, 1)
+    for got, want in ((red.rho.values, rho), (red.evolute, evolute)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+    assert red.rho.base == slots[0]
 
 
 # ---------------------------------------------------------------- error paths
@@ -253,8 +405,35 @@ def test_q_gap_names_side(pipeline):
 # ---------------------------------------------------------------- loop guard
 
 
-@pytest.mark.parametrize("n", [200, 2000])
-def test_analyze_makes_no_per_vertex_lookups(n, tmp_path, monkeypatch):
+def analyze_spiral(n, d):
+    phi = sample_curve(ExampleSpiralRepresentative(), 0.0, 2 * np.pi, n)
+    doc, out = d / "spiral.json", d / "report.json"
+    write_document(PolygonDocument.from_framed(FramedPolygon.silhouette(phi.points)), doc)
+    return ["analyze", str(doc), "--json", str(out)], out
+
+
+def plength_ellipse_arc(n, d):
+    pts = sample_curve(Ellipse(1.5, 0.8), 0.3, 1.7, n, GridScheme.INCLUDE_BOTH_ENDS)
+    src, out = d / "arc.csv", d / "report.json"
+    src.write_text("".join(f"{float(x)!r},{float(y)!r}\n" for x, y in pts))
+    return ["plength", str(src), "--auto-seed", "--report", str(out)], out
+
+
+def table1(n, d):
+    out = d / "table1.csv"
+    return ["table1", "--sizes", str(n), "--csv", str(out)], out
+
+
+@pytest.mark.parametrize("command, n, code, expect", [
+    pytest.param(analyze_spiral, 200, 0, '"rho1"', id="200"),
+    pytest.param(analyze_spiral, 2000, 0, '"rho1"', id="2000"),
+    pytest.param(plength_ellipse_arc, 200, 0, '"pl1"', id="plength-200"),
+    # the volume gate rejects this arc (spread 5.7e-7 grows as eps/h^3), after the lift
+    pytest.param(plength_ellipse_arc, 2000, 2, None, id="plength-2000"),
+    pytest.param(table1, 1000, 0, "1000,", id="table1-1000"),
+])
+def test_analyze_makes_no_per_vertex_lookups(command, n, code, expect, tmp_path, monkeypatch):
+    """CLI runs that make no per-slot ``GridSeq.at`` lookups."""
     calls = []
     at = GridSeq.at
 
@@ -262,10 +441,9 @@ def test_analyze_makes_no_per_vertex_lookups(n, tmp_path, monkeypatch):
         calls.append(slot)
         return at(self, slot)
 
-    phi = sample_curve(ExampleSpiralRepresentative(), 0.0, 2 * np.pi, n)
-    doc, out = tmp_path / "spiral.json", tmp_path / "report.json"
-    write_document(PolygonDocument.from_framed(FramedPolygon.silhouette(phi.points)), doc)
+    argv, out = command(n, tmp_path)
     monkeypatch.setattr(GridSeq, "at", counted)
-    assert cli.main(["analyze", str(doc), "--json", str(out)]) == 0
-    assert '"rho1"' in out.read_text()
+    assert cli.main(argv) == code
+    if expect is not None:
+        assert expect in out.read_text()
     assert calls == []
