@@ -23,7 +23,7 @@ from .darboux import (
 from .documents import DocumentError, PolygonDocument, read_document, write_document
 from .equal_volume import darboux_volumes, resample_equal_volume
 from .invariants import (
-    SolveMode,
+    EQUAL_VOLUME_TOL,
     classify_focal,
     focal_data,
     focal_set_mesh,
@@ -47,11 +47,23 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _emit(text: str, path) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _parse_origin(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise DocumentError("--origin expects x,y,z")
-    return np.array([float(x) for x in parts])
+    try:
+        origin = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        origin = np.empty(0)
+    if origin.shape != (3,) or not np.all(np.isfinite(origin)):
+        raise DocumentError(f"--origin expects three finite numbers x,y,z, got {text!r}")
+    return origin
 
 
 def _load_framed(args) -> tuple:
@@ -77,7 +89,7 @@ def _seq_payload(seq) -> dict:
 
 def cmd_analyze(args) -> int:
     framed, origin = _load_framed(args)
-    df = parallel_darboux(framed, tol_face=args.tol)
+    df = parallel_darboux(framed)
     rep = darboux_volumes(framed, df)
     report = {
         "n_vertices": len(framed.polygon),
@@ -99,9 +111,8 @@ def cmd_analyze(args) -> int:
     if sv[-1] <= 1e-10 * max(sv[0], 1.0):
         classification = "planar"
 
-    if rep.spread <= args.tol:
-        mode = SolveMode.EXACT if rep.spread <= 1e-8 else SolveMode.LEAST_SQUARES
-        fr = frenet(framed, df, mode)
+    if rep.spread <= EQUAL_VOLUME_TOL:
+        fr = frenet(framed, df)
         fd = focal_data(framed, df, fr)
         fc = classify_focal(df, fd)
         report.update({
@@ -124,12 +135,7 @@ def cmd_analyze(args) -> int:
     if osc.apex is not None:
         report["apex"] = np.asarray(osc.apex).tolist()
 
-    text = json.dumps(report, indent=1)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(report) + "\n", args.json)
     return 0
 
 
@@ -162,7 +168,7 @@ def cmd_plength(args) -> int:
             raise DocumentError("--a1 requires --a2 and --c (or use --auto-seed)")
         norm = LiftNormalization(args.a1, args.a2, args.c, "user-seed")
     phi = lift_representative(poly, norm)
-    rep = projective_lengths(phi, SolveMode.EXACT, norm)
+    rep = projective_lengths(phi)
     payload = {
         "pl1": rep.pl1,
         "pl2": rep.pl2,
@@ -172,12 +178,7 @@ def cmd_plength(args) -> int:
         "normalization": {"a1": norm.a1, "a2": norm.a2, "c": norm.c,
                           "label": norm.label},
     }
-    text = json.dumps(payload, indent=1)
-    if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(payload) + "\n", args.report)
     return 0
 
 
@@ -206,7 +207,10 @@ def cmd_focal(args) -> int:
 
 
 def cmd_table1(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s]
+    except ValueError:
+        sizes = []
     if not sizes:
         raise DocumentError("--sizes expects a comma-separated list of integers")
     if any(n < 6 for n in sizes):
@@ -214,12 +218,7 @@ def cmd_table1(args) -> int:
     rows = table1_experiment(sizes)
     lines = ["N,h,pl1,pl2"]
     lines += [f"{n},{h:.5f},{p1:.5f},{p2:.5f}" for n, h, p1, p2 in rows]
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.csv)
     return 0
 
 
@@ -232,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="volumes, Frenet data and classification")
     pa.add_argument("input")
     pa.add_argument("--origin", help="x,y,z base point for a bare space polygon")
-    pa.add_argument("--tol", type=float, default=1e-8)
     pa.add_argument("--json", help="write the report to this path")
     pa.set_defaults(fn=cmd_analyze)
 

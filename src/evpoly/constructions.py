@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 EQUAL_AREA_TOL = 1e-10
+# relative gap allowed between the support function's two evaluations
+SUPPORT_AGREEMENT_TOL = 1e-10
 
 
 class NotEqualAreaError(GeometryError):
@@ -64,8 +66,7 @@ class PlanarEqualAreaPolygon:
     area_spread: float
 
     @classmethod
-    def from_vertices(cls, points, closed: bool = False,
-                      tol: float = EQUAL_AREA_TOL) -> "PlanarEqualAreaPolygon":
+    def from_vertices(cls, points, closed: bool = False) -> "PlanarEqualAreaPolygon":
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise GeometryError("equal-area polygon vertices must be 2-vectors")
@@ -80,9 +81,9 @@ class PlanarEqualAreaPolygon:
         if c == 0.0:
             raise NotEqualAreaError("vanishing edge-pair area")
         spread = float(np.max(np.abs(areas - c)) / abs(c))
-        if spread > tol:
+        if spread > EQUAL_AREA_TOL:
             raise NotEqualAreaError(
-                f"edge-pair areas vary by {spread:.3e} relative (tol {tol:.0e})")
+                f"edge-pair areas vary by {spread:.3e} relative (tol {EQUAL_AREA_TOL:.0e})")
         return cls(Gamma, gamma, c, spread)
 
     @property
@@ -98,8 +99,7 @@ class PlanarEqualAreaPolygon:
             s * self.Gamma.values, self.closed)
 
 
-def support_function(G: PlanarEqualAreaPolygon, P,
-                     agreement_tol: float = 1e-10) -> GridSeq:
+def support_function(G: PlanarEqualAreaPolygon, P) -> GridSeq:
     """Affine distance z(i) = [Gamma(i+1/2) - P, gamma(i)] per vertex.
 
     The same determinant taken from the other half-integer neighbour must
@@ -112,7 +112,7 @@ def support_function(G: PlanarEqualAreaPolygon, P,
     scale = float(np.max(np.abs(G.Gamma.values - P))) or 1.0
     z_r = det2(right - P, g)
     z_l = det2(left - P, g)
-    bad = np.abs(z_r - z_l) > agreement_tol * scale * np.maximum(1.0, np.linalg.norm(g, axis=1))
+    bad = np.abs(z_r - z_l) > SUPPORT_AGREEMENT_TOL * scale * np.maximum(1.0, np.linalg.norm(g, axis=1))
     if bad.any():
         i = first + int(np.argmax(bad))
         raise GeometryError(f"vertex {i}: support function ambiguous, gamma is not Gamma'")
@@ -212,8 +212,7 @@ def regular_equal_area(N: int) -> PlanarEqualAreaPolygon:
     return PlanarEqualAreaPolygon.from_vertices(r * pts, closed=True)
 
 
-def random_equal_area(N: int, rng: np.random.Generator,
-                      step_low: float = 0.5, step_high: float = 1.8) -> PlanarEqualAreaPolygon:
+def random_equal_area(N: int, rng: np.random.Generator) -> PlanarEqualAreaPolygon:
     """Open equal-area polygon with unit constant, grown edge by edge.
 
     Each new difference vector is t*gamma + rot90(gamma)/|gamma|^2 for a
@@ -226,7 +225,7 @@ def random_equal_area(N: int, rng: np.random.Generator,
     g[0] = np.array([np.cos(ang), np.sin(ang)]) * rng.uniform(0.7, 1.4)
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     for i in range(1, N - 1):
-        t = rng.uniform(step_low, step_high)
+        t = rng.uniform(0.5, 1.8)
         g[i] = t * g[i - 1] + rot @ g[i - 1] / np.dot(g[i - 1], g[i - 1])
     start = rng.normal(size=2)
     pts = np.vstack([start, start + np.cumsum(g, axis=0)])

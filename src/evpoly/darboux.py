@@ -39,7 +39,10 @@ __all__ = [
 ]
 
 TOL_FACE_DEFAULT = 1e-8
-CLASSIFY_TOL_DEFAULT = 1e-6
+# relative sigma spread below which the surface is a cone (or cylinder)
+CLASSIFY_TOL = 1e-6
+# relative gap allowed between the two evaluations of an osculating point
+OSCULATING_AGREEMENT_TOL = 1e-10
 
 
 class DegenerateFrameError(GeometryError):
@@ -199,8 +202,7 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
     return DarbouxField(xi, GridSeq(sigma, Grid.SIDE, topo), holonomy)
 
 
-def osculating_points(f: FramedPolygon, df: DarbouxField,
-                      agreement_tol: float = 1e-10):
+def osculating_points(f: FramedPolygon, df: DarbouxField):
     """Intersections of consecutive Darboux support lines, one per side.
 
     Each point evaluates as ``phi(k) + xi(k)/sigma(k)`` and equivalently
@@ -219,7 +221,7 @@ def osculating_points(f: FramedPolygon, df: DarbouxField,
         gap = np.linalg.norm(o1 - o2, axis=1)
         ref = np.maximum(np.maximum(np.linalg.norm(o1 - p0, axis=1), np.linalg.norm(o2 - p1, axis=1)),
                          f.polygon.diameter())
-    bad = ~at_infinity & (gap > agreement_tol * ref)
+    bad = ~at_infinity & (gap > OSCULATING_AGREEMENT_TOL * ref)
     if bad.any():
         k = int(np.argmax(bad))
         raise GeometryError(
@@ -261,31 +263,24 @@ class OsculatingClass:
     apex: np.ndarray | None = None
 
 
-def classify_osculating(df: DarbouxField, tol: float = CLASSIFY_TOL_DEFAULT,
-                        f: FramedPolygon | None = None) -> OsculatingClass:
+def classify_osculating(df: DarbouxField, f: FramedPolygon) -> OsculatingClass:
     """Cone / cylinder / general classification of the osculating surface.
 
     Quality is the relative spread of sigma, (max-min)/median|sigma|;
-    zero for a perfect silhouette.  Passing the framed polygon lets the
-    cone branch report the apex (mean of the support-line intersections).
+    zero for a perfect silhouette.  The cone branch reports the apex
+    (mean of the support-line intersections).
     """
     sigma = df.sigma.values
     xi_scale = float(np.median(np.linalg.norm(df.xi.values, axis=1)))
     med = float(np.median(np.abs(sigma)))
     spread = float(sigma.max() - sigma.min())
 
-    if med > 0 and spread / med <= tol and np.all(np.abs(sigma) > tol * med):
-        apex = None
-        if f is not None:
-            pts, _ = osculating_points(f, df)
-            apex = np.nanmean(pts.values, axis=0)
-        return OsculatingClass(SurfaceKind.CONE, spread / med, apex)
+    if med > 0 and spread / med <= CLASSIFY_TOL and np.all(np.abs(sigma) > CLASSIFY_TOL * med):
+        pts, _ = osculating_points(f, df)
+        return OsculatingClass(SurfaceKind.CONE, spread / med, np.nanmean(pts.values, axis=0))
 
-    if f is not None:
-        edge_scale = float(np.median(np.linalg.norm(f.polygon.sides().values, axis=1)))
-    else:
-        edge_scale = 1.0
-    if np.max(np.abs(sigma)) <= tol * (xi_scale / edge_scale):
+    edge_scale = float(np.median(np.linalg.norm(f.polygon.sides().values, axis=1)))
+    if np.max(np.abs(sigma)) <= CLASSIFY_TOL * (xi_scale / edge_scale):
         return OsculatingClass(SurfaceKind.CYLINDER, 0.0)
 
     quality = spread / med if med > 0 else np.inf

@@ -87,8 +87,7 @@ def write_document(doc: PolygonDocument, path) -> None:
     if doc.directions is not None:
         payload["directions"] = doc.directions.tolist()
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def _read_csv(text: str) -> PolygonDocument:

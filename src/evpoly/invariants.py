@@ -63,6 +63,14 @@ __all__ = [
 
 EQUAL_VOLUME_TOL = 1e-8
 TAU_AGREEMENT_TOL = 1e-9
+# relative gap allowed between the two evaluations of mu and of Q
+FOCAL_AGREEMENT_TOL = 1e-9
+# |sum tau| relative to sum |tau| above which a closed gauge is obstructed
+GAUGE_CLOSURE_TOL = 1e-9
+# relative spread of sigma and mu below which the focal set is one line
+FOCAL_CLASSIFY_TOL = 1e-6
+# largest plane offset, relative to max(diameter, 1), of a planar polygon
+PLANARITY_TOL = 1e-9
 
 
 class SolveMode(enum.Enum):
@@ -211,8 +219,7 @@ def centroaffine_frenet(p: Polygon3, origin=(0.0, 0.0, 0.0),
                         (d_a + d_b) / c, zeros, zeros)
 
 
-def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float,
-                    closed_tol: float = 1e-9) -> GridSeq:
+def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float) -> GridSeq:
     """Anti-difference gauge: lambda(i) - lambda(i+1) = tau(side i).
 
     Summed outwards from the anchor, one side at a time.
@@ -221,7 +228,7 @@ def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float,
     if tau.topology is Topology.CLOSED:
         total = float(t.sum())
         scale = float(np.abs(t).sum()) or 1.0
-        if abs(total) > closed_tol * scale:
+        if abs(total) > GAUGE_CLOSURE_TOL * scale:
             raise GaugeObstructionError(total)
         a = anchor_index % len(t)
         lam = np.cumsum(np.concatenate([[anchor_value], -np.roll(t, -a)[:-1]]))
@@ -245,14 +252,12 @@ class FocalSetData:
     Q: GridSeq
     O: GridSeq
     lines: list
-    gauge_anchor: tuple
     at_infinity_O: list
     at_infinity_Q: list
 
 
 def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
-               gauge: tuple[int, float] | None = None,
-               agreement_tol: float = 1e-9) -> FocalSetData:
+               gauge: tuple[int, float] | None = None) -> FocalSetData:
     """Gauge field, parallel normal vectors and the focal lines.
 
     ``gauge`` anchors the lambda anti-difference (defaults to value 0 at
@@ -277,7 +282,7 @@ def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
     m_a = fr.rho1.window(k0 + 1, m) + sg * lam.window(k0 + 1, m)
     m_b = fr.rho2.window(k0, m) + sg * lam.window(k0, m)
     gap = np.abs(m_a - m_b)
-    bad = gap > agreement_tol * np.maximum(1.0, np.abs(m_a))
+    bad = gap > FOCAL_AGREEMENT_TOL * np.maximum(1.0, np.abs(m_a))
     if bad.any():
         j = int(np.argmax(bad))
         raise GeometryError(f"side {k0 + j}: the two mu evaluations disagree by {gap[j]:.3e}")
@@ -295,7 +300,7 @@ def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
         q2 = p1 + e_far / mu_col
         gapq = np.linalg.norm(q1 - q2, axis=1)
         ref = np.maximum(np.linalg.norm(q1 - p0, axis=1), f.polygon.diameter())
-    bad = ~q_inf & (gapq > agreement_tol * ref)
+    bad = ~q_inf & (gapq > FOCAL_AGREEMENT_TOL * ref)
     if bad.any():
         j = int(np.argmax(bad))
         raise GeometryError(f"side {k0 + j}: the two Q evaluations disagree by {gapq[j]:.3e}")
@@ -314,7 +319,7 @@ def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
         lines[j] = None
 
     Q = GridSeq(q_pts, Grid.SIDE, fr.tau.topology, k0, finite=not q_inf.any())
-    return FocalSetData(lam, eta, mu, Q, O_all, lines, gauge, inf_O,
+    return FocalSetData(lam, eta, mu, Q, O_all, lines, inf_O,
                         (k0 + np.flatnonzero(q_inf)).tolist())
 
 
@@ -373,12 +378,11 @@ def _rel_spread(x: np.ndarray) -> float:
     return float((x.max() - x.min()) / med)
 
 
-def classify_focal(df: DarbouxField, fd: FocalSetData,
-                   tol: float = 1e-6) -> FocalClass:
+def classify_focal(df: DarbouxField, fd: FocalSetData) -> FocalClass:
     """Single-line focal set iff both sigma and mu have constant sign pattern."""
     s_spread = _rel_spread(df.sigma.window(fd.mu.base, len(fd.mu)))
     m_spread = _rel_spread(fd.mu.values)
-    if s_spread <= tol and m_spread <= tol:
+    if s_spread <= FOCAL_CLASSIFY_TOL and m_spread <= FOCAL_CLASSIFY_TOL:
         finite = [ln for ln in fd.lines if ln is not None]
         origin = np.mean([ln[0] for ln in finite], axis=0)
         d = np.mean([ln[1] * np.sign(np.dot(ln[1], finite[0][1])) for ln in finite], axis=0)
@@ -397,7 +401,7 @@ class PlanarReduction:
     frame: tuple
 
 
-def planar_reduction(p: Polygon3, normal, tol: float = 1e-9) -> PlanarReduction:
+def planar_reduction(p: Polygon3, normal) -> PlanarReduction:
     """Equal-area check, affine curvature and evolute of a planar polygon.
 
     The polygon must lie in a plane with the given normal.  Curvature
@@ -410,7 +414,7 @@ def planar_reduction(p: Polygon3, normal, tol: float = 1e-9) -> PlanarReduction:
     pts = p.points
     c0 = pts.mean(axis=0)
     offsets = (pts - c0) @ nrm
-    if np.max(np.abs(offsets)) > tol * max(p.diameter(), 1.0):
+    if np.max(np.abs(offsets)) > PLANARITY_TOL * max(p.diameter(), 1.0):
         raise GeometryError("polygon is not planar to tolerance")
 
     # in-plane orthonormal frame

@@ -30,7 +30,7 @@ from .core import (
     det3,
     forward_diff,
 )
-from .invariants import SolveMode, centroaffine_frenet
+from .invariants import centroaffine_frenet
 
 __all__ = [
     "PlanarProjectivePolygon",
@@ -134,8 +134,7 @@ def spiral_analytic_normalization(t0: float, h: float) -> LiftNormalization:
                              float(det3(p[0], p[1], p[2])), "analytic-seed")
 
 
-def lift_representative(poly: PlanarProjectivePolygon,
-                        norm: LiftNormalization | None = None) -> Polygon3:
+def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) -> Polygon3:
     """Equal-volume space representative phi(i) = a(i) (vertex(i), 1).
 
     The scales follow a(i+1) = c / (a(i-1) a(i) b(i)) from the two seeds,
@@ -145,8 +144,6 @@ def lift_representative(poly: PlanarProjectivePolygon,
     """
     if poly.closed:
         raise GeometryError("representative lift is defined for open polygons")
-    if norm is None:
-        norm = default_normalization(poly)
     if norm.a1 <= 0 or norm.a2 <= 0 or norm.c <= 0:
         raise GeometryError("lift seeds and volume constant must be positive")
     pts = poly.vertices.values
@@ -170,11 +167,9 @@ class ProjectiveLengthReport:
     per_side_terms1: GridSeq
     per_side_terms2: GridSeq
     summation_range: tuple
-    normalization: LiftNormalization | None
 
 
-def projective_lengths(phi: Polygon3, mode: SolveMode = SolveMode.EXACT,
-                       normalization: LiftNormalization | None = None) -> ProjectiveLengthReport:
+def projective_lengths(phi: Polygon3) -> ProjectiveLengthReport:
     """Both discrete projective-length sums of an equal-volume polygon.
 
     Per side the terms are the signed cube roots of rho1'(i+1/2) +
@@ -185,7 +180,7 @@ def projective_lengths(phi: Polygon3, mode: SolveMode = SolveMode.EXACT,
     """
     if len(phi) < 6:
         raise GeometryError("need at least 6 vertices for projective lengths")
-    fr = centroaffine_frenet(phi, mode=mode)
+    fr = centroaffine_frenet(phi)
     tau = fr.tau
     d1, d2 = forward_diff(fr.rho1), forward_diff(fr.rho2)
     start = max(d1.base, d2.base, tau.base)
@@ -199,7 +194,7 @@ def projective_lengths(phi: Polygon3, mode: SolveMode = SolveMode.EXACT,
     return ProjectiveLengthReport(float(t1.sum()), float(t2.sum()),
                                   GridSeq(t1, Grid.SIDE, topo, start),
                                   GridSeq(t2, Grid.SIDE, topo, start),
-                                  (start, stop1), normalization)
+                                  (start, stop1))
 
 
 def smooth_reference_length(rho_prime_plus_2tau, t0: float, t1: float) -> float:
@@ -235,8 +230,7 @@ def table1_experiment(sizes) -> list:
         pts = sample_curve(ExampleSpiral(), 0.0, 2.0 * np.pi, N,
                            GridScheme.HALF_OPEN_STEP)
         poly = PlanarProjectivePolygon.from_vertices(pts, closed=False)
-        norm = spiral_analytic_normalization(0.0, h)
-        phi = lift_representative(poly, norm)
-        rep = projective_lengths(phi, SolveMode.EXACT, norm)
+        phi = lift_representative(poly, spiral_analytic_normalization(0.0, h))
+        rep = projective_lengths(phi)
         rows.append((N, h, rep.pl1, rep.pl2))
     return rows

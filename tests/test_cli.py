@@ -58,6 +58,14 @@ class TestAnalyze:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("origin", ["0,0,zero", "0,0,nan", "0,inf,0", "1,2", "1,2,3,4"])
+    def test_malformed_origin_exits_1(self, rng, tmp_path, capsys, origin):
+        path = tmp_path / "p.json"
+        write_document(PolygonDocument("polygon3", False, rng.normal(size=(8, 3))), path)
+        assert main(["analyze", str(path), "--origin", origin]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evpoly: --origin")
+
     def test_json_output_file(self, spiral_doc, tmp_path):
         out = tmp_path / "report.json"
         assert main(["analyze", spiral_doc, "--json", str(out)]) == 0
@@ -145,3 +153,8 @@ class TestTable1:
 
     def test_small_n_exits_1(self):
         assert main(["table1", "--sizes", "4"]) == 1
+
+    @pytest.mark.parametrize("sizes", ["10,ten", "ten", "1.5", ","])
+    def test_malformed_sizes_exit_1(self, capsys, sizes):
+        assert main(["table1", "--sizes", sizes]) == 1
+        assert capsys.readouterr().err.startswith("evpoly: --sizes")

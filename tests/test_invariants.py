@@ -85,6 +85,16 @@ class TestFrenet:
         with pytest.raises(NotEqualVolumeError):
             centroaffine_frenet(Polygon3.from_points(pts))
 
+    @pytest.mark.parametrize("method", ["determinant", "solve"])
+    def test_base_point_moves_with_the_polygon(self, rng, method):
+        p = random_equal_volume_polygon(rng, 12)
+        o = np.array([0.7, -1.2, 0.4])
+        moved = centroaffine_frenet(Polygon3.from_points(p.points + o), origin=o, method=method)
+        fr = centroaffine_frenet(p, method=method)
+        for name in ("rho1", "rho2", "tau"):
+            np.testing.assert_allclose(getattr(moved, name).values, getattr(fr, name).values,
+                                       atol=1e-9)
+
     def test_least_squares_mode_runs_on_noisy_input(self, rng):
         p = random_equal_volume_polygon(rng, 10)
         pts = p.points * (1 + 1e-4 * rng.normal(size=(10, 1)))
