@@ -8,7 +8,9 @@ readable data only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -222,8 +224,26 @@ def cmd_table1(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as input errors (exit 1) instead of exiting 2."""
+
+    def error(self, message):
+        raise DocumentError(f"{message} (see {self.prog} --help)")
+
+
+def _extent(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expects a finite positive number, got {text!r}")
+    return value
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="evpoly",
         description="Discrete affine invariants of polygons in 3-space")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -252,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("input")
     pd.add_argument("--origin")
     pd.add_argument("--obj", required=True)
-    pd.add_argument("--extent", type=float)
+    pd.add_argument("--extent", type=_extent)
     pd.set_defaults(fn=cmd_developable)
 
     pf = sub.add_parser("focal", help="export the affine focal set as OBJ")
     pf.add_argument("input")
     pf.add_argument("--origin")
     pf.add_argument("--obj", required=True)
-    pf.add_argument("--extent", type=float)
+    pf.add_argument("--extent", type=_extent)
     pf.set_defaults(fn=cmd_focal)
 
     pt = sub.add_parser("table1", help="projective-length convergence table")
@@ -271,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (DocumentError, FileNotFoundError, IsADirectoryError) as exc:
         return _fail(str(exc), 1)

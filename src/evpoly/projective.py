@@ -139,8 +139,11 @@ def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) 
 
     The scales follow a(i+1) = c / (a(i-1) a(i) b(i)) from the two seeds,
     which makes every consecutive triple volume about the origin exactly
-    c.  Only open polygons are lifted (the recursion has a closure
-    obstruction on loops).
+    c.  Dividing two consecutive steps telescopes the recursion to
+    a(i+2) = a(i-1) b(i) / b(i+1), so each residue class of vertices
+    mod 3 is one cumulative product of b ratios started at its seed
+    a(0), a(1) or a(2).  Only open polygons are lifted (the recursion
+    has a closure obstruction on loops).
     """
     if poly.closed:
         raise GeometryError("representative lift is defined for open polygons")
@@ -150,12 +153,22 @@ def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) 
     n = len(pts)
     b = poly.b.window(1, n - 2)
     a = np.empty(n)
-    a[0], a[1] = norm.a1, norm.a2
-    for i in range(1, n - 1):
-        denom = a[i - 1] * a[i] * b[i - 1]
-        a[i + 1] = norm.c / denom
-        if not np.isfinite(a[i + 1]):
-            raise GeometryError(f"vertex {i + 1}: lift recursion overflowed")
+    with np.errstate(all="ignore"):
+        a[0], a[1] = norm.a1, norm.a2
+        a[2] = norm.c / (norm.a1 * norm.a2 * b[0])
+        ratio = b[:-1] / b[1:]
+        for s in range(3):
+            # Lead the product with the power of two at or below a(s), then
+            # scale by a(s) / lead.  Every partial product stays within a
+            # factor 2 of its scale, so it leaves the float range only where
+            # the scale does.  Scaling by a power of two is exact, so the
+            # chain is a(s) times a ratio product that no seed affects: the
+            # lift is homogeneous in its seeds to a few roundings at any N.
+            lead = np.ldexp(0.5, np.frexp(a[s])[1])
+            a[s::3] = a[s] / lead * np.cumprod(np.concatenate(([lead], ratio[s::3])))
+    ok = np.isfinite(a) & (a > 0.0)
+    if not ok.all():
+        raise GeometryError(f"vertex {int(np.argmin(ok))}: lift recursion overflowed")
     lifted = a[:, None] * np.column_stack([pts, np.ones(n)])
     return Polygon3.from_points(lifted, closed=False)
 

@@ -1,12 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import random_cone_fixture
 
-from evpoly.cli import main
+from evpoly.cli import build_parser, main
 from evpoly.constructions import (
+    Ellipse,
     ExampleSpiral,
     ExampleSpiralRepresentative,
     GridScheme,
@@ -28,6 +30,35 @@ def spiral_doc(tmp_path):
     poly = sample_curve(ExampleSpiralRepresentative(), 0.0, 2 * np.pi, 120)
     f = FramedPolygon.silhouette(poly.points, closed=False)
     return write_framed(f, tmp_path / "spiral.json")
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", [
+        ["analyze"],
+        ["plength", "x.csv", "--a1", "one"],
+        ["frobnicate"],
+        ["analyze", "in.json", "--tol", "1e-3"],
+    ], ids=["missing-input", "a1-not-a-number", "unknown-subcommand", "removed-tol"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evpoly: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["plength", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: evpoly")
+
+    def test_parser_is_built_once_and_keeps_no_state(self, rng, tmp_path, capsys):
+        G = random_equal_area(12, rng)
+        path = tmp_path / "p.json"
+        write_document(PolygonDocument.from_polygon(silhouette_lift(G, [0.2, -0.1])), path)
+        assert main(["analyze", str(path), "--origin", "0,0,0"]) == 0
+        assert main(["analyze", str(path)]) == 1
+        assert "--origin" in capsys.readouterr().err
+        assert build_parser() is build_parser()
 
 
 class TestAnalyze:
@@ -100,6 +131,16 @@ class TestPlength:
         report = json.loads(capsys.readouterr().out)
         assert "pl1" in report and "pl2" in report
 
+    def test_overflowing_seeds_exit_2_with_one_diagnostic(self, tmp_path, capsys):
+        pts = sample_curve(Ellipse(2.0, 1.0), 0.2, 1.6, 100, GridScheme.INCLUDE_BOTH_ENDS)
+        path = tmp_path / "arc.csv"
+        np.savetxt(path, pts, delimiter=",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["plength", str(path), "--a1", "1e300", "--a2", "1e300", "--c", "1"])
+        assert code == 2
+        assert capsys.readouterr().err == "evpoly: vertex 2: lift recursion overflowed\n"
+
     def test_concave_polygon_exits_2(self, tmp_path, capsys):
         pts = np.array([[0, 0], [1, 0], [2, 1], [1.2, 1.1], [0.2, 2]], float)
         path = tmp_path / "cc.csv"
@@ -123,6 +164,15 @@ class TestMeshExports:
         obj = tmp_path / "focal.obj"
         assert main(["focal", path, "--obj", str(obj)]) == 0
         assert "\nl " in obj.read_text()
+
+    @pytest.mark.parametrize("command", ["developable", "focal"])
+    @pytest.mark.parametrize("extent", ["nan", "inf", "0", "-1"])
+    def test_extent_must_be_finite_positive(self, spiral_doc, tmp_path, capsys,
+                                            command, extent):
+        obj = tmp_path / "out.obj"
+        assert main([command, spiral_doc, "--obj", str(obj), "--extent", extent]) == 1
+        assert capsys.readouterr().err.startswith("evpoly: argument --extent")
+        assert not obj.exists()
 
     def test_focal_skips_parallel_sides(self, tmp_path, capsys):
         # prism frame: every support line pair is parallel, all O at infinity

@@ -1,8 +1,13 @@
+import sys
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evpoly.core import GeometryError, Polygon3, det3
-from evpoly.constructions import ExampleSpiral, GridScheme, sample_curve
+from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology, det3
+from evpoly.constructions import Ellipse, ExampleSpiral, GridScheme, sample_curve
 from evpoly.equal_volume import centroaffine_volumes
 from evpoly.projective import (
     SPIRAL_SMOOTH_LENGTH,
@@ -26,6 +31,41 @@ def spiral_poly(n):
     pts = sample_curve(ExampleSpiral(), 0.0, 2 * np.pi, n,
                        GridScheme.HALF_OPEN_STEP)
     return PlanarProjectivePolygon.from_vertices(pts)
+
+
+def ellipse_arc_poly(n):
+    pts = sample_curve(Ellipse(2.0, 1.0), 0.2, 1.6, n, GridScheme.INCLUDE_BOTH_ENDS)
+    return PlanarProjectivePolygon.from_vertices(pts)
+
+
+def lift_scales_loop(poly, norm):
+    """Reference: the lift's scales by the sequential recursion."""
+    n = len(poly.vertices)
+    b = poly.b.window(1, n - 2)
+    a = np.empty(n)
+    a[0], a[1] = norm.a1, norm.a2
+    with np.errstate(all="ignore"):
+        for i in range(1, n - 1):
+            a[i + 1] = norm.c / (a[i - 1] * a[i] * b[i - 1])
+    return a
+
+
+def line_events(fn, *args) -> int:
+    """Number of traced line events executed in ``fn``'s own frame."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is fn.__code__ else None)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 class TestSignedCbrt:
@@ -79,6 +119,18 @@ class TestLift:
         phi1 = lift_representative(poly, n1)
         np.testing.assert_allclose(phi1.points, k * phi0.points, rtol=1e-10)
 
+    def test_seed_homogeneity_to_a_few_roundings(self):
+        # each chain is its seed times one ratio product that no seed
+        # affects; the sequential recursion drifts by about 100 eps here
+        n = 10000
+        poly = spiral_poly(n)
+        n0 = spiral_analytic_normalization(0.0, 2 * np.pi / n)
+        a0 = lift_representative(poly, n0).points[:, 2]
+        for k in (1.7, 0.3):
+            n1 = LiftNormalization(k * n0.a1, k * n0.a2, k ** 3 * n0.c)
+            a1 = lift_representative(poly, n1).points[:, 2]
+            assert np.max(np.abs(a1 / (k * a0) - 1.0)) <= 8 * np.finfo(float).eps
+
     def test_analytic_seeds_track_analytic_scales(self):
         n = 200
         h = 2 * np.pi / n
@@ -88,6 +140,75 @@ class TestLift:
         a_true = 2.0 ** (-1.0 / 3.0) * np.exp(2.0 * t / 3.0)
         a_got = phi.points[:, 2]
         assert np.max(np.abs(a_got / a_true - 1.0)) < 5 * h
+
+    @given(kind=st.sampled_from(["ellipse", "spiral"]), seed=st.integers(0, 2**32 - 1),
+           n=st.integers(4, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sequential_recursion(self, kind, seed, n):
+        rng = np.random.default_rng(seed)
+        t0, span = rng.uniform(0.0, 2 * np.pi), rng.uniform(0.2, 5.0)
+        curve = Ellipse(*rng.uniform(0.3, 3.0, 2)) if kind == "ellipse" else ExampleSpiral()
+        pts = sample_curve(curve, t0, t0 + span, n, GridScheme.INCLUDE_BOTH_ENDS)
+        poly = PlanarProjectivePolygon.from_vertices(pts)
+        a1, a2, c = np.exp(rng.uniform(-3.0, 3.0, 3))
+        norm = LiftNormalization(a1, a2, c)
+        a = lift_representative(poly, norm).points[:, 2]
+        ref = lift_scales_loop(poly, norm)
+        # both orders accumulate O(N) roundings of size eps as a random walk
+        assert np.max(np.abs(a / ref - 1.0)) <= 8 * np.finfo(float).eps * np.sqrt(n)
+
+    @pytest.mark.parametrize("n, loop_error", [(1000, 1.44e-10), (10000, 4.01e-8)])
+    def test_analytic_scale_error_within_loop_error(self, n, loop_error):
+        # the sequential recursion's largest |log a - analytic| on the spiral
+        h = 2 * np.pi / n
+        phi = lift_representative(spiral_poly(n), spiral_analytic_normalization(0.0, h))
+        log_true = np.log(2.0 ** (-1.0 / 3.0)) + 2.0 * h * np.arange(n) / 3.0
+        assert np.max(np.abs(np.log(phi.points[:, 2]) - log_true)) <= 2 * loop_error
+
+    def test_no_loop_over_vertices(self):
+        def lines(n):
+            norm = spiral_analytic_normalization(0.0, 2 * np.pi / n)
+            return line_events(lift_representative, spiral_poly(n), norm)
+
+        assert lines(100) == lines(10000)
+
+    def test_overflowing_seeds_name_vertex_2_without_warnings(self):
+        # a(0) a(1) overflows, so a(2) = c / inf = 0 is the first bad scale
+        norm = LiftNormalization(1e300, 1e300, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=r"^vertex 2: lift recursion overflowed"):
+                lift_representative(ellipse_arc_poly(100), norm)
+
+    def test_partial_products_stay_within_the_float_range(self):
+        # b(1)/b(2) = b(4)/b(5) = 1e200: the ratio product of the chain from
+        # a(0) = 1e-300 reaches 1e400, its scales only 1e-100 and 1e100
+        b = np.array([1e100, 1e-100, 1.0, 1e100, 1e-100, 1.0])
+        pts = np.column_stack([np.arange(8.0), np.ones(8)])
+        poly = PlanarProjectivePolygon(GridSeq(pts, Grid.VERTEX, Topology.OPEN),
+                                       GridSeq(b, Grid.VERTEX, Topology.OPEN, 1))
+        norm = LiftNormalization(1e-300, 1.0, 1e-200)
+        a = lift_representative(poly, norm).points[:, 2]
+        np.testing.assert_allclose(a, lift_scales_loop(poly, norm), rtol=1e-15)
+        assert a[6] == pytest.approx(1e100, rel=1e-15)
+
+    @pytest.mark.parametrize("a1, first", [(1.7e308, 3), (1e308, 15)])
+    def test_overflow_names_the_first_scale_out_of_range(self, a1, first):
+        # the recursion in logarithms cannot overflow; at a1 = 1e308 the
+        # sequential loop stopped at vertex 12, whose scale is 1.65e308,
+        # because its denominator a(10) a(11) b(11) underflowed
+        poly = spiral_poly(100)
+        n = len(poly.vertices)
+        log_b = np.log(poly.b.window(1, n - 2))
+        log_a = np.empty(n)
+        log_a[0], log_a[1] = np.log(a1), 0.0
+        for i in range(1, n - 1):
+            log_a[i + 1] = -log_a[i - 1] - log_a[i] - log_b[i - 1]
+        assert int(np.argmax(log_a > np.log(np.finfo(float).max))) == first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=rf"^vertex {first}: "):
+                lift_representative(poly, LiftNormalization(a1, 1.0, 1.0))
 
     def test_closed_polygon_rejected(self):
         poly = PlanarProjectivePolygon.from_vertices(SQUARE, closed=True)
