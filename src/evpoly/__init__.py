@@ -63,7 +63,6 @@ from .projective import (
     b_sequence,
     lift_representative,
     projective_lengths,
-    smooth_reference_length,
     table1_experiment,
 )
 from .documents import PolygonDocument, read_document, write_document

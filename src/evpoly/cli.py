@@ -231,7 +231,7 @@ class _Parser(argparse.ArgumentParser):
         raise DocumentError(f"{message} (see {self.prog} --help)")
 
 
-def _extent(text: str) -> float:
+def _positive(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -261,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("plength", help="discrete projective lengths of a planar polygon")
     pp.add_argument("input")
-    pp.add_argument("--a1", type=float)
-    pp.add_argument("--a2", type=float)
-    pp.add_argument("--c", type=float)
+    pp.add_argument("--a1", type=_positive)
+    pp.add_argument("--a2", type=_positive)
+    pp.add_argument("--c", type=_positive)
     pp.add_argument("--auto-seed", action="store_true")
     pp.add_argument("--report", help="write the JSON report to this path")
     pp.set_defaults(fn=cmd_plength)
@@ -272,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("input")
     pd.add_argument("--origin")
     pd.add_argument("--obj", required=True)
-    pd.add_argument("--extent", type=_extent)
+    pd.add_argument("--extent", type=_positive)
     pd.set_defaults(fn=cmd_developable)
 
     pf = sub.add_parser("focal", help="export the affine focal set as OBJ")
     pf.add_argument("input")
     pf.add_argument("--origin")
     pf.add_argument("--obj", required=True)
-    pf.add_argument("--extent", type=_extent)
+    pf.add_argument("--extent", type=_positive)
     pf.set_defaults(fn=cmd_focal)
 
     pt = sub.add_parser("table1", help="projective-length convergence table")

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constructions import (
     ExampleSpiral,
@@ -42,7 +41,6 @@ __all__ = [
     "default_normalization",
     "lift_representative",
     "projective_lengths",
-    "smooth_reference_length",
     "table1_experiment",
     "spiral_analytic_normalization",
 ]
@@ -134,6 +132,11 @@ def spiral_analytic_normalization(t0: float, h: float) -> LiftNormalization:
                              float(det3(p[0], p[1], p[2])), "analytic-seed")
 
 
+# det3 sums six triple products, so with every coordinate at most this
+# large neither a product nor a partial sum can overflow
+LIFT_COORD_MAX = float(np.cbrt(np.finfo(float).max / 6.0))
+
+
 def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) -> Polygon3:
     """Equal-volume space representative phi(i) = a(i) (vertex(i), 1).
 
@@ -143,7 +146,8 @@ def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) 
     a(i+2) = a(i-1) b(i) / b(i+1), so each residue class of vertices
     mod 3 is one cumulative product of b ratios started at its seed
     a(0), a(1) or a(2).  Only open polygons are lifted (the recursion
-    has a closure obstruction on loops).
+    has a closure obstruction on loops).  A lift with a coordinate
+    beyond ``LIFT_COORD_MAX`` is refused at its first such vertex.
     """
     if poly.closed:
         raise GeometryError("representative lift is defined for open polygons")
@@ -166,10 +170,16 @@ def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) 
             # lift is homogeneous in its seeds to a few roundings at any N.
             lead = np.ldexp(0.5, np.frexp(a[s])[1])
             a[s::3] = a[s] / lead * np.cumprod(np.concatenate(([lead], ratio[s::3])))
+        lifted = a[:, None] * np.column_stack([pts, np.ones(n)])
     ok = np.isfinite(a) & (a > 0.0)
     if not ok.all():
         raise GeometryError(f"vertex {int(np.argmin(ok))}: lift recursion overflowed")
-    lifted = a[:, None] * np.column_stack([pts, np.ones(n)])
+    size = np.abs(lifted).max(axis=1)
+    big = size > LIFT_COORD_MAX
+    if big.any():
+        k = int(np.argmax(big))
+        raise GeometryError(f"vertex {k}: lifted coordinate {size[k]:.3e} exceeds "
+                            f"{LIFT_COORD_MAX:.3e}, beyond what det3 can evaluate")
     return Polygon3.from_points(lifted, closed=False)
 
 
@@ -208,19 +218,6 @@ def projective_lengths(phi: Polygon3) -> ProjectiveLengthReport:
                                   GridSeq(t1, Grid.SIDE, topo, start),
                                   GridSeq(t2, Grid.SIDE, topo, start),
                                   (start, stop1))
-
-
-def smooth_reference_length(rho_prime_plus_2tau, t0: float, t1: float) -> float:
-    """Integral of the signed cube root of rho' + 2 tau over [t0, t1]."""
-
-    def integrand(t):
-        v = float(rho_prime_plus_2tau(t))
-        if not np.isfinite(v):
-            raise GeometryError(f"non-finite integrand at t = {t}")
-        return signed_cbrt(v)
-
-    val, _ = quad(integrand, t0, t1, epsabs=1e-10, epsrel=1e-12, limit=200)
-    return float(val)
 
 
 SPIRAL_SMOOTH_LENGTH = 2.0 * np.pi * 40.0 ** (1.0 / 3.0) / 3.0

@@ -141,6 +141,30 @@ class TestPlength:
         assert code == 2
         assert capsys.readouterr().err == "evpoly: vertex 2: lift recursion overflowed\n"
 
+    def test_lift_beyond_det3_range_exits_2_with_one_diagnostic(self, tmp_path, capsys):
+        pts = sample_curve(Ellipse(2.0, 1.0), 0.2, 1.6, 100, GridScheme.INCLUDE_BOTH_ENDS)
+        path = tmp_path / "arc.csv"
+        np.savetxt(path, pts, delimiter=",")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["plength", str(path), "--a1", "1e-300", "--a2", "1", "--c", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evpoly: vertex 2: lifted coordinate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--a1", "--a2", "--c"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_seeds_must_be_finite_positive(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "sq.csv"
+        np.savetxt(path, [[1, 1], [-1, 1], [-1, -1], [1, -1]], delimiter=",")
+        report = tmp_path / "r.json"
+        seeds = {"--a1": "1", "--a2": "1", "--c": "1", flag: value}
+        argv = ["plength", str(path), "--report", str(report)]
+        assert main(argv + [x for kv in seeds.items() for x in kv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"evpoly: argument {flag}: ") and err.count("\n") == 1
+        assert not report.exists()
+
     def test_concave_polygon_exits_2(self, tmp_path, capsys):
         pts = np.array([[0, 0], [1, 0], [2, 1], [1.2, 1.1], [0.2, 2]], float)
         path = tmp_path / "cc.csv"

@@ -10,6 +10,7 @@ from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology, det3
 from evpoly.constructions import Ellipse, ExampleSpiral, GridScheme, sample_curve
 from evpoly.equal_volume import centroaffine_volumes
 from evpoly.projective import (
+    LIFT_COORD_MAX,
     SPIRAL_SMOOTH_LENGTH,
     InflectionError,
     LiftNormalization,
@@ -19,7 +20,6 @@ from evpoly.projective import (
     lift_representative,
     projective_lengths,
     signed_cbrt,
-    smooth_reference_length,
     spiral_analytic_normalization,
     table1_experiment,
 )
@@ -180,6 +180,31 @@ class TestLift:
             with pytest.raises(GeometryError, match=r"^vertex 2: lift recursion overflowed"):
                 lift_representative(ellipse_arc_poly(100), norm)
 
+    def test_lift_beyond_det3_range_names_vertex_2_without_warnings(self):
+        # a(2) = c / (a(0) a(1) b(1)) is about 3e305: finite, but det3 of
+        # such points overflows
+        norm = LiftNormalization(1e-300, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=r"^vertex 2: lifted coordinate"):
+                lift_representative(ellipse_arc_poly(100), norm)
+
+    def test_overflowing_lifted_coordinate_is_refused_without_warnings(self):
+        # every scale is finite, but a(1) x(1) = 1e300 * 1e10 is not
+        pts = np.column_stack([1e10 * np.arange(8.0), np.ones(8)])
+        poly = PlanarProjectivePolygon(GridSeq(pts, Grid.VERTEX, Topology.OPEN),
+                                       GridSeq(np.ones(6), Grid.VERTEX, Topology.OPEN, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GeometryError, match=r"^vertex 1: lifted coordinate inf "):
+                lift_representative(poly, LiftNormalization(1.0, 1e300, 1e300))
+
+    def test_det3_is_finite_up_to_the_lift_range(self):
+        m = LIFT_COORD_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(det3([m, -m, m], [m, m, -m], [-m, m, m])) == pytest.approx(4 * m**3)
+
     def test_partial_products_stay_within_the_float_range(self):
         # b(1)/b(2) = b(4)/b(5) = 1e200: the ratio product of the chain from
         # a(0) = 1e-300 reaches 1e400, its scales only 1e-100 and 1e100
@@ -269,19 +294,8 @@ class TestProjectiveLengths:
             projective_lengths(Polygon3.from_points(phi.points[:5]))
 
 
-class TestSmoothReference:
-    def test_spiral_constant(self):
-        val = smooth_reference_length(lambda t: 40.0 / 27.0, 0.0, 2 * np.pi)
-        assert val == pytest.approx(SPIRAL_SMOOTH_LENGTH, abs=1e-10)
-        # commonly quoted rounded value; the closed form is 2 pi 40^(1/3) / 3
-        assert val == pytest.approx(7.1625, abs=3e-4)
-
-    def test_zero_function(self):
-        assert smooth_reference_length(lambda t: 0.0, 0.0, 2 * np.pi) == 0.0
-
-    def test_unit_constant(self):
-        assert smooth_reference_length(lambda t: 1.0, 0.0, 1.0) == pytest.approx(1.0)
-
-    def test_non_finite_integrand(self):
-        with pytest.raises(GeometryError):
-            smooth_reference_length(lambda t: np.inf, 0.0, 1.0)
+def test_spiral_smooth_length_closed_form():
+    # the spiral's rho' + 2 tau is the constant 40/27 over [0, 2 pi]
+    assert SPIRAL_SMOOTH_LENGTH == pytest.approx(2 * np.pi * (40.0 / 27.0) ** (1 / 3), rel=1e-15)
+    # commonly quoted rounded value
+    assert SPIRAL_SMOOTH_LENGTH == pytest.approx(7.1625, abs=3e-4)
