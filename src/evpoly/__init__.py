@@ -17,8 +17,6 @@ from .core import (
     det2,
     det3,
     forward_diff,
-    second_diff,
-    third_diff,
 )
 from .darboux import (
     DarbouxField,

@@ -31,8 +31,6 @@ __all__ = [
     "det3",
     "face_solve",
     "forward_diff",
-    "second_diff",
-    "third_diff",
 ]
 
 
@@ -196,19 +194,6 @@ def forward_diff(s: GridSeq) -> GridSeq:
     lo, hi = (0, 1) if s.grid is Grid.VERTEX else (-1, 0)
     first, (a, b) = s.stencil(lo, hi)
     return GridSeq(b - a, s.grid.other(), s.topology, first)
-
-
-def second_diff(s: GridSeq) -> GridSeq:
-    """Difference applied twice; returns to the same grid."""
-    if len(s.values) < 3:
-        raise GeometryError("need at least 3 entries for a second difference")
-    return forward_diff(forward_diff(s))
-
-
-def third_diff(s: GridSeq) -> GridSeq:
-    if len(s.values) < 4:
-        raise GeometryError("need at least 4 entries for a third difference")
-    return forward_diff(second_diff(s))
 
 
 @dataclass(frozen=True)

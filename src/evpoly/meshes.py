@@ -7,6 +7,7 @@ constructions.  Faces are planar index loops; standalone lines (OBJ
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,6 +15,17 @@ import numpy as np
 from .core import GeometryError
 
 __all__ = ["Mesh"]
+
+
+def _flat(recs) -> np.ndarray:
+    """The indices of a list of index records, in order, as one array."""
+    return np.fromiter(itertools.chain.from_iterable(recs), dtype=np.intp)
+
+
+def _obj_records(tag: str, recs) -> str:
+    """OBJ index records, 1-based; ragged records get their own arity."""
+    template = "".join([tag + " %d" * len(r) + "\n" for r in recs])
+    return template % tuple((_flat(recs) + 1).tolist())
 
 
 @dataclass
@@ -25,14 +37,12 @@ class Mesh:
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         n = len(self.vertices)
-        for face in self.faces:
-            if len(face) < 3:
-                raise GeometryError("mesh face needs at least 3 vertices")
-            if any(not 0 <= i < n for i in face):
-                raise GeometryError("face index out of range")
-        for line in self.lines:
-            if any(not 0 <= i < n for i in line):
-                raise GeometryError("line index out of range")
+        if min(map(len, self.faces), default=3) < 3:
+            raise GeometryError("mesh face needs at least 3 vertices")
+        for recs, what in ((self.faces, "face"), (self.lines, "line")):
+            idx = _flat(recs)
+            if len(idx) and (idx.min() < 0 or idx.max() >= n):
+                raise GeometryError(f"{what} index out of range")
 
     def face_planarity(self) -> np.ndarray:
         """Max distance of each face's vertices from its best-fit plane."""
@@ -46,11 +56,9 @@ class Mesh:
         return out
 
     def write_obj(self, path) -> None:
+        v = self.vertices
         with open(path, "w") as fh:
             fh.write("# evpoly mesh\n")
-            for v in self.vertices:
-                fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-            for face in self.faces:
-                fh.write("f " + " ".join(str(i + 1) for i in face) + "\n")
-            for line in self.lines:
-                fh.write("l " + " ".join(str(i + 1) for i in line) + "\n")
+            fh.write(("v %.17g %.17g %.17g\n" * len(v)) % tuple(v.ravel().tolist()))
+            fh.write(_obj_records("f", self.faces))
+            fh.write(_obj_records("l", self.lines))

@@ -14,8 +14,6 @@ from evpoly.core import (
     det2,
     det3,
     forward_diff,
-    second_diff,
-    third_diff,
 )
 
 vec3 = arrays(np.float64, 3, elements=st.floats(-100, 100))
@@ -141,21 +139,6 @@ class TestDifferencing:
         d = forward_diff(s)
         assert d.grid is Grid.VERTEX
         assert d.base == 1
-
-    def test_second_diff_of_quadratic(self):
-        x = np.arange(8.0)
-        s = GridSeq(x ** 2, Grid.VERTEX)
-        d2 = second_diff(s)
-        np.testing.assert_allclose(d2.values, 2.0)
-        assert d2.base == 1
-        assert d2.grid is Grid.VERTEX
-
-    def test_third_diff_of_cubic(self):
-        x = np.arange(9.0)
-        s = GridSeq(x ** 3, Grid.VERTEX)
-        d3 = third_diff(s)
-        np.testing.assert_allclose(d3.values, 6.0)
-        assert d3.grid is Grid.SIDE
 
     @given(arrays(np.float64, st.integers(2, 12), elements=st.floats(-1e6, 1e6)))
     @settings(max_examples=60)
