@@ -39,7 +39,6 @@ from .equal_volume import (
 from .invariants import (
     FocalKind,
     FrenetData,
-    SolveMode,
     centroaffine_frenet,
     classify_focal,
     focal_data,

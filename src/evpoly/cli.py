@@ -23,14 +23,8 @@ from .darboux import (
     parallel_darboux,
 )
 from .documents import DocumentError, PolygonDocument, read_document, write_document
-from .equal_volume import darboux_volumes, resample_equal_volume
-from .invariants import (
-    EQUAL_VOLUME_TOL,
-    classify_focal,
-    focal_data,
-    focal_set_mesh,
-    frenet,
-)
+from .equal_volume import darboux_volumes, is_equal_volume, resample_equal_volume
+from .invariants import classify_focal, focal_data, focal_set_mesh, frenet
 from .projective import (
     InflectionError,
     LiftNormalization,
@@ -113,7 +107,7 @@ def cmd_analyze(args) -> int:
     if sv[-1] <= 1e-10 * max(sv[0], 1.0):
         classification = "planar"
 
-    if rep.spread <= EQUAL_VOLUME_TOL:
+    if is_equal_volume(rep):
         fr = frenet(framed, df)
         fd = focal_data(framed, df, fr)
         fc = classify_focal(df, fd)

@@ -37,7 +37,6 @@ __all__ = [
     "ExampleSpiral",
     "ExampleSpiralRepresentative",
     "Ellipse",
-    "Custom",
     "GridScheme",
     "sample_curve",
 ]
@@ -269,17 +268,6 @@ class Ellipse:
 
     def __call__(self, t):
         return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
-
-
-class Custom:
-    """Wrap an arbitrary t -> point map with an explicit dimension."""
-
-    def __init__(self, fn, dim: int):
-        self.fn = fn
-        self.dim = int(dim)
-
-    def __call__(self, t):
-        return np.asarray(self.fn(t), dtype=float)
 
 
 class GridScheme:

@@ -68,8 +68,8 @@ class PolygonDocument:
         return FramedPolygon.build(self.vertices, self.directions, closed=self.closed)
 
     @classmethod
-    def from_polygon(cls, p: Polygon3, metadata=None) -> "PolygonDocument":
-        return cls("polygon3", p.closed, p.points, metadata=dict(metadata or {}))
+    def from_polygon(cls, p: Polygon3) -> "PolygonDocument":
+        return cls("polygon3", p.closed, p.points)
 
     @classmethod
     def from_framed(cls, f: FramedPolygon, metadata=None) -> "PolygonDocument":

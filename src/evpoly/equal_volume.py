@@ -36,6 +36,9 @@ __all__ = [
     "resample_equal_volume",
 ]
 
+# largest relative volume spread of a polygon taken as equal-volume
+EQUAL_VOLUME_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class VolumeReport:
@@ -92,10 +95,13 @@ def space_volumes(P: GridSeq) -> VolumeReport:
                                 vols.base + phi.base), rep.c_hat, rep.spread)
 
 
-def is_equal_volume(r: VolumeReport, tol: float = 1e-8) -> bool:
-    """True when the spread is within tol and all volumes share a sign."""
-    v = r.values
-    return bool(r.spread <= tol and (np.all(v > 0) or np.all(v < 0)))
+def is_equal_volume(r: VolumeReport) -> bool:
+    """True when the spread is within ``EQUAL_VOLUME_TOL``.
+
+    A spread below 1 already puts every volume on the side of c_hat, so
+    no separate sign check is needed.
+    """
+    return bool(r.spread <= EQUAL_VOLUME_TOL)
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,16 @@ from .core import (
     forward_diff,
 )
 from .darboux import DarbouxField, FramedPolygon, osculating_points
-from .equal_volume import centroaffine_volumes, darboux_volumes
+from .equal_volume import (
+    EQUAL_VOLUME_TOL,
+    VolumeReport,
+    centroaffine_volumes,
+    darboux_volumes,
+    is_equal_volume,
+)
 from .meshes import Mesh
 
 __all__ = [
-    "SolveMode",
     "FrenetData",
     "FocalSetData",
     "FocalKind",
@@ -61,7 +66,6 @@ __all__ = [
     "mu_prime_check",
 ]
 
-EQUAL_VOLUME_TOL = 1e-8
 TAU_AGREEMENT_TOL = 1e-9
 # relative gap allowed between the two evaluations of mu and of Q
 FOCAL_AGREEMENT_TOL = 1e-9
@@ -73,17 +77,30 @@ FOCAL_CLASSIFY_TOL = 1e-6
 PLANARITY_TOL = 1e-9
 
 
-class SolveMode(enum.Enum):
-    EXACT = "exact"
-    LEAST_SQUARES = "least_squares"
-
-
 class NotEqualVolumeError(GeometryError):
-    """Exact-mode Frenet requested on a polygon whose volumes vary.
+    """Frenet data requested on a polygon whose volumes vary.
 
     The constant-volume condition is what keeps the third difference
-    inside the face plane; without it the exact 2x2 solve is ill-posed.
+    inside the face plane; without it the Frenet coefficients are not
+    defined.  ``vertex`` is the slot whose volume lies farthest from the
+    median, ``spread`` the measured relative spread and ``threshold``
+    the gate it exceeds.
     """
+
+    def __init__(self, vertex: int, spread: float, threshold: float):
+        self.vertex = vertex
+        self.spread = spread
+        self.threshold = threshold
+        super().__init__(f"vertex {vertex}: volume spread {spread:.3e} exceeds "
+                         f"{threshold:.0e}, so the polygon is not equal-volume")
+
+
+def _volume_constant(rep: VolumeReport) -> float:
+    """The volume constant c of an equal-volume report, else NotEqualVolumeError."""
+    if not is_equal_volume(rep):
+        j = int(np.argmax(np.abs(rep.values - rep.c_hat)))
+        raise NotEqualVolumeError(rep.volumes.base + j, rep.spread, EQUAL_VOLUME_TOL)
+    return rep.c_hat
 
 
 class GaugeObstructionError(GeometryError):
@@ -100,7 +117,6 @@ class FrenetData:
     rho2: GridSeq
     tau: GridSeq
     c: float
-    residual: GridSeq
     tau_gap: GridSeq
 
     @property
@@ -121,7 +137,7 @@ def _third_diffs(p: GridSeq):
 
 
 def _frenet_data(topo: Topology, first: int, c: float, rho1, rho2, tau,
-                 residual, gap) -> FrenetData:
+                 gap) -> FrenetData:
     """FrenetData from per-side arrays that start at side ``first``.
 
     The rho1 of side k belongs to vertex k+1, so on a closed polygon its
@@ -134,30 +150,19 @@ def _frenet_data(topo: Topology, first: int, c: float, rho1, rho2, tau,
         rho2=GridSeq(rho2, Grid.VERTEX, topo, first),
         tau=GridSeq(tau, Grid.SIDE, topo, first),
         c=c,
-        residual=GridSeq(residual, Grid.SIDE, topo, first),
         tau_gap=GridSeq(gap, Grid.SIDE, topo, first),
     )
 
 
-def frenet(f: FramedPolygon, df: DarbouxField,
-           mode: SolveMode = SolveMode.EXACT) -> FrenetData:
+def frenet(f: FramedPolygon, df: DarbouxField) -> FrenetData:
     """Frenet coefficient sequences of an equal-volume framed polygon.
 
     Both decompositions of each third difference go through
-    ``core.face_solve``, which is exact for in-plane vectors and least
-    squares otherwise; ``mode`` only selects the volume gate and the tau
-    agreement check of the exact mode.
+    ``core.face_solve``; the two tau values they give must agree.
     """
-    p = f.polygon.points
-    n = len(p)
-    if n < 5 and not f.closed:
+    if len(f.polygon) < 5 and not f.closed:
         raise GeometryError("need at least 5 vertices for open Frenet data")
-    rep = darboux_volumes(f, df)
-    if mode is SolveMode.EXACT and rep.spread > EQUAL_VOLUME_TOL:
-        raise NotEqualVolumeError(
-            f"volume spread {rep.spread:.3e} exceeds {EQUAL_VOLUME_TOL:.0e}; "
-            "the third difference leaves the face plane, so the exact solve "
-            "does not apply (resample first or use least-squares mode)")
+    c = _volume_constant(darboux_volumes(f, df))
 
     k0, d3, (_, p0, p1, _) = _third_diffs(f.polygon.vertices)
     m = len(d3)
@@ -165,58 +170,32 @@ def frenet(f: FramedPolygon, df: DarbouxField,
     xi_near, xi_far = df.xi.window(k0, m), df.xi.window(k0 + 1, m)
     rho2, tau_a = face_solve(d3, -edge, xi_far)     # rho2 at vertex k
     rho1, tau_b = face_solve(d3, -edge, xi_near)    # rho1 at vertex k+1
-    normal = np.cross(edge, xi_near)
-    nn = np.linalg.norm(normal, axis=1)
-    bad = (nn == 0.0) | ~np.isfinite(rho1 + rho2 + tau_a + tau_b)
+    bad = ~np.isfinite(rho1 + rho2 + tau_a + tau_b)
     if bad.any():
         k = k0 + int(np.argmax(bad))
         raise GeometryError(f"side {k}: degenerate face basis in Frenet solve")
-    res = np.abs(np.einsum("ij,ij->i", d3, normal)) / nn
     gap = np.abs(tau_a - tau_b)
     tau = 0.5 * (tau_a + tau_b)
     bad = gap > TAU_AGREEMENT_TOL * np.maximum(1.0, np.abs(tau))
-    if mode is SolveMode.EXACT and bad.any():
+    if bad.any():
         j = int(np.argmax(bad))
         raise GeometryError(f"side {k0 + j}: the two tau evaluations disagree by {gap[j]:.3e}")
-    return _frenet_data(f.polygon.topology, k0, rep.c_hat, rho1, rho2, tau, res, gap)
+    return _frenet_data(f.polygon.topology, k0, c, rho1, rho2, tau, gap)
 
 
-def _silhouette_frame(p: Polygon3, origin) -> tuple[FramedPolygon, DarbouxField]:
-    """Centro-affine framing: directions through the base point, sigma = -1."""
-    o = np.asarray(origin, dtype=float)
-    pts = p.points
-    f = FramedPolygon.silhouette(pts, o, closed=p.closed)
-    topo = p.vertices.topology
-    xi = GridSeq(pts - o, Grid.VERTEX, topo)
-    sigma = GridSeq(np.full(f.n_sides(), -1.0), Grid.SIDE, topo)
-    return f, DarbouxField(xi, sigma, 1.0 if p.closed else None)
+def centroaffine_frenet(p: Polygon3, origin=(0.0, 0.0, 0.0)) -> FrenetData:
+    """Frenet data of an equal-volume polygon in the centro-affine setting.
 
-
-def centroaffine_frenet(p: Polygon3, origin=(0.0, 0.0, 0.0),
-                        mode: SolveMode = SolveMode.EXACT,
-                        method: str = "determinant") -> FrenetData:
-    """Frenet data of a polygon in the centro-affine setting.
-
-    ``method="determinant"`` uses closed-form bracket identities (valid
-    for exactly constant volumes, Exact mode only); ``method="solve"``
-    goes through the generic per-side 2x2 path.  Both are exposed so they
-    can be cross-checked.
+    With xi = phi - origin and sigma = -1 the face solves have closed
+    forms in the triple brackets of the vertices about the base point.
     """
-    if method == "solve" or mode is not SolveMode.EXACT:
-        return frenet(*_silhouette_frame(p, origin), mode)
-
-    rep = centroaffine_volumes(p, origin)
-    if rep.spread > EQUAL_VOLUME_TOL:
-        raise NotEqualVolumeError(
-            f"volume spread {rep.spread:.3e} exceeds {EQUAL_VOLUME_TOL:.0e}")
-    c = rep.c_hat
+    c = _volume_constant(centroaffine_volumes(p, origin))
     q = p.vertices.with_values(p.points - np.asarray(origin, dtype=float))
     k0, (qm, q0, q1, q2) = q.stencil(-1, 0, 1, 2)
     d_a = det3(qm, q0, q2)
     d_b = det3(q2, q1, qm)
-    zeros = np.zeros(len(d_a))
     return _frenet_data(p.topology, k0, c, 3.0 - d_a / c, 3.0 + d_b / c,
-                        (d_a + d_b) / c, zeros, zeros)
+                        (d_a + d_b) / c, np.zeros(len(d_a)))
 
 
 def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float) -> GridSeq:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from evpoly.core import Polygon3
-from evpoly.darboux import FramedPolygon
+from evpoly.core import Grid, GridSeq, Polygon3
+from evpoly.darboux import DarbouxField, FramedPolygon
+from evpoly.invariants import frenet
 
 
 @pytest.fixture
@@ -37,6 +38,21 @@ def random_equal_volume_polygon(rng, n=12, c=1.0, closed=False):
         if scale > 50.0 or scale < 1e-3:
             continue
         return Polygon3.from_points(pts, closed=closed)
+
+
+def silhouette_frenet(p, origin=(0.0, 0.0, 0.0)):
+    """Frenet data of ``p`` by the framed face solve, for cross-checks.
+
+    The centro-affine framing: directions through the base point, with
+    xi = phi - origin and sigma = -1, the data that
+    ``invariants.centroaffine_frenet`` evaluates in closed form.
+    """
+    o = np.asarray(origin, dtype=float)
+    topo = p.vertices.topology
+    f = FramedPolygon.silhouette(p.points, o, closed=p.closed)
+    xi = GridSeq(p.points - o, Grid.VERTEX, topo)
+    sigma = GridSeq(np.full(f.n_sides(), -1.0), Grid.SIDE, topo)
+    return frenet(f, DarbouxField(xi, sigma, 1.0 if p.closed else None))
 
 
 def random_cone_fixture(rng, n=30):

@@ -3,7 +3,6 @@ import pytest
 
 from evpoly.core import GeometryError, Polygon3, forward_diff
 from evpoly.constructions import (
-    Custom,
     Ellipse,
     ExampleSpiral,
     ExampleSpiralRepresentative,
@@ -131,16 +130,23 @@ class TestLifts:
             assert res <= 1e-8
 
 
+class Diagonal:
+    """The line t -> (t, t, t) in 3-space."""
+
+    dim = 3
+
+    def __call__(self, t):
+        return np.stack([t, t, t], axis=-1)
+
+
 class TestSampleCurve:
     def test_half_open_step(self):
-        poly = sample_curve(Custom(lambda t: np.stack([t, t, t], axis=-1), 3),
-                            0.0, 1.0, 10)
+        poly = sample_curve(Diagonal(), 0.0, 1.0, 10)
         assert len(poly) == 10
         assert poly.points[-1][0] == pytest.approx(0.9)
 
     def test_include_both_ends(self):
-        poly = sample_curve(Custom(lambda t: np.stack([t, t, t], axis=-1), 3),
-                            0.0, 1.0, 11, GridScheme.INCLUDE_BOTH_ENDS)
+        poly = sample_curve(Diagonal(), 0.0, 1.0, 11, GridScheme.INCLUDE_BOTH_ENDS)
         assert poly.points[-1][0] == pytest.approx(1.0)
 
     def test_spiral_is_planar_output(self):

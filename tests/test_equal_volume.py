@@ -202,7 +202,10 @@ class TestVolumeReports:
     def test_sign_change_rejected(self):
         pts = np.array([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, -1], [1, 1, -1]], float)
         rep = centroaffine_volumes(Polygon3.from_points(pts))
-        assert not is_equal_volume(rep, tol=np.inf)
+        # a volume of the other sign lies more than |c| from c: the spread alone refuses it
+        assert np.any(rep.values > 0) and np.any(rep.values < 0)
+        assert rep.spread > 1.0
+        assert not is_equal_volume(rep)
 
     def test_space_volumes_requires_side_grid(self):
         s = GridSeq(np.random.default_rng(1).normal(size=(6, 3)), Grid.VERTEX)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_equal_volume_polygon
+from conftest import random_equal_volume_polygon, silhouette_frenet
 
 from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology
 from evpoly.constructions import (
@@ -12,11 +12,11 @@ from evpoly.constructions import (
     silhouette_lift,
 )
 from evpoly.darboux import FramedPolygon, parallel_darboux
+from evpoly.equal_volume import EQUAL_VOLUME_TOL, centroaffine_volumes
 from evpoly.invariants import (
     FocalKind,
     GaugeObstructionError,
     NotEqualVolumeError,
-    SolveMode,
     centroaffine_frenet,
     classify_focal,
     focal_data,
@@ -39,8 +39,8 @@ class TestFrenet:
     def test_fast_path_matches_solve(self, rng):
         for _ in range(40):
             p = random_equal_volume_polygon(rng, 10)
-            fa = centroaffine_frenet(p, method="determinant")
-            fb = centroaffine_frenet(p, method="solve")
+            fa = centroaffine_frenet(p)
+            fb = silhouette_frenet(p)
             np.testing.assert_allclose(fa.rho1.values, fb.rho1.values, atol=1e-9)
             np.testing.assert_allclose(fa.rho2.values, fb.rho2.values, atol=1e-9)
             np.testing.assert_allclose(fa.tau.values, fb.tau.values, atol=1e-9)
@@ -56,7 +56,7 @@ class TestFrenet:
 
     def test_tau_evaluations_agree(self, rng):
         p = random_equal_volume_polygon(rng, 12)
-        fr = centroaffine_frenet(p, method="solve")
+        fr = silhouette_frenet(p)
         assert fr.tau_gap.values.max() <= 1e-9
 
     def test_windows_open(self, rng):
@@ -81,27 +81,29 @@ class TestFrenet:
         assert np.median(tau_density[mid]) == pytest.approx(20.0 / 27.0, abs=5e-2)
 
     def test_exact_mode_rejects_varying_volumes(self, rng):
-        pts = rng.normal(size=(9, 3)) + np.array([0, 0, 5.0])
-        with pytest.raises(NotEqualVolumeError):
-            centroaffine_frenet(Polygon3.from_points(pts))
+        # both Frenet paths refuse through the same gate, naming the worst vertex
+        p = Polygon3.from_points(rng.normal(size=(9, 3)) + np.array([0, 0, 5.0]))
+        rep = centroaffine_volumes(p)
+        worst = int(rep.volumes.slots[np.argmax(np.abs(rep.values - rep.c_hat))])
+        for solve in (centroaffine_frenet, silhouette_frenet):
+            with pytest.raises(NotEqualVolumeError, match=rf"^vertex {worst}: ") as info:
+                solve(p)
+            err = info.value
+            assert (err.vertex, err.threshold) == (worst, EQUAL_VOLUME_TOL)
+            # the framed solve measures [side, side, xi]: the same volumes, rounded apart
+            assert err.spread == pytest.approx(rep.spread, rel=1e-9)
+            assert f"volume spread {err.spread:.3e} exceeds 1e-08" in str(err)
 
-    @pytest.mark.parametrize("method", ["determinant", "solve"])
-    def test_base_point_moves_with_the_polygon(self, rng, method):
+    @pytest.mark.parametrize("solve", [centroaffine_frenet, silhouette_frenet],
+                             ids=["determinant", "solve"])
+    def test_base_point_moves_with_the_polygon(self, rng, solve):
         p = random_equal_volume_polygon(rng, 12)
         o = np.array([0.7, -1.2, 0.4])
-        moved = centroaffine_frenet(Polygon3.from_points(p.points + o), origin=o, method=method)
-        fr = centroaffine_frenet(p, method=method)
+        moved = solve(Polygon3.from_points(p.points + o), origin=o)
+        fr = solve(p)
         for name in ("rho1", "rho2", "tau"):
             np.testing.assert_allclose(getattr(moved, name).values, getattr(fr, name).values,
                                        atol=1e-9)
-
-    def test_least_squares_mode_runs_on_noisy_input(self, rng):
-        p = random_equal_volume_polygon(rng, 10)
-        pts = p.points * (1 + 1e-4 * rng.normal(size=(10, 1)))
-        noisy = Polygon3.from_points(pts)
-        fr = centroaffine_frenet(noisy, mode=SolveMode.LEAST_SQUARES)
-        clean = centroaffine_frenet(p)
-        assert np.abs(fr.tau.values - clean.tau.values).max() < 0.5
 
 
 class TestLambdaGauge:

@@ -2,11 +2,11 @@
 
 The references here are deliberately plain: a sequential product loop for
 the Darboux scales, an exact rational least-squares solve of the same
-float64 data for the Frenet coefficients, and the per-side loops that the
-batched determinant Frenet and planar reduction replaced.  A closed
-polygon must give, bit for bit, what the open polygon padded with its
-wrap-around vertices gives.  The error-path cases inject one bad side and
-check that the error names it.
+float64 data for the face-plane solve and the Frenet coefficients, and the
+per-side loops that the batched determinant Frenet and planar reduction
+replaced.  A closed polygon must give, bit for bit, what the open polygon
+padded with its wrap-around vertices gives.  The error-path cases inject
+one bad side or vertex and check that the error names it.
 """
 
 import dataclasses
@@ -33,7 +33,7 @@ from evpoly.constructions import (
     silhouette_lift,
     support_function,
 )
-from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology, det3
+from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology, det3, face_solve
 from evpoly.darboux import (
     DarbouxField,
     DegenerateFrameError,
@@ -44,7 +44,13 @@ from evpoly.darboux import (
 )
 from evpoly.documents import PolygonDocument, write_document
 from evpoly.equal_volume import centroaffine_volumes, darboux_volumes
-from evpoly.invariants import SolveMode, centroaffine_frenet, focal_data, frenet, planar_reduction
+from evpoly.invariants import (
+    NotEqualVolumeError,
+    centroaffine_frenet,
+    focal_data,
+    frenet,
+    planar_reduction,
+)
 from evpoly.projective import b_sequence
 
 REL_TOL = 1e-12
@@ -104,6 +110,13 @@ def assert_close(got, want, scale):
     assert abs(got - want) <= REL_TOL * scale, (got, want, scale)
 
 
+def third_diff_faces(f, df, k):
+    """Third difference, side vector and the two end Darboux vectors of side k."""
+    p, xi, n = f.polygon.points, df.xi.values, len(f.polygon)
+    km, k1, k2 = (k - 1) % n, (k + 1) % n, (k + 2) % n
+    return p[k2] - 3 * p[k1] + 3 * p[k] - p[km], p[k1] - p[k], xi[k % n], xi[k1]
+
+
 @given(kind=st.sampled_from(["equal_volume", "cone", "generic"]), closed=st.booleans(),
        seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40))
 @settings(max_examples=60, deadline=None)
@@ -114,22 +127,43 @@ def test_batched_kernels_match_references(kind, closed, seed, n):
     s = np.einsum("ij,ij->i", df.xi.values, f.unit_directions)
     np.testing.assert_allclose(s, s_ref, rtol=REL_TOL, atol=0)
     np.testing.assert_allclose(df.sigma.values, sigma_ref, rtol=REL_TOL, atol=0)
+    if kind != "equal_volume" or closed:
+        return  # no Frenet data: test_face_solve_matches_exact_least_squares covers these faces
 
-    exact = kind == "equal_volume" and not closed
-    fr = frenet(f, df, SolveMode.EXACT if exact else SolveMode.LEAST_SQUARES)
-    p, xi = f.polygon.points, df.xi.values
+    fr = frenet(f, df)
     for k in np.random.default_rng(seed).choice(fr.tau.slots, size=min(6, len(fr.tau))):
         k = int(k)
-        km, k1, k2 = (k - 1) % n, (k + 1) % n, (k + 2) % n
-        d3 = p[k2] - 3 * p[k1] + 3 * p[k] - p[km]
-        edge = p[k1] - p[k]
-        rho2, tau_a = exact_face_solve(d3, -edge, xi[k1])
-        rho1, tau_b = exact_face_solve(d3, -edge, xi[k])
-        rho2_scale, tau_a_scale = coefficient_scales(d3, edge, xi[k1])
-        rho1_scale, tau_b_scale = coefficient_scales(d3, edge, xi[k])
+        d3, edge, xi_k, xi_k1 = third_diff_faces(f, df, k)
+        rho2, tau_a = exact_face_solve(d3, -edge, xi_k1)
+        rho1, tau_b = exact_face_solve(d3, -edge, xi_k)
+        rho2_scale, tau_a_scale = coefficient_scales(d3, edge, xi_k1)
+        rho1_scale, tau_b_scale = coefficient_scales(d3, edge, xi_k)
         assert_close(fr.rho2.at(k), float(rho2), rho2_scale)
         assert_close(fr.rho1.at(k + 1), float(rho1), rho1_scale)
         assert_close(fr.tau.at(k), float((tau_a + tau_b) / 2), max(tau_a_scale, tau_b_scale))
+
+
+@given(kind=st.sampled_from(["equal_volume", "cone", "generic"]), closed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(8, 40))
+@settings(max_examples=60, deadline=None)
+def test_face_solve_matches_exact_least_squares(kind, closed, seed, n):
+    """``core.face_solve`` on the Frenet faces, in-plane or not, row by row.
+
+    On the cone, generic and closed fixtures the third difference leaves
+    the face plane, so these rows check the least-squares projection.
+    """
+    f = framed_fixture(kind, seed, n, closed)
+    df = parallel_darboux(f)
+    slots = np.random.default_rng(seed).choice(side_slots(n, closed), size=6)
+    d3, edge, xi_k, xi_k1 = (np.array(rows) for rows in
+                             zip(*(third_diff_faces(f, df, int(k)) for k in slots)))
+    for near in (xi_k, xi_k1):
+        x, y = face_solve(d3, -edge, near)
+        for j in range(len(slots)):
+            x_ref, y_ref = exact_face_solve(d3[j], -edge[j], near[j])
+            x_scale, y_scale = coefficient_scales(d3[j], edge[j], near[j])
+            assert_close(x[j], float(x_ref), x_scale)
+            assert_close(y[j], float(y_ref), y_scale)
 
 
 # ---------------------------------------------------------------- one stencil for both topologies
@@ -239,7 +273,7 @@ def test_centroaffine_frenet_matches_per_side_loop(closed, seed):
         phi = silhouette_lift(closed_equal_area(rng, 9 + seed), rng.normal(size=2) * 0.3)
     else:
         phi = random_equal_volume_polygon(rng, 12 + seed)
-    fr = centroaffine_frenet(phi, method="determinant")
+    fr = centroaffine_frenet(phi)
     slots = side_slots(len(phi), closed)
     rho1, rho2, tau = reference_centroaffine_frenet(phi.points, fr.c, slots)
     assert np.array_equal(fr.rho1.window(slots[0] + 1, len(slots)), rho1)
@@ -355,11 +389,14 @@ def with_xi(df, xi):
 
 
 def test_degenerate_frenet_face_names_side(pipeline):
+    # xi(5) along side 5 flattens the face of side 5 and zeroes the volume at
+    # vertex 5, so the volume gate refuses it before any face solve
     f, df, _ = pipeline
     xi = df.xi.values.copy()
     xi[5] = f.polygon.points[6] - f.polygon.points[5]
-    with pytest.raises(GeometryError, match=r"^side 5: degenerate face basis"):
-        frenet(f, with_xi(df, xi), SolveMode.LEAST_SQUARES)
+    with pytest.raises(NotEqualVolumeError, match=r"^vertex 5: volume spread") as info:
+        frenet(f, with_xi(df, xi))
+    assert info.value.vertex == 5
 
 
 def test_tau_gap_names_side(pipeline):
