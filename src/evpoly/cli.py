@@ -23,7 +23,12 @@ from .darboux import (
     parallel_darboux,
 )
 from .documents import DocumentError, PolygonDocument, read_document, write_document
-from .equal_volume import darboux_volumes, is_equal_volume, resample_equal_volume
+from .equal_volume import (
+    EQUAL_VOLUME_TOL,
+    darboux_volumes,
+    is_equal_volume,
+    resample_equal_volume,
+)
 from .invariants import classify_focal, focal_data, focal_set_mesh, frenet
 from .projective import (
     InflectionError,
@@ -73,8 +78,7 @@ def _load_framed(args) -> tuple:
                 "a bare space polygon needs --origin x,y,z to define its frame "
                 "(lines through the origin), or provide a framed3 document")
         o = _parse_origin(args.origin)
-        p = doc.to_polygon()
-        return FramedPolygon.silhouette(p.points, o, closed=p.closed), o
+        return FramedPolygon.silhouette(doc.vertices, o, closed=doc.closed), o
     raise DocumentError(f"cannot frame a {doc.kind} document")
 
 
@@ -125,8 +129,12 @@ def cmd_analyze(args) -> int:
         if classification == "general" and fc.kind.value == "single_line":
             classification = "single_line"
     else:
-        print(f"evpoly: volumes vary by {rep.spread:.3e} relative; "
-              "Frenet data skipped (resample first)", file=sys.stderr)
+        # resample takes framed3 documents only; a bare polygon is framed by its origin
+        remedy = ("resample this framed3 document first" if origin is None else
+                  f"the polygon is not equal-volume about --origin {args.origin}")
+        print(f"evpoly: volumes vary by {rep.spread:.3e} relative, above "
+              f"EQUAL_VOLUME_TOL = {EQUAL_VOLUME_TOL:.0e}; Frenet data skipped "
+              f"({remedy})", file=sys.stderr)
     report["classification"] = classification
     if osc.apex is not None:
         report["apex"] = np.asarray(osc.apex).tolist()

@@ -21,6 +21,7 @@ from .core import (
     Topology,
     det2,
     forward_diff,
+    median,
 )
 
 __all__ = [
@@ -76,7 +77,7 @@ class PlanarEqualAreaPolygon:
         gamma = forward_diff(Gamma)
         _, (g0, g1) = gamma.stencil(0, 1)
         areas = det2(g0, g1)
-        c = float(np.median(areas))
+        c = median(areas)
         if c == 0.0:
             raise NotEqualAreaError("vanishing edge-pair area")
         spread = float(np.max(np.abs(areas - c)) / abs(c))

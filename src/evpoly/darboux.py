@@ -9,7 +9,9 @@ spans the (planar) face containing that side.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +21,10 @@ from .core import (
     GridSeq,
     Polygon3,
     Topology,
+    cross3,
     det3,
     face_solve,
+    median,
 )
 from .meshes import Mesh
 
@@ -82,10 +86,12 @@ class FramedPolygon:
         pts = np.asarray(points, dtype=float)
         return cls.build(pts, pts - np.asarray(apex, dtype=float), closed)
 
-    @property
+    @cached_property
     def unit_directions(self) -> np.ndarray:
         d = self.directions.values
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
+        unit = d / np.linalg.norm(d, axis=1, keepdims=True)
+        unit.flags.writeable = False
+        return unit
 
     @property
     def closed(self) -> bool:
@@ -108,6 +114,26 @@ class DarbouxField:
     xi: GridSeq
     sigma: GridSeq
     holonomy: float | None = None
+
+
+def once_per_field(evaluate):
+    """Evaluate ``evaluate(f, df)`` once for a framed polygon and its field.
+
+    Both are frozen, so the result is kept on the field ``df`` with the
+    polygon it was evaluated on, and a later call with the same pair
+    returns that same object; a call with another polygon evaluates again
+    and keeps the new result.  ``analyze`` reads the Darboux volumes and
+    the osculating points in two places each and pays for them once.
+    """
+    @functools.wraps(evaluate)
+    def memo(f, df):
+        kept = df.__dict__.setdefault("_once_per_field", {})
+        on, value = kept.get(evaluate, (None, None))
+        if on is not f:
+            value = evaluate(f, df)
+            kept[evaluate] = (f, value)
+        return value
+    return memo
 
 
 @dataclass(frozen=True)
@@ -145,8 +171,8 @@ def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Fram
         return out
 
     # side k meets direction k at its near end and direction k+1 at its far end
-    margins = np.minimum(on_vertices(np.linalg.norm(np.cross(dl, eh), axis=1)),
-                         np.roll(on_vertices(np.linalg.norm(np.cross(dr, eh), axis=1)), 1))
+    margins = np.minimum(on_vertices(np.linalg.norm(cross3(dl, eh), axis=1)),
+                         np.roll(on_vertices(np.linalg.norm(cross3(dr, eh), axis=1)), 1))
     return FrameReport(cop, margins, np.flatnonzero(cop > tol_face).tolist(),
                        np.flatnonzero(margins <= tol_face).tolist(), tol_face)
 
@@ -180,7 +206,7 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
     p, q = face_solve(e, d0, d1)
     # parallel end directions: prism-like face, xi is constant along it
     # and sigma vanishes
-    parallel = np.linalg.norm(np.cross(d0, d1), axis=1) <= 1e-12
+    parallel = np.linalg.norm(cross3(d0, d1), axis=1) <= 1e-12
     singular = ~parallel & (np.abs(p) <= 1e-14 * (np.abs(q) + 1.0))
     if singular.any():
         raise DegenerateFrameError(int(np.argmax(singular)),
@@ -209,8 +235,14 @@ def osculating_points(f: FramedPolygon, df: DarbouxField):
     from the far vertex; the midpoint of the two evaluations is returned.
     Sides with ``sigma = 0`` have no finite intersection (parallel
     support lines) and come back as NaN rows, with their indices listed
-    separately.
+    separately.  The points are evaluated once per polygon and field.
     """
+    seq, at_infinity = _osculating_points(f, df)
+    return seq, list(at_infinity)
+
+
+@once_per_field
+def _osculating_points(f: FramedPolygon, df: DarbouxField):
     sigma = df.sigma.values
     _, (p0, p1) = f.polygon.vertices.stencil(0, 1)
     _, (x0, x1) = df.xi.stencil(0, 1)
@@ -228,7 +260,7 @@ def osculating_points(f: FramedPolygon, df: DarbouxField):
             f"side {k}: the two support-line evaluations disagree (gap {gap[k]:.3e})")
     out = np.where(at_infinity[:, None], np.nan, 0.5 * (o1 + o2))
     seq = GridSeq(out, Grid.SIDE, f.polygon.topology, finite=not at_infinity.any())
-    return seq, np.flatnonzero(at_infinity).tolist()
+    return seq, tuple(np.flatnonzero(at_infinity).tolist())
 
 
 def osculating_developable(f: FramedPolygon, df: DarbouxField,
@@ -271,15 +303,16 @@ def classify_osculating(df: DarbouxField, f: FramedPolygon) -> OsculatingClass:
     (mean of the support-line intersections).
     """
     sigma = df.sigma.values
-    xi_scale = float(np.median(np.linalg.norm(df.xi.values, axis=1)))
-    med = float(np.median(np.abs(sigma)))
+    med = median(np.abs(sigma))
     spread = float(sigma.max() - sigma.min())
 
-    if med > 0 and spread / med <= CLASSIFY_TOL and np.all(np.abs(sigma) > CLASSIFY_TOL * med):
+    if med > 0 and spread / med <= CLASSIFY_TOL and (np.abs(sigma) > CLASSIFY_TOL * med).all():
         pts, _ = osculating_points(f, df)
-        return OsculatingClass(SurfaceKind.CONE, spread / med, np.nanmean(pts.values, axis=0))
+        apex = pts.values.mean(axis=0) if pts.finite else np.nanmean(pts.values, axis=0)
+        return OsculatingClass(SurfaceKind.CONE, spread / med, apex)
 
-    edge_scale = float(np.median(np.linalg.norm(f.polygon.sides().values, axis=1)))
+    xi_scale = median(np.linalg.norm(df.xi.values, axis=1))
+    edge_scale = median(np.linalg.norm(f.polygon.sides().values, axis=1))
     if np.max(np.abs(sigma)) <= CLASSIFY_TOL * (xi_scale / edge_scale):
         return OsculatingClass(SurfaceKind.CYLINDER, 0.0)
 

@@ -28,6 +28,14 @@ class DocumentError(GeometryError):
     """Malformed polygon document."""
 
 
+def _coordinates(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(
+            f"{name} must be a list of numeric coordinate rows of equal length") from exc
+
+
 @dataclass
 class PolygonDocument:
     kind: str
@@ -39,7 +47,7 @@ class PolygonDocument:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DocumentError(f"unknown kind {self.kind!r}")
-        self.vertices = np.asarray(self.vertices, dtype=float)
+        self.vertices = _coordinates(self.vertices, "vertices")
         if self.vertices.ndim != 2 or len(self.vertices) == 0:
             raise DocumentError("vertices must be a nonempty list of coordinates")
         if self.vertices.shape[1] != ARITY[self.kind]:
@@ -49,12 +57,14 @@ class PolygonDocument:
         if self.kind == "framed3":
             if self.directions is None:
                 raise DocumentError("framed3 document needs directions")
-            self.directions = np.asarray(self.directions, dtype=float)
+            self.directions = _coordinates(self.directions, "directions")
             if self.directions.shape != self.vertices.shape:
                 raise DocumentError("directions must match vertices in shape")
+            if not np.isfinite(self.directions).all():
+                raise DocumentError("non-finite direction coordinate")
         elif self.directions is not None:
             raise DocumentError(f"{self.kind} does not carry directions")
-        if not np.all(np.isfinite(self.vertices)):
+        if not np.isfinite(self.vertices).all():
             raise DocumentError("non-finite vertex coordinate")
 
     def to_polygon(self) -> Polygon3:
@@ -126,13 +136,19 @@ def read_document(path) -> PolygonDocument:
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")
+    closed = payload.get("closed", False)
+    if not isinstance(closed, bool):
+        raise DocumentError(f"closed must be true or false, got {closed!r}")
+    metadata = payload.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DocumentError("metadata must be a JSON object")
     try:
         return PolygonDocument(
             kind=payload["kind"],
-            closed=bool(payload.get("closed", False)),
+            closed=closed,
             vertices=payload["vertices"],
             directions=payload.get("directions"),
-            metadata=payload.get("metadata", {}),
+            metadata=metadata,
         )
     except KeyError as exc:
         raise DocumentError(f"missing field {exc.args[0]!r}") from exc

@@ -23,8 +23,9 @@ from .core import (
     Topology,
     det3,
     forward_diff,
+    median,
 )
-from .darboux import DarbouxField, FramedPolygon
+from .darboux import DarbouxField, FramedPolygon, once_per_field
 
 __all__ = [
     "VolumeReport",
@@ -54,14 +55,18 @@ class VolumeReport:
 
 
 def _report(vols: np.ndarray, topology: Topology, base: int) -> VolumeReport:
-    c_hat = float(np.median(vols))
+    c_hat = median(vols)
     denom = abs(c_hat)
-    spread = float(np.max(np.abs(vols - c_hat)) / denom) if denom > 0 else np.inf
+    spread = float(np.abs(vols - c_hat).max() / denom) if denom > 0 else np.inf
     return VolumeReport(GridSeq(vols, Grid.VERTEX, topology, base), c_hat, spread)
 
 
+@once_per_field
 def darboux_volumes(f: FramedPolygon, df: DarbouxField) -> VolumeReport:
-    """Volumes [side(i-1/2), side(i+1/2), xi(i)] at interior vertices."""
+    """Volumes [side(i-1/2), side(i+1/2), xi(i)] at interior vertices.
+
+    Evaluated once per polygon and field; later calls share the report.
+    """
     first, (e_left, e_right) = f.polygon.sides().stencil(-1, 0)
     xi = df.xi.window(first, len(e_left))
     return _report(det3(e_left, e_right, xi), f.polygon.topology, first)

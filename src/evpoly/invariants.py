@@ -33,10 +33,12 @@ from .core import (
     GridSeq,
     Polygon3,
     Topology,
+    cross3,
     det2,
     det3,
     face_solve,
     forward_diff,
+    median,
 )
 from .darboux import DarbouxField, FramedPolygon, osculating_points
 from .equal_volume import (
@@ -201,7 +203,9 @@ def centroaffine_frenet(p: Polygon3, origin=(0.0, 0.0, 0.0)) -> FrenetData:
 def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float) -> GridSeq:
     """Anti-difference gauge: lambda(i) - lambda(i+1) = tau(side i).
 
-    Summed outwards from the anchor, one side at a time.
+    Summed outwards from the anchor as cumulative sums: one around a
+    closed polygon, and on an open one a sum ahead of the anchor and a
+    sum behind it.
     """
     t = tau.values
     if tau.topology is Topology.CLOSED:
@@ -351,7 +355,7 @@ class FocalClass:
 
 
 def _rel_spread(x: np.ndarray) -> float:
-    med = float(np.median(np.abs(x)))
+    med = median(np.abs(x))
     if med == 0.0:
         return 0.0 if np.allclose(x, 0.0) else np.inf
     return float((x.max() - x.min()) / med)
@@ -400,13 +404,13 @@ def planar_reduction(p: Polygon3, normal) -> PlanarReduction:
     u = np.eye(3)[int(np.argmin(np.abs(nrm)))]
     u = u - np.dot(u, nrm) * nrm
     u /= np.linalg.norm(u)
-    v = np.cross(nrm, u)
+    v = cross3(nrm, u)
     xy = np.stack([(pts - c0) @ u, (pts - c0) @ v], axis=1)
 
     xy_seq = GridSeq(xy, Grid.VERTEX, p.topology)
     _, (e_left, e_right) = forward_diff(xy_seq).stencil(-1, 0)
     areas = det2(e_left, e_right)
-    a_hat = float(np.median(areas))
+    a_hat = median(areas)
     spread = float(np.max(np.abs(areas - a_hat)) / abs(a_hat)) if a_hat != 0 else np.inf
     equal_area = spread <= 1e-8
 

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_cone_fixture
+from conftest import random_cone_fixture, random_equal_volume_polygon, random_generic_framed
 
 from evpoly.cli import build_parser, main
 from evpoly.constructions import (
@@ -96,6 +96,35 @@ class TestAnalyze:
         assert main(["analyze", str(path), "--origin", origin]) == 1
         err = capsys.readouterr().err
         assert err.startswith("evpoly: --origin")
+
+    @pytest.mark.parametrize("fields", [
+        '"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0]], '
+        '"directions": [[0, 0, 1], [0, 0, 1], [NaN, 0, 1]]',
+        '"kind": "polygon3", "closed": "false", "vertices": [[0, 0, 1], [1, 0, 1], [1, 1, 1]]',
+        '"kind": "polygon3", "vertices": [[1, 0, 1], [0, 1]]',
+    ], ids=["nan-direction", "closed-string", "ragged-vertices"])
+    def test_malformed_document_exits_1(self, tmp_path, capsys, fields):
+        path = tmp_path / "bad.json"
+        path.write_text("{%s}" % fields)
+        assert main(["analyze", str(path), "--origin", "0,0,0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evpoly: ") and err.count("\n") == 1
+
+    def test_skip_notice_suggests_resample_for_framed_input(self, rng, tmp_path, capsys):
+        path = write_framed(random_generic_framed(rng, 15), tmp_path / "generic.json")
+        assert main(["analyze", path]) == 0
+        err = capsys.readouterr().err
+        assert "above EQUAL_VOLUME_TOL = 1e-08; Frenet data skipped" in err
+        assert "resample this framed3 document first" in err
+
+    def test_skip_notice_names_the_origin_for_a_bare_polygon(self, rng, tmp_path, capsys):
+        path = tmp_path / "ev.json"
+        write_document(PolygonDocument.from_polygon(random_equal_volume_polygon(rng, 12)), path)
+        assert main(["analyze", str(path), "--origin", "0.1,0,0"]) == 0
+        err = capsys.readouterr().err
+        assert "above EQUAL_VOLUME_TOL = 1e-08; Frenet data skipped" in err
+        assert "the polygon is not equal-volume about --origin 0.1,0,0" in err
+        assert "resample" not in err
 
     def test_json_output_file(self, spiral_doc, tmp_path):
         out = tmp_path / "report.json"

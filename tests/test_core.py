@@ -11,10 +11,13 @@ from evpoly.core import (
     GridSeq,
     Polygon3,
     Topology,
+    cross3,
     det2,
     det3,
     forward_diff,
+    median,
 )
+from evpoly.darboux import FramedPolygon
 
 vec3 = arrays(np.float64, 3, elements=st.floats(-100, 100))
 
@@ -49,6 +52,48 @@ class TestDet3:
     def test_degenerate_triple_is_zero(self):
         u = np.array([1.0, 2.0, 3.0])
         assert det3(u, u, [0, 1, 0]) == 0.0
+
+
+finite = st.floats(-1e100, 1e100)
+
+
+@given(st.data())
+@settings(max_examples=100)
+def test_cross3_is_np_cross_bit_for_bit(data):
+    # stacked rows, broadcast against one vector or across a new axis
+    lead_u, lead_v = data.draw(st.sampled_from(
+        [((), ()), ((5,), ()), ((5,), (5,)), ((4, 1), (1, 3)), ((2, 3), (3,))]))
+    u = data.draw(arrays(np.float64, lead_u + (3,), elements=finite))
+    v = data.draw(arrays(np.float64, lead_v + (3,), elements=finite))
+    got, want = cross3(u, v), np.cross(u, v)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 45, 46])
+def test_median_is_np_median_bit_for_bit(rng, n):
+    pool = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324])
+    for _ in range(200):
+        x = rng.choice(pool, size=n) * rng.choice([1.0, rng.normal()], size=n)
+        assert np.float64(median(x)).tobytes() == np.median(x).tobytes()
+
+
+@pytest.mark.parametrize("x", [[-0.0], [-0.0, -0.0], [0.0, -0.0, -0.0], [3.0, 3.0, 1.0, 3.0]])
+def test_median_of_signed_zeros_and_repeats(x):
+    assert np.float64(median(np.array(x))).tobytes() == np.median(x).tobytes()
+
+
+def test_median_of_nan_is_nan():
+    assert np.isnan(median(np.array([1.0, np.nan, 2.0])))
+
+
+def test_cached_arrays_are_read_only():
+    p = Polygon3.from_points([[0, 0, 0], [1, 0, 0], [1, 2, 0]])
+    f = FramedPolygon.silhouette(p.points, (0.0, 0.0, 1.0))
+    assert p.sides() is p.sides() and f.unit_directions is f.unit_directions
+    for cached in (p.sides().values, f.unit_directions):
+        with pytest.raises(ValueError):
+            cached[0, 0] = 5.0
 
 
 def test_det2():

@@ -98,6 +98,33 @@ class TestValidation:
         with pytest.raises(DocumentError):
             read_document(path)
 
+    @pytest.mark.parametrize("fields, message", [
+        ('"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0]], '
+         '"directions": [[0, 0, 1], [NaN, 0, 1]]', "non-finite direction"),
+        ('"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0]], '
+         '"directions": [[0, 0, 1], [Infinity, 0, 1]]', "non-finite direction"),
+        ('"kind": "polygon3", "closed": "false", "vertices": [[0, 0, 0], [1, 0, 0]]',
+         "closed must be true or false"),
+        ('"kind": "polygon3", "closed": 1, "vertices": [[0, 0, 0], [1, 0, 0]]',
+         "closed must be true or false"),
+        ('"kind": "polygon3", "vertices": [[1, 0, 1], [0, 1]]', "vertices must be a list"),
+        ('"kind": "polygon3", "vertices": "abc"', "vertices must be a list"),
+        ('"kind": "polygon3", "vertices": {"x": 1}', "vertices must be a list"),
+        ('"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0]], '
+         '"directions": [[1, 0, 1], [0, 1]]', "directions must be a list"),
+        ('"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0]], "directions": "abc"',
+         "directions must be a list"),
+        ('"kind": "polygon3", "vertices": [[0, 0, 0], [1, 0, 0]], "metadata": [1]',
+         "metadata must be a JSON object"),
+    ], ids=["nan-direction", "infinite-direction", "closed-string", "closed-number",
+            "ragged-vertices", "string-vertices", "object-vertices", "ragged-directions",
+            "string-directions", "metadata-list"])
+    def test_malformed_field(self, tmp_path, fields, message):
+        path = tmp_path / "x.json"
+        path.write_text("{%s}" % fields)
+        with pytest.raises(DocumentError, match=message):
+            read_document(path)
+
     def test_missing_field(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text('{"kind": "polygon3"}')

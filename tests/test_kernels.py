@@ -10,6 +10,7 @@ one bad side or vertex and check that the error names it.
 """
 
 import dataclasses
+import sys
 import warnings
 from fractions import Fraction
 
@@ -33,7 +34,16 @@ from evpoly.constructions import (
     silhouette_lift,
     support_function,
 )
-from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology, det3, face_solve
+from evpoly.core import (
+    GeometryError,
+    Grid,
+    GridSeq,
+    Polygon3,
+    Topology,
+    det3,
+    face_solve,
+    forward_diff,
+)
 from evpoly.darboux import (
     DarbouxField,
     DegenerateFrameError,
@@ -484,3 +494,39 @@ def test_analyze_makes_no_per_vertex_lookups(command, n, code, expect, tmp_path,
     if expect is not None:
         assert expect in out.read_text()
     assert calls == []
+
+
+def recording(fn, calls: list):
+    """``fn``, appending the result of each call to ``calls``."""
+    def recorded(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append(out)
+        return out
+    return recorded
+
+
+def record_calls(monkeypatch, fn, calls: list) -> None:
+    """Record the calls of ``fn`` made through any evpoly module."""
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "evpoly"]:
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, recording(fn, calls))
+
+
+def test_analyze_computes_each_derived_quantity_once(rng, tmp_path, monkeypatch):
+    """One ``analyze --origin`` call on a small polygon pays each derived array once."""
+    src, out = tmp_path / "ev.json", tmp_path / "report.json"
+    write_document(PolygonDocument.from_polygon(random_equal_volume_polygon(rng, 40)), src)
+    diffs, volumes, points, numpy_calls = [], [], [], []
+    record_calls(monkeypatch, forward_diff, diffs)
+    record_calls(monkeypatch, darboux_volumes, volumes)
+    record_calls(monkeypatch, osculating_points, points)
+    for name in ("cross", "median"):
+        monkeypatch.setattr(np, name, recording(getattr(np, name), numpy_calls))
+
+    assert cli.main(["analyze", str(src), "--origin", "0,0,0", "--json", str(out)]) == 0
+    assert '"rho1"' in out.read_text()
+    assert len(diffs) == 1
+    assert numpy_calls == []
+    # evaluations, not calls: a repeated call must hand back the same result
+    assert volumes and len({id(r) for r in volumes}) == 1
+    assert points and len({id(seq) for seq, _ in points}) == 1

@@ -90,7 +90,7 @@ def _written_in(fn, module) -> bool:
 def _callables(module):
     """(qualified name, function) of each public function and hand-written method."""
     for name in module.__all__:
-        obj = getattr(module, name)
+        obj = inspect.unwrap(getattr(module, name))  # see through darboux.once_per_field
         if inspect.isfunction(obj) and _written_in(obj, module):
             yield name, obj
         elif inspect.isclass(obj) and obj.__module__ == module.__name__:
