@@ -308,7 +308,7 @@ def classify_osculating(df: DarbouxField, f: FramedPolygon) -> OsculatingClass:
 
     if med > 0 and spread / med <= CLASSIFY_TOL and (np.abs(sigma) > CLASSIFY_TOL * med).all():
         pts, _ = osculating_points(f, df)
-        apex = pts.values.mean(axis=0) if pts.finite else np.nanmean(pts.values, axis=0)
+        apex = pts.values.mean(axis=0)
         return OsculatingClass(SurfaceKind.CONE, spread / med, apex)
 
     xi_scale = median(np.linalg.norm(df.xi.values, axis=1))

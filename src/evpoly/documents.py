@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -28,12 +29,27 @@ class DocumentError(GeometryError):
     """Malformed polygon document."""
 
 
+def _rows_error(name: str) -> DocumentError:
+    return DocumentError(f"{name} must be a list of numeric coordinate rows of equal length")
+
+
 def _coordinates(values, name: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise DocumentError(
-            f"{name} must be a list of numeric coordinate rows of equal length") from exc
+        raise _rows_error(name) from exc
+
+
+def _json_rows(values, name: str):
+    """``values`` if it is a JSON list of lists of numbers, else DocumentError.
+
+    numpy would convert numeric strings and booleans, so the entry types
+    are checked here, before ``_coordinates`` sees them.
+    """
+    if not (isinstance(values, list) and set(map(type, values)) <= {list}
+            and set(map(type, chain.from_iterable(values))) <= {int, float}):
+        raise _rows_error(name)
+    return values
 
 
 @dataclass
@@ -143,12 +159,14 @@ def read_document(path) -> PolygonDocument:
     if not isinstance(metadata, dict):
         raise DocumentError("metadata must be a JSON object")
     try:
-        return PolygonDocument(
-            kind=payload["kind"],
-            closed=closed,
-            vertices=payload["vertices"],
-            directions=payload.get("directions"),
-            metadata=metadata,
-        )
+        kind, vertices = payload["kind"], payload["vertices"]
     except KeyError as exc:
         raise DocumentError(f"missing field {exc.args[0]!r}") from exc
+    directions = payload.get("directions")
+    return PolygonDocument(
+        kind=kind,
+        closed=closed,
+        vertices=_json_rows(vertices, "vertices"),
+        directions=None if directions is None else _json_rows(directions, "directions"),
+        metadata=metadata,
+    )

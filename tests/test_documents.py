@@ -110,15 +110,23 @@ class TestValidation:
         ('"kind": "polygon3", "vertices": [[1, 0, 1], [0, 1]]', "vertices must be a list"),
         ('"kind": "polygon3", "vertices": "abc"', "vertices must be a list"),
         ('"kind": "polygon3", "vertices": {"x": 1}', "vertices must be a list"),
+        ('"kind": "polygon3", "vertices": [["1", "0", "1"], ["0", "1", "0"]]',
+         "vertices must be a list"),
+        ('"kind": "polygon3", "vertices": [[true, 0, 1], [0, 1, 0]]', "vertices must be a list"),
+        ('"kind": "polygon3", "vertices": [[null, 0, 1], [0, 1, 0]]', "vertices must be a list"),
+        ('"kind": "polygon3", "vertices": ["abc", "def"]', "vertices must be a list"),
         ('"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0]], '
          '"directions": [[1, 0, 1], [0, 1]]', "directions must be a list"),
         ('"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0]], "directions": "abc"',
          "directions must be a list"),
+        ('"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0]], '
+         '"directions": [[0, 0, 1], [false, 0, 1]]', "directions must be a list"),
         ('"kind": "polygon3", "vertices": [[0, 0, 0], [1, 0, 0]], "metadata": [1]',
          "metadata must be a JSON object"),
     ], ids=["nan-direction", "infinite-direction", "closed-string", "closed-number",
-            "ragged-vertices", "string-vertices", "object-vertices", "ragged-directions",
-            "string-directions", "metadata-list"])
+            "ragged-vertices", "string-vertices", "object-vertices", "string-entries",
+            "boolean-entry", "null-entry", "string-rows", "ragged-directions",
+            "string-directions", "boolean-direction", "metadata-list"])
     def test_malformed_field(self, tmp_path, fields, message):
         path = tmp_path / "x.json"
         path.write_text("{%s}" % fields)
