@@ -22,6 +22,7 @@ from .core import (
     det2,
     forward_diff,
     median,
+    require_finite,
 )
 
 __all__ = [
@@ -70,6 +71,7 @@ class PlanarEqualAreaPolygon:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise GeometryError("equal-area polygon vertices must be 2-vectors")
+        require_finite(pts, "coordinate")
         topo = Topology.CLOSED if closed else Topology.OPEN
         if len(pts) < (3 if closed else 4):
             raise GeometryError("too few vertices for an equal-area polygon")
@@ -107,6 +109,8 @@ def support_function(G: PlanarEqualAreaPolygon, P) -> GridSeq:
     the inputs are inconsistent.
     """
     P = np.asarray(P, dtype=float)
+    if not np.isfinite(P).all():
+        raise GeometryError("non-finite base point")
     g = G.gamma.values
     first, (left, right) = G.Gamma.stencil(-1, 0)
     scale = float(np.max(np.abs(G.Gamma.values - P))) or 1.0

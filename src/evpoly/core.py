@@ -35,6 +35,7 @@ __all__ = [
     "face_solve",
     "forward_diff",
     "median",
+    "require_finite",
 ]
 
 
@@ -63,11 +64,16 @@ class Topology(enum.Enum):
     CLOSED = "closed"
 
 
-def _as_array(values) -> np.ndarray:
-    a = np.asarray(values, dtype=float)
-    if not np.isfinite(a).all():
-        raise GeometryError("non-finite value in sequence")
-    return a
+def require_finite(rows: np.ndarray, what: str) -> None:
+    """Raise a GeometryError naming the first vertex whose row is not finite.
+
+    Coordinates are checked once, where they enter a polygon; the
+    sequences derived from them are not scanned again.
+    """
+    finite = np.isfinite(rows)
+    if not finite.all():
+        k = int(np.argmin(finite.all(axis=-1)))
+        raise GeometryError(f"vertex {k}: non-finite {what}")
 
 
 @dataclass(frozen=True)
@@ -76,21 +82,18 @@ class GridSeq:
 
     ``values`` has shape ``(n,)`` for scalars or ``(n, d)`` for points in
     d-space.  ``base`` is the polygon slot of entry 0 (always 0 for closed
-    sequences).
+    sequences).  NaN rows mark points at infinity, such as the meeting
+    point of parallel support lines; the values are not scanned, because
+    the coordinates they derive from were checked where they entered.
     """
 
     values: np.ndarray
     grid: Grid
     topology: Topology = Topology.OPEN
     base: int = 0
-    finite: bool = True
 
     def __post_init__(self):
-        if self.finite:
-            a = _as_array(self.values)
-        else:
-            # NaN rows mark points at infinity (e.g. parallel support lines)
-            a = np.asarray(self.values, dtype=float)
+        a = np.asarray(self.values, dtype=float)
         a.flags.writeable = False
         object.__setattr__(self, "values", a)
         if self.topology is Topology.CLOSED and self.base != 0:
@@ -245,6 +248,7 @@ class Polygon3:
         a = v.values
         if a.ndim != 2 or a.shape[1] != 3:
             raise GeometryError("polygon vertices must be 3-vectors")
+        require_finite(a, "coordinate")
         d = self._sides
         bad = np.linalg.norm(d.values, axis=1) == 0.0
         if bad.any():

@@ -25,6 +25,7 @@ from .core import (
     det3,
     face_solve,
     median,
+    require_finite,
 )
 from .meshes import Mesh
 
@@ -70,6 +71,7 @@ class FramedPolygon:
             raise GeometryError("directions must sit on the polygon's vertex grid")
         if d.topology is not self.polygon.topology:
             raise GeometryError("directions and polygon topology disagree")
+        require_finite(d.values, "direction")
         norms = np.linalg.norm(d.values, axis=1)
         if np.any(norms == 0.0):
             raise GeometryError("zero direction vector")
@@ -87,11 +89,9 @@ class FramedPolygon:
         return cls.build(pts, pts - np.asarray(apex, dtype=float), closed)
 
     @cached_property
-    def unit_directions(self) -> np.ndarray:
+    def unit_directions(self) -> GridSeq:
         d = self.directions.values
-        unit = d / np.linalg.norm(d, axis=1, keepdims=True)
-        unit.flags.writeable = False
-        return unit
+        return self.directions.with_values(d / np.linalg.norm(d, axis=1, keepdims=True))
 
     @property
     def closed(self) -> bool:
@@ -138,13 +138,10 @@ def once_per_field(evaluate):
 
 @dataclass(frozen=True)
 class FrameReport:
-    """Per-side coplanarity residuals and per-vertex transversality margins."""
+    """Sides off the planar-face hypothesis and vertices off a transversal direction."""
 
-    coplanarity: np.ndarray
-    transversality: np.ndarray
     bad_sides: list
     bad_vertices: list
-    tol_face: float
 
     @property
     def ok(self) -> bool:
@@ -152,17 +149,18 @@ class FrameReport:
 
 
 def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> FrameReport:
-    """Check the planar-quadrilateral-face hypothesis and transversality.
+    """Check the planar-quadrilateral-face hypothesis and transversal directions.
 
-    Coplanarity residual per side is |det(side, d_left, d_right)|
-    normalized by the product of the three norms; transversality margin
-    per vertex is the smallest sine of the angle between the direction
-    and its adjacent sides.
+    The face residual per side is |det(side, d_left, d_right)|
+    normalized by the product of the three norms; the margin per vertex
+    is the smallest sine of the angle between the direction and its
+    adjacent sides.  The report lists the sides whose residual exceeds
+    ``tol_face`` and the vertices whose margin does not.
     """
     e = f.polygon.sides().values
     eh = e / np.linalg.norm(e, axis=1, keepdims=True)
     n, nsides = len(f.polygon), len(e)
-    _, (dl, dr) = f.directions.with_values(f.unit_directions).stencil(0, 1)
+    _, (dl, dr) = f.unit_directions.stencil(0, 1)
     cop = np.abs(det3(eh, dl, dr))
 
     def on_vertices(side_values):
@@ -173,8 +171,8 @@ def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Fram
     # side k meets direction k at its near end and direction k+1 at its far end
     margins = np.minimum(on_vertices(np.linalg.norm(cross3(dl, eh), axis=1)),
                          np.roll(on_vertices(np.linalg.norm(cross3(dr, eh), axis=1)), 1))
-    return FrameReport(cop, margins, np.flatnonzero(cop > tol_face).tolist(),
-                       np.flatnonzero(margins <= tol_face).tolist(), tol_face)
+    return FrameReport(np.flatnonzero(cop > tol_face).tolist(),
+                       np.flatnonzero(margins <= tol_face).tolist())
 
 
 def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
@@ -202,7 +200,7 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
     e = f.polygon.sides().values
     dh = f.unit_directions
     n, nsides = len(dh), len(e)
-    _, (d0, d1) = f.directions.with_values(dh).stencil(0, 1)
+    _, (d0, d1) = dh.stencil(0, 1)
     p, q = face_solve(e, d0, d1)
     # parallel end directions: prism-like face, xi is constant along it
     # and sigma vanishes
@@ -223,7 +221,7 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
                                    "the Darboux recursion overflows (scale or sigma not finite)")
 
     topo = f.polygon.topology
-    xi = GridSeq(scales[:n, None] * dh, Grid.VERTEX, topo)
+    xi = GridSeq(scales[:n, None] * dh.values, Grid.VERTEX, topo)
     holonomy = float(scales[-1] / seed_scale) if f.closed else None
     return DarbouxField(xi, GridSeq(sigma, Grid.SIDE, topo), holonomy)
 
@@ -259,7 +257,7 @@ def _osculating_points(f: FramedPolygon, df: DarbouxField):
         raise GeometryError(
             f"side {k}: the two support-line evaluations disagree (gap {gap[k]:.3e})")
     out = np.where(at_infinity[:, None], np.nan, 0.5 * (o1 + o2))
-    seq = GridSeq(out, Grid.SIDE, f.polygon.topology, finite=not at_infinity.any())
+    seq = GridSeq(out, Grid.SIDE, f.polygon.topology)
     return seq, tuple(np.flatnonzero(at_infinity).tolist())
 
 
@@ -273,6 +271,8 @@ def osculating_developable(f: FramedPolygon, df: DarbouxField,
     """
     if extent is None:
         extent = 2.0 * f.polygon.diameter()
+    if not np.isfinite(extent):
+        raise GeometryError("non-finite extent")
     xi = df.xi.values
     nsides = f.n_sides()
     _, (p0, p1) = f.polygon.vertices.stencil(0, 1)
@@ -291,16 +291,15 @@ class SurfaceKind(enum.Enum):
 @dataclass(frozen=True)
 class OsculatingClass:
     kind: SurfaceKind
-    quality: float
     apex: np.ndarray | None = None
 
 
 def classify_osculating(df: DarbouxField, f: FramedPolygon) -> OsculatingClass:
     """Cone / cylinder / general classification of the osculating surface.
 
-    Quality is the relative spread of sigma, (max-min)/median|sigma|;
-    zero for a perfect silhouette.  The cone branch reports the apex
-    (mean of the support-line intersections).
+    The surface is a cone when the relative spread of sigma,
+    (max-min)/median|sigma|, is within ``CLASSIFY_TOL``; the cone branch
+    reports the apex (mean of the support-line intersections).
     """
     sigma = df.sigma.values
     med = median(np.abs(sigma))
@@ -309,12 +308,10 @@ def classify_osculating(df: DarbouxField, f: FramedPolygon) -> OsculatingClass:
     if med > 0 and spread / med <= CLASSIFY_TOL and (np.abs(sigma) > CLASSIFY_TOL * med).all():
         pts, _ = osculating_points(f, df)
         apex = pts.values.mean(axis=0)
-        return OsculatingClass(SurfaceKind.CONE, spread / med, apex)
+        return OsculatingClass(SurfaceKind.CONE, apex)
 
     xi_scale = median(np.linalg.norm(df.xi.values, axis=1))
     edge_scale = median(np.linalg.norm(f.polygon.sides().values, axis=1))
     if np.max(np.abs(sigma)) <= CLASSIFY_TOL * (xi_scale / edge_scale):
-        return OsculatingClass(SurfaceKind.CYLINDER, 0.0)
-
-    quality = spread / med if med > 0 else np.inf
-    return OsculatingClass(SurfaceKind.GENERAL, quality)
+        return OsculatingClass(SurfaceKind.CYLINDER)
+    return OsculatingClass(SurfaceKind.GENERAL)

@@ -83,11 +83,6 @@ class PolygonDocument:
         if not np.isfinite(self.vertices).all():
             raise DocumentError("non-finite vertex coordinate")
 
-    def to_polygon(self) -> Polygon3:
-        if self.kind == "polygon2":
-            raise DocumentError("document holds a planar polygon, not a space polygon")
-        return Polygon3.from_points(self.vertices, closed=self.closed)
-
     def to_framed(self) -> FramedPolygon:
         if self.kind != "framed3":
             raise DocumentError("document carries no frame directions")

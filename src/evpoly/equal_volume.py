@@ -76,7 +76,10 @@ def centroaffine_volumes(p: Polygon3, origin=(0.0, 0.0, 0.0)) -> VolumeReport:
     """Volumes of consecutive vertex triples relative to a base point."""
     if len(p) < 3:
         raise GeometryError("need at least 3 vertices")
-    q = p.vertices.with_values(p.points - np.asarray(origin, dtype=float))
+    origin = np.asarray(origin, dtype=float)
+    if not np.isfinite(origin).all():
+        raise GeometryError("non-finite base point")
+    q = p.vertices.with_values(p.points - origin)
     first, (q0, q1, q2) = q.stencil(-1, 0, 1)
     return _report(det3(q0, q1, q2), p.topology, first)
 
@@ -187,7 +190,7 @@ def resample_equal_volume(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
     n = len(f.polygon)
     if n < 4:
         raise GeometryError("need at least 4 vertices")
-    dh_arr = f.unit_directions
+    dh_arr = f.unit_directions.values
     pts = f.polygon.points.tolist()
     dh = dh_arr.tolist()
     snap_tol = 1e-12 * f.polygon.diameter()

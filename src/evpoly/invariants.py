@@ -207,6 +207,8 @@ def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float) -> Gri
     closed polygon, and on an open one a sum ahead of the anchor and a
     sum behind it.
     """
+    if not np.isfinite(anchor_value):
+        raise GeometryError("non-finite gauge anchor value")
     t = tau.values
     if tau.topology is Topology.CLOSED:
         total = float(t.sum())
@@ -229,8 +231,6 @@ def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float) -> Gri
 
 @dataclass(frozen=True)
 class FocalSetData:
-    lam: GridSeq
-    eta: GridSeq
     mu: GridSeq
     Q: GridSeq
     O: GridSeq
@@ -241,7 +241,7 @@ class FocalSetData:
 
 def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
                gauge: tuple[int, float] | None = None) -> FocalSetData:
-    """Gauge field, parallel normal vectors and the focal lines.
+    """mu per side and the focal lines, via the gauge field and the normals.
 
     ``gauge`` anchors the lambda anti-difference (defaults to value 0 at
     the first admissible vertex).  Per side the focal line joins the
@@ -301,8 +301,8 @@ def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
     for j in np.flatnonzero(o_inf & q_inf):
         lines[j] = None
 
-    Q = GridSeq(q_pts, Grid.SIDE, fr.tau.topology, k0, finite=not q_inf.any())
-    return FocalSetData(lam, eta, mu, Q, O_all, lines, inf_O,
+    Q = GridSeq(q_pts, Grid.SIDE, fr.tau.topology, k0)
+    return FocalSetData(mu, Q, O_all, lines, inf_O,
                         (k0 + np.flatnonzero(q_inf)).tolist())
 
 
@@ -351,7 +351,6 @@ class FocalClass:
     kind: FocalKind
     sigma_spread: float
     mu_spread: float
-    line: tuple | None = None
 
 
 def _rel_spread(x: np.ndarray) -> float:
@@ -365,13 +364,8 @@ def classify_focal(df: DarbouxField, fd: FocalSetData) -> FocalClass:
     """Single-line focal set iff both sigma and mu have constant sign pattern."""
     s_spread = _rel_spread(df.sigma.window(fd.mu.base, len(fd.mu)))
     m_spread = _rel_spread(fd.mu.values)
-    if s_spread <= FOCAL_CLASSIFY_TOL and m_spread <= FOCAL_CLASSIFY_TOL:
-        finite = [ln for ln in fd.lines if ln is not None]
-        origin = np.mean([ln[0] for ln in finite], axis=0)
-        d = np.mean([ln[1] * np.sign(np.dot(ln[1], finite[0][1])) for ln in finite], axis=0)
-        d /= np.linalg.norm(d)
-        return FocalClass(FocalKind.SINGLE_LINE, s_spread, m_spread, (origin, d))
-    return FocalClass(FocalKind.GENERAL, s_spread, m_spread)
+    single = s_spread <= FOCAL_CLASSIFY_TOL and m_spread <= FOCAL_CLASSIFY_TOL
+    return FocalClass(FocalKind.SINGLE_LINE if single else FocalKind.GENERAL, s_spread, m_spread)
 
 
 @dataclass(frozen=True)
@@ -393,6 +387,8 @@ def planar_reduction(p: Polygon3, normal) -> PlanarReduction:
     3-space.
     """
     nrm = np.asarray(normal, dtype=float)
+    if not np.isfinite(nrm).all():
+        raise GeometryError("non-finite plane normal")
     nrm = nrm / np.linalg.norm(nrm)
     pts = p.points
     c0 = pts.mean(axis=0)

@@ -28,6 +28,7 @@ from .core import (
     det2,
     det3,
     forward_diff,
+    require_finite,
 )
 from .invariants import centroaffine_frenet
 
@@ -36,7 +37,6 @@ __all__ = [
     "ProjectiveLengthReport",
     "InflectionError",
     "LiftNormalization",
-    "signed_cbrt",
     "b_sequence",
     "default_normalization",
     "lift_representative",
@@ -55,13 +55,6 @@ class InflectionError(GeometryError):
         super().__init__(f"vertex {index}: b = {value:.3e} <= 0, polygon has an inflection")
 
 
-def signed_cbrt(x):
-    """Real cube root preserving sign; vectorized."""
-    x = np.asarray(x, dtype=float)
-    r = np.sign(x) * np.abs(x) ** (1.0 / 3.0)
-    return float(r) if r.ndim == 0 else r
-
-
 @dataclass(frozen=True)
 class PlanarProjectivePolygon:
     """Planar polygon with its per-vertex convexity determinants b(i)."""
@@ -74,6 +67,7 @@ class PlanarProjectivePolygon:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise GeometryError("planar polygon vertices must be 2-vectors")
+        require_finite(pts, "coordinate")
         topo = Topology.CLOSED if closed else Topology.OPEN
         v = GridSeq(pts, Grid.VERTEX, topo)
         return cls(v, b_sequence(v))
@@ -83,13 +77,11 @@ class PlanarProjectivePolygon:
         return self.vertices.topology is Topology.CLOSED
 
 
-def b_sequence(poly) -> GridSeq:
+def b_sequence(poly: GridSeq) -> GridSeq:
     """Consecutive edge-pair determinants b(i) = [phi'(i-1/2), phi'(i+1/2)].
 
-    Accepts a (N, 2) array or a vertex GridSeq.  Raises on any b <= 0.
+    Takes the planar vertices as a vertex GridSeq.  Raises on any b <= 0.
     """
-    if not isinstance(poly, GridSeq):
-        poly = GridSeq(poly, Grid.VERTEX)
     if len(poly) < 3:
         raise GeometryError("need at least 3 vertices")
     first, (e_left, e_right) = forward_diff(poly).stencil(-1, 0)
@@ -211,8 +203,8 @@ def projective_lengths(phi: Polygon3) -> ProjectiveLengthReport:
     if stop1 < start or stop2 < start:
         raise GeometryError("polygon too short for a nonempty summation window")
     m1, m2 = stop1 + 1 - start, stop2 + 1 - start
-    t1 = signed_cbrt(d1.window(start, m1) + 2.0 * tau.window(start, m1))
-    t2 = signed_cbrt(d2.window(start, m2) + 2.0 * tau.window(start, m2))
+    t1 = np.cbrt(d1.window(start, m1) + 2.0 * tau.window(start, m1))
+    t2 = np.cbrt(d2.window(start, m2) + 2.0 * tau.window(start, m2))
     topo = phi.topology
     return ProjectiveLengthReport(float(t1.sum()), float(t2.sum()),
                                   GridSeq(t1, Grid.SIDE, topo, start),

@@ -17,7 +17,11 @@ from evpoly.core import (
     forward_diff,
     median,
 )
-from evpoly.darboux import FramedPolygon
+from evpoly.constructions import PlanarEqualAreaPolygon, regular_equal_area, support_function
+from evpoly.darboux import FramedPolygon, osculating_developable, parallel_darboux
+from evpoly.equal_volume import centroaffine_volumes
+from evpoly.invariants import lambda_from_tau, planar_reduction
+from evpoly.projective import PlanarProjectivePolygon
 
 vec3 = arrays(np.float64, 3, elements=st.floats(-100, 100))
 
@@ -91,7 +95,7 @@ def test_cached_arrays_are_read_only():
     p = Polygon3.from_points([[0, 0, 0], [1, 0, 0], [1, 2, 0]])
     f = FramedPolygon.silhouette(p.points, (0.0, 0.0, 1.0))
     assert p.sides() is p.sides() and f.unit_directions is f.unit_directions
-    for cached in (p.sides().values, f.unit_directions):
+    for cached in (p.sides().values, f.unit_directions.values):
         with pytest.raises(ValueError):
             cached[0, 0] = 5.0
 
@@ -102,14 +106,6 @@ def test_det2():
 
 
 class TestGridSeq:
-    def test_rejects_nan_by_default(self):
-        with pytest.raises(GeometryError):
-            GridSeq(np.array([1.0, np.nan]), Grid.VERTEX)
-
-    def test_nan_allowed_when_marked(self):
-        s = GridSeq(np.array([1.0, np.nan]), Grid.VERTEX, finite=False)
-        assert np.isnan(s.values[1])
-
     def test_closed_base_must_be_zero(self):
         with pytest.raises(GeometryError):
             GridSeq(np.arange(4.0), Grid.VERTEX, Topology.CLOSED, base=1)
@@ -214,3 +210,50 @@ class TestPolygon3:
         p = Polygon3.from_points([[0, 0, 0], [1, 0, 0], [1, 2, 0]])
         np.testing.assert_allclose(p.sides().values, [[1, 0, 0], [0, 2, 0]])
         assert p.diameter() == pytest.approx(np.sqrt(5.0))
+
+
+# a convex arc on the plane z = 1, framed by the lines through the origin
+ARC = np.column_stack([np.cos(np.arange(6) / 3), np.sin(np.arange(6) / 3), np.ones(6)])
+
+# each place where coordinates enter, fed a copy of ARC
+ENTRY_POINTS = {
+    "Polygon3": (Polygon3.from_points, "coordinate"),
+    "FramedPolygon-directions": (lambda d: FramedPolygon.build(ARC, d), "direction"),
+    "PlanarProjectivePolygon": (lambda p: PlanarProjectivePolygon.from_vertices(p[:, :2]),
+                                "coordinate"),
+    "PlanarEqualAreaPolygon": (lambda p: PlanarEqualAreaPolygon.from_vertices(p[:, :2]),
+                               "coordinate"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_refuse_non_finite_coordinates(entry, bad):
+    build, what = ENTRY_POINTS[entry]
+    pts = ARC.copy()
+    pts[3, 1] = bad
+    with pytest.raises(GeometryError, match=f"^vertex 3: non-finite {what}$"):
+        build(pts)
+
+
+FRAMED_ARC = FramedPolygon.silhouette(ARC)
+
+# each other parameter that brings a value from outside into a derived sequence
+PARAMETERS = {
+    "support_function-P": lambda x: support_function(regular_equal_area(6), [x, 0.0]),
+    "centroaffine_volumes-origin":
+        lambda x: centroaffine_volumes(Polygon3.from_points(ARC), (0.0, x, 0.0)),
+    "lambda_from_tau-anchor": lambda x: lambda_from_tau(
+        GridSeq(np.ones(4), Grid.SIDE), 1, x),
+    "osculating_developable-extent": lambda x: osculating_developable(
+        FRAMED_ARC, parallel_darboux(FRAMED_ARC), extent=x),
+    "planar_reduction-normal":
+        lambda x: planar_reduction(Polygon3.from_points(ARC), (0.0, x, 1.0)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("parameter", PARAMETERS)
+def test_non_finite_parameters_are_refused(parameter, bad):
+    with pytest.raises(GeometryError, match="^non-finite "):
+        PARAMETERS[parameter](bad)

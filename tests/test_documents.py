@@ -3,7 +3,6 @@ import pytest
 
 from conftest import random_generic_framed
 
-from evpoly.core import Polygon3
 from evpoly.documents import (
     DocumentError,
     PolygonDocument,
@@ -43,7 +42,6 @@ class TestRoundTrip:
         doc = read_document(path)
         assert (doc.kind, doc.closed, doc.metadata) == ("polygon3", True, {"note": "x"})
         assert np.array_equal(doc.vertices, [[0, 0, 0], [1, 0, 0], [1, 2, 0]])
-        assert doc.to_polygon().closed
 
     def test_write_is_deterministic(self, rng, tmp_path):
         doc = PolygonDocument("polygon2", True, rng.normal(size=(5, 2)))
@@ -138,13 +136,3 @@ class TestValidation:
         path.write_text('{"kind": "polygon3"}')
         with pytest.raises(DocumentError):
             read_document(path)
-
-    def test_to_polygon_rejects_planar_kind(self):
-        doc = PolygonDocument("polygon2", False, np.array([[0., 0.], [1., 0.]]))
-        with pytest.raises(DocumentError):
-            doc.to_polygon()
-
-    def test_to_polygon(self):
-        doc = PolygonDocument("polygon3", False,
-                              np.array([[0., 0., 0.], [1., 0., 0.]]))
-        assert isinstance(doc.to_polygon(), Polygon3)

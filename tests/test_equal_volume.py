@@ -77,7 +77,7 @@ def resample_numpy(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
     n = len(pts)
     if n < 4:
         raise GeometryError("need at least 4 vertices")
-    dh = f.unit_directions
+    dh = f.unit_directions.values
     scale = f.polygon.diameter()
     snap_tol = 1e-12 * scale
 

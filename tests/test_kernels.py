@@ -78,7 +78,7 @@ def exact_face_solve(v, a, b):
 def reference_scales(f: FramedPolygon, seed_scale=1.0):
     """Darboux scales per vertex and sigma per side, one side at a time."""
     e = f.polygon.sides().values
-    dh = f.unit_directions
+    dh = f.unit_directions.values
     n = len(dh)
     s = [seed_scale]
     sigma = []
@@ -134,7 +134,7 @@ def test_batched_kernels_match_references(kind, closed, seed, n):
     f = framed_fixture(kind, seed, n, closed)
     df = parallel_darboux(f)
     s_ref, sigma_ref = reference_scales(f)
-    s = np.einsum("ij,ij->i", df.xi.values, f.unit_directions)
+    s = np.einsum("ij,ij->i", df.xi.values, f.unit_directions.values)
     np.testing.assert_allclose(s, s_ref, rtol=REL_TOL, atol=0)
     np.testing.assert_allclose(df.sigma.values, sigma_ref, rtol=REL_TOL, atol=0)
     if kind != "equal_volume" or closed:
@@ -214,7 +214,7 @@ def test_closed_equals_open_padded_with_wrap_around(k, seed):
     t = 2 * np.pi * (np.arange(n) + rng.uniform(0.0, 0.8, n)) / n
     convex = np.column_stack([1.5 * np.cos(t), 0.7 * np.sin(t)])
     assert_same_slots(b_sequence(GridSeq(convex, Grid.VERTEX, Topology.CLOSED)),
-                      b_sequence(pad(convex, 1, 1)), 1)
+                      b_sequence(GridSeq(pad(convex, 1, 1), Grid.VERTEX)), 1)
 
     pts, xi = rng.normal(size=(2, n, 3))
     closed = FramedPolygon.silhouette(pts, closed=True)
@@ -356,7 +356,7 @@ def test_overflow_on_long_generic_polygon(tmp_path, capsys):
     rng = np.random.default_rng(1)
     random_cone_fixture(rng, 10_000)
     f = random_generic_framed(rng, 10_000)
-    e, dh = f.polygon.sides().values, f.unit_directions
+    e, dh = f.polygon.sides().values, f.unit_directions.values
     s, first = np.float64(1.0), None
     for k in range(len(e)):
         (p, q), *_ = np.linalg.lstsq(np.stack([dh[k], dh[k + 1]], axis=1), e[k], rcond=None)

@@ -11,11 +11,17 @@ fields, not options, and are not counted.
 Likewise every name in a module's ``__all__`` is used somewhere in the
 package outside its own definition (re-exports in ``__init__`` do not
 count), or ``PINNED`` names the paper identity or acceptance criterion
-whose test keeps it.
+whose test keeps it.  One level down, every member of a public class
+(dataclass field, enum member, public method or property) is read as an
+attribute somewhere in the package, or ``PINNED_MEMBERS`` names the test
+or the benchmark file that reads it.  Both censuses fail in both
+directions: on a new unread name and on a pin that is no longer needed.
 """
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 from pathlib import Path
@@ -28,7 +34,7 @@ from evpoly.cli import main
 
 KEPT = {
     # closed flags: the polygon's topology, read from every document
-    "core.Polygon3.from_points(closed)": "documents.PolygonDocument.to_polygon",
+    "core.Polygon3.from_points(closed)": "darboux.FramedPolygon.build, constructions.silhouette_lift",
     "darboux.FramedPolygon.build(closed)": "documents.PolygonDocument.to_framed",
     "darboux.FramedPolygon.silhouette(closed)": "cli._load_framed for a bare polygon3",
     "constructions.PlanarEqualAreaPolygon.from_vertices(closed)":
@@ -66,6 +72,25 @@ PINNED = {
     "equal_volume.space_volumes": "the space-polygon volume condition, on area_lift",
     "invariants.planar_reduction": "acceptance criterion 8, the planar reduction",
     "invariants.mu_prime_check": "the identity mu' = rho1' - sigma tau, tests/test_invariants.py",
+}
+
+# members of public classes that nothing in the package reads, each kept by its reader
+PINNED_MEMBERS = {
+    "core.GridSeq.at": "perfbench/spans.py COUNTED counts its calls; slot lookups in the tests",
+    "core.GridSeq.slots": "the open-window slot bookkeeping, tests/test_invariants.py",
+    "invariants.FocalSetData.O": "perfbench/spans.py _vertices sizes the focal spans by it",
+    "documents.PolygonDocument.from_polygon": "the polygon3 corpus, perfbench/workloads.py",
+    "meshes.Mesh.face_planarity":
+        "the developable's and the focal set's faces are planar, "
+        "tests/test_darboux.py and tests/test_invariants.py",
+    "constructions.PlanarEqualAreaPolygon.area_spread":
+        "the equal-area corpora stay within EQUAL_AREA_TOL, tests/test_constructions.py",
+    # the record that the pinned planar_reduction returns (acceptance criterion 8)
+    "invariants.PlanarReduction.equal_area": "the equal-area check of planar_reduction",
+    "invariants.PlanarReduction.area_spread": "the equal-area check of planar_reduction",
+    "invariants.PlanarReduction.rho": "acceptance criterion 8, the regular n-gon's curvature",
+    "invariants.PlanarReduction.evolute": "acceptance criterion 8, the evolute",
+    "invariants.PlanarReduction.frame": "the plane coordinates rho and the evolute are taken in",
 }
 
 # tolerances that were keyword options, kept as module constants
@@ -125,6 +150,38 @@ def used_names() -> set:
     return found
 
 
+def loaded_attributes() -> set:
+    """Attribute names read (``x.name`` in a load) in the package's modules."""
+    found = set()
+    for path in Path(evpoly.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            found |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return found
+
+
+def class_members():
+    """(qualified name, member name) of each member of every public class."""
+    for info in pkgutil.iter_modules(evpoly.__path__):
+        module = importlib.import_module(f"evpoly.{info.name}")
+        for name in module.__all__:
+            cls = getattr(module, name)
+            if not (inspect.isclass(cls) and cls.__module__ == module.__name__):
+                continue
+            # public methods, properties and enum members, plus the fields
+            # of a dataclass, which have no class attribute without a default
+            members = {attr for attr in vars(cls) if not attr.startswith("_")}
+            if dataclasses.is_dataclass(cls):
+                members |= {fld.name for fld in dataclasses.fields(cls)}
+            for attr in members:
+                yield f"{info.name}.{name}.{attr}", attr
+
+
+def unread_members() -> set:
+    read = loaded_attributes()
+    return {qual for qual, attr in class_members() if attr not in read}
+
+
 def unused_public_names() -> set:
     used = used_names()
     return {f"{info.name}.{name}" for info in pkgutil.iter_modules(evpoly.__path__)
@@ -136,6 +193,31 @@ def test_every_public_name_has_a_use():
     unused = unused_public_names()
     assert sorted(unused - PINNED.keys()) == [], "unused public names: call them or pin them"
     assert sorted(PINNED.keys() - unused) == [], "names used or gone: drop them from PINNED"
+
+
+def test_every_class_member_has_a_reader():
+    unread = unread_members()
+    assert sorted(unread - PINNED_MEMBERS.keys()) == [], "unread members: read them or pin them"
+    assert sorted(PINNED_MEMBERS.keys() - unread) == [], "members read or gone: unpin them"
+
+
+def test_benchmark_tracer_names_resolve():
+    """Every function the benchmark's tracer wraps or counts exists in evpoly."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for table in (spans.SPANNED, spans.COUNTED):
+        for mod, quals in table.items():
+            module = importlib.import_module(f"evpoly.{mod}")
+            for qual in quals:
+                # Tracer.install takes a method from its class's __dict__
+                cls_name, _, attr = qual.rpartition(".")
+                owner = getattr(module, cls_name, None) if cls_name else module
+                if owner is None or attr not in vars(owner):
+                    missing.append(f"{mod}.{qual}")
+    assert missing == []
 
 
 def test_every_defaulted_parameter_has_a_caller():

@@ -19,7 +19,6 @@ from evpoly.projective import (
     default_normalization,
     lift_representative,
     projective_lengths,
-    signed_cbrt,
     spiral_analytic_normalization,
     table1_experiment,
 )
@@ -68,17 +67,6 @@ def line_events(fn, *args) -> int:
     return count
 
 
-class TestSignedCbrt:
-    def test_values(self):
-        assert signed_cbrt(8.0) == pytest.approx(2.0)
-        assert signed_cbrt(-8.0) == pytest.approx(-2.0)
-        assert signed_cbrt(0.0) == 0.0
-
-    def test_odd(self, rng):
-        x = rng.normal(size=20)
-        np.testing.assert_allclose(signed_cbrt(-x), -signed_cbrt(x))
-
-
 class TestBSequence:
     def test_square(self):
         b = b_sequence(PlanarProjectivePolygon.from_vertices(SQUARE, closed=True).vertices)
@@ -87,7 +75,7 @@ class TestBSequence:
     def test_collinear_raises_with_index(self):
         pts = np.array([[0, 0], [1, 0], [2, 0], [3, 1]], float)
         with pytest.raises(InflectionError) as exc:
-            b_sequence(pts)
+            b_sequence(GridSeq(pts, Grid.VERTEX))
         assert exc.value.index == 1
 
     def test_spiral_all_positive(self):
