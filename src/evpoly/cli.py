@@ -120,8 +120,8 @@ def cmd_analyze(args) -> int:
             "rho2": _seq_payload(fr.rho2),
             "tau": _seq_payload(fr.tau),
             "mu": _seq_payload(fd.mu),
-            "compatibility_residual": fr.compatibility_residual(df.sigma).tolist(),
-            "tau_agreement_gap": fr.tau_gap.values.tolist(),
+            "compatibility_residual_max": float(fr.compatibility_residual(df.sigma).max()),
+            "tau_agreement_gap_max": float(fr.tau_gap.values.max()),
             "focal": fc.kind.value,
             "focal_sigma_spread": fc.sigma_spread,
             "focal_mu_spread": fc.mu_spread,
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.fn(args)
-    except (DocumentError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DocumentError, OSError) as exc:
         return _fail(str(exc), 1)
     except InflectionError as exc:
         return _fail(f"{exc} (the positivity hypothesis b(i) > 0 fails)", 2)

@@ -68,7 +68,7 @@ class PlanarEqualAreaPolygon:
 
     @classmethod
     def from_vertices(cls, points, closed: bool = False) -> "PlanarEqualAreaPolygon":
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise GeometryError("equal-area polygon vertices must be 2-vectors")
         require_finite(pts, "coordinate")

@@ -85,6 +85,10 @@ class GridSeq:
     sequences).  NaN rows mark points at infinity, such as the meeting
     point of parallel support lines; the values are not scanned, because
     the coordinates they derive from were checked where they entered.
+    ``values`` is a read-only view of the array given, which stays
+    writeable; the entry points that take coordinates from a caller
+    (``Polygon3.from_points``, ``FramedPolygon.build`` and the planar
+    ``from_vertices``) copy them first.
     """
 
     values: np.ndarray
@@ -94,7 +98,9 @@ class GridSeq:
 
     def __post_init__(self):
         a = np.asarray(self.values, dtype=float)
-        a.flags.writeable = False
+        if a.flags.writeable:  # freeze a view, never the caller's array itself
+            a = a.view()
+            a.flags.writeable = False
         object.__setattr__(self, "values", a)
         if self.topology is Topology.CLOSED and self.base != 0:
             raise GeometryError("closed sequences must have base 0")
@@ -257,7 +263,7 @@ class Polygon3:
     @classmethod
     def from_points(cls, points, closed: bool = False) -> "Polygon3":
         topo = Topology.CLOSED if closed else Topology.OPEN
-        return cls(GridSeq(points, Grid.VERTEX, topo))
+        return cls(GridSeq(np.array(points, dtype=float), Grid.VERTEX, topo))
 
     @property
     def points(self) -> np.ndarray:

@@ -80,7 +80,7 @@ class FramedPolygon:
     def build(cls, points, directions, closed: bool = False) -> "FramedPolygon":
         topo = Topology.CLOSED if closed else Topology.OPEN
         return cls(Polygon3.from_points(points, closed),
-                   GridSeq(directions, Grid.VERTEX, topo))
+                   GridSeq(np.array(directions, dtype=float), Grid.VERTEX, topo))
 
     @classmethod
     def silhouette(cls, points, apex=(0.0, 0.0, 0.0), closed: bool = False) -> "FramedPolygon":

@@ -40,16 +40,24 @@ def _coordinates(values, name: str) -> np.ndarray:
         raise _rows_error(name) from exc
 
 
-def _json_rows(values, name: str):
-    """``values`` if it is a JSON list of lists of numbers, else DocumentError.
+def _json_rows(values, name: str) -> np.ndarray:
+    """Float array of a JSON list of equal-length lists of numbers, else DocumentError.
 
     numpy would convert numeric strings and booleans, so the entry types
-    are checked here, before ``_coordinates`` sees them.
+    are checked before ``np.fromiter`` builds the array.
     """
     if not (isinstance(values, list) and set(map(type, values)) <= {list}
             and set(map(type, chain.from_iterable(values))) <= {int, float}):
         raise _rows_error(name)
-    return values
+    widths = set(map(len, values))
+    if len(widths) > 1:
+        raise _rows_error(name)
+    width = widths.pop() if widths else 0
+    try:
+        flat = np.fromiter(chain.from_iterable(values), float, len(values) * width)
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise DocumentError(f"{name}: a coordinate is too large for a float") from exc
+    return flat.reshape(len(values), width)
 
 
 @dataclass
@@ -134,8 +142,11 @@ def _read_csv(text: str) -> PolygonDocument:
 
 
 def read_document(path) -> PolygonDocument:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     stripped = text.lstrip()
     if not stripped:
         raise DocumentError("empty document")

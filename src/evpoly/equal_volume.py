@@ -262,5 +262,5 @@ def resample_equal_volume(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
         new_dir.append(d_new)
         new_s.append(-q_coef * new_s[-1] / p_coef)
 
-    framed = FramedPolygon.build(np.array(new_p), np.array(new_dir), closed=False)
+    framed = FramedPolygon.build(new_p, new_dir, closed=False)
     return ResampleResult(framed, truncated)

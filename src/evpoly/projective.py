@@ -64,7 +64,7 @@ class PlanarProjectivePolygon:
 
     @classmethod
     def from_vertices(cls, points, closed: bool = False) -> "PlanarProjectivePolygon":
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise GeometryError("planar polygon vertices must be 2-vectors")
         require_finite(pts, "coordinate")
@@ -172,7 +172,7 @@ def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) 
         k = int(np.argmax(big))
         raise GeometryError(f"vertex {k}: lifted coordinate {size[k]:.3e} exceeds "
                             f"{LIFT_COORD_MAX:.3e}, beyond what det3 can evaluate")
-    return Polygon3.from_points(lifted, closed=False)
+    return Polygon3(GridSeq(lifted, Grid.VERTEX))  # no copy: nothing else holds ``lifted``
 
 
 @dataclass(frozen=True)
@@ -229,9 +229,10 @@ def table1_experiment(sizes) -> list:
         if N < 6:
             raise GeometryError(f"N = {N}: need at least 6 samples")
         h = 2.0 * np.pi / N
-        pts = sample_curve(ExampleSpiral(), 0.0, 2.0 * np.pi, N,
-                           GridScheme.HALF_OPEN_STEP)
-        poly = PlanarProjectivePolygon.from_vertices(pts, closed=False)
+        # no name for the samples: from_vertices copies them, and they are
+        # freed before the lift allocates
+        poly = PlanarProjectivePolygon.from_vertices(
+            sample_curve(ExampleSpiral(), 0.0, 2.0 * np.pi, N, GridScheme.HALF_OPEN_STEP))
         phi = lift_representative(poly, spiral_analytic_normalization(0.0, h))
         rep = projective_lengths(phi)
         rows.append((N, h, rep.pl1, rep.pl2))

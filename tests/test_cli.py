@@ -16,8 +16,10 @@ from evpoly.constructions import (
     sample_curve,
     silhouette_lift,
 )
-from evpoly.darboux import FramedPolygon
+from evpoly import documents
+from evpoly.darboux import FramedPolygon, parallel_darboux
 from evpoly.documents import PolygonDocument, read_document, write_document
+from evpoly.invariants import frenet
 
 
 def write_framed(f, path):
@@ -102,13 +104,35 @@ class TestAnalyze:
         '"directions": [[0, 0, 1], [0, 0, 1], [NaN, 0, 1]]',
         '"kind": "polygon3", "closed": "false", "vertices": [[0, 0, 1], [1, 0, 1], [1, 1, 1]]',
         '"kind": "polygon3", "vertices": [[1, 0, 1], [0, 1]]',
-    ], ids=["nan-direction", "closed-string", "ragged-vertices"])
+        '"kind": "polygon3", "vertices": [[1%s, 0, 1], [1, 0, 1], [1, 1, 1]]' % ("0" * 400),
+    ], ids=["nan-direction", "closed-string", "ragged-vertices", "huge-integer"])
     def test_malformed_document_exits_1(self, tmp_path, capsys, fields):
         path = tmp_path / "bad.json"
         path.write_text("{%s}" % fields)
         assert main(["analyze", str(path), "--origin", "0,0,0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("evpoly: ") and err.count("\n") == 1
+
+    def test_non_utf8_document_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"kind": "polygon3", "metadata": {"note": "\u00e9"}}'.encode("latin-1"))
+        assert main(["analyze", str(path), "--origin", "0,0,0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evpoly: ") and "not UTF-8" in err and err.count("\n") == 1
+
+    def test_other_os_errors_exit_1(self, spiral_doc, monkeypatch, capsys):
+        # a path through a regular file raises NotADirectoryError
+        assert main(["analyze", spiral_doc + "/x.json"]) == 1
+        assert main(["analyze", spiral_doc, "--json", spiral_doc + "/r.json"]) == 1
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", args[0])
+
+        monkeypatch.setattr(documents, "open", refuse, raising=False)
+        assert main(["analyze", spiral_doc]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3 and all(x.startswith("evpoly: ") for x in lines)
+        assert "Permission denied" in lines[2]
 
     def test_skip_notice_suggests_resample_for_framed_input(self, rng, tmp_path, capsys):
         path = write_framed(random_generic_framed(rng, 15), tmp_path / "generic.json")
@@ -125,6 +149,24 @@ class TestAnalyze:
         assert "above EQUAL_VOLUME_TOL = 1e-08; Frenet data skipped" in err
         assert "the polygon is not equal-volume about --origin 0.1,0,0" in err
         assert "resample" not in err
+
+    def test_report_keys_and_health_scalars(self, spiral_doc, capsys):
+        # an open cone silhouette: no holonomy, and an apex
+        assert main(["analyze", spiral_doc]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == {
+            "n_vertices", "closed", "volume_c", "volume_spread", "sigma",
+            "rho1", "rho2", "tau", "mu",
+            "compatibility_residual_max", "tau_agreement_gap_max",
+            "focal", "focal_sigma_spread", "focal_mu_spread", "classification", "apex"}
+        arrays = {k for k, v in report.items() if isinstance(v, (list, dict))}
+        assert arrays == {"sigma", "rho1", "rho2", "tau", "mu", "apex"}
+        assert len(report["apex"]) == 3
+        framed = read_document(spiral_doc).to_framed()
+        df = parallel_darboux(framed)
+        fr = frenet(framed, df)
+        assert report["compatibility_residual_max"] == fr.compatibility_residual(df.sigma).max()
+        assert report["tau_agreement_gap_max"] == fr.tau_gap.values.max()
 
     def test_json_output_file(self, spiral_doc, tmp_path):
         out = tmp_path / "report.json"

@@ -162,9 +162,13 @@ class TestGridSeq:
             s.stencil(-1, 0, 1, 2)
 
     def test_values_are_frozen(self):
-        s = GridSeq(np.arange(3.0), Grid.VERTEX)
+        a = np.arange(3.0)
+        s = GridSeq(a, Grid.VERTEX)
         with pytest.raises(ValueError):
             s.values[0] = 5.0
+        # a read-only view: the caller's array is neither frozen nor copied
+        a[0] = 5.0
+        assert np.shares_memory(s.values, a)
 
 
 class TestDifferencing:
@@ -234,6 +238,31 @@ def test_entry_points_refuse_non_finite_coordinates(entry, bad):
     pts[3, 1] = bad
     with pytest.raises(GeometryError, match=f"^vertex 3: non-finite {what}$"):
         build(pts)
+
+
+# each entry point that keeps a caller's coordinates, and the array it keeps
+KEPT_ARRAYS = {
+    "Polygon3": (Polygon3.from_points, lambda p: p.points),
+    "FramedPolygon-points": (lambda p: FramedPolygon.build(p, ARC), lambda f: f.polygon.points),
+    "FramedPolygon-directions": (lambda d: FramedPolygon.build(ARC, d),
+                                 lambda f: f.directions.values),
+    "PlanarProjectivePolygon": (lambda p: PlanarProjectivePolygon.from_vertices(p[:, :2]),
+                                lambda p: p.vertices.values),
+    "PlanarEqualAreaPolygon": (lambda p: PlanarEqualAreaPolygon.from_vertices(p[:, :2]),
+                               lambda p: p.Gamma.values),
+}
+
+
+@pytest.mark.parametrize("entry", KEPT_ARRAYS)
+def test_entry_points_leave_the_callers_array_writeable(entry):
+    build, kept = KEPT_ARRAYS[entry]
+    pts = ARC.copy()
+    obj = build(pts)
+    before = kept(obj).copy()
+    pts[0, 0] = 5.0
+    assert np.array_equal(kept(obj), before)
+    with pytest.raises(ValueError):
+        kept(obj)[0, 0] = 5.0
 
 
 FRAMED_ARC = FramedPolygon.silhouette(ARC)

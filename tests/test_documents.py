@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -121,10 +123,16 @@ class TestValidation:
          '"directions": [[0, 0, 1], [false, 0, 1]]', "directions must be a list"),
         ('"kind": "polygon3", "vertices": [[0, 0, 0], [1, 0, 0]], "metadata": [1]',
          "metadata must be a JSON object"),
+        ('"kind": "polygon3", "vertices": [[1%s, 0, 0], [1, 0, 0]]' % ("0" * 400),
+         "vertices: a coordinate is too large for a float"),
+        ('"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0]], '
+         '"directions": [[0, 0, 1], [0, -1%s, 1]]' % ("0" * 400),
+         "directions: a coordinate is too large for a float"),
     ], ids=["nan-direction", "infinite-direction", "closed-string", "closed-number",
             "ragged-vertices", "string-vertices", "object-vertices", "string-entries",
             "boolean-entry", "null-entry", "string-rows", "ragged-directions",
-            "string-directions", "boolean-direction", "metadata-list"])
+            "string-directions", "boolean-direction", "metadata-list",
+            "huge-integer-vertex", "huge-integer-direction"])
     def test_malformed_field(self, tmp_path, fields, message):
         path = tmp_path / "x.json"
         path.write_text("{%s}" % fields)
@@ -136,3 +144,40 @@ class TestValidation:
         path.write_text('{"kind": "polygon3"}')
         with pytest.raises(DocumentError):
             read_document(path)
+
+    @pytest.mark.parametrize("vertices, message", [
+        ("[]", "vertices must be a nonempty list of coordinates"),
+        ("[[]]", "polygon3 needs 3-vectors, got arity 0"),
+    ], ids=["no-rows", "empty-row"])
+    def test_empty_vertices(self, tmp_path, vertices, message):
+        path = tmp_path / "x.json"
+        path.write_text('{"kind": "polygon3", "vertices": %s}' % vertices)
+        with pytest.raises(DocumentError, match=message):
+            read_document(path)
+
+
+def _assert_read_as_numpy_would(path, keys):
+    doc, payload = read_document(path), json.loads(path.read_text())
+    for key in keys:
+        expected = np.asarray(payload[key], dtype=float)
+        got = getattr(doc, key)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+
+class TestReaderArrays:
+    def test_mixed_int_float_rows_bit_identical(self, tmp_path):
+        rows = [[-0.0, 5e-324, 1.7976931348623157e308],
+                [2**53 + 1, 10**20, -(2**53 + 1)],
+                [0, -7, 0.1]]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"kind": "polygon3", "vertices": rows}))
+        _assert_read_as_numpy_would(path, ["vertices"])
+        assert np.signbit(read_document(path).vertices[0, 0])
+
+    def test_large_framed3_bit_identical(self, rng, tmp_path):
+        n = 10_000
+        path = tmp_path / "big.json"
+        write_document(PolygonDocument("framed3", False, rng.normal(size=(n, 3)) * 1e3,
+                                       directions=rng.normal(size=(n, 3))), path)
+        _assert_read_as_numpy_would(path, ["vertices", "directions"])
