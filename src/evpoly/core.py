@@ -35,6 +35,7 @@ __all__ = [
     "face_solve",
     "forward_diff",
     "median",
+    "norm3",
     "require_finite",
 ]
 
@@ -182,6 +183,19 @@ def cross3(u, v) -> np.ndarray:
     return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
 
 
+def norm3(x) -> np.ndarray:
+    """Euclidean length of each 3-vector, sqrt(x0*x0 + x1*x1 + x2*x2).
+
+    Accepts stacked arrays of shape (..., 3).  ``np.linalg.norm(x,
+    axis=-1)`` squares the same way and adds each row's three squares
+    left to right, so the two agree bit for bit (overflow, inf and NaN
+    included), without its fixed cost and its slow reduction over a
+    short axis.
+    """
+    s = x * x
+    return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2])
+
+
 def median(x) -> float:
     """Median of a 1-D array by one sort, as a float.
 
@@ -256,7 +270,7 @@ class Polygon3:
             raise GeometryError("polygon vertices must be 3-vectors")
         require_finite(a, "coordinate")
         d = self._sides
-        bad = np.linalg.norm(d.values, axis=1) == 0.0
+        bad = norm3(d.values) == 0.0
         if bad.any():
             raise DegenerateVertexError(d.base + int(np.argmax(bad)))
 

@@ -25,6 +25,7 @@ from .core import (
     det3,
     face_solve,
     median,
+    norm3,
     require_finite,
 )
 from .meshes import Mesh
@@ -71,9 +72,10 @@ class FramedPolygon:
             raise GeometryError("directions must sit on the polygon's vertex grid")
         if d.topology is not self.polygon.topology:
             raise GeometryError("directions and polygon topology disagree")
+        if d.values.shape != self.polygon.points.shape:
+            raise GeometryError("directions must be 3-vectors")
         require_finite(d.values, "direction")
-        norms = np.linalg.norm(d.values, axis=1)
-        if np.any(norms == 0.0):
+        if np.any(norm3(d.values) == 0.0):
             raise GeometryError("zero direction vector")
 
     @classmethod
@@ -86,12 +88,15 @@ class FramedPolygon:
     def silhouette(cls, points, apex=(0.0, 0.0, 0.0), closed: bool = False) -> "FramedPolygon":
         """Frame a polygon by the lines through a fixed point (cone edges)."""
         pts = np.asarray(points, dtype=float)
-        return cls.build(pts, pts - np.asarray(apex, dtype=float), closed)
+        # the difference is a fresh array, so unlike the points it is not copied
+        directions = pts - np.asarray(apex, dtype=float)
+        polygon = Polygon3.from_points(pts, closed)
+        return cls(polygon, GridSeq(directions, Grid.VERTEX, polygon.topology))
 
     @cached_property
     def unit_directions(self) -> GridSeq:
         d = self.directions.values
-        return self.directions.with_values(d / np.linalg.norm(d, axis=1, keepdims=True))
+        return self.directions.with_values(d / norm3(d)[:, None])
 
     @property
     def closed(self) -> bool:
@@ -158,7 +163,7 @@ def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Fram
     ``tol_face`` and the vertices whose margin does not.
     """
     e = f.polygon.sides().values
-    eh = e / np.linalg.norm(e, axis=1, keepdims=True)
+    eh = e / norm3(e)[:, None]
     n, nsides = len(f.polygon), len(e)
     _, (dl, dr) = f.unit_directions.stencil(0, 1)
     cop = np.abs(det3(eh, dl, dr))
@@ -169,8 +174,8 @@ def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Fram
         return out
 
     # side k meets direction k at its near end and direction k+1 at its far end
-    margins = np.minimum(on_vertices(np.linalg.norm(cross3(dl, eh), axis=1)),
-                         np.roll(on_vertices(np.linalg.norm(cross3(dr, eh), axis=1)), 1))
+    margins = np.minimum(on_vertices(norm3(cross3(dl, eh))),
+                         np.roll(on_vertices(norm3(cross3(dr, eh))), 1))
     return FrameReport(np.flatnonzero(cop > tol_face).tolist(),
                        np.flatnonzero(margins <= tol_face).tolist())
 
@@ -204,7 +209,7 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
     p, q = face_solve(e, d0, d1)
     # parallel end directions: prism-like face, xi is constant along it
     # and sigma vanishes
-    parallel = np.linalg.norm(cross3(d0, d1), axis=1) <= 1e-12
+    parallel = norm3(cross3(d0, d1)) <= 1e-12
     singular = ~parallel & (np.abs(p) <= 1e-14 * (np.abs(q) + 1.0))
     if singular.any():
         raise DegenerateFrameError(int(np.argmax(singular)),
@@ -248,8 +253,8 @@ def _osculating_points(f: FramedPolygon, df: DarbouxField):
         at_infinity = ~np.isfinite(1.0 / sigma)
         o1 = p0 + x0 / sigma[:, None]
         o2 = p1 + x1 / sigma[:, None]
-        gap = np.linalg.norm(o1 - o2, axis=1)
-        ref = np.maximum(np.maximum(np.linalg.norm(o1 - p0, axis=1), np.linalg.norm(o2 - p1, axis=1)),
+        gap = norm3(o1 - o2)
+        ref = np.maximum(np.maximum(norm3(o1 - p0), norm3(o2 - p1)),
                          f.polygon.diameter())
     bad = ~at_infinity & (gap > OSCULATING_AGREEMENT_TOL * ref)
     if bad.any():
@@ -276,7 +281,7 @@ def osculating_developable(f: FramedPolygon, df: DarbouxField,
     xi = df.xi.values
     nsides = f.n_sides()
     _, (p0, p1) = f.polygon.vertices.stencil(0, 1)
-    unit = df.xi.with_values(extent * (xi / np.linalg.norm(xi, axis=1, keepdims=True)))
+    unit = df.xi.with_values(extent * (xi / norm3(xi)[:, None]))
     _, (x0, x1) = unit.stencil(0, 1)
     quads = np.stack([p0 - x0, p0 + x0, p1 + x1, p1 - x1], axis=1)
     return Mesh(quads.reshape(-1, 3), np.arange(4 * nsides).reshape(nsides, 4).tolist())
@@ -310,8 +315,8 @@ def classify_osculating(df: DarbouxField, f: FramedPolygon) -> OsculatingClass:
         apex = pts.values.mean(axis=0)
         return OsculatingClass(SurfaceKind.CONE, apex)
 
-    xi_scale = median(np.linalg.norm(df.xi.values, axis=1))
-    edge_scale = median(np.linalg.norm(f.polygon.sides().values, axis=1))
+    xi_scale = median(norm3(df.xi.values))
+    edge_scale = median(norm3(f.polygon.sides().values))
     if np.max(np.abs(sigma)) <= CLASSIFY_TOL * (xi_scale / edge_scale):
         return OsculatingClass(SurfaceKind.CYLINDER)
     return OsculatingClass(SurfaceKind.GENERAL)

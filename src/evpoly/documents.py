@@ -33,11 +33,17 @@ def _rows_error(name: str) -> DocumentError:
     return DocumentError(f"{name} must be a list of numeric coordinate rows of equal length")
 
 
+def _too_large(name: str) -> DocumentError:
+    return DocumentError(f"{name}: a coordinate is too large for a float")
+
+
 def _coordinates(values, name: str) -> np.ndarray:
     try:
         return np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise _rows_error(name) from exc
+    except OverflowError as exc:  # a Python integer beyond the float range
+        raise _too_large(name) from exc
 
 
 def _json_rows(values, name: str) -> np.ndarray:
@@ -56,7 +62,7 @@ def _json_rows(values, name: str) -> np.ndarray:
     try:
         flat = np.fromiter(chain.from_iterable(values), float, len(values) * width)
     except OverflowError as exc:  # a JSON integer beyond the float range
-        raise DocumentError(f"{name}: a coordinate is too large for a float") from exc
+        raise _too_large(name) from exc
     return flat.reshape(len(values), width)
 
 
@@ -119,25 +125,47 @@ def write_document(doc: PolygonDocument, path) -> None:
         fh.write(json.dumps(payload) + "\n")
 
 
+def _csv_error(text: str) -> DocumentError:
+    """Why numpy refused the rows: the first row it cannot parse, else their arity.
+
+    Line numbers count every line, comments and blank lines included.
+    """
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), 1):
+        row = line.replace(",", " ")
+        if row.strip() and line[0] != "#":
+            try:
+                np.loadtxt([row], comments=None)
+            except ValueError:
+                return DocumentError(f"line {lineno}: not a coordinate row")
+    return DocumentError("inconsistent coordinate arity")
+
+
 def _read_csv(text: str) -> PolygonDocument:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            rows.append([float(x) for x in line.replace(",", " ").split()])
-        except ValueError as exc:
-            raise DocumentError(f"line {lineno}: not a coordinate row") from exc
+    """One vertex per line, its coordinates separated by commas or whitespace.
+
+    Blank lines and lines whose first non-blank character is ``#`` are
+    skipped.
+    """
+    rows = [line.replace(",", " ") for line in map(str.strip, text.splitlines())
+            if line and line[0] != "#"]
     if not rows:
         raise DocumentError("empty vertex list")
-    arity = len(rows[0])
-    if any(len(r) != arity for r in rows):
+    # a row of only commas has no coordinates; numpy would skip it as blank
+    if not any(map(str.strip, rows)):
+        raise DocumentError("unsupported coordinate arity 0")
+    try:
+        # numpy's C reader converts numerals as float() does (correctly
+        # rounded), but refuses "_" digit separators and non-ASCII digits
+        vertices = np.loadtxt(rows, comments=None, ndmin=2)
+    except ValueError:
+        raise _csv_error(text) from None
+    if len(vertices) != len(rows):
         raise DocumentError("inconsistent coordinate arity")
+    arity = vertices.shape[1]
     if arity == 2:
-        return PolygonDocument("polygon2", False, np.asarray(rows))
+        return PolygonDocument("polygon2", False, vertices)
     if arity == 3:
-        return PolygonDocument("polygon3", False, np.asarray(rows))
+        return PolygonDocument("polygon3", False, vertices)
     raise DocumentError(f"unsupported coordinate arity {arity}")
 
 

@@ -39,6 +39,7 @@ from .core import (
     face_solve,
     forward_diff,
     median,
+    norm3,
 )
 from .darboux import DarbouxField, FramedPolygon, osculating_points
 from .equal_volume import (
@@ -281,8 +282,8 @@ def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
         q_inf = ~np.isfinite(1.0 / mu.values)
         q1 = p0 + e_near / mu_col
         q2 = p1 + e_far / mu_col
-        gapq = np.linalg.norm(q1 - q2, axis=1)
-        ref = np.maximum(np.linalg.norm(q1 - p0, axis=1), f.polygon.diameter())
+        gapq = norm3(q1 - q2)
+        ref = np.maximum(norm3(q1 - p0), f.polygon.diameter())
     bad = ~q_inf & (gapq > FOCAL_AGREEMENT_TOL * ref)
     if bad.any():
         j = int(np.argmax(bad))
@@ -294,9 +295,9 @@ def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
     origin = np.where(o_inf[:, None], q_pts, O)
     d = np.where(o_inf[:, None], df.xi.window(k0, m), q_pts - O)
     with np.errstate(invalid="ignore"):
-        use_eta = ~o_inf & (q_inf | (np.linalg.norm(d, axis=1) == 0.0))
+        use_eta = ~o_inf & (q_inf | (norm3(d) == 0.0))
         d = np.where(use_eta[:, None], e_near, d)
-        d = d / np.linalg.norm(d, axis=1, keepdims=True)
+        d = d / norm3(d)[:, None]
     lines = list(zip(origin, d))
     for j in np.flatnonzero(o_inf & q_inf):
         lines[j] = None

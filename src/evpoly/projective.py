@@ -136,10 +136,11 @@ def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) 
     which makes every consecutive triple volume about the origin exactly
     c.  Dividing two consecutive steps telescopes the recursion to
     a(i+2) = a(i-1) b(i) / b(i+1), so each residue class of vertices
-    mod 3 is one cumulative product of b ratios started at its seed
-    a(0), a(1) or a(2).  Only open polygons are lifted (the recursion
-    has a closure obstruction on loops).  A lift with a coordinate
-    beyond ``LIFT_COORD_MAX`` is refused at its first such vertex.
+    mod 3 is a product of b ratios started at its seed a(0), a(1) or
+    a(2): one column of a single cumulative product.  Only open polygons
+    are lifted (the recursion has a closure obstruction on loops).  A
+    lift with a coordinate beyond ``LIFT_COORD_MAX`` is refused at its
+    first such vertex.
     """
     if poly.closed:
         raise GeometryError("representative lift is defined for open polygons")
@@ -148,25 +149,29 @@ def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) 
     pts = poly.vertices.values
     n = len(pts)
     b = poly.b.window(1, n - 2)
-    a = np.empty(n)
+    # column s of ``chain`` is residue class s: row 0 holds its lead and
+    # row k >= 1 the step b(s+3k-2) / b(s+3k-1) from a(s+3k-3) to a(s+3k),
+    # so below row 0 the ratios lie in vertex order, padded with 1.0
+    chain = np.ones((-(-n // 3), 3))
     with np.errstate(all="ignore"):
-        a[0], a[1] = norm.a1, norm.a2
-        a[2] = norm.c / (norm.a1 * norm.a2 * b[0])
-        ratio = b[:-1] / b[1:]
-        for s in range(3):
-            # Lead the product with the power of two at or below a(s), then
-            # scale by a(s) / lead.  Every partial product stays within a
-            # factor 2 of its scale, so it leaves the float range only where
-            # the scale does.  Scaling by a power of two is exact, so the
-            # chain is a(s) times a ratio product that no seed affects: the
-            # lift is homogeneous in its seeds to a few roundings at any N.
-            lead = np.ldexp(0.5, np.frexp(a[s])[1])
-            a[s::3] = a[s] / lead * np.cumprod(np.concatenate(([lead], ratio[s::3])))
-        lifted = a[:, None] * np.column_stack([pts, np.ones(n)])
+        seeds = np.array([norm.a1, norm.a2, norm.c / (norm.a1 * norm.a2 * b[0])])
+        # Lead each product with the power of two at or below its seed a(s),
+        # then scale by a(s) / lead.  Every partial product stays within a
+        # factor 2 of its scale, so it leaves the float range only where
+        # the scale does.  Scaling by a power of two is exact, so the chain
+        # is a(s) times a ratio product that no seed affects: the lift is
+        # homogeneous in its seeds to a few roundings at any N.
+        lead = np.ldexp(0.5, np.frexp(seeds)[1])
+        chain[0] = lead
+        np.divide(b[:-1], b[1:], out=chain[1:].reshape(-1)[:n - 3])
+        a = (seeds / lead * np.cumprod(chain, axis=0)).reshape(-1)[:n]
+        lifted = np.empty((n, 3))
+        np.multiply(a[:, None], pts, out=lifted[:, :2])
+        lifted[:, 2] = a
     ok = np.isfinite(a) & (a > 0.0)
     if not ok.all():
         raise GeometryError(f"vertex {int(np.argmin(ok))}: lift recursion overflowed")
-    size = np.abs(lifted).max(axis=1)
+    size = np.maximum(np.maximum(np.abs(lifted[:, 0]), np.abs(lifted[:, 1])), a)
     big = size > LIFT_COORD_MAX
     if big.any():
         k = int(np.argmax(big))

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,9 @@ from evpoly.core import (
     det3,
     forward_diff,
     median,
+    norm3,
 )
+from evpoly import core, darboux, invariants, projective
 from evpoly.constructions import PlanarEqualAreaPolygon, regular_equal_area, support_function
 from evpoly.darboux import FramedPolygon, osculating_developable, parallel_darboux
 from evpoly.equal_volume import centroaffine_volumes
@@ -72,6 +77,40 @@ def test_cross3_is_np_cross_bit_for_bit(data):
     got, want = cross3(u, v), np.cross(u, v)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# finite values, with the edge cases of a sum of squares mixed in
+edge = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                        1e154, -1.5e154, 1.7976931348623157e308, -1e-200])
+
+
+@given(arrays(np.float64, st.tuples(st.integers(0, 40), st.just(3)),
+              elements=st.one_of(st.floats(-10.0, 10.0), edge,
+                                 st.floats(allow_nan=False, allow_infinity=False))))
+@settings(max_examples=200)
+def test_norm3_is_np_linalg_norm_bit_for_bit(x):
+    with np.errstate(over="ignore"):  # squares beyond the float range
+        got, want = norm3(x), np.linalg.norm(x, axis=1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_norm3_on_strided_rows(rng):
+    x = rng.normal(size=(50, 6))
+    for rows in (x[:, ::2], x[:, 3:], x[::-1, 1:4]):
+        assert norm3(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+
+def test_no_row_norm_through_np_linalg_norm():
+    """``norm3`` is the row norm of 3-vectors; ``np.linalg.norm(..., axis=)`` does not come back."""
+    found = []
+    for module in (core, darboux, invariants, projective):
+        path = Path(module.__file__)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.norm"
+                    and any(k.arg == "axis" for k in node.keywords)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == [], "row norms of 3-vectors go through core.norm3"
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 45, 46])
@@ -246,6 +285,8 @@ KEPT_ARRAYS = {
     "FramedPolygon-points": (lambda p: FramedPolygon.build(p, ARC), lambda f: f.polygon.points),
     "FramedPolygon-directions": (lambda d: FramedPolygon.build(ARC, d),
                                  lambda f: f.directions.values),
+    "silhouette-points": (FramedPolygon.silhouette, lambda f: f.polygon.points),
+    "silhouette-directions": (FramedPolygon.silhouette, lambda f: f.directions.values),
     "PlanarProjectivePolygon": (lambda p: PlanarProjectivePolygon.from_vertices(p[:, :2]),
                                 lambda p: p.vertices.values),
     "PlanarEqualAreaPolygon": (lambda p: PlanarEqualAreaPolygon.from_vertices(p[:, :2]),
@@ -263,6 +304,19 @@ def test_entry_points_leave_the_callers_array_writeable(entry):
     assert np.array_equal(kept(obj), before)
     with pytest.raises(ValueError):
         kept(obj)[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("apex", [(0.0, 0.0, 0.0), (0.3, -0.2, 1.5)])
+def test_silhouette_builds_its_directions_without_a_second_copy(apex):
+    pts = ARC.copy()
+    f = FramedPolygon.silhouette(pts, apex)
+    for kept in (f.polygon.points, f.directions.values):
+        assert not np.shares_memory(kept, pts)
+    assert not np.shares_memory(f.polygon.points, f.directions.values)
+    ref = FramedPolygon.build(pts, pts - np.asarray(apex))
+    assert f.polygon.points.tobytes() == ref.polygon.points.tobytes()
+    assert f.directions.values.tobytes() == ref.directions.values.tobytes()
+    assert f.directions.topology is f.polygon.topology
 
 
 FRAMED_ARC = FramedPolygon.silhouette(ARC)

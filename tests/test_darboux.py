@@ -21,6 +21,16 @@ def helix_points(n=20):
     return np.stack([np.cos(t), np.sin(t), 0.3 * t], axis=1)
 
 
+@pytest.mark.parametrize("directions, message", [
+    (lambda p: p[:, :2], "directions must be 3-vectors"),
+    (lambda p: np.zeros_like(p), "zero direction vector"),
+], ids=["planar", "zero"])
+def test_framed_polygon_refuses_directions(directions, message):
+    pts = helix_points(6)
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        FramedPolygon.build(pts, directions(pts))
+
+
 class TestValidateFrame:
     def test_generic_frame_is_valid(self, rng):
         f = random_generic_framed(rng)

@@ -53,6 +53,55 @@ class TestRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+def read_csv_per_line(text):
+    """Reference: the CSV grammar read one line at a time with ``float()``."""
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append([float(x) for x in line.replace(",", " ").split()])
+        except ValueError:
+            raise DocumentError(f"line {lineno}: not a coordinate row") from None
+    if not rows:
+        raise DocumentError("empty vertex list")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise DocumentError("inconsistent coordinate arity")
+    if len(rows[0]) not in (2, 3):
+        raise DocumentError(f"unsupported coordinate arity {len(rows[0])}")
+    return np.asarray(rows)
+
+
+CSV_TEXTS = {
+    "commas": "0,0\n1,0\n1,1\n",
+    "spaces": "0 0 0\n1.5 2 3\n2 2 2\n",
+    "mixed-separators": "1, 2,3\n4\t5 ,6\n7,,8 ,9\n  10 11\t12  \n",
+    "comments-and-blanks": "# x y\n\n1 2\n   # indented\n\n3 4\n#\n",
+    "crlf": "1,2\r\n3,4\r\n# c\r\n5,6\r\n",
+    "single-row": "1.5 -2.5",
+    "unicode-spaces": "1\xa02\n3\u20034\n",
+    "extremes": "-0.0, 5e-324, 1.7976931348623157e308\n"
+                "-5e-324, 2.2250738585072014e-308, -1.7976931348623157e308\n"
+                "1e-400, -1e-400, 1E+5\n",
+    "seventeen-digits": "0.10000000000000001 0.30000000000000004 3.1415926535897931\n"
+                        "1.0000000000000002 9007199254740993 2.7182818284590451e-300\n"
+                        ".5 5. +1\n",
+}
+
+CSV_ERRORS = {
+    "bad-token-after-comments": ("# a\n\n1 2\n# b\n3 x\n", "line 5: not a coordinate row"),
+    "comma-then-hash": ("1 2\n,# c\n", "line 2: not a coordinate row"),
+    "bad-token-after-arity-change": ("1 2\n1 2 3\nbar\n", "line 3: not a coordinate row"),
+    "line-of-commas": ("1,2\n,,,\n3,4\n", "inconsistent coordinate arity"),
+    "only-commas": (",,\n , ,\n", "unsupported coordinate arity 0"),
+    "arity-change": ("1 2\n3 4 5\n", "inconsistent coordinate arity"),
+    "only-comments": ("# a\n\n  #b\n", "empty vertex list"),
+    "arity-1": ("1\n2\n3\n", "unsupported coordinate arity 1"),
+    "arity-4": ("1 2 3 4\n5 6 7 8\n", "unsupported coordinate arity 4"),
+}
+
+
 class TestCsv:
     def test_three_column_csv(self, tmp_path):
         path = tmp_path / "v.csv"
@@ -73,6 +122,39 @@ class TestCsv:
         with pytest.raises(DocumentError):
             read_document(path)
 
+    @pytest.mark.parametrize("text", CSV_TEXTS.values(), ids=CSV_TEXTS.keys())
+    def test_bit_identical_to_the_per_line_reader(self, tmp_path, text):
+        path = tmp_path / "v.csv"
+        path.write_bytes(text.encode())  # CRLF kept as written
+        got, want = read_document(path).vertices, read_csv_per_line(text)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text, message", CSV_ERRORS.values(), ids=CSV_ERRORS.keys())
+    def test_malformed_rows_keep_the_per_line_message(self, tmp_path, text, message):
+        with pytest.raises(DocumentError, match=f"^{message}$"):
+            read_csv_per_line(text)
+        path = tmp_path / "v.csv"
+        path.write_text(text)
+        with pytest.raises(DocumentError, match=f"^{message}$"):
+            read_document(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("  \n\n")
+        with pytest.raises(DocumentError, match="^empty document$"):
+            read_document(path)
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661", "\uff11"],
+                             ids=["underscore", "arabic-indic-digit", "fullwidth-digit"])
+    def test_numerals_numpy_refuses(self, tmp_path, token):
+        # float() reads these; numpy's reader does not, and neither does the CSV grammar
+        float(token)
+        path = tmp_path / "v.csv"
+        path.write_text(f"1 2\n{token} 3\n", encoding="utf-8")
+        with pytest.raises(DocumentError, match="^line 2: not a coordinate row$"):
+            read_document(path)
+
 
 class TestValidation:
     def test_unknown_kind(self):
@@ -86,6 +168,14 @@ class TestValidation:
     def test_framed_needs_directions(self):
         with pytest.raises(DocumentError):
             PolygonDocument("framed3", False, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("kind, vertices, directions, field", [
+        ("polygon3", [[10**400, 0, 0], [1, 0, 0]], None, "vertices"),
+        ("framed3", [[0, 0, 0], [1, 0, 0]], [[0, 0, 1], [0, -10**400, 1]], "directions"),
+    ], ids=["vertex", "direction"])
+    def test_integer_beyond_the_float_range(self, kind, vertices, directions, field):
+        with pytest.raises(DocumentError, match=f"^{field}: a coordinate is too large"):
+            PolygonDocument(kind, False, vertices, directions)
 
     def test_directions_shape(self):
         with pytest.raises(DocumentError):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology, det3
 from evpoly.constructions import Ellipse, ExampleSpiral, GridScheme, sample_curve
+from evpoly import projective
 from evpoly.equal_volume import centroaffine_volumes
 from evpoly.projective import (
     LIFT_COORD_MAX,
@@ -47,6 +48,26 @@ def lift_scales_loop(poly, norm):
         for i in range(1, n - 1):
             a[i + 1] = norm.c / (a[i - 1] * a[i] * b[i - 1])
     return a
+
+
+def lift_three_products(poly, norm):
+    """Reference: the lift as one cumulative product per residue class mod 3.
+
+    Each product is led by the power of two at or below its seed and
+    scaled by seed / lead; the lifted points are a(i) (x(i), y(i), 1).
+    """
+    pts = poly.vertices.values
+    n = len(pts)
+    b = poly.b.window(1, n - 2)
+    a = np.empty(n)
+    with np.errstate(all="ignore"):
+        a[0], a[1] = norm.a1, norm.a2
+        a[2] = norm.c / (norm.a1 * norm.a2 * b[0])
+        ratio = b[:-1] / b[1:]
+        for s in range(3):
+            lead = np.ldexp(0.5, np.frexp(a[s])[1])
+            a[s::3] = a[s] / lead * np.cumprod(np.concatenate(([lead], ratio[s::3])))
+        return a[:, None] * np.column_stack([pts, np.ones(n)])
 
 
 def line_events(fn, *args) -> int:
@@ -152,6 +173,25 @@ class TestLift:
         phi = lift_representative(spiral_poly(n), spiral_analytic_normalization(0.0, h))
         log_true = np.log(2.0 ** (-1.0 / 3.0)) + 2.0 * h * np.arange(n) / 3.0
         assert np.max(np.abs(np.log(phi.points[:, 2]) - log_true)) <= 2 * loop_error
+
+    @pytest.mark.parametrize("n", [*range(3, 13), 100, 1000])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_one_cumulative_product_is_the_three_products_bit_for_bit(
+            self, monkeypatch, rng, n, scale):
+        # seeds near 1e150 lift beyond LIFT_COORD_MAX, which refuses them;
+        # lift them anyway, so that the products themselves are compared
+        # (Polygon3's side lengths may then overflow to inf)
+        monkeypatch.setattr(projective, "LIFT_COORD_MAX", np.inf)
+        t = np.sort(rng.uniform(0.2, 1.8, n))
+        pts = np.column_stack([2.0 * np.cos(t), np.sin(t)])
+        poly = PlanarProjectivePolygon.from_vertices(pts)
+        for _ in range(5):
+            # a(0) and a(1) near the scale, a(2) = c / (a(0) a(1) b(1)) near 1
+            a1, a2, c = np.exp(rng.uniform(-3.0, 3.0, 3)) * [scale, scale, scale**2]
+            norm = LiftNormalization(a1, a2, c)
+            with np.errstate(over="ignore"):
+                got = lift_representative(poly, norm).points
+            assert got.tobytes() == lift_three_products(poly, norm).tobytes()
 
     def test_no_loop_over_vertices(self):
         def lines(n):
