@@ -101,7 +101,7 @@ class GridSeq:
         a = np.asarray(self.values, dtype=float)
         if a.flags.writeable:  # freeze a view, never the caller's array itself
             a = a.view()
-            a.flags.writeable = False
+            a.setflags(write=False)
         object.__setattr__(self, "values", a)
         if self.topology is Topology.CLOSED and self.base != 0:
             raise GeometryError("closed sequences must have base 0")
@@ -143,13 +143,13 @@ class GridSeq:
         ``base - min(offsets) .. base + n-1 - max(offsets)`` when open.
         Returns the first such slot and one aligned array per offset.
         """
-        n = len(self.values)
-        first, count = 0, n
-        if self.topology is Topology.OPEN:
-            first, count = self.base - min(offsets), n - max(offsets) + min(offsets)
-            if count < 1:
-                raise GeometryError(f"need more than {n} entries for offsets {offsets}")
-        return first, [self.window(first + o, count) for o in offsets]
+        v, lo = self.values, min(offsets)
+        if self.topology is Topology.CLOSED:
+            return 0, [self.window(o, len(v)) for o in offsets]
+        count = len(v) - max(offsets) + lo
+        if count < 1:
+            raise GeometryError(f"need more than {len(v)} entries for offsets {offsets}")
+        return self.base - lo, [v[o - lo:o - lo + count] for o in offsets]
 
     def with_values(self, values) -> "GridSeq":
         return GridSeq(values, self.grid, self.topology, self.base)
@@ -180,7 +180,11 @@ def cross3(u, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
     v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
+    out = np.empty(np.broadcast(u, v).shape)
+    np.subtract(u1 * v2, u2 * v1, out=out[..., 0])
+    np.subtract(u2 * v0, u0 * v2, out=out[..., 1])
+    np.subtract(u0 * v1, u1 * v0, out=out[..., 2])
+    return out
 
 
 def norm3(x) -> np.ndarray:
@@ -214,10 +218,10 @@ def median(x) -> float:
     return (0.0 + float(s[n // 2 - 1]) + float(s[n // 2])) / 2.0
 
 
-def face_solve(v, a, b) -> tuple[np.ndarray, np.ndarray]:
+def face_solve(v, a, b, n) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients ``(x, y)`` of ``v = x*a + y*b`` in a face plane, per row.
 
-    With ``n = a x b``:
+    With the face normal ``n = cross3(a, b)``, which the caller passes:
 
         x = ((v x b) . n) / |n|^2,   y = ((a x v) . n) / |n|^2
 
@@ -226,7 +230,6 @@ def face_solve(v, a, b) -> tuple[np.ndarray, np.ndarray]:
     and the least-squares one otherwise.  Rows with ``a`` parallel to ``b``
     come back non-finite.
     """
-    n = cross3(a, b)
     nn = np.einsum("...i,...i->...", n, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         return det3(v, b, n) / nn, det3(a, v, n) / nn

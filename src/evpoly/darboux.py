@@ -22,7 +22,6 @@ from .core import (
     Polygon3,
     Topology,
     cross3,
-    det3,
     face_solve,
     median,
     norm3,
@@ -75,7 +74,7 @@ class FramedPolygon:
         if d.values.shape != self.polygon.points.shape:
             raise GeometryError("directions must be 3-vectors")
         require_finite(d.values, "direction")
-        if np.any(norm3(d.values) == 0.0):
+        if (norm3(d.values) == 0.0).any():
             raise GeometryError("zero direction vector")
 
     @classmethod
@@ -97,6 +96,14 @@ class FramedPolygon:
     def unit_directions(self) -> GridSeq:
         d = self.directions.values
         return self.directions.with_values(d / norm3(d)[:, None])
+
+    @cached_property
+    def face_normals(self) -> np.ndarray:
+        """n(k) = d(k) x d(k+1) of the unit directions, one read-only row per side."""
+        _, (d0, d1) = self.unit_directions.stencil(0, 1)
+        n = cross3(d0, d1)
+        n.setflags(write=False)
+        return n
 
     @property
     def closed(self) -> bool:
@@ -157,27 +164,31 @@ def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Fram
     """Check the planar-quadrilateral-face hypothesis and transversal directions.
 
     The face residual per side is |det(side, d_left, d_right)|
-    normalized by the product of the three norms; the margin per vertex
+    normalized by the product of the three norms: the unit side dotted
+    with the face normal, summed in ``det3``'s order; the margin per vertex
     is the smallest sine of the angle between the direction and its
     adjacent sides.  The report lists the sides whose residual exceeds
-    ``tol_face`` and the vertices whose margin does not.
+    ``tol_face`` (which must be finite) and the vertices whose margin does not.
     """
+    if not np.isfinite(tol_face):
+        raise GeometryError("non-finite tol_face")
     e = f.polygon.sides().values
     eh = e / norm3(e)[:, None]
+    nf = f.face_normals
     n, nsides = len(f.polygon), len(e)
     _, (dl, dr) = f.unit_directions.stencil(0, 1)
-    cop = np.abs(det3(eh, dl, dr))
+    cop = np.abs((eh[:, 0] * nf[:, 0] + eh[:, 1] * nf[:, 1]) + eh[:, 2] * nf[:, 2])
 
-    def on_vertices(side_values):
-        out = np.full(n, np.inf)
-        out[:nsides] = side_values
-        return out
-
-    # side k meets direction k at its near end and direction k+1 at its far end
-    margins = np.minimum(on_vertices(norm3(cross3(dl, eh))),
-                         np.roll(on_vertices(norm3(cross3(dr, eh))), 1))
-    return FrameReport(np.flatnonzero(cop > tol_face).tolist(),
-                       np.flatnonzero(margins <= tol_face).tolist())
+    # side k meets direction k at its near end and direction k+1 at its far end,
+    # so vertex k has margins near(k) and far(k-1); an open end vertex has one
+    near, far = norm3(cross3(dl, eh)), norm3(cross3(dr, eh))
+    margins = np.empty(n)
+    margins[0], margins[-1] = near[0], far[-1]
+    np.minimum(near[1:], far[:-1], out=margins[1:nsides])
+    if f.closed:
+        np.minimum(near[:1], far[-1:], out=margins[:1])
+    return FrameReport((cop > tol_face).nonzero()[0].tolist(),
+                       (margins <= tol_face).nonzero()[0].tolist())
 
 
 def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
@@ -195,6 +206,8 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
     the seed scales both xi and sigma linearly.  A side whose step leaves
     a scale or sigma non-finite raises ``DegenerateFrameError``.
     """
+    if not np.isfinite(seed_scale):
+        raise GeometryError("non-finite seed_scale")
     if seed_scale == 0.0:
         raise GeometryError("seed_scale must be nonzero")
     report = validate_frame(f, tol_face)
@@ -206,10 +219,11 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
     dh = f.unit_directions
     n, nsides = len(dh), len(e)
     _, (d0, d1) = dh.stencil(0, 1)
-    p, q = face_solve(e, d0, d1)
+    nf = f.face_normals
+    p, q = face_solve(e, d0, d1, nf)
     # parallel end directions: prism-like face, xi is constant along it
     # and sigma vanishes
-    parallel = norm3(cross3(d0, d1)) <= 1e-12
+    parallel = norm3(nf) <= 1e-12
     singular = ~parallel & (np.abs(p) <= 1e-14 * (np.abs(q) + 1.0))
     if singular.any():
         raise DegenerateFrameError(int(np.argmax(singular)),
@@ -219,7 +233,8 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
         ratio = np.where(parallel, np.sign(np.einsum("ij,ij->i", d0, d1)), -q / p)
         # s(0), then the scale at the far end of each side
         scales = np.cumprod(np.concatenate([[seed_scale], ratio]))
-        sigma = np.where(parallel, 0.0, scales[:nsides] / p)
+        sigma = scales[:nsides] / p
+    sigma[parallel] = 0.0
     overflow = ~(np.isfinite(scales[1:]) & np.isfinite(sigma))
     if overflow.any():
         raise DegenerateFrameError(int(np.argmax(overflow)),
@@ -256,14 +271,15 @@ def _osculating_points(f: FramedPolygon, df: DarbouxField):
         gap = norm3(o1 - o2)
         ref = np.maximum(np.maximum(norm3(o1 - p0), norm3(o2 - p1)),
                          f.polygon.diameter())
+        out = 0.5 * (o1 + o2)
     bad = ~at_infinity & (gap > OSCULATING_AGREEMENT_TOL * ref)
     if bad.any():
         k = int(np.argmax(bad))
         raise GeometryError(
             f"side {k}: the two support-line evaluations disagree (gap {gap[k]:.3e})")
-    out = np.where(at_infinity[:, None], np.nan, 0.5 * (o1 + o2))
+    out[at_infinity] = np.nan
     seq = GridSeq(out, Grid.SIDE, f.polygon.topology)
-    return seq, tuple(np.flatnonzero(at_infinity).tolist())
+    return seq, tuple(at_infinity.nonzero()[0].tolist())
 
 
 def osculating_developable(f: FramedPolygon, df: DarbouxField,
@@ -317,6 +333,6 @@ def classify_osculating(df: DarbouxField, f: FramedPolygon) -> OsculatingClass:
 
     xi_scale = median(norm3(df.xi.values))
     edge_scale = median(norm3(f.polygon.sides().values))
-    if np.max(np.abs(sigma)) <= CLASSIFY_TOL * (xi_scale / edge_scale):
+    if np.abs(sigma).max() <= CLASSIFY_TOL * (xi_scale / edge_scale):
         return OsculatingClass(SurfaceKind.CYLINDER)
     return OsculatingClass(SurfaceKind.GENERAL)

@@ -169,10 +169,10 @@ def frenet(f: FramedPolygon, df: DarbouxField) -> FrenetData:
 
     k0, d3, (_, p0, p1, _) = _third_diffs(f.polygon.vertices)
     m = len(d3)
-    edge = p1 - p0
+    back = -(p1 - p0)  # the side, reversed
     xi_near, xi_far = df.xi.window(k0, m), df.xi.window(k0 + 1, m)
-    rho2, tau_a = face_solve(d3, -edge, xi_far)     # rho2 at vertex k
-    rho1, tau_b = face_solve(d3, -edge, xi_near)    # rho1 at vertex k+1
+    rho2, tau_a = face_solve(d3, back, xi_far, cross3(back, xi_far))     # rho2 at vertex k
+    rho1, tau_b = face_solve(d3, back, xi_near, cross3(back, xi_near))   # rho1 at vertex k+1
     bad = ~np.isfinite(rho1 + rho2 + tau_a + tau_b)
     if bad.any():
         k = k0 + int(np.argmax(bad))
@@ -232,10 +232,16 @@ def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float) -> Gri
 
 @dataclass(frozen=True)
 class FocalSetData:
+    """mu, Q and O, and a point and unit direction of each side's focal line.
+
+    Both line rows are NaN on a side whose O and Q are at infinity: it has no line.
+    """
+
     mu: GridSeq
     Q: GridSeq
     O: GridSeq
-    lines: list
+    line_origins: np.ndarray
+    line_directions: np.ndarray
     at_infinity_O: list
     at_infinity_Q: list
 
@@ -284,27 +290,28 @@ def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
         q2 = p1 + e_far / mu_col
         gapq = norm3(q1 - q2)
         ref = np.maximum(norm3(q1 - p0), f.polygon.diameter())
-    bad = ~q_inf & (gapq > FOCAL_AGREEMENT_TOL * ref)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise GeometryError(f"side {k0 + j}: the two Q evaluations disagree by {gapq[j]:.3e}")
-    q_pts = np.where(q_inf[:, None], np.nan, 0.5 * (q1 + q2))
+        bad = ~q_inf & (gapq > FOCAL_AGREEMENT_TOL * ref)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise GeometryError(f"side {k0 + j}: the two Q evaluations disagree by {gapq[j]:.3e}")
+        q_pts = 0.5 * (q1 + q2)
+        q_pts[q_inf] = np.nan
 
-    # The focal line joins O and Q.  With O at infinity it runs through Q
-    # along xi; with Q at infinity, or Q = O, it runs through O along eta.
-    origin = np.where(o_inf[:, None], q_pts, O)
-    d = np.where(o_inf[:, None], df.xi.window(k0, m), q_pts - O)
-    with np.errstate(invalid="ignore"):
+        # The focal line joins O and Q.  With O at infinity it runs through Q
+        # along xi; with Q at infinity, or Q = O, it runs through O along eta.
+        origin = O.copy()
+        origin[o_inf] = q_pts[o_inf]
+        d = q_pts - O
+        d[o_inf] = df.xi.window(k0, m)[o_inf]
         use_eta = ~o_inf & (q_inf | (norm3(d) == 0.0))
-        d = np.where(use_eta[:, None], e_near, d)
-        d = d / norm3(d)[:, None]
-    lines = list(zip(origin, d))
-    for j in np.flatnonzero(o_inf & q_inf):
-        lines[j] = None
+        d[use_eta] = e_near[use_eta]
+        d /= norm3(d)[:, None]
+    # no line where O and Q are both at infinity; origin is NaN there already
+    d[o_inf & q_inf] = np.nan
 
     Q = GridSeq(q_pts, Grid.SIDE, fr.tau.topology, k0)
-    return FocalSetData(mu, Q, O_all, lines, inf_O,
-                        (k0 + np.flatnonzero(q_inf)).tolist())
+    return FocalSetData(mu, Q, O_all, origin, d, inf_O,
+                        (k0 + q_inf.nonzero()[0]).tolist())
 
 
 def focal_set_mesh(fd: FocalSetData, extent: float | None = None) -> Mesh:
@@ -314,13 +321,14 @@ def focal_set_mesh(fd: FocalSetData, extent: float | None = None) -> Mesh:
     two adjacent focal lines; each line is sampled between its O and Q
     anchor points extended by ``extent`` on both ends.
     """
-    usable = np.array([ln is not None for ln in fd.lines], dtype=bool)
+    usable = ~np.isnan(fd.line_origins[:, 0])
     idx = np.flatnonzero(usable)
-    origin = np.array([fd.lines[j][0] for j in idx]).reshape(-1, 3)
-    d = np.array([fd.lines[j][1] for j in idx]).reshape(-1, 3)
+    origin, d = fd.line_origins[idx], fd.line_directions[idx]
     if extent is None:
         span = np.ptp(origin, axis=0) if len(idx) else np.ones(3)
         extent = 2.0 * max(float(np.linalg.norm(span)), 1.0)
+    if not np.isfinite(extent):
+        raise GeometryError("non-finite extent")
 
     q = fd.Q.values[idx]
     with np.errstate(invalid="ignore"):
@@ -371,16 +379,13 @@ def classify_focal(df: DarbouxField, fd: FocalSetData) -> FocalClass:
 
 @dataclass(frozen=True)
 class PlanarReduction:
-    equal_area: bool
     area_constant: float
-    area_spread: float
     rho: GridSeq
     evolute: np.ndarray
-    frame: tuple
 
 
 def planar_reduction(p: Polygon3, normal) -> PlanarReduction:
-    """Equal-area check, affine curvature and evolute of a planar polygon.
+    """Area constant, affine curvature and evolute of a planar polygon.
 
     The polygon must lie in a plane with the given normal.  Curvature
     solves  phi'''(k) = -rho(k) * phi'(k)  per side in plane coordinates;
@@ -406,10 +411,7 @@ def planar_reduction(p: Polygon3, normal) -> PlanarReduction:
 
     xy_seq = GridSeq(xy, Grid.VERTEX, p.topology)
     _, (e_left, e_right) = forward_diff(xy_seq).stencil(-1, 0)
-    areas = det2(e_left, e_right)
-    a_hat = median(areas)
-    spread = float(np.max(np.abs(areas - a_hat)) / abs(a_hat)) if a_hat != 0 else np.inf
-    equal_area = spread <= 1e-8
+    a_hat = median(det2(e_left, e_right))
 
     k0, d3, (pm, p0, p1, _) = _third_diffs(xy_seq)
     edge = p1 - p0
@@ -418,8 +420,7 @@ def planar_reduction(p: Polygon3, normal) -> PlanarReduction:
     turn = rho != 0.0
     ev = p0[turn] + (p1 - 2 * p0 + pm)[turn] / rho[turn, None]
     q_pts = c0 + ev[:, :1] * u + ev[:, 1:] * v
-    return PlanarReduction(equal_area, a_hat, spread, GridSeq(rho, Grid.SIDE, p.topology, k0),
-                           q_pts, (c0, u, v, nrm))
+    return PlanarReduction(a_hat, GridSeq(rho, Grid.SIDE, p.topology, k0), q_pts)
 
 
 @dataclass(frozen=True)

@@ -186,9 +186,10 @@ def test_criterion_5_single_line_focal(rng):
         fd1 = focal_data(f, df, fr, gauge=(fr.tau.base, 1.3))
         fc = classify_focal(df, fd0)
         ok = ok and fc.kind is FocalKind.SINGLE_LINE and fc.mu_spread <= 1e-9
-        for ln0, ln1 in zip(fd0.lines, fd1.lines):
-            ok = ok and np.linalg.norm(np.cross(ln0[1], ln1[1])) <= 1e-9
-            ok = ok and np.linalg.norm(np.cross(ln1[0] - ln0[0], ln0[1])) <= 1e-8
+        for o0, d0, o1, d1 in zip(fd0.line_origins, fd0.line_directions,
+                                  fd1.line_origins, fd1.line_directions):
+            ok = ok and np.linalg.norm(np.cross(d0, d1)) <= 1e-9
+            ok = ok and np.linalg.norm(np.cross(o1 - o0, d0)) <= 1e-8
     for _ in range(10):
         G = random_equal_area(12, rng).normalized()
         P = rng.normal(size=2)
@@ -258,8 +259,7 @@ def test_criterion_8_planar_reduction(rng):
         fd = focal_data(f, df, fr, gauge=(fr.tau.base, 0.0))
         red = planar_reduction(Polygon3.from_points(pts3), [0, 0, 1])
         hits = []
-        for ln in fd.lines:
-            origin, d = ln
+        for origin, d in zip(fd.line_origins, fd.line_directions):
             hits.append(origin - (origin[2] / d[2]) * d)
         hits = np.asarray(hits)
         scale = max(np.abs(red.evolute).max(), 1.0)

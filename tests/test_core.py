@@ -23,9 +23,9 @@ from evpoly.core import (
 )
 from evpoly import core, darboux, invariants, projective
 from evpoly.constructions import PlanarEqualAreaPolygon, regular_equal_area, support_function
-from evpoly.darboux import FramedPolygon, osculating_developable, parallel_darboux
+from evpoly.darboux import FramedPolygon, osculating_developable, parallel_darboux, validate_frame
 from evpoly.equal_volume import centroaffine_volumes
-from evpoly.invariants import lambda_from_tau, planar_reduction
+from evpoly.invariants import focal_data, focal_set_mesh, frenet, lambda_from_tau, planar_reduction
 from evpoly.projective import PlanarProjectivePolygon
 
 vec3 = arrays(np.float64, 3, elements=st.floats(-100, 100))
@@ -321,6 +321,12 @@ def test_silhouette_builds_its_directions_without_a_second_copy(apex):
 
 FRAMED_ARC = FramedPolygon.silhouette(ARC)
 
+
+def arc_focal_data():
+    df = parallel_darboux(FRAMED_ARC)
+    return focal_data(FRAMED_ARC, df, frenet(FRAMED_ARC, df))
+
+
 # each other parameter that brings a value from outside into a derived sequence
 PARAMETERS = {
     "support_function-P": lambda x: support_function(regular_equal_area(6), [x, 0.0]),
@@ -332,6 +338,11 @@ PARAMETERS = {
         FRAMED_ARC, parallel_darboux(FRAMED_ARC), extent=x),
     "planar_reduction-normal":
         lambda x: planar_reduction(Polygon3.from_points(ARC), (0.0, x, 1.0)),
+    # a NaN tolerance fails no comparison, so it would pass every frame
+    "validate_frame-tol_face": lambda x: validate_frame(FRAMED_ARC, tol_face=x),
+    "parallel_darboux-tol_face": lambda x: parallel_darboux(FRAMED_ARC, tol_face=x),
+    "parallel_darboux-seed_scale": lambda x: parallel_darboux(FRAMED_ARC, seed_scale=x),
+    "focal_set_mesh-extent": lambda x: focal_set_mesh(arc_focal_data(), extent=x),
 }
 
 

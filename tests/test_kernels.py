@@ -10,6 +10,7 @@ one bad side or vertex and check that the error names it.
 """
 
 import dataclasses
+import functools
 import sys
 import warnings
 from fractions import Fraction
@@ -40,6 +41,7 @@ from evpoly.core import (
     GridSeq,
     Polygon3,
     Topology,
+    cross3,
     det3,
     face_solve,
     forward_diff,
@@ -58,7 +60,9 @@ from evpoly.invariants import (
     NotEqualVolumeError,
     centroaffine_frenet,
     focal_data,
+    focal_set_mesh,
     frenet,
+    lambda_from_tau,
     planar_reduction,
 )
 from evpoly.projective import b_sequence
@@ -168,7 +172,7 @@ def test_face_solve_matches_exact_least_squares(kind, closed, seed, n):
     d3, edge, xi_k, xi_k1 = (np.array(rows) for rows in
                              zip(*(third_diff_faces(f, df, int(k)) for k in slots)))
     for near in (xi_k, xi_k1):
-        x, y = face_solve(d3, -edge, near)
+        x, y = face_solve(d3, -edge, near, cross3(-edge, near))
         for j in range(len(slots)):
             x_ref, y_ref = exact_face_solve(d3[j], -edge[j], near[j])
             x_scale, y_scale = coefficient_scales(d3[j], edge[j], near[j])
@@ -271,6 +275,15 @@ def reference_planar_reduction(xy, slots):
     return np.array(rho), np.array(evolute)
 
 
+def plane_frame(pts, normal):
+    """Centroid and in-plane orthonormal pair that planar_reduction takes coordinates in."""
+    nrm = normal / np.linalg.norm(normal)
+    u = np.eye(3)[int(np.argmin(np.abs(nrm)))]
+    u = u - np.dot(u, nrm) * nrm
+    u /= np.linalg.norm(u)
+    return pts.mean(axis=0), u, np.cross(nrm, u)
+
+
 def side_slots(n, closed):
     return range(n) if closed else range(1, n - 2)
 
@@ -300,7 +313,7 @@ def test_planar_reduction_matches_per_side_loop(closed, seed):
     frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     pts = G.Gamma.values @ frame[:2] + rng.normal(size=3)
     red = planar_reduction(Polygon3.from_points(pts, closed=closed), frame[2])
-    c0, u, v, _ = red.frame
+    c0, u, v = plane_frame(pts, frame[2])
     xy = np.stack([(pts - c0) @ u, (pts - c0) @ v], axis=1)
     slots = side_slots(len(pts), closed)
     rho, evolute = reference_planar_reduction(xy, slots)
@@ -310,6 +323,165 @@ def test_planar_reduction_matches_per_side_loop(closed, seed):
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
     assert red.rho.base == slots[0]
+
+
+# ---------------------------------------------------------------- frame validation and focal lines
+
+
+def reference_frame_measures(f):
+    """Face residual |det3(unit side, d_left, d_right)| per side, and the
+    vertex margins from side arrays padded with inf and rolled by one."""
+    e = f.polygon.sides().values
+    eh = e / np.linalg.norm(e, axis=1)[:, None]
+    n, nsides = len(f.polygon), len(e)
+    _, (dl, dr) = f.unit_directions.stencil(0, 1)
+
+    def on_vertices(side_values):
+        out = np.full(n, np.inf)
+        out[:nsides] = side_values
+        return out
+
+    margins = np.minimum(on_vertices(np.linalg.norm(np.cross(dl, eh), axis=1)),
+                         np.roll(on_vertices(np.linalg.norm(np.cross(dr, eh), axis=1)), 1))
+    return np.abs(det3(eh, dl, dr)), margins
+
+
+@given(kind=st.sampled_from(["equal_volume", "cone", "generic"]), closed=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30))
+@settings(max_examples=40, deadline=None)
+def test_validate_frame_flags_what_the_determinant_and_padded_margins_flag(kind, closed, seed, n):
+    """Every residual and every margin is tried as ``tol_face``, and so is the
+    float just below it.
+
+    At one of the two, a value one ulp off the reference would move its
+    side or vertex across the gate (residual > tol, margin <= tol).
+    """
+    f = framed_fixture(kind, seed, n, closed)
+    cop, margins = reference_frame_measures(f)
+    at = np.concatenate([cop, margins, [1e-8]])
+    for tol in np.unique(np.concatenate([at, np.nextafter(at, -np.inf)])):
+        rep = validate_frame(f, tol)
+        assert rep.bad_sides == np.flatnonzero(cop > tol).tolist()
+        assert rep.bad_vertices == np.flatnonzero(margins <= tol).tolist()
+
+
+def test_validate_frame_on_a_two_vertex_polygon():
+    f = FramedPolygon.build([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    _, margins = reference_frame_measures(f)
+    assert margins.tolist() == [1.0, 0.0]
+    rep = validate_frame(f)
+    assert (rep.bad_sides, rep.bad_vertices) == ([], [1])
+
+
+def reference_focal_lines(f, df, fr, fd, gauge):
+    """Per side an (origin, direction) tuple of row views, None where O and Q
+    are both at infinity, built from the same O, Q and mu."""
+    P = f.polygon.vertices
+    lam = lambda_from_tau(fr.tau, *gauge)
+    lo, m = lam.base, len(lam)
+    pp = P.window(lo + 1, m) - 2 * P.window(lo, m) + P.window(lo - 1, m)
+    eta = GridSeq(pp + lam.values[:, None] * df.xi.window(lo, m), Grid.VERTEX, lam.topology, lo)
+    k0, m = fr.tau.base, len(fr.tau)
+    O, q_pts = fd.O.window(k0, m), fd.Q.values
+    o_inf = np.isnan(O[:, 0])
+    with np.errstate(divide="ignore"):
+        q_inf = ~np.isfinite(1.0 / fd.mu.values)
+    origin = np.where(o_inf[:, None], q_pts, O)
+    d = np.where(o_inf[:, None], df.xi.window(k0, m), q_pts - O)
+    with np.errstate(invalid="ignore"):
+        use_eta = ~o_inf & (q_inf | (np.linalg.norm(d, axis=1) == 0.0))
+        d = np.where(use_eta[:, None], eta.window(k0, m), d)
+        d = d / np.linalg.norm(d, axis=1)[:, None]
+    lines = list(zip(origin, d))
+    for j in np.flatnonzero(o_inf & q_inf):
+        lines[j] = None
+    return lines
+
+
+def reference_focal_mesh(fd, lines):
+    """The focal set mesh rebuilt from the list of line tuples."""
+    usable = np.array([ln is not None for ln in lines], dtype=bool)
+    idx = np.flatnonzero(usable)
+    origin = np.array([lines[j][0] for j in idx]).reshape(-1, 3)
+    d = np.array([lines[j][1] for j in idx]).reshape(-1, 3)
+    span = np.ptp(origin, axis=0) if len(idx) else np.ones(3)
+    extent = 2.0 * max(float(np.linalg.norm(span)), 1.0)
+    q = fd.Q.values[idx]
+    with np.errstate(invalid="ignore"):
+        t_q = np.where(np.isfinite(q).all(axis=1), np.einsum("ij,ij->i", q - origin, d), 0.0)
+    lo = (np.minimum(0.0, t_q) - extent)[:, None]
+    hi = (np.maximum(0.0, t_q) + extent)[:, None]
+    verts = np.stack([origin + lo * d, origin + hi * d], axis=1).reshape(-1, 3)
+    nxt = idx + 1
+    if fd.mu.topology is Topology.CLOSED:
+        nxt %= len(usable)
+    both = nxt < len(usable)
+    both[both] = usable[nxt[both]]
+    i0 = 2 * np.flatnonzero(both)
+    i1 = 2 * (np.cumsum(usable)[nxt[both]] - 1)
+    return verts, np.stack([i0, i0 + 1, i1 + 1, i1], axis=1).tolist()
+
+
+def parabola_prism(turns):
+    """Vertical prism over an integer equal-area polygon.
+
+    Its sides follow s(k+1) = turns(k) s(k) - s(k-1), so the third
+    difference of side k is (turns(k) - 2) s(k): a side with turn 2 has
+    mu = 0 exactly, and every side has sigma = 0, so O and Q are both at
+    infinity there.
+    """
+    sides = [np.array([1.0, 1.0]), np.array([0.0, 1.0])]
+    for t in turns:
+        sides.append(t * sides[-1] - sides[-2])
+    xy = np.concatenate([[[0.0, 0.0]], np.cumsum(sides, axis=0)])
+    pts = np.column_stack([xy, np.zeros(len(xy))])
+    return FramedPolygon.build(pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+
+
+def focal_fixture(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "single_line":
+        pts = silhouette_lift(random_equal_area(12, rng), rng.normal(size=2) * 0.3).points
+        f = FramedPolygon.silhouette(pts)
+    elif kind == "general":
+        f = FramedPolygon.silhouette(random_equal_volume_polygon(rng, 12 + seed).points)
+    elif kind == "closed":
+        pts = silhouette_lift(closed_equal_area(rng, 9 + 2 * seed), rng.normal(size=2) * 0.3).points
+        f = FramedPolygon.silhouette(pts, closed=True)
+    elif kind == "prism":
+        G = random_equal_area(14, rng)
+        pts = np.column_stack([G.Gamma.values, np.zeros(len(G.Gamma))])
+        f = FramedPolygon.build(pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+    else:
+        f = parabola_prism(rng.choice([1, 2, 2, 3], size=10 + seed))
+    df = parallel_darboux(f)
+    fr = frenet(f, df)
+    if f.closed:  # tau is roundoff here: centre it so the closed gauge exists
+        fr = dataclasses.replace(fr, tau=fr.tau.with_values(fr.tau.values - fr.tau.values.mean()))
+    return f, df, fr
+
+
+@pytest.mark.parametrize("kind", ["single_line", "general", "closed", "prism", "parabola"])
+@pytest.mark.parametrize("seed", range(3))
+def test_focal_line_arrays_match_the_list_of_tuples(kind, seed):
+    f, df, fr = focal_fixture(kind, seed)
+    gauge = (0 if f.closed else fr.tau.base, 0.7 * seed)
+    fd = focal_data(f, df, fr, gauge)
+    lines = reference_focal_lines(f, df, fr, fd, gauge)
+    assert fd.line_origins.shape == fd.line_directions.shape == (len(lines), 3)
+    for j, line in enumerate(lines):
+        if line is None:
+            assert np.isnan(fd.line_origins[j]).all() and np.isnan(fd.line_directions[j]).all()
+        else:
+            assert fd.line_origins[j].tobytes() == line[0].tobytes()
+            assert fd.line_directions[j].tobytes() == line[1].tobytes()
+    if kind == "parabola":
+        assert None in lines and any(ln is not None for ln in lines)
+    mesh = focal_set_mesh(fd)
+    verts, faces = reference_focal_mesh(fd, lines)
+    assert mesh.vertices.tobytes() == verts.tobytes()
+    assert mesh.faces == faces
+    assert mesh.lines == np.arange(len(verts)).reshape(-1, 2).tolist()
 
 
 # ---------------------------------------------------------------- error paths
@@ -516,17 +688,28 @@ def test_analyze_computes_each_derived_quantity_once(rng, tmp_path, monkeypatch)
     """One ``analyze --origin`` call on a small polygon pays each derived array once."""
     src, out = tmp_path / "ev.json", tmp_path / "report.json"
     write_document(PolygonDocument.from_polygon(random_equal_volume_polygon(rng, 40)), src)
-    diffs, volumes, points, numpy_calls = [], [], [], []
+    diffs, volumes, points, crosses, normals, numpy_calls = [], [], [], [], [], []
     record_calls(monkeypatch, forward_diff, diffs)
     record_calls(monkeypatch, darboux_volumes, volumes)
     record_calls(monkeypatch, osculating_points, points)
-    for name in ("cross", "median"):
+    record_calls(monkeypatch, cross3, crosses)
+    face_normals = functools.cached_property(recording(FramedPolygon.face_normals.func, normals))
+    face_normals.__set_name__(FramedPolygon, "face_normals")
+    monkeypatch.setattr(FramedPolygon, "face_normals", face_normals)
+    for name in ("cross", "median", "stack", "roll"):
         monkeypatch.setattr(np, name, recording(getattr(np, name), numpy_calls))
+    gridseqs = []
+    monkeypatch.setattr(GridSeq, "__post_init__", recording(GridSeq.__post_init__, gridseqs))
 
     assert cli.main(["analyze", str(src), "--origin", "0,0,0", "--json", str(out)]) == 0
     assert '"rho1"' in out.read_text()
     assert len(diffs) == 1
+    # the face normals once, read by validate_frame and parallel_darboux;
+    # then the two margins and the two Frenet face normals, all distinct
+    assert len(normals) == 1
+    assert len(crosses) == 5 and len({c.tobytes() for c in crosses}) == 5
     assert numpy_calls == []
+    assert len(gridseqs) == 16
     # evaluations, not calls: a repeated call must hand back the same result
     assert volumes and len({id(r) for r in volumes}) == 1
     assert points and len({id(seq) for seq, _ in points}) == 1

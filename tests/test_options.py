@@ -86,11 +86,8 @@ PINNED_MEMBERS = {
     "constructions.PlanarEqualAreaPolygon.area_spread":
         "the equal-area corpora stay within EQUAL_AREA_TOL, tests/test_constructions.py",
     # the record that the pinned planar_reduction returns (acceptance criterion 8)
-    "invariants.PlanarReduction.equal_area": "the equal-area check of planar_reduction",
-    "invariants.PlanarReduction.area_spread": "the equal-area check of planar_reduction",
     "invariants.PlanarReduction.rho": "acceptance criterion 8, the regular n-gon's curvature",
     "invariants.PlanarReduction.evolute": "acceptance criterion 8, the evolute",
-    "invariants.PlanarReduction.frame": "the plane coordinates rho and the evolute are taken in",
 }
 
 # tolerances that were keyword options, kept as module constants
