@@ -48,6 +48,18 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _planar(pts: np.ndarray) -> bool:
+    """True when the centred vertices' smallest singular value is at most
+    1e-10 of the largest (or of 1).
+
+    Only the singular values are computed.  With or without U and V,
+    LAPACK gives them to about eps * sv[0], so the two paths can classify
+    apart only within about 1e-6 relative of the threshold.
+    """
+    sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    return bool(sv[-1] <= 1e-10 * max(sv[0], 1.0))
+
+
 def _emit(text: str, path) -> None:
     """Write ``text`` to the file at ``path``, or to stdout without one."""
     if path:
@@ -105,10 +117,7 @@ def cmd_analyze(args) -> int:
     classification = osc.kind.value
 
     # planar polygons are their own degenerate case
-    pts = framed.polygon.points
-    q = pts - pts.mean(axis=0)
-    sv = np.linalg.svd(q, full_matrices=False)[1]
-    if sv[-1] <= 1e-10 * max(sv[0], 1.0):
+    if _planar(framed.polygon.points):
         classification = "planar"
 
     if is_equal_volume(rep):

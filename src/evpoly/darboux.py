@@ -288,19 +288,25 @@ def osculating_developable(f: FramedPolygon, df: DarbouxField,
 
     One planar quad per side, bounded by the support lines through the
     two end vertices, truncated to parameter |u| <= extent along the
-    unit Darboux directions.
+    unit Darboux directions.  The mesh holds the rows P(k) - X(k) and
+    P(k) + X(k) of each vertex once; quad k has the corners 2k, 2k+1,
+    2k+3, 2k+2 (mod 2m on a closed polygon of m vertices), and each quad
+    keeps its own four OBJ ``v`` records.
     """
     if extent is None:
         extent = 2.0 * f.polygon.diameter()
     if not np.isfinite(extent):
         raise GeometryError("non-finite extent")
+    if extent <= 0.0:
+        raise GeometryError("extent must be positive")
+    p = f.polygon.points
     xi = df.xi.values
+    x = extent * (xi / norm3(xi)[:, None])
+    rows = np.stack([p - x, p + x], axis=1).reshape(-1, 3)
     nsides = f.n_sides()
-    _, (p0, p1) = f.polygon.vertices.stencil(0, 1)
-    unit = df.xi.with_values(extent * (xi / norm3(xi)[:, None]))
-    _, (x0, x1) = unit.stencil(0, 1)
-    quads = np.stack([p0 - x0, p0 + x0, p1 + x1, p1 - x1], axis=1)
-    return Mesh(quads.reshape(-1, 3), np.arange(4 * nsides).reshape(nsides, 4).tolist())
+    k2 = 2 * np.arange(nsides)
+    corners = np.stack([k2, k2 + 1, k2 + 3, k2 + 2], axis=1) % len(rows)
+    return Mesh(rows, np.arange(4 * nsides).reshape(nsides, 4).tolist(), v_rows=corners)
 
 
 class SurfaceKind(enum.Enum):

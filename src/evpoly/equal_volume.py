@@ -118,54 +118,6 @@ class ResampleResult:
     truncated: bool
 
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
-def _norm(v) -> float:
-    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-
-
-def _offset(normal, anchor, p) -> float:
-    """Signed distance of p from the plane through anchor with unit normal."""
-    return (normal[0] * (p[0] - anchor[0]) + normal[1] * (p[1] - anchor[1])
-            + normal[2] * (p[2] - anchor[2]))
-
-
-def _plane_crossing(points, normal, anchor, start_seg, start_t, snap_tol):
-    """First forward intersection of the polyline with a plane.
-
-    ``points`` is a list of float triples.  Returns (point, seg, t) or
-    None.  Vertices within snap_tol of the plane are taken exactly
-    (keeps the construction idempotent).
-    """
-    nx, ny, nz = normal
-    ax, ay, az = anchor
-    nseg = len(points) - 1
-    seg, t = start_seg, start_t
-    if seg < nseg:
-        (x0, y0, z0), (x1, y1, z1) = points[seg], points[seg + 1]
-        s = 1.0 - t
-        g_prev = _offset(normal, anchor, (x0 * s + x1 * t, y0 * s + y1 * t, z0 * s + z1 * t))
-    else:
-        g_prev = _offset(normal, anchor, points[-1])
-    while seg < nseg:
-        x, y, z = nxt = points[seg + 1]
-        g_next = nx * (x - ax) + ny * (y - ay) + nz * (z - az)  # _offset, inlined
-        if abs(g_next) <= snap_tol:
-            return nxt, seg + 1, 0.0
-        if g_prev != 0.0 and (g_prev < 0.0) != (g_next < 0.0):
-            t_star = t + g_prev / (g_prev - g_next) * (1.0 - t)
-            s = 1.0 - t_star
-            x0, y0, z0 = points[seg]
-            return (x0 * s + x * t_star, y0 * s + y * t_star, z0 * s + z * t_star), seg, t_star
-        seg, t = seg + 1, 0.0
-        g_prev = g_next
-    return None
-
-
 def resample_equal_volume(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
     """Rebuild an open framed polygon so its Darboux volumes are constant.
 
@@ -176,9 +128,11 @@ def resample_equal_volume(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
     directions on the side it lands on and is projected into the current
     face so the output frame is exactly coplanar.
 
-    The march is sequential and runs on Python floats: each step is a
-    few dozen scalar operations, which numpy calls on 3-vectors would
-    only slow down.
+    The march is sequential and written as one loop on Python floats:
+    each step is a few dozen scalar operations, which numpy calls on
+    3-vectors would only slow down.  The last three vertices, the last
+    two directions and the last two scales are held in float locals;
+    the output lists are only appended to.
 
     ``truncated`` is set when the march stalls: the input polyline ends
     with its last side not running towards the next search plane, so no
@@ -194,58 +148,93 @@ def resample_equal_volume(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
     pts = f.polygon.points.tolist()
     dh = dh_arr.tolist()
     snap_tol = 1e-12 * f.polygon.diameter()
+    nseg = n - 1
 
     new_p = pts[:3]
     new_dir = dh[:3]
-    new_s = [float(np.dot(df.xi.values[i], dh_arr[i])) for i in range(3)]
+    (bx, by, bz), (mx, my, mz), (cx, cy, cz) = new_p
+    _, (ux, uy, uz), (vx, vy, vz) = new_dir
+    s_mid, s_cur = (float(np.dot(df.xi.values[i], dh_arr[i])) for i in (1, 2))
+    # position (side, parameter) of the last vertex on the input polyline
     seg, t = 2, 0.0
 
     while True:
-        p_back, p_mid, p_cur = new_p[-3:]
-        s_mid, u_mid = new_s[-2], new_dir[-2]
-        edge = (p_cur[0] - p_mid[0], p_cur[1] - p_mid[1], p_cur[2] - p_mid[2])
-        normal = _cross(edge, (s_mid * u_mid[0], s_mid * u_mid[1], s_mid * u_mid[2]))
-        nn = _norm(normal)
+        # unit normal of the face through the last two vertices and the
+        # field vector s_mid * u at the middle one
+        ex, ey, ez = cx - mx, cy - my, cz - mz
+        wx, wy, wz = s_mid * ux, s_mid * uy, s_mid * uz
+        nx, ny, nz = ey * wz - ez * wy, ez * wx - ex * wz, ex * wy - ey * wx
+        nn = math.sqrt(nx * nx + ny * ny + nz * nz)
         if nn == 0.0:
             raise GeometryError("degenerate face during resampling")
-        normal = (normal[0] / nn, normal[1] / nn, normal[2] / nn)
+        nx, ny, nz = nx / nn, ny / nn, nz / nn
 
-        hit = _plane_crossing(pts, normal, p_back, seg, t, snap_tol)
-        if hit is None:
+        # first forward crossing of the polyline with the plane through
+        # the vertex three steps back; an input vertex within snap_tol of
+        # the plane is taken exactly (keeps the construction idempotent)
+        j, tj = seg, t
+        if j < nseg:
+            x0, y0, z0 = pts[j]
+            x1, y1, z1 = pts[j + 1]
+            s = 1.0 - tj
+            g_prev = (nx * (x0 * s + x1 * tj - bx) + ny * (y0 * s + y1 * tj - by)
+                      + nz * (z0 * s + z1 * tj - bz))
+        while j < nseg:
+            x, y, z = pts[j + 1]
+            g_next = nx * (x - bx) + ny * (y - by) + nz * (z - bz)
+            if abs(g_next) <= snap_tol:
+                px, py, pz = x, y, z
+                seg, t = j + 1, 0.0
+                break
+            if g_prev != 0.0 and (g_prev < 0.0) != (g_next < 0.0):
+                t = tj + g_prev / (g_prev - g_next) * (1.0 - tj)
+                s = 1.0 - t
+                x0, y0, z0 = pts[j]
+                px, py, pz = x0 * s + x * t, y0 * s + y * t, z0 * s + z * t
+                seg = j
+                break
+            j, tj = j + 1, 0.0
+            g_prev = g_next
+        else:
             # the polyline ended before the plane; the march stalled only
             # if its last side (along which the offset is linear) does not
-            # run towards the plane
+            # run towards the plane; (seg, t) is still the last vertex's
+            # position, not the end of the scan
+            (xa, ya, za), (xl, yl, zl) = pts[-2], pts[-1]
             truncated = (seg + t < n - 1 - 1e-12
-                         and abs(_offset(normal, p_back, pts[-1]))
-                         >= abs(_offset(normal, p_back, pts[-2])))
+                         and abs(nx * (xl - bx) + ny * (yl - by) + nz * (zl - bz))
+                         >= abs(nx * (xa - bx) + ny * (ya - by) + nz * (za - bz)))
             break
-        pt, seg, t = hit
-        d0, d1 = dh[seg], dh[min(seg + 1, n - 1)]
+
+        d0x, d0y, d0z = dh[seg]
+        d1x, d1y, d1z = dh[min(seg + 1, nseg)]
         s = 1.0 - t
-        d_new = (s * d0[0] + t * d1[0], s * d0[1] + t * d1[1], s * d0[2] + t * d1[2])
+        dx, dy, dz = s * d0x + t * d1x, s * d0y + t * d1y, s * d0z + t * d1z
         # keep the new frame exactly coplanar with the face it closes
-        d_prev = new_dir[-1]
-        side_new = (pt[0] - p_cur[0], pt[1] - p_cur[1], pt[2] - p_cur[2])
-        face_n = _cross(side_new, d_prev)
-        fn = _norm(face_n)
+        sx, sy, sz = px - cx, py - cy, pz - cz
+        fx, fy, fz = sy * vz - sz * vy, sz * vx - sx * vz, sx * vy - sy * vx
+        fn = math.sqrt(fx * fx + fy * fy + fz * fz)
         if fn == 0.0:
             raise GeometryError("new side parallel to the frame direction")
-        face_n = (face_n[0] / fn, face_n[1] / fn, face_n[2] / fn)
-        k = d_new[0] * face_n[0] + d_new[1] * face_n[1] + d_new[2] * face_n[2]
-        d_new = (d_new[0] - k * face_n[0], d_new[1] - k * face_n[1], d_new[2] - k * face_n[2])
-        dn = _norm(d_new)
+        fx, fy, fz = fx / fn, fy / fn, fz / fn
+        k = dx * fx + dy * fy + dz * fz
+        dx, dy, dz = dx - k * fx, dy - k * fy, dz - k * fz
+        dn = math.sqrt(dx * dx + dy * dy + dz * dz)
         if dn <= 1e-12:
             raise GeometryError("interpolated direction collapsed during projection")
-        d_new = (d_new[0] / dn, d_new[1] / dn, d_new[2] / dn)
+        dx, dy, dz = dx / dn, dy / dn, dz / dn
 
         # parallel continuation of the field along the new side: solve
-        # p d_prev + q d_new = side_new on the two coordinates the face
-        # normal leaves largest, by elimination with partial pivoting
-        fa = [abs(c) for c in face_n]
-        drop = fa.index(max(fa))
-        i0, i1 = [j for j in range(3) if j != drop]
-        a00, a01, r0 = d_prev[i0], d_new[i0], side_new[i0]
-        a10, a11, r1 = d_prev[i1], d_new[i1], side_new[i1]
+        # p v + q d = side on the two coordinates left when the face
+        # normal's largest one (the first, on a tie) is dropped, by
+        # elimination with partial pivoting
+        ax, ay, az = abs(fx), abs(fy), abs(fz)
+        if az > (ay if ay > ax else ax):
+            a00, a01, r0, a10, a11, r1 = vx, dx, sx, vy, dy, sy
+        elif ay > ax:
+            a00, a01, r0, a10, a11, r1 = vx, dx, sx, vz, dz, sz
+        else:
+            a00, a01, r0, a10, a11, r1 = vy, dy, sy, vz, dz, sz
         if abs(a10) > abs(a00):
             a00, a01, r0, a10, a11, r1 = a10, a11, r1, a00, a01, r0
         if a00 == 0.0:
@@ -258,9 +247,11 @@ def resample_equal_volume(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
         p_coef = (r0 - a01 * q_coef) / a00
         if p_coef == 0.0:
             raise GeometryError("degenerate Darboux recursion during resampling")
-        new_p.append(pt)
-        new_dir.append(d_new)
-        new_s.append(-q_coef * new_s[-1] / p_coef)
+        s_mid, s_cur = s_cur, -q_coef * s_cur / p_coef
+        bx, by, bz, mx, my, mz, cx, cy, cz = mx, my, mz, cx, cy, cz, px, py, pz
+        ux, uy, uz, vx, vy, vz = vx, vy, vz, dx, dy, dz
+        new_p.append((px, py, pz))
+        new_dir.append((dx, dy, dz))
 
     framed = FramedPolygon.build(new_p, new_dir, closed=False)
     return ResampleResult(framed, truncated)

@@ -329,6 +329,8 @@ def focal_set_mesh(fd: FocalSetData, extent: float | None = None) -> Mesh:
         extent = 2.0 * max(float(np.linalg.norm(span)), 1.0)
     if not np.isfinite(extent):
         raise GeometryError("non-finite extent")
+    if extent <= 0.0:
+        raise GeometryError("extent must be positive")
 
     q = fd.Q.values[idx]
     with np.errstate(invalid="ignore"):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_cone_fixture, random_equal_volume_polygon, random_generic_framed
 
-from evpoly.cli import build_parser, main
+from evpoly.cli import _planar, build_parser, main
 from evpoly.constructions import (
     Ellipse,
     ExampleSpiral,
@@ -303,3 +303,23 @@ class TestTable1:
     def test_malformed_sizes_exit_1(self, capsys, sizes):
         assert main(["table1", "--sizes", sizes]) == 1
         assert capsys.readouterr().err.startswith("evpoly: --sizes")
+
+
+def test_planarity_from_singular_values_alone(rng):
+    # analyze takes the singular values without U and V; both LAPACK paths
+    # give them to about eps * sv[0], so away from the 1e-10 band around
+    # the threshold they classify every polygon alike
+    def full_svd(pts):
+        sv = np.linalg.svd(pts - pts.mean(axis=0), full_matrices=False)[1]
+        return bool(sv[-1] <= 1e-10 * max(sv[0], 1.0))
+
+    rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    for n in (12, 46, 80, 1000):
+        for scale in (1e-3, 1.0, 1e3):
+            spatial = rng.normal(size=(n, 3)) * scale
+            flat = spatial * [1.0, 1.0, 0.0]
+            tilted = flat @ rot.T
+            lifted = tilted + 1e-6 * max(scale, 1.0) * rng.uniform(-1, 1, (n, 1)) * rot[:, 2]
+            for pts, planar in ((spatial, False), (flat, True), (tilted, True), (lifted, False)):
+                assert _planar(pts) is planar
+                assert full_svd(pts) is planar

@@ -351,3 +351,11 @@ PARAMETERS = {
 def test_non_finite_parameters_are_refused(parameter, bad):
     with pytest.raises(GeometryError, match="^non-finite "):
         PARAMETERS[parameter](bad)
+
+
+@pytest.mark.parametrize("extent", [0.0, -0.0, -1.0])
+@pytest.mark.parametrize("parameter", ["osculating_developable-extent", "focal_set_mesh-extent"])
+def test_non_positive_mesh_extent_is_refused(parameter, extent):
+    # a zero extent gives quads whose corners coincide in pairs
+    with pytest.raises(GeometryError, match="^extent must be positive$"):
+        PARAMETERS[parameter](extent)

@@ -1,7 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from evpoly.core import GeometryError
+from conftest import random_equal_volume_polygon, random_generic_framed
+
+from evpoly.core import GeometryError, Grid, GridSeq, Topology
+from evpoly.darboux import FramedPolygon, osculating_developable, parallel_darboux
+from evpoly.invariants import focal_data, focal_set_mesh, frenet
 from evpoly.meshes import Mesh
 
 
@@ -46,6 +52,11 @@ def test_line_index_validation():
         Mesh(np.zeros((3, 3)), faces=[[0, 1, 2]], lines=[[0, 3]])
     with pytest.raises(GeometryError, match="line index out of range"):
         Mesh(np.zeros((3, 3)), faces=[], lines=[[-1, 2]])
+    # an OBJ line record joins at least two vertices
+    with pytest.raises(GeometryError, match="at least 2"):
+        Mesh(np.zeros((3, 3)), [[0, 1, 2]], lines=[[0], []])
+    with pytest.raises(GeometryError, match="at least 2"):
+        Mesh(np.zeros((3, 3)), [[0, 1, 2]], lines=[[0, 1], []])
 
 
 def test_ragged_faces(tmp_path):
@@ -75,3 +86,63 @@ def test_obj_text_matches_per_record_formatting(tmp_path, rng):
     want += ["f " + " ".join(str(i + 1) for i in r) for r in faces]
     want += ["l " + " ".join(str(i + 1) for i in r) for r in lines]
     assert path.read_text() == "\n".join(want) + "\n"
+
+
+def test_shared_rows(tmp_path):
+    rows = np.array([[0., 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]])
+    mesh = Mesh(rows, faces=[[0, 1, 2, 3], [4, 5, 6, 7]], v_rows=[0, 1, 2, 3, 1, 0, 3, 2])
+    assert np.array_equal(mesh.vertices, rows[[0, 1, 2, 3, 1, 0, 3, 2]])
+    path = tmp_path / "m.obj"
+    mesh.write_obj(path)
+    lines = path.read_text().splitlines()
+    assert lines[1:9] == ["v 0 0 0", "v 1 0 0", "v 1 1 0", "v 0 1 0",
+                          "v 1 0 0", "v 0 0 0", "v 0 1 0", "v 1 1 0"]
+    assert lines[9:] == ["f 1 2 3 4", "f 5 6 7 8"]
+    with pytest.raises(GeometryError, match="vertex row out of range"):
+        Mesh(rows, faces=[], v_rows=[0, 4])
+    with pytest.raises(GeometryError, match="face index out of range"):
+        Mesh(rows, faces=[[0, 1, 2]], v_rows=[3, 2])
+
+
+def per_record_obj(mesh) -> str:
+    """OBJ text of ``mesh`` with each record formatted on its own."""
+    want = ["# evpoly mesh"]
+    want += [f"v {x[0]:.17g} {x[1]:.17g} {x[2]:.17g}" for x in mesh.vertices]
+    want += ["f " + " ".join(str(i + 1) for i in r) for r in mesh.faces]
+    want += ["l " + " ".join(str(i + 1) for i in r) for r in mesh.lines]
+    return "\n".join(want) + "\n"
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_developable_obj_matches_per_record_formatting(tmp_path, rng, closed):
+    f = random_generic_framed(rng, 9, closed=closed)
+    df = parallel_darboux(f)
+    mesh = osculating_developable(f, df, extent=1.5)
+    # each quad keeps its own four v records, P(k) -+ X(k) and P(k+1) +- X(k+1);
+    # neighbours share two rows
+    x = 1.5 * (df.xi.values / np.linalg.norm(df.xi.values, axis=1)[:, None])
+    p, k = f.polygon.points, np.arange(f.n_sides())
+    k1 = (k + 1) % len(p)
+    quads = np.stack([p[k] - x[k], p[k] + x[k], p[k1] + x[k1], p[k1] - x[k1]], axis=1)
+    assert np.array_equal(mesh.vertices, quads.reshape(-1, 3))
+    assert len(mesh.rows) == 2 * len(p)
+    path = tmp_path / "d.obj"
+    mesh.write_obj(path)
+    assert path.read_text() == per_record_obj(mesh)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+def test_focal_set_obj_matches_per_record_formatting(tmp_path, rng, closed):
+    p = random_equal_volume_polygon(rng, 12)
+    f = FramedPolygon.silhouette(p.points)
+    df = parallel_darboux(f)
+    fd = focal_data(f, df, frenet(f, df))
+    if closed:
+        # a closed polygon whose focal set exists needs sum tau = 0; the
+        # same lines on the closed topology add the face that wraps around
+        fd = dataclasses.replace(fd, mu=GridSeq(fd.mu.values, Grid.SIDE, Topology.CLOSED))
+    mesh = focal_set_mesh(fd)
+    assert len(mesh.faces) == len(mesh.lines) - 1 + closed
+    path = tmp_path / "f.obj"
+    mesh.write_obj(path)
+    assert path.read_text() == per_record_obj(mesh)
