@@ -1,3 +1,4 @@
+import gc
 import json
 import warnings
 
@@ -16,7 +17,7 @@ from evpoly.constructions import (
     sample_curve,
     silhouette_lift,
 )
-from evpoly import documents
+from evpoly import cli, documents
 from evpoly.darboux import FramedPolygon, parallel_darboux
 from evpoly.documents import PolygonDocument, read_document, write_document
 from evpoly.invariants import frenet
@@ -280,6 +281,66 @@ class TestMeshExports:
         code = main(["focal", path, "--obj", str(tmp_path / "o.obj")])
         assert code == 2
         assert "infinity" in capsys.readouterr().err
+
+
+@pytest.fixture(params=[True, False], ids=["collecting", "paused-by-caller"])
+def collector(request):
+    """The cyclic collector on or off as the caller of main leaves it."""
+    before = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if before else gc.disable)()
+
+
+class TestCollectorPause:
+    """main pauses the cyclic collector for one command, then restores the caller's state."""
+
+    def test_state_restored_after_each_exit_code(self, collector, tmp_path, capsys):
+        concave = tmp_path / "cc.csv"
+        np.savetxt(concave, [[0, 0], [1, 0], [2, 1], [1.2, 1.1], [0.2, 2]], delimiter=",")
+        for argv, code in ((["table1", "--sizes", "10"], 0), (["table1", "--sizes", "4"], 1),
+                           (["plength", str(concave)], 2)):
+            assert main(argv) == code
+            assert gc.isenabled() is collector
+
+    def test_state_restored_after_help(self, collector, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert gc.isenabled() is collector
+
+    def test_state_restored_after_an_exception(self, collector, monkeypatch):
+        seen = []
+
+        def fail(sizes):
+            seen.append(gc.isenabled())
+            raise RuntimeError("escapes main")
+
+        monkeypatch.setattr(cli, "table1_experiment", fail)
+        with pytest.raises(RuntimeError, match="escapes main"):
+            main(["table1", "--sizes", "10"])
+        assert seen == [False]
+        assert gc.isenabled() is collector
+
+    def test_no_collection_during_a_resample(self, tmp_path):
+        # the 4e3-vertex jittered spiral of the benchmark's resample-export
+        n, rng = 4000, np.random.default_rng(0)
+        h = 2 * np.pi / n
+        t = np.concatenate([[0.0, 4 * h, 8 * h],
+                            8 * h + h * (np.arange(1, n - 2) + rng.uniform(-0.25, 0.25, n - 3))])
+        f = FramedPolygon.silhouette(ExampleSpiralRepresentative()(t), closed=False)
+        path = write_framed(f, tmp_path / "dense.json")
+        runs = []
+
+        def count(phase, info):
+            if phase == "start":
+                runs.append(info["generation"])
+
+        gc.callbacks.append(count)
+        try:
+            assert main(["resample", path, "--out", str(tmp_path / "out.json")]) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert runs == []
 
 
 class TestTable1:
