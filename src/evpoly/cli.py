@@ -94,6 +94,10 @@ def _load_framed(args) -> tuple:
     """Framed polygon from the input document plus the origin used, if any."""
     doc = read_document(args.input)
     if doc.kind == "framed3":
+        if args.origin is not None:
+            raise DocumentError(
+                "a framed3 document carries its own directions; --origin only "
+                "frames a bare polygon3")
         return doc.to_framed(), None
     if doc.kind == "polygon3":
         if args.origin is None:
@@ -181,16 +185,22 @@ def cmd_resample(args) -> int:
 
 
 def cmd_plength(args) -> int:
+    # a seed flag that would be ignored is refused, not dropped
+    seeds = {"--a1": args.a1, "--a2": args.a2, "--c": args.c}
+    given = [flag for flag, value in seeds.items() if value is not None]
+    if args.auto_seed and given:
+        raise DocumentError(f"--auto-seed takes none of --a1, --a2 and --c, "
+                            f"got {', '.join(given)}")
+    if given and len(given) < len(seeds):
+        missing = [flag for flag in seeds if flag not in given]
+        raise DocumentError(f"{' and '.join(given)} need{'s' if len(given) == 1 else ''} "
+                            f"{' and '.join(missing)} (or use --auto-seed)")
     doc = read_document(args.input)
     if doc.kind != "polygon2":
         raise DocumentError("plength expects a planar (polygon2) document")
     poly = PlanarProjectivePolygon.from_vertices(doc.vertices, closed=doc.closed)
-    if args.auto_seed or args.a1 is None:
-        norm = default_normalization(poly)
-    else:
-        if args.a2 is None or args.c is None:
-            raise DocumentError("--a1 requires --a2 and --c (or use --auto-seed)")
-        norm = LiftNormalization(args.a1, args.a2, args.c, "user-seed")
+    norm = (LiftNormalization(args.a1, args.a2, args.c, "user-seed") if given
+            else default_normalization(poly))
     phi = lift_representative(poly, norm)
     rep = projective_lengths(phi)
     payload = {

@@ -122,10 +122,6 @@ class FrenetData:
     c: float
     tau_gap: GridSeq
 
-    @property
-    def topology(self) -> Topology:
-        return self.tau.topology
-
     def compatibility_residual(self, sigma: GridSeq) -> np.ndarray:
         """|  -tau*sigma - (rho2(k) - rho1(k+1)) | per side."""
         k0, m = self.tau.base, len(self.tau)

@@ -89,6 +89,18 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 1
         assert "--origin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, out_flag", [
+        ("analyze", "--json"), ("developable", "--obj"), ("focal", "--obj")])
+    @pytest.mark.parametrize("origin", ["0,0,0", "zero"])
+    def test_origin_with_framed_document_exits_1(self, spiral_doc, tmp_path, capsys,
+                                                 command, out_flag, origin):
+        out = tmp_path / "out"
+        assert main([command, spiral_doc, "--origin", origin, out_flag, str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("evpoly: a framed3 document carries its own directions; "
+                       "--origin only frames a bare polygon3\n")
+        assert not out.exists()
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 1
 
@@ -235,6 +247,21 @@ class TestPlength:
         assert main(argv + [x for kv in seeds.items() for x in kv]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"evpoly: argument {flag}: ") and err.count("\n") == 1
+        assert not report.exists()
+
+    @pytest.mark.parametrize("seeds, err", [
+        (["--a2", "2", "--c", "1"], "--a2 and --c need --a1"),
+        (["--auto-seed", "--a1", "3", "--a2", "2", "--c", "1"],
+         "--auto-seed takes none of --a1, --a2 and --c, got --a1, --a2, --c"),
+    ], ids=["seeds-without-a1", "auto-seed-with-seeds"])
+    def test_seed_flags_that_would_be_ignored_exit_1(self, tmp_path, capsys, seeds, err):
+        pts = sample_curve(Ellipse(2.0, 1.0), 0.2, 1.6, 100, GridScheme.INCLUDE_BOTH_ENDS)
+        path = tmp_path / "arc.csv"
+        np.savetxt(path, pts, delimiter=",")
+        report = tmp_path / "r.json"
+        assert main(["plength", str(path), "--report", str(report)] + seeds) == 1
+        out = capsys.readouterr().err
+        assert out.startswith(f"evpoly: {err}") and out.count("\n") == 1
         assert not report.exists()
 
     def test_concave_polygon_exits_2(self, tmp_path, capsys):

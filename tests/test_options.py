@@ -5,8 +5,9 @@ so each one the package keeps names the caller or test that sets it to
 something other than its default.  A new defaulted parameter fails here
 until it is added to ``KEPT`` with its caller.  The census covers the
 functions and the hand-written methods (including ``__init__``) of every
-name in each module's ``__all__``; dataclass field defaults are record
-fields, not options, and are not counted.
+name in each module's ``__all__``, and the generated ``__init__`` of each
+public dataclass: a defaulted field that ``__init__`` takes is an option
+like any keyword parameter (an ``init=False`` field is not).
 
 Likewise every name in a module's ``__all__`` is used somewhere in the
 package outside its own definition (re-exports in ``__init__`` do not
@@ -14,12 +15,16 @@ count), or ``PINNED`` names the paper identity or acceptance criterion
 whose test keeps it.  One level down, every member of a public class
 (dataclass field, enum member, public method or property) is read as an
 attribute somewhere in the package, or ``PINNED_MEMBERS`` names the test
-or the benchmark file that reads it.  Both censuses fail in both
-directions: on a new unread name and on a pin that is no longer needed.
+or the benchmark file that reads it.  An attribute read names no class,
+so a member whose name two or more public classes share counts as read
+only through ``SHARED_MEMBERS``, which names the reader of each class's
+member.  Every census fails in both directions: on a new unread name and
+on a pin that is no longer needed.
 """
 
 import ast
 import dataclasses
+from collections import defaultdict
 import importlib
 import importlib.util
 import inspect
@@ -58,6 +63,19 @@ KEPT = {
     # the document format's free-form metadata map
     "documents.PolygonDocument.from_framed(metadata)": "cli.cmd_resample",
     "cli.main(argv)": "tests/test_cli.py and the benchmark; None reads sys.argv",
+    # defaulted dataclass fields
+    "core.GridSeq(topology)": "every sequence derived from a polygon passes its topology, "
+                              "e.g. core.forward_diff",
+    "core.GridSeq(base)": "open interior windows, e.g. core.forward_diff, invariants._frenet_data",
+    "darboux.DarbouxField(holonomy)": "darboux.parallel_darboux for a closed polygon",
+    "darboux.OsculatingClass(apex)": "darboux.classify_osculating for a cone",
+    "documents.PolygonDocument(directions)": "documents.read_document and "
+                                             "PolygonDocument.from_framed, for framed3",
+    "documents.PolygonDocument(metadata)": "documents.read_document and PolygonDocument.from_framed",
+    "meshes.Mesh(lines)": "invariants.focal_set_mesh, one line per focal line",
+    "meshes.Mesh(v_rows)": "darboux.osculating_developable, quads that share rows",
+    "projective.LiftNormalization(label)":
+        "cli.cmd_plength (user-seed) and projective.spiral_analytic_normalization",
 }
 
 # public names that nothing in the package calls, each kept by a test of the paper
@@ -90,6 +108,53 @@ PINNED_MEMBERS = {
     "invariants.PlanarReduction.evolute": "acceptance criterion 8, the evolute",
 }
 
+# members whose name two or more public classes share, each with the
+# reader of that class's member
+SHARED_MEMBERS = {
+    "darboux.SurfaceKind.GENERAL": "darboux.classify_osculating",
+    "invariants.FocalKind.GENERAL": "invariants.classify_focal",
+    "constructions.PlanarEqualAreaPolygon.area_constant":
+        "PlanarEqualAreaPolygon.normalized, constructions.lift_residuals",
+    "invariants.PlanarReduction.area_constant":
+        "the regular n-gon's side areas, tests/test_invariants.py TestPlanarReduction",
+    "invariants.FrenetData.c":
+        "the volume constant in roundoff floors, tests/test_kernels.py, tests/test_acceptance.py",
+    "projective.LiftNormalization.c": "projective.lift_representative, cli.cmd_plength",
+    "constructions.PlanarEqualAreaPolygon.closed":
+        "PlanarEqualAreaPolygon.normalized, constructions.silhouette_lift",
+    "core.Polygon3.closed": "FramedPolygon.closed, PolygonDocument.from_polygon",
+    "darboux.FramedPolygon.closed":
+        "darboux.validate_frame and parallel_darboux, invariants.frenet, cli.cmd_analyze",
+    "documents.PolygonDocument.closed":
+        "PolygonDocument.to_framed, documents.write_document, cli._load_framed, cli.cmd_plength",
+    "projective.PlanarProjectivePolygon.closed": "projective.lift_representative",
+    "constructions.Ellipse.dim": "constructions.sample_curve",
+    "constructions.ExampleSpiral.dim": "constructions.sample_curve",
+    "constructions.ExampleSpiralRepresentative.dim": "constructions.sample_curve",
+    "darboux.FramedPolygon.directions":
+        "FramedPolygon.unit_directions, PolygonDocument.from_framed",
+    "documents.PolygonDocument.directions":
+        "PolygonDocument.to_framed, documents.write_document",
+    "constructions.PlanarEqualAreaPolygon.from_vertices":
+        "constructions.regular_equal_area and random_equal_area",
+    "projective.PlanarProjectivePolygon.from_vertices":
+        "cli.cmd_plength, projective.table1_experiment",
+    "darboux.OsculatingClass.kind": "cli.cmd_analyze",
+    "documents.PolygonDocument.kind": "cli._load_framed, cli.cmd_plength, documents.write_document",
+    "invariants.FocalClass.kind": "cli.cmd_analyze",
+    "core.GridSeq.topology": "GridSeq.window and stencil, core.forward_diff",
+    "core.Polygon3.topology": "darboux.parallel_darboux, invariants.frenet",
+    "core.GridSeq.values": "core.forward_diff, cli._seq_payload",
+    "equal_volume.VolumeReport.values": "invariants._volume_constant",
+    "core.Polygon3.vertices": "Polygon3.points, darboux._osculating_points, invariants.focal_data",
+    "documents.PolygonDocument.vertices":
+        "PolygonDocument.to_framed, documents.write_document, cli.cmd_plength",
+    "meshes.Mesh.vertices":
+        "the pinned Mesh.face_planarity, tests/test_meshes.py and tests/test_darboux.py",
+    "projective.PlanarProjectivePolygon.vertices":
+        "projective.default_normalization and lift_representative, perfbench/spans.py",
+}
+
 # tolerances that were keyword options, kept as module constants
 CONSTANTS = [
     (darboux, "OSCULATING_AGREEMENT_TOL", 1e-10),
@@ -116,6 +181,9 @@ def _callables(module):
         if inspect.isfunction(obj) and _written_in(obj, module):
             yield name, obj
         elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+            init = vars(obj).get("__init__")
+            if dataclasses.is_dataclass(obj) and init is not None and not _written_in(init, module):
+                yield name, init  # generated: its defaulted parameters are the fields'
             for attr, member in vars(obj).items():
                 fn = member.__func__ if isinstance(member, (classmethod, staticmethod)) else member
                 if (inspect.isfunction(fn) and _written_in(fn, module)
@@ -174,9 +242,19 @@ def class_members():
                 yield f"{info.name}.{name}.{attr}", attr
 
 
+def shared_members() -> set:
+    """Members whose name another public class's member also has."""
+    owners = defaultdict(set)
+    for qual, attr in class_members():
+        owners[attr].add(qual)
+    return {qual for quals in owners.values() if len(quals) > 1 for qual in quals}
+
+
 def unread_members() -> set:
-    read = loaded_attributes()
-    return {qual for qual, attr in class_members() if attr not in read}
+    """Members nothing in the package reads, apart from shared ones: a read
+    of a shared name does not show which class it reads."""
+    read, shared = loaded_attributes(), shared_members()
+    return {qual for qual, attr in class_members() if attr not in read and qual not in shared}
 
 
 def unused_public_names() -> set:
@@ -196,6 +274,12 @@ def test_every_class_member_has_a_reader():
     unread = unread_members()
     assert sorted(unread - PINNED_MEMBERS.keys()) == [], "unread members: read them or pin them"
     assert sorted(PINNED_MEMBERS.keys() - unread) == [], "members read or gone: unpin them"
+
+
+def test_every_shared_member_names_its_reader():
+    shared = shared_members()
+    assert sorted(shared - SHARED_MEMBERS.keys()) == [], "shared names: name each class's reader"
+    assert sorted(SHARED_MEMBERS.keys() - shared) == [], "names no longer shared: drop them"
 
 
 def test_benchmark_tracer_names_resolve():
