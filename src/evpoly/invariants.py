@@ -17,7 +17,8 @@ Open-topology windows (N vertices):
     lambda / eta                     : vertices 1 .. N-2
     O                                : sides   0 .. N-2
 Closed polygons use all N slots, indices mod N; both come from the
-stencil ``GridSeq.stencil(-1, 0, 1, 2)`` of the third difference.
+stencil ``GridSeq.stencil(-1, 0, 1)`` of the sides that the third
+difference is nested on.
 """
 
 from __future__ import annotations
@@ -129,10 +130,16 @@ class FrenetData:
                       - (self.rho2.values - self.rho1.window(k0 + 1, m)))
 
 
-def _third_diffs(p: GridSeq):
-    """Third differences per side, their first slot and the four vertex stencils."""
-    first, (pm, p0, p1, p2) = p.stencil(-1, 0, 1, 2)
-    return first, p2 - 3 * p1 + 3 * p0 - pm, (pm, p0, p1, p2)
+def _third_diffs(sides: GridSeq):
+    """Third differences per side, their first slot and the sides e(k-1), e(k).
+
+    Nested on the sides, (e(k+1) - e(k)) - (e(k) - e(k-1)), so that each
+    subtraction acts on neighbouring, already close operands.  The
+    expanded p(k+2) - 3 p(k+1) + 3 p(k) - p(k-1) rounds its terms at
+    eps |p| before they cancel to a vector of size h^3.
+    """
+    first, (em, e0, e1) = sides.stencil(-1, 0, 1)
+    return first, (e1 - e0) - (e0 - em), (em, e0)
 
 
 def _frenet_data(topo: Topology, first: int, c: float, rho1, rho2, tau,
@@ -163,9 +170,9 @@ def frenet(f: FramedPolygon, df: DarbouxField) -> FrenetData:
         raise GeometryError("need at least 5 vertices for open Frenet data")
     c = _volume_constant(darboux_volumes(f, df))
 
-    k0, d3, (_, p0, p1, _) = _third_diffs(f.polygon.vertices)
+    k0, d3, (_, e0) = _third_diffs(f.polygon.sides())
     m = len(d3)
-    back = -(p1 - p0)  # the side, reversed
+    back = -e0  # the side, reversed
     xi_near, xi_far = df.xi.window(k0, m), df.xi.window(k0 + 1, m)
     rho2, tau_a = face_solve(d3, back, xi_far, cross3(back, xi_far))     # rho2 at vertex k
     rho1, tau_b = face_solve(d3, back, xi_near, cross3(back, xi_near))   # rho1 at vertex k+1
@@ -408,15 +415,15 @@ def planar_reduction(p: Polygon3, normal) -> PlanarReduction:
     xy = np.stack([(pts - c0) @ u, (pts - c0) @ v], axis=1)
 
     xy_seq = GridSeq(xy, Grid.VERTEX, p.topology)
-    _, (e_left, e_right) = forward_diff(xy_seq).stencil(-1, 0)
+    sides = forward_diff(xy_seq)
+    _, (e_left, e_right) = sides.stencil(-1, 0)
     a_hat = median(det2(e_left, e_right))
 
-    k0, d3, (pm, p0, p1, _) = _third_diffs(xy_seq)
-    edge = p1 - p0
+    k0, d3, (e_back, edge) = _third_diffs(sides)
     # row-wise dot products by matmul, which rounds as np.dot does
     rho = -(d3[:, None] @ edge[:, :, None] / (edge[:, None] @ edge[:, :, None]))[:, 0, 0]
     turn = rho != 0.0
-    ev = p0[turn] + (p1 - 2 * p0 + pm)[turn] / rho[turn, None]
+    ev = xy_seq.window(k0, len(rho))[turn] + (edge - e_back)[turn] / rho[turn, None]
     q_pts = c0 + ev[:, :1] * u + ev[:, 1:] * v
     return PlanarReduction(a_hat, GridSeq(rho, Grid.SIDE, p.topology, k0), q_pts)
 

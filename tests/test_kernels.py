@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import random_cone_fixture, random_equal_volume_polygon, random_generic_framed
 
-from evpoly import cli
+from evpoly import cli, invariants
 from evpoly.constructions import (
     Ellipse,
     ExampleSpiralRepresentative,
@@ -180,6 +180,36 @@ def test_face_solve_matches_exact_least_squares(kind, closed, seed, n):
             assert_close(y[j], float(y_ref), y_scale)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="np.longdouble is float64 here, no more precise than the code")
+@pytest.mark.parametrize("n", [2000, 10_000])
+def test_frenet_third_differences_match_long_double(n, monkeypatch):
+    """The third differences that ``frenet`` solves, against the same
+    vertices differenced in long double, relative to max |d3|.
+
+    Nested on the sides they are good to 3.1e-13 and 8.9e-12 here; the
+    expanded p(k+2) - 3 p(k+1) + 3 p(k) - p(k-1) missed by 7.4e-8 and 9.2e-6.
+    """
+    phi = sample_curve(ExampleSpiralRepresentative(), 0.0, 2 * np.pi, n)
+    f = FramedPolygon.silhouette(phi.points)
+    solved = []
+
+    def spy(v, a, b, normal):
+        solved.append(v)
+        return face_solve(v, a, b, normal)
+
+    monkeypatch.setattr(invariants, "face_solve", spy)
+    frenet(f, parallel_darboux(f))
+    e = np.diff(f.polygon.points.astype(np.longdouble), axis=0)
+    ref = (e[2:] - e[1:-1]) - (e[1:-1] - e[:-2])
+    scale = np.abs(ref).max()
+    assert all(d3 is solved[0] for d3 in solved) and solved[0].shape == ref.shape
+    assert np.abs(solved[0] - ref).max() <= 1e-10 * scale
+    p = f.polygon.points
+    expanded = p[3:] - 3 * p[2:-1] + 3 * p[1:-2] - p[:-3]
+    assert np.abs(expanded - ref).max() > 1e-10 * scale  # the fixture tells the forms apart
+
+
 # ---------------------------------------------------------------- one stencil for both topologies
 
 
@@ -261,15 +291,23 @@ def reference_centroaffine_frenet(q, c, slots):
 
 
 def reference_planar_reduction(xy, slots):
-    """The per-side curvature and evolute loop that the batched form replaced."""
+    """The per-side curvature and evolute loop that the batched form replaced.
+
+    Its second and third differences are nested on the sides, as the
+    batched form takes them: (e(k+1) - e(k)) - (e(k) - e(k-1)).
+    """
     n = len(xy)
+
+    def side(j):
+        return xy[(j + 1) % n] - xy[j % n]
+
     rho, evolute = [], []
     for k in slots:
-        d3 = xy[(k + 2) % n] - 3 * xy[(k + 1) % n] + 3 * xy[k % n] - xy[(k - 1) % n]
-        edge = xy[(k + 1) % n] - xy[k % n]
+        edge = side(k)
+        d3 = (side(k + 1) - edge) - (edge - side(k - 1))
         r = -float(np.dot(d3, edge) / np.dot(edge, edge))
         rho.append(r)
-        pp = xy[(k + 1) % n] - 2 * xy[k % n] + xy[(k - 1) % n]
+        pp = edge - side(k - 1)
         if r != 0.0:
             evolute.append(xy[k % n] + pp / r)
     return np.array(rho), np.array(evolute)
