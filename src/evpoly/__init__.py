@@ -3,9 +3,9 @@
 Core objects: half-integer grid sequences and polygons (core), parallel
 Darboux fields and osculating developables (darboux), equal-volume
 checks and resampling (equal_volume), Frenet coefficients and the affine
-focal set (invariants), equal-area generators and lifts (constructions),
-discrete projective lengths (projective), file formats and the command
-line (documents, cli).
+focal set (invariants), curve samplers (constructions), discrete
+projective lengths (projective), file formats and the command line
+(documents, cli).
 """
 
 from .core import (
@@ -34,7 +34,6 @@ from .equal_volume import (
     darboux_volumes,
     is_equal_volume,
     resample_equal_volume,
-    space_volumes,
 )
 from .invariants import (
     FocalKind,
@@ -45,16 +44,8 @@ from .invariants import (
     focal_set_mesh,
     frenet,
     lambda_from_tau,
-    planar_reduction,
 )
-from .constructions import (
-    PlanarEqualAreaPolygon,
-    area_lift,
-    regular_equal_area,
-    sample_curve,
-    silhouette_lift,
-    support_function,
-)
+from .constructions import sample_curve
 from .projective import (
     PlanarProjectivePolygon,
     b_sequence,

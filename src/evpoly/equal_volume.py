@@ -1,10 +1,9 @@
 """Equal-volume conditions and the inductive equal-volume resampler.
 
-Three flavours of the constant-volume condition are evaluated here: the
-framed-polygon determinant [side, side, xi], the centro-affine
-determinant of vertex triples about a base point, and the space-polygon
-determinant of consecutive difference vectors.  The resampler rebuilds a
-framed polygon so the first condition holds exactly, moving vertices
+Two flavours of the constant-volume condition are evaluated here: the
+framed-polygon determinant [side, side, xi] and the centro-affine
+determinant of vertex triples about the origin.  The resampler rebuilds
+a framed polygon so the first condition holds exactly, moving vertices
 along the input polyline.
 """
 
@@ -22,7 +21,6 @@ from .core import (
     Polygon3,
     Topology,
     det3,
-    forward_diff,
     median,
 )
 from .darboux import DarbouxField, FramedPolygon, once_per_field
@@ -32,7 +30,6 @@ __all__ = [
     "ResampleResult",
     "darboux_volumes",
     "centroaffine_volumes",
-    "space_volumes",
     "is_equal_volume",
     "resample_equal_volume",
 ]
@@ -72,35 +69,12 @@ def darboux_volumes(f: FramedPolygon, df: DarbouxField) -> VolumeReport:
     return _report(det3(e_left, e_right, xi), f.polygon.topology, first)
 
 
-def centroaffine_volumes(p: Polygon3, origin=(0.0, 0.0, 0.0)) -> VolumeReport:
-    """Volumes of consecutive vertex triples relative to a base point."""
+def centroaffine_volumes(p: Polygon3) -> VolumeReport:
+    """Volumes of consecutive vertex triples about the origin."""
     if len(p) < 3:
         raise GeometryError("need at least 3 vertices")
-    origin = np.asarray(origin, dtype=float)
-    if not np.isfinite(origin).all():
-        raise GeometryError("non-finite base point")
-    q = p.vertices.with_values(p.points - origin)
-    first, (q0, q1, q2) = q.stencil(-1, 0, 1)
+    first, (q0, q1, q2) = p.vertices.stencil(-1, 0, 1)
     return _report(det3(q0, q1, q2), p.topology, first)
-
-
-def space_volumes(P: GridSeq) -> VolumeReport:
-    """Equal-volume check for a space polygon given on the side grid.
-
-    Evaluates the centro-affine volumes of the difference polygon about
-    the origin.
-    """
-    if P.grid is not Grid.SIDE:
-        raise GeometryError("space polygon must live on the side grid")
-    if len(P) < 4:
-        raise GeometryError("need at least 4 vertices")
-    phi = forward_diff(P)
-    poly = Polygon3(phi if phi.base == 0 else GridSeq(phi.values, Grid.VERTEX, phi.topology, 0))
-    rep = centroaffine_volumes(poly, (0.0, 0.0, 0.0))
-    # restore slot bookkeeping relative to the original side sequence
-    vols = rep.volumes
-    return VolumeReport(GridSeq(vols.values, Grid.VERTEX, vols.topology,
-                                vols.base + phi.base), rep.c_hat, rep.spread)
 
 
 def is_equal_volume(r: VolumeReport) -> bool:

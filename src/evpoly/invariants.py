@@ -35,10 +35,8 @@ from .core import (
     Polygon3,
     Topology,
     cross3,
-    det2,
     det3,
     face_solve,
-    forward_diff,
     median,
     norm3,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "FocalSetData",
     "FocalKind",
     "FocalClass",
-    "PlanarReduction",
     "GaugeObstructionError",
     "NotEqualVolumeError",
     "frenet",
@@ -66,8 +63,6 @@ __all__ = [
     "focal_data",
     "focal_set_mesh",
     "classify_focal",
-    "planar_reduction",
-    "mu_prime_check",
 ]
 
 TAU_AGREEMENT_TOL = 1e-9
@@ -77,8 +72,6 @@ FOCAL_AGREEMENT_TOL = 1e-9
 GAUGE_CLOSURE_TOL = 1e-9
 # relative spread of sigma and mu below which the focal set is one line
 FOCAL_CLASSIFY_TOL = 1e-6
-# largest plane offset, relative to max(diameter, 1), of a planar polygon
-PLANARITY_TOL = 1e-9
 
 
 class NotEqualVolumeError(GeometryError):
@@ -130,18 +123,6 @@ class FrenetData:
                       - (self.rho2.values - self.rho1.window(k0 + 1, m)))
 
 
-def _third_diffs(sides: GridSeq):
-    """Third differences per side, their first slot and the sides e(k-1), e(k).
-
-    Nested on the sides, (e(k+1) - e(k)) - (e(k) - e(k-1)), so that each
-    subtraction acts on neighbouring, already close operands.  The
-    expanded p(k+2) - 3 p(k+1) + 3 p(k) - p(k-1) rounds its terms at
-    eps |p| before they cancel to a vector of size h^3.
-    """
-    first, (em, e0, e1) = sides.stencil(-1, 0, 1)
-    return first, (e1 - e0) - (e0 - em), (em, e0)
-
-
 def _frenet_data(topo: Topology, first: int, c: float, rho1, rho2, tau,
                  gap) -> FrenetData:
     """FrenetData from per-side arrays that start at side ``first``.
@@ -170,7 +151,12 @@ def frenet(f: FramedPolygon, df: DarbouxField) -> FrenetData:
         raise GeometryError("need at least 5 vertices for open Frenet data")
     c = _volume_constant(darboux_volumes(f, df))
 
-    k0, d3, (_, e0) = _third_diffs(f.polygon.sides())
+    # Each third difference is nested on the sides, (e(k+1) - e(k)) -
+    # (e(k) - e(k-1)), so that each subtraction acts on neighbouring,
+    # already close operands.  The expanded p(k+2) - 3 p(k+1) + 3 p(k) -
+    # p(k-1) rounds its terms at eps |p| before they cancel to size h^3.
+    k0, (em, e0, e1) = f.polygon.sides().stencil(-1, 0, 1)
+    d3 = (e1 - e0) - (e0 - em)
     m = len(d3)
     back = -e0  # the side, reversed
     xi_near, xi_far = df.xi.window(k0, m), df.xi.window(k0 + 1, m)
@@ -189,15 +175,14 @@ def frenet(f: FramedPolygon, df: DarbouxField) -> FrenetData:
     return _frenet_data(f.polygon.topology, k0, c, rho1, rho2, tau, gap)
 
 
-def centroaffine_frenet(p: Polygon3, origin=(0.0, 0.0, 0.0)) -> FrenetData:
+def centroaffine_frenet(p: Polygon3) -> FrenetData:
     """Frenet data of an equal-volume polygon in the centro-affine setting.
 
-    With xi = phi - origin and sigma = -1 the face solves have closed
-    forms in the triple brackets of the vertices about the base point.
+    With xi = phi and sigma = -1 the face solves have closed forms in the
+    triple brackets of the vertices about the origin.
     """
-    c = _volume_constant(centroaffine_volumes(p, origin))
-    q = p.vertices.with_values(p.points - np.asarray(origin, dtype=float))
-    k0, (qm, q0, q1, q2) = q.stencil(-1, 0, 1, 2)
+    c = _volume_constant(centroaffine_volumes(p))
+    k0, (qm, q0, q1, q2) = p.vertices.stencil(-1, 0, 1, 2)
     d_a = det3(qm, q0, q2)
     d_b = det3(q2, q1, qm)
     return _frenet_data(p.topology, k0, c, 3.0 - d_a / c, 3.0 + d_b / c,
@@ -380,81 +365,3 @@ def classify_focal(df: DarbouxField, fd: FocalSetData) -> FocalClass:
     m_spread = _rel_spread(fd.mu.values)
     single = s_spread <= FOCAL_CLASSIFY_TOL and m_spread <= FOCAL_CLASSIFY_TOL
     return FocalClass(FocalKind.SINGLE_LINE if single else FocalKind.GENERAL, s_spread, m_spread)
-
-
-@dataclass(frozen=True)
-class PlanarReduction:
-    area_constant: float
-    rho: GridSeq
-    evolute: np.ndarray
-
-
-def planar_reduction(p: Polygon3, normal) -> PlanarReduction:
-    """Area constant, affine curvature and evolute of a planar polygon.
-
-    The polygon must lie in a plane with the given normal.  Curvature
-    solves  phi'''(k) = -rho(k) * phi'(k)  per side in plane coordinates;
-    the evolute vertices are  phi(k) + phi''(k)/rho(k)  mapped back to
-    3-space.
-    """
-    nrm = np.asarray(normal, dtype=float)
-    if not np.isfinite(nrm).all():
-        raise GeometryError("non-finite plane normal")
-    nrm = nrm / np.linalg.norm(nrm)
-    pts = p.points
-    c0 = pts.mean(axis=0)
-    offsets = (pts - c0) @ nrm
-    if np.max(np.abs(offsets)) > PLANARITY_TOL * max(p.diameter(), 1.0):
-        raise GeometryError("polygon is not planar to tolerance")
-
-    # in-plane orthonormal frame
-    u = np.eye(3)[int(np.argmin(np.abs(nrm)))]
-    u = u - np.dot(u, nrm) * nrm
-    u /= np.linalg.norm(u)
-    v = cross3(nrm, u)
-    xy = np.stack([(pts - c0) @ u, (pts - c0) @ v], axis=1)
-
-    xy_seq = GridSeq(xy, Grid.VERTEX, p.topology)
-    sides = forward_diff(xy_seq)
-    _, (e_left, e_right) = sides.stencil(-1, 0)
-    a_hat = median(det2(e_left, e_right))
-
-    k0, d3, (e_back, edge) = _third_diffs(sides)
-    # row-wise dot products by matmul, which rounds as np.dot does
-    rho = -(d3[:, None] @ edge[:, :, None] / (edge[:, None] @ edge[:, :, None]))[:, 0, 0]
-    turn = rho != 0.0
-    ev = xy_seq.window(k0, len(rho))[turn] + (edge - e_back)[turn] / rho[turn, None]
-    q_pts = c0 + ev[:, :1] * u + ev[:, 1:] * v
-    return PlanarReduction(a_hat, GridSeq(rho, Grid.SIDE, p.topology, k0), q_pts)
-
-
-@dataclass(frozen=True)
-class MuPrimeReport:
-    residual_rho1: np.ndarray
-    residual_rho2: np.ndarray
-    mu_prime: np.ndarray
-
-    @property
-    def max_residual(self) -> float:
-        vals = np.concatenate([self.residual_rho1, self.residual_rho2])
-        return float(vals.max()) if vals.size else 0.0
-
-
-def mu_prime_check(fr: FrenetData, fd: FocalSetData, sigma: GridSeq) -> MuPrimeReport:
-    """Check mu'(i) = rho1'(i+1/2) - sigma tau(i+1/2), and the rho2 twin.
-
-    mu' at a vertex is the difference of mu over its two adjacent sides.
-    The identity assumes sigma is constant along the polygon (silhouette
-    or cone framing); for sigma = -1 it reads mu' = rho' + tau.
-    """
-    lo, (mu_left, mu_right) = fd.mu.stencil(-1, 0)
-    m = len(mu_left)
-
-    def win(seq, start):
-        return seq.window(start, m)
-
-    mp = mu_right - mu_left
-    res1 = np.abs(mp - (win(fr.rho1, lo + 1) - win(fr.rho1, lo) - win(sigma, lo) * win(fr.tau, lo)))
-    res2 = np.abs(mp - (win(fr.rho2, lo) - win(fr.rho2, lo - 1)
-                        - win(sigma, lo - 1) * win(fr.tau, lo - 1)))
-    return MuPrimeReport(res1, res2, mp)

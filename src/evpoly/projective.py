@@ -95,12 +95,12 @@ def b_sequence(poly: GridSeq) -> GridSeq:
 
 @dataclass(frozen=True)
 class LiftNormalization:
-    """Seed scales for the first two vertices and the target volume c."""
+    """Seed scales for the first two vertices, the target volume c, and the seeds' source."""
 
     a1: float
     a2: float
     c: float
-    label: str = "unit-seed"
+    label: str
 
 
 def default_normalization(poly: PlanarProjectivePolygon) -> LiftNormalization:

@@ -1,7 +1,9 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
-from evpoly.core import Grid, GridSeq, Polygon3
+from evpoly.core import Grid, GridSeq, Polygon3, Topology, det2, forward_diff, median
 from evpoly.darboux import DarbouxField, FramedPolygon
 from evpoly.invariants import frenet
 
@@ -87,3 +89,138 @@ def random_generic_framed(rng, n=15, closed=False):
             edge = pts[i + 1] - pts[i]
         d[i + 1] = a * edge + b * d[i]
     return FramedPolygon.build(pts, d, closed=closed)
+
+
+# The paper's equal-area polygons and their lifts, the oracles of the
+# single-line focal set and the planar reduction.  An equal-area planar
+# polygon Gamma lives on the side grid (vertices at half-integer slots);
+# its difference polygon gamma(i) = Gamma'(i) sits on the vertex grid and
+# satisfies [gamma(i), gamma(i+1)] = const.  Lifting with a base point P
+# gives space polygons whose affine focal set is a single line (silhouette
+# lift) or whose mu is constant (area lift).
+
+
+@dataclass(frozen=True)
+class PlanarEqualAreaPolygon:
+    """Planar polygon Gamma on the side grid, its differences gamma, the
+    median ``area_constant`` of [gamma(i), gamma(i+1)] and the largest
+    relative deviation from it, ``area_spread``."""
+
+    Gamma: GridSeq
+    gamma: GridSeq
+    area_constant: float
+    area_spread: float
+
+    @classmethod
+    def from_vertices(cls, points, closed=False):
+        topo = Topology.CLOSED if closed else Topology.OPEN
+        Gamma = GridSeq(np.array(points, dtype=float), Grid.SIDE, topo)
+        gamma = forward_diff(Gamma)
+        _, (g0, g1) = gamma.stencil(0, 1)
+        areas = det2(g0, g1)
+        c = median(areas)
+        return cls(Gamma, gamma, c, float(np.max(np.abs(areas - c)) / abs(c)))
+
+    @property
+    def closed(self):
+        return self.Gamma.topology is Topology.CLOSED
+
+    def normalized(self):
+        """Rescaled so the area constant is +-1 (unit equal-area form)."""
+        s = abs(self.area_constant) ** -0.5
+        if s == 1.0:
+            return self
+        return PlanarEqualAreaPolygon.from_vertices(s * self.Gamma.values, self.closed)
+
+
+def regular_equal_area(N):
+    """Closed regular N-gon scaled so the edge-pair area constant is 1."""
+    theta = 2.0 * np.pi * (np.arange(N) + 0.5) / N
+    pts = np.column_stack([np.cos(theta), np.sin(theta)])
+    # edge length 2 R sin(pi/N), turning angle 2 pi / N
+    area = 4.0 * np.sin(np.pi / N) ** 2 * np.sin(2.0 * np.pi / N)
+    return PlanarEqualAreaPolygon.from_vertices(area ** -0.5 * pts, closed=True)
+
+
+def random_equal_area(N, rng):
+    """Open equal-area polygon with unit constant, grown edge by edge.
+
+    Each new difference vector is t*gamma + rot90(gamma)/|gamma|^2 for a
+    random t, which keeps [gamma(i), gamma(i+1)] = 1 exactly.
+    """
+    g = np.empty((N - 1, 2))
+    ang = rng.uniform(0, 2 * np.pi)
+    g[0] = np.array([np.cos(ang), np.sin(ang)]) * rng.uniform(0.7, 1.4)
+    rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for i in range(1, N - 1):
+        t = rng.uniform(0.5, 1.8)
+        g[i] = t * g[i - 1] + rot @ g[i - 1] / np.dot(g[i - 1], g[i - 1])
+    start = rng.normal(size=2)
+    return PlanarEqualAreaPolygon.from_vertices(np.vstack([start, start + np.cumsum(g, axis=0)]))
+
+
+def support_function(G, P):
+    """Affine distance z(i) = [Gamma(i+1/2) - P, gamma(i)] per vertex.
+
+    The mean of the determinants from both ends of gamma(i), which agree
+    because gamma is the difference of Gamma.
+    """
+    _, (left, right) = G.Gamma.stencil(-1, 0)
+    g = G.gamma.values
+    return G.gamma.with_values(0.5 * (det2(right - P, g) + det2(left - P, g)))
+
+
+def affine_curvature(G):
+    """Affine curvature k(i) and evolute of an equal-area polygon.
+
+    On an equal-area polygon gamma''(i) = -k(i) gamma(i), so k(i) = 2 -
+    (gamma(i+1) + gamma(i-1)).gamma(i) / |gamma(i)|^2, taken with the
+    second difference nested as (gamma(i+1) - gamma(i)) - (gamma(i) -
+    gamma(i-1)).  The evolute vertex is Gamma(i-1/2) + Gamma''(i-1/2) /
+    k(i).  Returns k as a vertex sequence and the evolute as an array.
+    """
+    first, (g_prev, g, g_next) = G.gamma.stencil(-1, 0, 1)
+    gg = (g_next - g) - (g - g_prev)
+    k = -np.einsum("ij,ij->i", gg, g) / np.einsum("ij,ij->i", g, g)
+    evolute = G.Gamma.window(first - 1, len(k)) + (g - g_prev) / k[:, None]
+    return GridSeq(k, Grid.VERTEX, G.gamma.topology, first), evolute
+
+
+def silhouette_lift(G, P):
+    """Space polygon phi(i) = (gamma(i), z(i)), equal-volume about the origin.
+
+    The input is rescaled to unit area constant first, so the lifted
+    polygon satisfies the affine relation phi''(i) = -k(i) phi(i) + (0,0,1)
+    with k the planar affine curvature.  Its focal set is a single line.
+    """
+    Gn = G.normalized()
+    z = support_function(Gn, P)
+    return Polygon3.from_points(np.column_stack([Gn.gamma.values, z.values]), closed=G.closed)
+
+
+def area_lift(G, P):
+    """Vertices Phi(i+1/2) = (Gamma(i+1/2), Z(i+1/2)) of an open polygon's area lift.
+
+    Z accumulates the support function from zero at the first vertex, so
+    the differences of Phi are exactly the silhouette lift.  Phi has
+    constant mu.
+    """
+    Gn = G.normalized()
+    Z = np.concatenate([[0.0], np.cumsum(support_function(Gn, P).values)])
+    return np.column_stack([Gn.Gamma.values, Z])
+
+
+def lift_residuals(G, P):
+    """Componentwise residuals of the lift relation phi'' = -k phi + (0,0,1).
+
+    Returns (max residual of gamma'' + k gamma, max residual of
+    z'' + k z - 1), both on the unit-normalized polygon.
+    """
+    Gn = G.normalized()
+    k = affine_curvature(Gn)[0].values
+    _, (g_prev, g, g_next) = Gn.gamma.stencil(-1, 0, 1)
+    _, (z_prev, z, z_next) = support_function(Gn, P).stencil(-1, 0, 1)
+    sign = 1.0 if Gn.area_constant > 0 else -1.0
+    r_g = float(np.max(np.abs(g_next - 2 * g + g_prev + k[:, None] * g)))
+    r_z = float(np.max(np.abs(z_next - 2 * z + z_prev + k * z - sign)))
+    return r_g, r_z

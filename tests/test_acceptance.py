@@ -12,10 +12,16 @@ import numpy as np
 import pytest
 
 from conftest import (
+    affine_curvature,
+    lift_residuals,
     random_cone_fixture,
+    random_equal_area,
     random_equal_volume_polygon,
     random_generic_framed,
+    regular_equal_area,
     silhouette_frenet,
+    silhouette_lift,
+    support_function,
 )
 
 from evpoly.cli import main
@@ -23,15 +29,9 @@ from evpoly.constructions import (
     ExampleSpiral,
     ExampleSpiralRepresentative,
     GridScheme,
-    random_equal_area,
-    regular_equal_area,
     sample_curve,
-    silhouette_lift,
-    support_function,
-    lift_residuals,
-    recover_base_point,
 )
-from evpoly.core import GridSeq, Grid, Polygon3, Topology
+from evpoly.core import GridSeq, Grid, Polygon3, Topology, det2
 from evpoly.darboux import (
     FramedPolygon,
     SurfaceKind,
@@ -46,7 +46,6 @@ from evpoly.invariants import (
     classify_focal,
     focal_data,
     frenet,
-    planar_reduction,
 )
 from evpoly.projective import (
     PlanarProjectivePolygon,
@@ -191,11 +190,15 @@ def test_criterion_5_single_line_focal(rng):
             ok = ok and np.linalg.norm(np.cross(d0, d1)) <= 1e-9
             ok = ok and np.linalg.norm(np.cross(o1 - o0, d0)) <= 1e-8
     for _ in range(10):
+        # the hidden base point: z(i) = [Gamma(i+1/2), gamma(i)] - [P, gamma(i)]
+        # is linear in P, so least squares recovers it from z
         G = random_equal_area(12, rng).normalized()
         P = rng.normal(size=2)
-        z = support_function(G, P)
-        P_rec, _ = recover_base_point(G, z)
-        ok = ok and np.abs(P_rec - P).max() <= 1e-8
+        g = G.gamma.values
+        a = np.column_stack([g[:, 1], -g[:, 0]])  # [P, gamma] = Px gy - Py gx
+        b = det2(G.Gamma.values[1:], g) - support_function(G, P).values
+        P_rec = np.linalg.lstsq(a, b, rcond=None)[0]
+        ok = ok and np.abs(P_rec - P).max() <= 1e-8 and np.abs(a @ P_rec - b).max() <= 1e-8
     verdict(5, "single-line focal sets", ok)
 
 
@@ -257,20 +260,19 @@ def test_criterion_8_planar_reduction(rng):
 
         # the focal lines pierce the polygon's plane in the affine evolute
         fd = focal_data(f, df, fr, gauge=(fr.tau.base, 0.0))
-        red = planar_reduction(Polygon3.from_points(pts3), [0, 0, 1])
+        _, evolute = affine_curvature(G)
+        evolute = np.column_stack([evolute, np.zeros(len(evolute))])
         hits = []
         for origin, d in zip(fd.line_origins, fd.line_directions):
             hits.append(origin - (origin[2] / d[2]) * d)
         hits = np.asarray(hits)
-        scale = max(np.abs(red.evolute).max(), 1.0)
-        ok = ok and np.abs(hits - red.evolute).max() <= 1e-9 * scale
+        scale = max(np.abs(evolute).max(), 1.0)
+        ok = ok and np.abs(hits - evolute).max() <= 1e-9 * scale
 
     for n in (5, 7, 12, 100):
-        G = regular_equal_area(n)
-        pts3 = np.column_stack([G.Gamma.values, np.zeros(n)])
-        red = planar_reduction(Polygon3.from_points(pts3, closed=True), [0, 0, 1])
+        k, _ = affine_curvature(regular_equal_area(n))
         expected = 2.0 - 2.0 * np.cos(2.0 * np.pi / n)
-        ok = ok and np.abs(red.rho.values - expected).max() <= 1e-10
+        ok = ok and np.abs(k.values - expected).max() <= 1e-10
     verdict(8, "planar reduction", ok)
 
 

@@ -5,7 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_cone_fixture, random_equal_volume_polygon, random_generic_framed
+from conftest import (
+    random_cone_fixture,
+    random_equal_area,
+    random_equal_volume_polygon,
+    random_generic_framed,
+    silhouette_lift,
+)
 
 from evpoly.cli import _planar, build_parser, main
 from evpoly.constructions import (
@@ -13,9 +19,7 @@ from evpoly.constructions import (
     ExampleSpiral,
     ExampleSpiralRepresentative,
     GridScheme,
-    random_equal_area,
     sample_curve,
-    silhouette_lift,
 )
 from evpoly import cli, documents
 from evpoly.darboux import FramedPolygon, parallel_darboux

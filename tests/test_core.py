@@ -22,10 +22,8 @@ from evpoly.core import (
     norm3,
 )
 from evpoly import core, darboux, invariants, projective
-from evpoly.constructions import PlanarEqualAreaPolygon, regular_equal_area, support_function
 from evpoly.darboux import FramedPolygon, osculating_developable, parallel_darboux, validate_frame
-from evpoly.equal_volume import centroaffine_volumes
-from evpoly.invariants import focal_data, focal_set_mesh, frenet, lambda_from_tau, planar_reduction
+from evpoly.invariants import focal_data, focal_set_mesh, frenet, lambda_from_tau
 from evpoly.projective import PlanarProjectivePolygon
 
 vec3 = arrays(np.float64, 3, elements=st.floats(-100, 100))
@@ -264,8 +262,6 @@ ENTRY_POINTS = {
     "FramedPolygon-directions": (lambda d: FramedPolygon.build(ARC, d), "direction"),
     "PlanarProjectivePolygon": (lambda p: PlanarProjectivePolygon.from_vertices(p[:, :2]),
                                 "coordinate"),
-    "PlanarEqualAreaPolygon": (lambda p: PlanarEqualAreaPolygon.from_vertices(p[:, :2]),
-                               "coordinate"),
 }
 
 
@@ -289,8 +285,6 @@ KEPT_ARRAYS = {
     "silhouette-directions": (FramedPolygon.silhouette, lambda f: f.directions.values),
     "PlanarProjectivePolygon": (lambda p: PlanarProjectivePolygon.from_vertices(p[:, :2]),
                                 lambda p: p.vertices.values),
-    "PlanarEqualAreaPolygon": (lambda p: PlanarEqualAreaPolygon.from_vertices(p[:, :2]),
-                               lambda p: p.Gamma.values),
 }
 
 
@@ -329,15 +323,10 @@ def arc_focal_data():
 
 # each other parameter that brings a value from outside into a derived sequence
 PARAMETERS = {
-    "support_function-P": lambda x: support_function(regular_equal_area(6), [x, 0.0]),
-    "centroaffine_volumes-origin":
-        lambda x: centroaffine_volumes(Polygon3.from_points(ARC), (0.0, x, 0.0)),
     "lambda_from_tau-anchor": lambda x: lambda_from_tau(
         GridSeq(np.ones(4), Grid.SIDE), 1, x),
     "osculating_developable-extent": lambda x: osculating_developable(
         FRAMED_ARC, parallel_darboux(FRAMED_ARC), extent=x),
-    "planar_reduction-normal":
-        lambda x: planar_reduction(Polygon3.from_points(ARC), (0.0, x, 1.0)),
     # a NaN tolerance fails no comparison, so it would pass every frame
     "validate_frame-tol_face": lambda x: validate_frame(FRAMED_ARC, tol_face=x),
     "parallel_darboux-tol_face": lambda x: parallel_darboux(FRAMED_ARC, tol_face=x),

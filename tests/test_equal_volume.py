@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_equal_volume_polygon, random_generic_framed
 
-from evpoly.core import GeometryError, Grid, GridSeq, Polygon3
+from evpoly.core import GeometryError, Polygon3
 from evpoly.constructions import ExampleSpiralRepresentative, sample_curve
 from evpoly.darboux import DarbouxField, FramedPolygon, parallel_darboux
 from evpoly.equal_volume import (
@@ -16,7 +16,6 @@ from evpoly.equal_volume import (
     darboux_volumes,
     is_equal_volume,
     resample_equal_volume,
-    space_volumes,
 )
 
 
@@ -367,19 +366,6 @@ class TestVolumeReports:
         assert np.any(rep.values > 0) and np.any(rep.values < 0)
         assert rep.spread > 1.0
         assert not is_equal_volume(rep)
-
-    def test_space_volumes_requires_side_grid(self):
-        s = GridSeq(np.random.default_rng(1).normal(size=(6, 3)), Grid.VERTEX)
-        with pytest.raises(GeometryError):
-            space_volumes(s)
-
-    def test_space_volumes_of_accumulated_polygon(self, rng):
-        p = random_equal_volume_polygon(rng, 10, c=1.3)
-        accum = np.vstack([np.zeros(3), np.cumsum(p.points, axis=0)])
-        s = GridSeq(accum, Grid.SIDE)
-        rep = space_volumes(s)
-        assert rep.c_hat == pytest.approx(1.3, rel=1e-9)
-        assert rep.spread < 1e-9
 
 
 class TestResampler:

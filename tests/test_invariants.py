@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import random_equal_volume_polygon, silhouette_frenet
-
-from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology
-from evpoly.constructions import (
-    ExampleSpiralRepresentative,
+from conftest import (
     random_equal_area,
-    regular_equal_area,
-    sample_curve,
+    random_equal_volume_polygon,
+    silhouette_frenet,
     silhouette_lift,
 )
+
+from evpoly.core import Grid, GridSeq, Polygon3, Topology
+from evpoly.constructions import ExampleSpiralRepresentative, sample_curve
 from evpoly.darboux import FramedPolygon, parallel_darboux
 from evpoly.equal_volume import EQUAL_VOLUME_TOL, centroaffine_volumes
 from evpoly.invariants import (
@@ -23,8 +22,6 @@ from evpoly.invariants import (
     focal_set_mesh,
     frenet,
     lambda_from_tau,
-    mu_prime_check,
-    planar_reduction,
 )
 
 
@@ -94,13 +91,11 @@ class TestFrenet:
             assert err.spread == pytest.approx(rep.spread, rel=1e-9)
             assert f"volume spread {err.spread:.3e} exceeds 1e-08" in str(err)
 
-    @pytest.mark.parametrize("solve", [centroaffine_frenet, silhouette_frenet],
-                             ids=["determinant", "solve"])
-    def test_base_point_moves_with_the_polygon(self, rng, solve):
+    def test_base_point_moves_with_the_polygon(self, rng):
         p = random_equal_volume_polygon(rng, 12)
         o = np.array([0.7, -1.2, 0.4])
-        moved = solve(Polygon3.from_points(p.points + o), origin=o)
-        fr = solve(p)
+        moved = silhouette_frenet(Polygon3.from_points(p.points + o), origin=o)
+        fr = silhouette_frenet(p)
         for name in ("rho1", "rho2", "tau"):
             np.testing.assert_allclose(getattr(moved, name).values, getattr(fr, name).values,
                                        atol=1e-9)
@@ -162,8 +157,21 @@ class TestFocalSet:
         phi = silhouette_lift(G, [0.1, 0.3])
         f, df, fr = silhouette_pipeline(phi.points)
         fd = focal_data(f, df, fr)
-        rep = mu_prime_check(fr, fd, df.sigma)
-        assert rep.max_residual <= 1e-9
+        # mu'(i) = rho1'(i+1/2) - sigma tau(i+1/2) and its rho2 twin, with
+        # sigma constant (-1 on a silhouette) and mu' at a vertex the
+        # difference of mu over its two sides
+        lo, (mu_left, mu_right) = fd.mu.stencil(-1, 0)
+        m = len(mu_left)
+
+        def win(seq, start):
+            return seq.window(start, m)
+
+        mu_prime = mu_right - mu_left
+        rho1_prime = win(fr.rho1, lo + 1) - win(fr.rho1, lo)
+        rho2_prime = win(fr.rho2, lo) - win(fr.rho2, lo - 1)
+        res1 = np.abs(mu_prime - (rho1_prime - win(df.sigma, lo) * win(fr.tau, lo)))
+        res2 = np.abs(mu_prime - (rho2_prime - win(df.sigma, lo - 1) * win(fr.tau, lo - 1)))
+        assert max(res1.max(), res2.max()) <= 1e-9
 
     def test_generic_polygon_is_not_single_line(self, rng):
         p = random_equal_volume_polygon(rng, 12)
@@ -180,26 +188,3 @@ class TestFocalSet:
         scale = np.abs(mesh.vertices).max()
         assert mesh.face_planarity().max() <= 1e-8 * scale
 
-
-class TestPlanarReduction:
-    @pytest.mark.parametrize("n", [5, 7, 12, 100])
-    def test_regular_gon_curvature(self, n):
-        G = regular_equal_area(n)
-        pts3 = np.column_stack([G.Gamma.values, np.zeros(n)])
-        red = planar_reduction(Polygon3.from_points(pts3, closed=True), [0, 0, 1])
-        e = np.roll(pts3, -1, axis=0) - pts3
-        areas = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
-        assert np.abs(areas - red.area_constant).max() <= 1e-8 * abs(red.area_constant)
-        expected = 2.0 - 2.0 * np.cos(2.0 * np.pi / n)
-        np.testing.assert_allclose(red.rho.values, expected, atol=1e-10)
-
-    def test_rejects_nonplanar(self, rng):
-        pts = rng.normal(size=(8, 3))
-        with pytest.raises(GeometryError):
-            planar_reduction(Polygon3.from_points(pts), [0, 0, 1])
-
-    def test_evolute_of_regular_gon_is_center(self):
-        G = regular_equal_area(9)
-        pts3 = np.column_stack([G.Gamma.values, np.zeros(9)])
-        red = planar_reduction(Polygon3.from_points(pts3, closed=True), [0, 0, 1])
-        assert np.abs(red.evolute).max() <= 1e-10

@@ -3,10 +3,10 @@
 The references here are deliberately plain: a sequential product loop for
 the Darboux scales, an exact rational least-squares solve of the same
 float64 data for the face-plane solve and the Frenet coefficients, and the
-per-side loops that the batched determinant Frenet and planar reduction
-replaced.  A closed polygon must give, bit for bit, what the open polygon
-padded with its wrap-around vertices gives.  The error-path cases inject
-one bad side or vertex and check that the error names it.
+per-side loop that the batched determinant Frenet replaced.  A closed
+polygon must give, bit for bit, what the open polygon padded with its
+wrap-around vertices gives.  The error-path cases inject one bad side or
+vertex and check that the error names it.
 """
 
 import dataclasses
@@ -20,21 +20,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_cone_fixture, random_equal_volume_polygon, random_generic_framed
-
-from evpoly import cli, invariants
-from evpoly.constructions import (
-    Ellipse,
-    ExampleSpiralRepresentative,
-    GridScheme,
+from conftest import (
     PlanarEqualAreaPolygon,
     affine_curvature,
+    random_cone_fixture,
     random_equal_area,
+    random_equal_volume_polygon,
+    random_generic_framed,
     regular_equal_area,
-    sample_curve,
     silhouette_lift,
     support_function,
 )
+
+from evpoly import cli, invariants
+from evpoly.constructions import Ellipse, ExampleSpiralRepresentative, GridScheme, sample_curve
 from evpoly.core import (
     GeometryError,
     Grid,
@@ -63,7 +62,6 @@ from evpoly.invariants import (
     focal_set_mesh,
     frenet,
     lambda_from_tau,
-    planar_reduction,
 )
 from evpoly.projective import b_sequence
 
@@ -243,7 +241,7 @@ def test_closed_equals_open_padded_with_wrap_around(k, seed):
     G_open = PlanarEqualAreaPolygon.from_vertices(pad(G.Gamma.values, 1, 0))
     assert_same_slots(support_function(G, P), support_function(G_open, P), 1)
     G_open = PlanarEqualAreaPolygon.from_vertices(pad(G.Gamma.values, 2, 1))
-    assert_same_slots(affine_curvature(G), affine_curvature(G_open), 2)
+    assert_same_slots(affine_curvature(G)[0], affine_curvature(G_open)[0], 2)
 
     t = 2 * np.pi * (np.arange(n) + rng.uniform(0.0, 0.8, n)) / n
     convex = np.column_stack([1.5 * np.cos(t), 0.7 * np.sin(t)])
@@ -290,38 +288,6 @@ def reference_centroaffine_frenet(q, c, slots):
     return np.array(rows).T
 
 
-def reference_planar_reduction(xy, slots):
-    """The per-side curvature and evolute loop that the batched form replaced.
-
-    Its second and third differences are nested on the sides, as the
-    batched form takes them: (e(k+1) - e(k)) - (e(k) - e(k-1)).
-    """
-    n = len(xy)
-
-    def side(j):
-        return xy[(j + 1) % n] - xy[j % n]
-
-    rho, evolute = [], []
-    for k in slots:
-        edge = side(k)
-        d3 = (side(k + 1) - edge) - (edge - side(k - 1))
-        r = -float(np.dot(d3, edge) / np.dot(edge, edge))
-        rho.append(r)
-        pp = edge - side(k - 1)
-        if r != 0.0:
-            evolute.append(xy[k % n] + pp / r)
-    return np.array(rho), np.array(evolute)
-
-
-def plane_frame(pts, normal):
-    """Centroid and in-plane orthonormal pair that planar_reduction takes coordinates in."""
-    nrm = normal / np.linalg.norm(normal)
-    u = np.eye(3)[int(np.argmin(np.abs(nrm)))]
-    u = u - np.dot(u, nrm) * nrm
-    u /= np.linalg.norm(u)
-    return pts.mean(axis=0), u, np.cross(nrm, u)
-
-
 def side_slots(n, closed):
     return range(n) if closed else range(1, n - 2)
 
@@ -341,26 +307,6 @@ def test_centroaffine_frenet_matches_per_side_loop(closed, seed):
     assert np.array_equal(fr.rho2.values, rho2)
     assert np.array_equal(fr.tau.values, tau)
     assert (fr.rho2.base, fr.tau.base) == (slots[0], slots[0])
-
-
-@pytest.mark.parametrize("closed", [False, True])
-@pytest.mark.parametrize("seed", range(5))
-def test_planar_reduction_matches_per_side_loop(closed, seed):
-    rng = np.random.default_rng(seed)
-    G = closed_equal_area(rng, 9 + seed) if closed else random_equal_area(12 + seed, rng)
-    frame, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    pts = G.Gamma.values @ frame[:2] + rng.normal(size=3)
-    red = planar_reduction(Polygon3.from_points(pts, closed=closed), frame[2])
-    c0, u, v = plane_frame(pts, frame[2])
-    xy = np.stack([(pts - c0) @ u, (pts - c0) @ v], axis=1)
-    slots = side_slots(len(pts), closed)
-    rho, evolute = reference_planar_reduction(xy, slots)
-    evolute = c0 + evolute[:, :1] * u + evolute[:, 1:] * v
-    # the dot products moved from np.dot to matmul: 1e-14 of max(|value|, 1)
-    for got, want in ((red.rho.values, rho), (red.evolute, evolute)):
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
-    assert red.rho.base == slots[0]
 
 
 # ---------------------------------------------------------------- frame validation and focal lines

@@ -20,35 +20,42 @@ so a member whose name two or more public classes share counts as read
 only through ``SHARED_MEMBERS``, which names the reader of each class's
 member.  Every census fails in both directions: on a new unread name and
 on a pin that is no longer needed.
+
+The texts are checked too.  Each dotted name in them that starts with an
+evpoly module or public class must resolve; in a member entry, each such
+function must read the member.  Each test or benchmark file a text names
+must exist and read the member, call the option's function with that
+option, or load the pinned name.
 """
 
 import ast
 import dataclasses
 from collections import defaultdict
+import functools
 import importlib
 import importlib.util
 import inspect
 import pkgutil
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
 
 import evpoly
-from evpoly import constructions, darboux, equal_volume, invariants
-from evpoly.cli import main
+from evpoly import darboux, equal_volume, invariants
+from evpoly.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 KEPT = {
     # closed flags: the polygon's topology, read from every document
-    "core.Polygon3.from_points(closed)": "darboux.FramedPolygon.build, constructions.silhouette_lift",
+    "core.Polygon3.from_points(closed)": "darboux.FramedPolygon.build",
     "darboux.FramedPolygon.build(closed)": "documents.PolygonDocument.to_framed",
     "darboux.FramedPolygon.silhouette(closed)": "cli._load_framed for a bare polygon3",
-    "constructions.PlanarEqualAreaPolygon.from_vertices(closed)":
-        "constructions.regular_equal_area and PlanarEqualAreaPolygon.normalized",
     "projective.PlanarProjectivePolygon.from_vertices(closed)": "cli.cmd_plength",
     # base points
     "darboux.FramedPolygon.silhouette(apex)": "cli analyze/developable/focal --origin",
-    "equal_volume.centroaffine_volumes(origin)": "invariants.centroaffine_frenet",
-    "invariants.centroaffine_frenet(origin)": "tests/test_invariants.py, a translated polygon",
     # the paper's gauge freedom: lambda is fixed up to one anchor value
     "invariants.focal_data(gauge)": "tests/test_invariants.py, acceptance criteria 5 and 8",
     # mesh size
@@ -64,9 +71,8 @@ KEPT = {
     "documents.PolygonDocument.from_framed(metadata)": "cli.cmd_resample",
     "cli.main(argv)": "tests/test_cli.py and the benchmark; None reads sys.argv",
     # defaulted dataclass fields
-    "core.GridSeq(topology)": "every sequence derived from a polygon passes its topology, "
-                              "e.g. core.forward_diff",
-    "core.GridSeq(base)": "open interior windows, e.g. core.forward_diff, invariants._frenet_data",
+    "core.GridSeq(topology)": "core.forward_diff, like every sequence derived from a polygon",
+    "core.GridSeq(base)": "open interior windows: core.forward_diff, invariants._frenet_data",
     "darboux.DarbouxField(holonomy)": "darboux.parallel_darboux for a closed polygon",
     "darboux.OsculatingClass(apex)": "darboux.classify_osculating for a cone",
     "documents.PolygonDocument(directions)": "documents.read_document and "
@@ -74,38 +80,22 @@ KEPT = {
     "documents.PolygonDocument(metadata)": "documents.read_document and PolygonDocument.from_framed",
     "meshes.Mesh(lines)": "invariants.focal_set_mesh, one line per focal line",
     "meshes.Mesh(v_rows)": "darboux.osculating_developable, quads that share rows",
-    "projective.LiftNormalization(label)":
-        "cli.cmd_plength (user-seed) and projective.spiral_analytic_normalization",
 }
 
-# public names that nothing in the package calls, each kept by a test of the paper
+# public names that nothing in the package calls, each kept by its reader
 PINNED = {
-    "constructions.silhouette_lift": "acceptance criterion 5, the single-line focal set",
-    "constructions.lift_residuals": "acceptance criterion 5, the lift relation phi'' = -k phi + e3",
-    "constructions.recover_base_point": "acceptance criterion 5, the hidden base point",
-    "constructions.random_equal_area": "acceptance criteria 5 and 8, the equal-area corpora",
-    "constructions.regular_equal_area": "acceptance criterion 8, curvature of the regular n-gon",
-    "constructions.area_lift": "the constant-mu space polygon, tests/test_constructions.py",
-    "constructions.Ellipse": "a conic has projective length 0, tests/test_projective.py",
-    "equal_volume.space_volumes": "the space-polygon volume condition, on area_lift",
-    "invariants.planar_reduction": "acceptance criterion 8, the planar reduction",
-    "invariants.mu_prime_check": "the identity mu' = rho1' - sigma tau, tests/test_invariants.py",
+    "constructions.Ellipse": "the projective-sweep arcs, perfbench/workloads.py",
 }
 
 # members of public classes that nothing in the package reads, each kept by its reader
 PINNED_MEMBERS = {
-    "core.GridSeq.at": "perfbench/spans.py COUNTED counts its calls; slot lookups in the tests",
+    "core.GridSeq.at": "slot lookups in tests/test_invariants.py; the benchmark tracer counts it",
     "core.GridSeq.slots": "the open-window slot bookkeeping, tests/test_invariants.py",
     "invariants.FocalSetData.O": "perfbench/spans.py _vertices sizes the focal spans by it",
     "documents.PolygonDocument.from_polygon": "the polygon3 corpus, perfbench/workloads.py",
     "meshes.Mesh.face_planarity":
         "the developable's and the focal set's faces are planar, "
         "tests/test_darboux.py and tests/test_invariants.py",
-    "constructions.PlanarEqualAreaPolygon.area_spread":
-        "the equal-area corpora stay within EQUAL_AREA_TOL, tests/test_constructions.py",
-    # the record that the pinned planar_reduction returns (acceptance criterion 8)
-    "invariants.PlanarReduction.rho": "acceptance criterion 8, the regular n-gon's curvature",
-    "invariants.PlanarReduction.evolute": "acceptance criterion 8, the evolute",
 }
 
 # members whose name two or more public classes share, each with the
@@ -113,15 +103,9 @@ PINNED_MEMBERS = {
 SHARED_MEMBERS = {
     "darboux.SurfaceKind.GENERAL": "darboux.classify_osculating",
     "invariants.FocalKind.GENERAL": "invariants.classify_focal",
-    "constructions.PlanarEqualAreaPolygon.area_constant":
-        "PlanarEqualAreaPolygon.normalized, constructions.lift_residuals",
-    "invariants.PlanarReduction.area_constant":
-        "the regular n-gon's side areas, tests/test_invariants.py TestPlanarReduction",
     "invariants.FrenetData.c":
         "the volume constant in roundoff floors, tests/test_kernels.py, tests/test_acceptance.py",
     "projective.LiftNormalization.c": "projective.lift_representative, cli.cmd_plength",
-    "constructions.PlanarEqualAreaPolygon.closed":
-        "PlanarEqualAreaPolygon.normalized, constructions.silhouette_lift",
     "core.Polygon3.closed": "FramedPolygon.closed, PolygonDocument.from_polygon",
     "darboux.FramedPolygon.closed":
         "darboux.validate_frame and parallel_darboux, invariants.frenet, cli.cmd_analyze",
@@ -135,10 +119,6 @@ SHARED_MEMBERS = {
         "FramedPolygon.unit_directions, PolygonDocument.from_framed",
     "documents.PolygonDocument.directions":
         "PolygonDocument.to_framed, documents.write_document",
-    "constructions.PlanarEqualAreaPolygon.from_vertices":
-        "constructions.regular_equal_area and random_equal_area",
-    "projective.PlanarProjectivePolygon.from_vertices":
-        "cli.cmd_plength, projective.table1_experiment",
     "darboux.OsculatingClass.kind": "cli.cmd_analyze",
     "documents.PolygonDocument.kind": "cli._load_framed, cli.cmd_plength, documents.write_document",
     "invariants.FocalClass.kind": "cli.cmd_analyze",
@@ -163,9 +143,6 @@ CONSTANTS = [
     (invariants, "FOCAL_AGREEMENT_TOL", 1e-9),
     (invariants, "GAUGE_CLOSURE_TOL", 1e-9),
     (invariants, "FOCAL_CLASSIFY_TOL", 1e-6),
-    (invariants, "PLANARITY_TOL", 1e-9),
-    (constructions, "SUPPORT_AGREEMENT_TOL", 1e-10),
-    (constructions, "EQUAL_AREA_TOL", 1e-10),
 ]
 
 
@@ -282,9 +259,103 @@ def test_every_shared_member_names_its_reader():
     assert sorted(SHARED_MEMBERS.keys() - shared) == [], "names no longer shared: drop them"
 
 
+MODULES = {info.name: importlib.import_module(f"evpoly.{info.name}")
+           for info in pkgutil.iter_modules(evpoly.__path__)}
+PUBLIC_CLASSES = {name: obj for module in MODULES.values() for name in module.__all__
+                  if inspect.isclass(obj := getattr(module, name))}
+DOTTED = re.compile(r"(?<![\w/.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+FILES = re.compile(r"\b(?:tests|perfbench)/\w+\.py\b")
+
+
+def resolve(dotted: str):
+    """The evpoly object a dotted name in a census text names, seen through
+    ``inspect.unwrap``; None if its first part is no evpoly module or
+    public class.  Raises AttributeError if the rest does not resolve."""
+    first, *rest = dotted.split(".")
+    obj = MODULES.get(first) or PUBLIC_CLASSES.get(first)
+    if obj is None:
+        return None
+    for attr in rest:
+        obj = getattr(obj, attr)
+    obj = inspect.unwrap(obj)
+    if isinstance(obj, property):
+        return obj.fget
+    return obj.func if isinstance(obj, functools.cached_property) else obj
+
+
+def reads(tree, attr: str) -> bool:
+    return any(isinstance(node, ast.Attribute) and node.attr == attr
+               and isinstance(node.ctx, ast.Load) for node in ast.walk(tree))
+
+
+def loads(tree, name: str) -> bool:
+    return reads(tree, name) or any(isinstance(node, ast.Name) and node.id == name
+                                    and isinstance(node.ctx, ast.Load)
+                                    for node in ast.walk(tree))
+
+
+def binds(tree, key: str) -> bool:
+    """True if the tree calls the function of ``KEPT`` key ``module.qual(option)``
+    with that option, by keyword or by position."""
+    qual, option = key[:-1].split("(")
+    fn = resolve(qual)
+    called = qual.split(".")[-2] if qual.endswith(".__init__") else qual.split(".")[-1]
+    params = [p for p in inspect.signature(fn).parameters if p not in ("self", "cls")]
+    at = params.index(option)
+    return any(isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == called
+               and (len(node.args) > at or any(k.arg == option for k in node.keywords))
+               for node in ast.walk(tree))
+
+
+def census_text_faults() -> list:
+    faults = []
+    for census in (KEPT, PINNED, PINNED_MEMBERS, SHARED_MEMBERS):
+        for key, text in census.items():
+            member = key.rsplit(".", 1)[1]
+            for dotted in DOTTED.findall(text):
+                try:
+                    obj = resolve(dotted)
+                except AttributeError:
+                    faults.append(f"{key}: {dotted} does not resolve")
+                    continue
+                if obj is not None and census in (PINNED_MEMBERS, SHARED_MEMBERS):
+                    tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+                    if not reads(tree, member):
+                        faults.append(f"{key}: {dotted} does not read .{member}")
+            for name in FILES.findall(text):
+                path = ROOT / name
+                if not path.is_file():
+                    faults.append(f"{key}: no file {name}")
+                    continue
+                tree = ast.parse(path.read_text())
+                found = (binds(tree, key) if census is KEPT else
+                         loads(tree, member) if census is PINNED else reads(tree, member))
+                if not found:
+                    faults.append(f"{key}: {name} does not use it")
+    return faults
+
+
+def test_census_texts_name_real_readers():
+    assert census_text_faults() == []
+
+
+def test_benchmark_inputs_build(tmp_path, monkeypatch):
+    """The benchmark's workloads import and build their op lists, at a tiny scale."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # as running perfbench/run.py does
+    from workloads import WORKLOADS
+
+    for name, build in WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        ops = build(1, tmp_path / name, scale=0.01)
+        assert ops, name
+        for op in ops:
+            assert build_parser().parse_args(op.argv).command == op.argv[0], op.name
+
+
 def test_benchmark_tracer_names_resolve():
     """Every function the benchmark's tracer wraps or counts exists in evpoly."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)

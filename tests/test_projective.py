@@ -107,7 +107,7 @@ class TestBSequence:
 class TestLift:
     def test_square_in_unit_plane_unit_scales(self):
         poly = PlanarProjectivePolygon.from_vertices(SQUARE)
-        phi = lift_representative(poly, LiftNormalization(1.0, 1.0, 4.0))
+        phi = lift_representative(poly, LiftNormalization(1.0, 1.0, 4.0, "test-seed"))
         np.testing.assert_allclose(np.linalg.norm(phi.points, axis=1),
                                    np.sqrt(3.0), rtol=1e-12)
 
@@ -123,7 +123,7 @@ class TestLift:
         poly = spiral_poly(50)
         n0 = spiral_analytic_normalization(0.0, 2 * np.pi / 50)
         k = 1.7
-        n1 = LiftNormalization(k * n0.a1, k * n0.a2, k ** 3 * n0.c)
+        n1 = LiftNormalization(k * n0.a1, k * n0.a2, k ** 3 * n0.c, "test-seed")
         phi0 = lift_representative(poly, n0)
         phi1 = lift_representative(poly, n1)
         np.testing.assert_allclose(phi1.points, k * phi0.points, rtol=1e-10)
@@ -136,7 +136,7 @@ class TestLift:
         n0 = spiral_analytic_normalization(0.0, 2 * np.pi / n)
         a0 = lift_representative(poly, n0).points[:, 2]
         for k in (1.7, 0.3):
-            n1 = LiftNormalization(k * n0.a1, k * n0.a2, k ** 3 * n0.c)
+            n1 = LiftNormalization(k * n0.a1, k * n0.a2, k ** 3 * n0.c, "test-seed")
             a1 = lift_representative(poly, n1).points[:, 2]
             assert np.max(np.abs(a1 / (k * a0) - 1.0)) <= 8 * np.finfo(float).eps
 
@@ -160,7 +160,7 @@ class TestLift:
         pts = sample_curve(curve, t0, t0 + span, n, GridScheme.INCLUDE_BOTH_ENDS)
         poly = PlanarProjectivePolygon.from_vertices(pts)
         a1, a2, c = np.exp(rng.uniform(-3.0, 3.0, 3))
-        norm = LiftNormalization(a1, a2, c)
+        norm = LiftNormalization(a1, a2, c, "test-seed")
         a = lift_representative(poly, norm).points[:, 2]
         ref = lift_scales_loop(poly, norm)
         # both orders accumulate O(N) roundings of size eps as a random walk
@@ -188,7 +188,7 @@ class TestLift:
         for _ in range(5):
             # a(0) and a(1) near the scale, a(2) = c / (a(0) a(1) b(1)) near 1
             a1, a2, c = np.exp(rng.uniform(-3.0, 3.0, 3)) * [scale, scale, scale**2]
-            norm = LiftNormalization(a1, a2, c)
+            norm = LiftNormalization(a1, a2, c, "test-seed")
             with np.errstate(over="ignore"):
                 got = lift_representative(poly, norm).points
             assert got.tobytes() == lift_three_products(poly, norm).tobytes()
@@ -202,7 +202,7 @@ class TestLift:
 
     def test_overflowing_seeds_name_vertex_2_without_warnings(self):
         # a(0) a(1) overflows, so a(2) = c / inf = 0 is the first bad scale
-        norm = LiftNormalization(1e300, 1e300, 1.0)
+        norm = LiftNormalization(1e300, 1e300, 1.0, "test-seed")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match=r"^vertex 2: lift recursion overflowed"):
@@ -211,7 +211,7 @@ class TestLift:
     def test_lift_beyond_det3_range_names_vertex_2_without_warnings(self):
         # a(2) = c / (a(0) a(1) b(1)) is about 3e305: finite, but det3 of
         # such points overflows
-        norm = LiftNormalization(1e-300, 1.0, 1.0)
+        norm = LiftNormalization(1e-300, 1.0, 1.0, "test-seed")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match=r"^vertex 2: lifted coordinate"):
@@ -225,7 +225,7 @@ class TestLift:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match=r"^vertex 1: lifted coordinate inf "):
-                lift_representative(poly, LiftNormalization(1.0, 1e300, 1e300))
+                lift_representative(poly, LiftNormalization(1.0, 1e300, 1e300, "test-seed"))
 
     def test_det3_is_finite_up_to_the_lift_range(self):
         m = LIFT_COORD_MAX
@@ -240,7 +240,7 @@ class TestLift:
         pts = np.column_stack([np.arange(8.0), np.ones(8)])
         poly = PlanarProjectivePolygon(GridSeq(pts, Grid.VERTEX, Topology.OPEN),
                                        GridSeq(b, Grid.VERTEX, Topology.OPEN, 1))
-        norm = LiftNormalization(1e-300, 1.0, 1e-200)
+        norm = LiftNormalization(1e-300, 1.0, 1e-200, "test-seed")
         a = lift_representative(poly, norm).points[:, 2]
         np.testing.assert_allclose(a, lift_scales_loop(poly, norm), rtol=1e-15)
         assert a[6] == pytest.approx(1e100, rel=1e-15)
@@ -261,12 +261,12 @@ class TestLift:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match=rf"^vertex {first}: "):
-                lift_representative(poly, LiftNormalization(a1, 1.0, 1.0))
+                lift_representative(poly, LiftNormalization(a1, 1.0, 1.0, "test-seed"))
 
     def test_closed_polygon_rejected(self):
         poly = PlanarProjectivePolygon.from_vertices(SQUARE, closed=True)
         with pytest.raises(GeometryError):
-            lift_representative(poly, LiftNormalization(1.0, 1.0, 4.0))
+            lift_representative(poly, LiftNormalization(1.0, 1.0, 4.0, "test-seed"))
 
 
 class TestProjectiveLengths:
