@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     random_equal_area,
     random_equal_volume_polygon,
+    regular_equal_area,
     silhouette_frenet,
     silhouette_lift,
 )
@@ -188,3 +189,31 @@ class TestFocalSet:
         scale = np.abs(mesh.vertices).max()
         assert mesh.face_planarity().max() <= 1e-8 * scale
 
+
+def prism_pipeline(G):
+    """The vertical prism frame over a closed planar polygon in z = 0."""
+    pts3 = np.column_stack([G.Gamma.values, np.zeros(len(G.Gamma))])
+    f = FramedPolygon.build(pts3, np.tile([0.0, 0.0, 1.0], (len(pts3), 1)), closed=True)
+    df = parallel_darboux(f)
+    return pts3, f, df, frenet(f, df)
+
+
+class TestPlanarReduction:
+    @pytest.mark.parametrize("n", [5, 7, 12, 100])
+    def test_regular_gon_curvature(self, n):
+        G = regular_equal_area(n)
+        pts3, _, _, fr = prism_pipeline(G)
+        e = np.roll(pts3, -1, axis=0) - pts3
+        areas = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
+        assert np.abs(areas - G.area_constant).max() <= 1e-8 * abs(G.area_constant)
+        expected = 2.0 - 2.0 * np.cos(2.0 * np.pi / n)
+        np.testing.assert_allclose(fr.rho1.values, expected, atol=1e-10)
+        np.testing.assert_allclose(fr.rho2.values, expected, atol=1e-10)
+        assert np.abs(fr.tau.values).max() <= 1e-12
+
+    def test_evolute_of_regular_gon_is_center(self):
+        # the focal lines pierce the polygon's plane in its affine evolute
+        _, f, df, fr = prism_pipeline(regular_equal_area(9))
+        fd = focal_data(f, df, fr, gauge=(0, 0.0))
+        hits = [o - (o[2] / d[2]) * d for o, d in zip(fd.line_origins, fd.line_directions)]
+        assert np.abs(hits).max() <= 1e-10

@@ -309,6 +309,34 @@ def test_centroaffine_frenet_matches_per_side_loop(closed, seed):
     assert (fr.rho2.base, fr.tau.base) == (slots[0], slots[0])
 
 
+@pytest.mark.parametrize("frame", ["prism", "lift"])
+@pytest.mark.parametrize("closed", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_planar_reduction_reads_affine_curvature(frame, closed, seed):
+    """Both Frenet kernels reduce to the planar affine curvature k.
+
+    Over the vertical prism frame of an equal-area polygon, ``frenet``
+    gives rho1 = rho2 = k(i+1) on side i (the side is gamma(i+1)) and tau
+    = 0; on the silhouette lift, ``centroaffine_frenet`` gives rho1 = rho2
+    = k at each vertex gamma(i).
+    """
+    rng = np.random.default_rng(seed)
+    G = closed_equal_area(rng, 9 + seed) if closed else random_equal_area(12 + seed, rng)
+    k, _ = affine_curvature(G)
+    if frame == "prism":
+        pts3 = np.column_stack([G.Gamma.values, np.zeros(len(G.Gamma))])
+        f = FramedPolygon.build(pts3, np.tile([0.0, 0.0, 1.0], (len(pts3), 1)), closed=closed)
+        fr = frenet(f, parallel_darboux(f))
+        assert np.abs(fr.tau.values).max() <= 1e-12
+        rho1_slot, rho2_slot = fr.rho1.base, fr.rho2.base + 1
+    else:
+        fr = centroaffine_frenet(silhouette_lift(G, rng.normal(size=2) * 0.3))
+        rho1_slot, rho2_slot = fr.rho1.base + G.gamma.base, fr.rho2.base + G.gamma.base
+    scale = max(np.abs(k.values).max(), 1.0)
+    for got, slot in ((fr.rho1, rho1_slot), (fr.rho2, rho2_slot)):
+        assert np.abs(got.values - k.window(slot, len(got))).max() <= 1e-10 * scale
+
+
 # ---------------------------------------------------------------- frame validation and focal lines
 
 

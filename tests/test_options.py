@@ -35,6 +35,7 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
 import re
 import textwrap
@@ -308,49 +309,73 @@ def binds(tree, key: str) -> bool:
                for node in ast.walk(tree))
 
 
-def census_text_faults() -> list:
+CENSUSES = {"KEPT": KEPT, "PINNED": PINNED, "PINNED_MEMBERS": PINNED_MEMBERS,
+            "SHARED_MEMBERS": SHARED_MEMBERS}
+
+
+def census_text_faults(kind: str, census: dict) -> list:
+    """Faults in the texts of ``census``, which is read as the table ``kind``."""
     faults = []
-    for census in (KEPT, PINNED, PINNED_MEMBERS, SHARED_MEMBERS):
-        for key, text in census.items():
-            member = key.rsplit(".", 1)[1]
-            for dotted in DOTTED.findall(text):
-                try:
-                    obj = resolve(dotted)
-                except AttributeError:
-                    faults.append(f"{key}: {dotted} does not resolve")
-                    continue
-                if obj is not None and census in (PINNED_MEMBERS, SHARED_MEMBERS):
-                    tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
-                    if not reads(tree, member):
-                        faults.append(f"{key}: {dotted} does not read .{member}")
-            for name in FILES.findall(text):
-                path = ROOT / name
-                if not path.is_file():
-                    faults.append(f"{key}: no file {name}")
-                    continue
-                tree = ast.parse(path.read_text())
-                found = (binds(tree, key) if census is KEPT else
-                         loads(tree, member) if census is PINNED else reads(tree, member))
-                if not found:
-                    faults.append(f"{key}: {name} does not use it")
+    for key, text in census.items():
+        member = key.rsplit(".", 1)[1]
+        for dotted in DOTTED.findall(text):
+            try:
+                obj = resolve(dotted)
+            except AttributeError:
+                faults.append(f"{key}: {dotted} does not resolve")
+                continue
+            if obj is not None and kind in ("PINNED_MEMBERS", "SHARED_MEMBERS"):
+                tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+                if not reads(tree, member):
+                    faults.append(f"{key}: {dotted} does not read .{member}")
+        for name in FILES.findall(text):
+            path = ROOT / name
+            if not path.is_file():
+                faults.append(f"{key}: no file {name}")
+                continue
+            tree = ast.parse(path.read_text())
+            found = (binds(tree, key) if kind == "KEPT" else
+                     loads(tree, member) if kind == "PINNED" else reads(tree, member))
+            if not found:
+                faults.append(f"{key}: {name} does not use it")
     return faults
 
 
-def test_census_texts_name_real_readers():
-    assert census_text_faults() == []
+@pytest.mark.parametrize("kind", CENSUSES)
+def test_census_texts_name_real_readers(kind):
+    assert census_text_faults(kind, CENSUSES[kind]) == []
 
 
-def test_benchmark_inputs_build(tmp_path, monkeypatch):
-    """The benchmark's workloads import and build their op lists, at a tiny scale."""
+@pytest.mark.parametrize("kind, key, text, fault", [
+    ("SHARED_MEMBERS", "core.Polygon3.vertices", "invariants.frenet",
+     "invariants.frenet does not read .vertices"),
+    ("PINNED_MEMBERS", "core.GridSeq.at", "core.GridSeq.slot_at",
+     "core.GridSeq.slot_at does not resolve"),
+    ("PINNED", "constructions.Ellipse", "tests/test_ellipse.py", "no file tests/test_ellipse.py"),
+    ("PINNED_MEMBERS", "meshes.Mesh.face_planarity", "tests/test_cli.py",
+     "tests/test_cli.py does not use it"),
+    ("KEPT", "invariants.focal_set_mesh(extent)", "tests/test_projective.py",
+     "tests/test_projective.py does not use it"),
+], ids=["reader", "name", "file", "member", "option"])
+def test_census_text_faults_are_caught(kind, key, text, fault):
+    """Each kind of wrong text in a census entry is reported."""
+    assert census_text_faults(kind, {key: text}) == [f"{key}: {fault}"]
+
+
+BENCH_WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("name", BENCH_WORKLOADS)
+def test_benchmark_inputs_build(name, tmp_path, monkeypatch):
+    """Each workload the benchmark declares imports and builds its op list, at a tiny scale."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # as running perfbench/run.py does
     from workloads import WORKLOADS
 
-    for name, build in WORKLOADS.items():
-        (tmp_path / name).mkdir()
-        ops = build(1, tmp_path / name, scale=0.01)
-        assert ops, name
-        for op in ops:
-            assert build_parser().parse_args(op.argv).command == op.argv[0], op.name
+    assert sorted(WORKLOADS) == sorted(BENCH_WORKLOADS)
+    ops = WORKLOADS[name](1, tmp_path, scale=0.01)
+    assert ops
+    for op in ops:
+        assert build_parser().parse_args(op.argv).command == op.argv[0], op.name
 
 
 def test_benchmark_tracer_names_resolve():
