@@ -43,7 +43,6 @@ from .equal_volume import (
 from .invariants import classify_focal, focal_data, focal_set_mesh, frenet
 from .projective import (
     InflectionError,
-    LiftNormalization,
     PlanarProjectivePolygon,
     default_normalization,
     lift_representative,
@@ -117,7 +116,7 @@ def _seq_payload(seq) -> dict:
 def cmd_analyze(args) -> int:
     framed, origin = _load_framed(args)
     df = parallel_darboux(framed)
-    rep = darboux_volumes(framed, df)
+    rep = darboux_volumes(df)
     report = {
         "n_vertices": len(framed.polygon),
         "closed": framed.closed,
@@ -128,7 +127,7 @@ def cmd_analyze(args) -> int:
     if df.holonomy is not None:
         report["holonomy"] = df.holonomy
 
-    osc = classify_osculating(df, f=framed)
+    osc = classify_osculating(df)
     classification = osc.kind.value
 
     # planar polygons are their own degenerate case
@@ -136,8 +135,8 @@ def cmd_analyze(args) -> int:
         classification = "planar"
 
     if is_equal_volume(rep):
-        fr = frenet(framed, df)
-        fd = focal_data(framed, df, fr)
+        fr = frenet(df)
+        fd = focal_data(df, fr)
         fc = classify_focal(df, fd)
         report.update({
             "rho1": _seq_payload(fr.rho1),
@@ -169,11 +168,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_resample(args) -> int:
     doc = read_document(args.input)
-    framed = doc.to_framed()
-    df = parallel_darboux(framed)
-    result = resample_equal_volume(framed, df)
-    df_out = parallel_darboux(result.framed)
-    rep = darboux_volumes(result.framed, df_out)
+    result = resample_equal_volume(parallel_darboux(doc.to_framed()))
+    rep = darboux_volumes(parallel_darboux(result.framed))
     meta = {"volume_c": rep.c_hat, "volume_spread": rep.spread,
             "truncated": result.truncated}
     if result.truncated:
@@ -185,22 +181,11 @@ def cmd_resample(args) -> int:
 
 
 def cmd_plength(args) -> int:
-    # a seed flag that would be ignored is refused, not dropped
-    seeds = {"--a1": args.a1, "--a2": args.a2, "--c": args.c}
-    given = [flag for flag, value in seeds.items() if value is not None]
-    if args.auto_seed and given:
-        raise DocumentError(f"--auto-seed takes none of --a1, --a2 and --c, "
-                            f"got {', '.join(given)}")
-    if given and len(given) < len(seeds):
-        missing = [flag for flag in seeds if flag not in given]
-        raise DocumentError(f"{' and '.join(given)} need{'s' if len(given) == 1 else ''} "
-                            f"{' and '.join(missing)} (or use --auto-seed)")
     doc = read_document(args.input)
     if doc.kind != "polygon2":
         raise DocumentError("plength expects a planar (polygon2) document")
     poly = PlanarProjectivePolygon.from_vertices(doc.vertices, closed=doc.closed)
-    norm = (LiftNormalization(args.a1, args.a2, args.c, "user-seed") if given
-            else default_normalization(poly))
+    norm = default_normalization(poly)
     phi = lift_representative(poly, norm)
     rep = projective_lengths(phi)
     payload = {
@@ -218,8 +203,7 @@ def cmd_plength(args) -> int:
 
 def cmd_developable(args) -> int:
     framed, _ = _load_framed(args)
-    df = parallel_darboux(framed)
-    mesh = osculating_developable(framed, df, extent=args.extent)
+    mesh = osculating_developable(parallel_darboux(framed), extent=args.extent)
     mesh.write_obj(args.obj)
     return 0
 
@@ -227,8 +211,7 @@ def cmd_developable(args) -> int:
 def cmd_focal(args) -> int:
     framed, _ = _load_framed(args)
     df = parallel_darboux(framed)
-    fr = frenet(framed, df)
-    fd = focal_data(framed, df, fr)
+    fd = focal_data(df, frenet(df))
     mesh = focal_set_mesh(fd, extent=args.extent)
     mesh.write_obj(args.obj)
     skipped = sorted(set(fd.at_infinity_O) | set(fd.at_infinity_Q))
@@ -293,10 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp = sub.add_parser("plength", help="discrete projective lengths of a planar polygon")
     pp.add_argument("input")
-    pp.add_argument("--a1", type=_positive)
-    pp.add_argument("--a2", type=_positive)
-    pp.add_argument("--c", type=_positive)
-    pp.add_argument("--auto-seed", action="store_true")
+    pp.add_argument("--auto-seed", action="store_true",
+                    help="seed the lift from the polygon (the default)")
     pp.add_argument("--report", help="write the JSON report to this path")
     pp.set_defaults(fn=cmd_plength)
 

@@ -87,8 +87,11 @@ class FramedPolygon:
     def silhouette(cls, points, apex=(0.0, 0.0, 0.0), closed: bool = False) -> "FramedPolygon":
         """Frame a polygon by the lines through a fixed point (cone edges)."""
         pts = np.asarray(points, dtype=float)
+        apex = np.asarray(apex, dtype=float)
+        if not np.isfinite(apex).all():
+            raise GeometryError("non-finite apex")
         # the difference is a fresh array, so unlike the points it is not copied
-        directions = pts - np.asarray(apex, dtype=float)
+        directions = pts - apex
         polygon = Polygon3.from_points(pts, closed)
         return cls(polygon, GridSeq(directions, Grid.VERTEX, polygon.topology))
 
@@ -116,35 +119,35 @@ class FramedPolygon:
 
 @dataclass(frozen=True)
 class DarbouxField:
-    """Parallel Darboux vectors per vertex and sigma per side.
+    """Parallel Darboux vectors per vertex and sigma per side of ``frame``.
+
+    The frame holds no reference back to the field, so the pair forms
+    no reference cycle (``cli.main`` runs with the collector paused).
 
     ``holonomy`` is the around-the-loop scale mismatch for closed
     polygons (None when open): the ratio s(N)/s(0) of the recursion
     continued once around, which is 1 for a globally consistent field.
     """
 
+    frame: FramedPolygon
     xi: GridSeq
     sigma: GridSeq
     holonomy: float | None = None
 
 
 def once_per_field(evaluate):
-    """Evaluate ``evaluate(f, df)`` once for a framed polygon and its field.
+    """Evaluate ``evaluate(df)`` once per Darboux field.
 
-    Both are frozen, so the result is kept on the field ``df`` with the
-    polygon it was evaluated on, and a later call with the same pair
-    returns that same object; a call with another polygon evaluates again
-    and keeps the new result.  ``analyze`` reads the Darboux volumes and
+    The field is frozen, so the result is kept on it and a later call
+    returns that same object.  ``analyze`` reads the Darboux volumes and
     the osculating points in two places each and pays for them once.
     """
     @functools.wraps(evaluate)
-    def memo(f, df):
+    def memo(df):
         kept = df.__dict__.setdefault("_once_per_field", {})
-        on, value = kept.get(evaluate, (None, None))
-        if on is not f:
-            value = evaluate(f, df)
-            kept[evaluate] = (f, value)
-        return value
+        if evaluate not in kept:
+            kept[evaluate] = evaluate(df)
+        return kept[evaluate]
     return memo
 
 
@@ -243,24 +246,25 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
     topo = f.polygon.topology
     xi = GridSeq(scales[:n, None] * dh.values, Grid.VERTEX, topo)
     holonomy = float(scales[-1] / seed_scale) if f.closed else None
-    return DarbouxField(xi, GridSeq(sigma, Grid.SIDE, topo), holonomy)
+    return DarbouxField(f, xi, GridSeq(sigma, Grid.SIDE, topo), holonomy)
 
 
-def osculating_points(f: FramedPolygon, df: DarbouxField):
+def osculating_points(df: DarbouxField):
     """Intersections of consecutive Darboux support lines, one per side.
 
     Each point evaluates as ``phi(k) + xi(k)/sigma(k)`` and equivalently
     from the far vertex; the midpoint of the two evaluations is returned.
     Sides with ``sigma = 0`` have no finite intersection (parallel
     support lines) and come back as NaN rows, with their indices listed
-    separately.  The points are evaluated once per polygon and field.
+    separately.  The points are evaluated once per field.
     """
-    seq, at_infinity = _osculating_points(f, df)
+    seq, at_infinity = _osculating_points(df)
     return seq, list(at_infinity)
 
 
 @once_per_field
-def _osculating_points(f: FramedPolygon, df: DarbouxField):
+def _osculating_points(df: DarbouxField):
+    f = df.frame
     sigma = df.sigma.values
     _, (p0, p1) = f.polygon.vertices.stencil(0, 1)
     _, (x0, x1) = df.xi.stencil(0, 1)
@@ -282,8 +286,7 @@ def _osculating_points(f: FramedPolygon, df: DarbouxField):
     return seq, tuple(at_infinity.nonzero()[0].tolist())
 
 
-def osculating_developable(f: FramedPolygon, df: DarbouxField,
-                           extent: float | None = None) -> Mesh:
+def osculating_developable(df: DarbouxField, extent: float | None = None) -> Mesh:
     """Ruled mesh of the faces between consecutive Darboux support lines.
 
     One planar quad per side, bounded by the support lines through the
@@ -293,6 +296,7 @@ def osculating_developable(f: FramedPolygon, df: DarbouxField,
     2k+3, 2k+2 (mod 2m on a closed polygon of m vertices), and each quad
     keeps its own four OBJ ``v`` records.
     """
+    f = df.frame
     if extent is None:
         extent = 2.0 * f.polygon.diameter()
     if not np.isfinite(extent):
@@ -321,7 +325,7 @@ class OsculatingClass:
     apex: np.ndarray | None = None
 
 
-def classify_osculating(df: DarbouxField, f: FramedPolygon) -> OsculatingClass:
+def classify_osculating(df: DarbouxField) -> OsculatingClass:
     """Cone / cylinder / general classification of the osculating surface.
 
     The surface is a cone when the relative spread of sigma,
@@ -333,12 +337,12 @@ def classify_osculating(df: DarbouxField, f: FramedPolygon) -> OsculatingClass:
     spread = float(sigma.max() - sigma.min())
 
     if med > 0 and spread / med <= CLASSIFY_TOL and (np.abs(sigma) > CLASSIFY_TOL * med).all():
-        pts, _ = osculating_points(f, df)
+        pts, _ = osculating_points(df)
         apex = pts.values.mean(axis=0)
         return OsculatingClass(SurfaceKind.CONE, apex)
 
     xi_scale = median(norm3(df.xi.values))
-    edge_scale = median(norm3(f.polygon.sides().values))
+    edge_scale = median(norm3(df.frame.polygon.sides().values))
     if np.abs(sigma).max() <= CLASSIFY_TOL * (xi_scale / edge_scale):
         return OsculatingClass(SurfaceKind.CYLINDER)
     return OsculatingClass(SurfaceKind.GENERAL)

@@ -59,14 +59,15 @@ def _report(vols: np.ndarray, topology: Topology, base: int) -> VolumeReport:
 
 
 @once_per_field
-def darboux_volumes(f: FramedPolygon, df: DarbouxField) -> VolumeReport:
+def darboux_volumes(df: DarbouxField) -> VolumeReport:
     """Volumes [side(i-1/2), side(i+1/2), xi(i)] at interior vertices.
 
-    Evaluated once per polygon and field; later calls share the report.
+    Evaluated once per field; later calls share the report.
     """
-    first, (e_left, e_right) = f.polygon.sides().stencil(-1, 0)
+    p = df.frame.polygon
+    first, (e_left, e_right) = p.sides().stencil(-1, 0)
     xi = df.xi.window(first, len(e_left))
-    return _report(det3(e_left, e_right, xi), f.polygon.topology, first)
+    return _report(det3(e_left, e_right, xi), p.topology, first)
 
 
 def centroaffine_volumes(p: Polygon3) -> VolumeReport:
@@ -92,8 +93,8 @@ class ResampleResult:
     truncated: bool
 
 
-def resample_equal_volume(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
-    """Rebuild an open framed polygon so its Darboux volumes are constant.
+def resample_equal_volume(df: DarbouxField) -> ResampleResult:
+    """Rebuild the field's open framed polygon so its Darboux volumes are constant.
 
     Keeps the first three vertices and their field vectors, then
     repeatedly intersects the plane through the vertex three steps back,
@@ -113,6 +114,7 @@ def resample_equal_volume(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
     longer input of the same trend would have produced another vertex.
     An input that simply ends before the next plane is not truncated.
     """
+    f = df.frame
     if f.closed:
         raise GeometryError("resampling is defined for open polygonal lines")
     n = len(f.polygon)

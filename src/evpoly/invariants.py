@@ -40,7 +40,7 @@ from .core import (
     median,
     norm3,
 )
-from .darboux import DarbouxField, FramedPolygon, osculating_points
+from .darboux import DarbouxField, osculating_points
 from .equal_volume import (
     EQUAL_VOLUME_TOL,
     VolumeReport,
@@ -141,15 +141,16 @@ def _frenet_data(topo: Topology, first: int, c: float, rho1, rho2, tau,
     )
 
 
-def frenet(f: FramedPolygon, df: DarbouxField) -> FrenetData:
-    """Frenet coefficient sequences of an equal-volume framed polygon.
+def frenet(df: DarbouxField) -> FrenetData:
+    """Frenet coefficient sequences of the field's equal-volume framed polygon.
 
     Both decompositions of each third difference go through
     ``core.face_solve``; the two tau values they give must agree.
     """
+    f = df.frame
     if len(f.polygon) < 5 and not f.closed:
         raise GeometryError("need at least 5 vertices for open Frenet data")
-    c = _volume_constant(darboux_volumes(f, df))
+    c = _volume_constant(darboux_volumes(df))
 
     # Each third difference is nested on the sides, (e(k+1) - e(k)) -
     # (e(k) - e(k-1)), so that each subtraction acts on neighbouring,
@@ -234,7 +235,7 @@ class FocalSetData:
     at_infinity_Q: list
 
 
-def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
+def focal_data(df: DarbouxField, fr: FrenetData,
                gauge: tuple[int, float] | None = None) -> FocalSetData:
     """mu per side and the focal lines, via the gauge field and the normals.
 
@@ -243,6 +244,7 @@ def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
     support-line intersection O with the point Q where the parallel
     normal vectors through the two end vertices meet.
     """
+    f = df.frame
     P = f.polygon.vertices
     if gauge is None:
         gauge = (0 if f.closed else fr.tau.base, 0.0)
@@ -266,7 +268,7 @@ def focal_data(f: FramedPolygon, df: DarbouxField, fr: FrenetData,
         raise GeometryError(f"side {k0 + j}: the two mu evaluations disagree by {gap[j]:.3e}")
     mu = GridSeq(0.5 * (m_a + m_b), Grid.SIDE, fr.tau.topology, k0)
 
-    O_all, inf_O = osculating_points(f, df)
+    O_all, inf_O = osculating_points(df)
     O = O_all.window(k0, m)
     o_inf = np.isnan(O[:, 0])
     p0, p1 = P.window(k0, m), P.window(k0 + 1, m)

@@ -54,7 +54,7 @@ def silhouette_frenet(p, origin=(0.0, 0.0, 0.0)):
     f = FramedPolygon.silhouette(p.points, o, closed=p.closed)
     xi = GridSeq(p.points - o, Grid.VERTEX, topo)
     sigma = GridSeq(np.full(f.n_sides(), -1.0), Grid.SIDE, topo)
-    return frenet(f, DarbouxField(xi, sigma, 1.0 if p.closed else None))
+    return frenet(DarbouxField(f, xi, sigma, 1.0 if p.closed else None))
 
 
 def random_cone_fixture(rng, n=30):

@@ -140,27 +140,27 @@ def test_criterion_4_cone_equivalence(rng):
     df = parallel_darboux(f)
     s = df.sigma.values
     ok = (s.max() - s.min()) / abs(np.median(s)) <= 1e-10
-    pts, at_inf = osculating_points(f, df)
+    pts, at_inf = osculating_points(df)
     ok = ok and not at_inf
     ok = ok and np.abs(pts.values - apex).max() <= 1e-9 * f.polygon.diameter()
 
     moved = f.polygon.points.copy()
     moved[100] += 1e-3
     f2 = FramedPolygon.build(moved, f.directions.values)
-    cls = classify_osculating(parallel_darboux(f2, tol_face=0.1), f=f2)
+    cls = classify_osculating(parallel_darboux(f2, tol_face=0.1))
     ok = ok and cls.kind is SurfaceKind.GENERAL
 
     for _ in range(50):
         fc, apex_c = random_cone_fixture(rng, 25)
         dc = parallel_darboux(fc)
-        oc, _ = osculating_points(fc, dc)
+        oc, _ = osculating_points(dc)
         sc = dc.sigma.values
         ok = ok and (sc.max() - sc.min()) / abs(np.median(sc)) <= 1e-8
         ok = ok and np.abs(oc.values - apex_c).max() <= 1e-8 * fc.polygon.diameter()
     for _ in range(50):
         fg = random_generic_framed(rng, 20)
         dg = parallel_darboux(fg)
-        og, inf_g = osculating_points(fg, dg)
+        og, inf_g = osculating_points(dg)
         sg = dg.sigma.values
         sigma_varies = (sg.max() - sg.min()) > 1e-6 * max(1.0, abs(np.median(sg)))
         finite = og.values[~np.isnan(og.values[:, 0])]
@@ -180,9 +180,9 @@ def test_criterion_5_single_line_focal(rng):
         phi = silhouette_lift(G, P)
         f = FramedPolygon.silhouette(phi.points, closed=False)
         df = parallel_darboux(f)
-        fr = frenet(f, df)
-        fd0 = focal_data(f, df, fr, gauge=(fr.tau.base, 0.0))
-        fd1 = focal_data(f, df, fr, gauge=(fr.tau.base, 1.3))
+        fr = frenet(df)
+        fd0 = focal_data(df, fr, gauge=(fr.tau.base, 0.0))
+        fd1 = focal_data(df, fr, gauge=(fr.tau.base, 1.3))
         fc = classify_focal(df, fd0)
         ok = ok and fc.kind is FocalKind.SINGLE_LINE and fc.mu_spread <= 1e-9
         for o0, d0, o1, d1 in zip(fd0.line_origins, fd0.line_directions,
@@ -208,12 +208,12 @@ def test_criterion_6_resampler():
     t = t + 0.3 * (2 * np.pi / 600) * np.sin(7 * t)
     f = FramedPolygon.silhouette(rep(t), closed=False)
     scale = f.polygon.diameter()
-    res = resample_equal_volume(f, parallel_darboux(f))
+    res = resample_equal_volume(parallel_darboux(f))
     out = res.framed
-    spread = darboux_volumes(out, parallel_darboux(out)).spread
+    spread = darboux_volumes(parallel_darboux(out)).spread
     ok = spread <= 1e-9
 
-    res2 = resample_equal_volume(out, parallel_darboux(out))
+    res2 = resample_equal_volume(parallel_darboux(out))
     n = min(len(out.polygon), len(res2.framed.polygon))
     gap = np.abs(out.polygon.points[:n] - res2.framed.polygon.points[:n]).max()
     ok = ok and gap <= 1e-12 * scale
@@ -255,11 +255,11 @@ def test_criterion_8_planar_reduction(rng):
         pts3 = np.column_stack([G.Gamma.values, np.zeros(len(G.Gamma))])
         f = FramedPolygon.build(pts3, np.tile([0.0, 0.0, 1.0], (len(pts3), 1)))
         df = parallel_darboux(f)
-        fr = frenet(f, df)
+        fr = frenet(df)
         ok = ok and np.abs(fr.tau.values).max() <= 1e-12
 
         # the focal lines pierce the polygon's plane in the affine evolute
-        fd = focal_data(f, df, fr, gauge=(fr.tau.base, 0.0))
+        fd = focal_data(df, fr, gauge=(fr.tau.base, 0.0))
         _, evolute = affine_curvature(G)
         evolute = np.column_stack([evolute, np.zeros(len(evolute))])
         hits = []

@@ -318,7 +318,7 @@ FRAMED_ARC = FramedPolygon.silhouette(ARC)
 
 def arc_focal_data():
     df = parallel_darboux(FRAMED_ARC)
-    return focal_data(FRAMED_ARC, df, frenet(FRAMED_ARC, df))
+    return focal_data(df, frenet(df))
 
 
 # each other parameter that brings a value from outside into a derived sequence
@@ -326,7 +326,7 @@ PARAMETERS = {
     "lambda_from_tau-anchor": lambda x: lambda_from_tau(
         GridSeq(np.ones(4), Grid.SIDE), 1, x),
     "osculating_developable-extent": lambda x: osculating_developable(
-        FRAMED_ARC, parallel_darboux(FRAMED_ARC), extent=x),
+        parallel_darboux(FRAMED_ARC), extent=x),
     # a NaN tolerance fails no comparison, so it would pass every frame
     "validate_frame-tol_face": lambda x: validate_frame(FRAMED_ARC, tol_face=x),
     "parallel_darboux-tol_face": lambda x: parallel_darboux(FRAMED_ARC, tol_face=x),

@@ -31,6 +31,12 @@ def test_framed_polygon_refuses_directions(directions, message):
         FramedPolygon.build(pts, directions(pts))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_silhouette_refuses_a_non_finite_apex(bad):
+    with pytest.raises(GeometryError, match="^non-finite apex$"):
+        FramedPolygon.silhouette(helix_points(6), (0.0, bad, 0.0))
+
+
 class TestValidateFrame:
     def test_generic_frame_is_valid(self, rng):
         f = random_generic_framed(rng)
@@ -54,6 +60,12 @@ class TestValidateFrame:
 
 
 class TestParallelDarboux:
+    def test_field_carries_its_frame(self, rng):
+        f, _ = random_cone_fixture(rng)
+        df = parallel_darboux(f)
+        assert df.frame is f
+        assert parallel_darboux(f, seed_scale=2.0).frame is f
+
     def test_silhouette_sigma_is_constant(self, rng):
         f, apex = random_cone_fixture(rng, 40)
         df = parallel_darboux(f)
@@ -124,7 +136,7 @@ class TestOsculatingPoints:
     def test_cone_points_at_apex(self, rng):
         f, apex = random_cone_fixture(rng, 25)
         df = parallel_darboux(f)
-        pts, at_inf = osculating_points(f, df)
+        pts, at_inf = osculating_points(df)
         assert not at_inf
         err = np.abs(pts.values - apex).max()
         assert err <= 1e-9 * f.polygon.diameter()
@@ -133,7 +145,7 @@ class TestOsculatingPoints:
         pts = helix_points(8)
         d = np.tile([0.0, 0.1, 1.0], (8, 1))
         f = FramedPolygon.build(pts, d)
-        seq, at_inf = osculating_points(f, parallel_darboux(f))
+        seq, at_inf = osculating_points(parallel_darboux(f))
         assert at_inf == list(range(7))
         assert np.all(np.isnan(seq.values))
 
@@ -141,13 +153,13 @@ class TestOsculatingPoints:
 class TestDevelopable:
     def test_faces_are_planar(self, rng):
         f = random_generic_framed(rng, 12)
-        mesh = osculating_developable(f, parallel_darboux(f))
+        mesh = osculating_developable(parallel_darboux(f))
         assert len(mesh.faces) == 11
         assert mesh.face_planarity().max() <= 1e-9 * f.polygon.diameter()
 
     def test_cone_faces_contain_apex_line(self, rng):
         f, apex = random_cone_fixture(rng, 15)
-        mesh = osculating_developable(f, parallel_darboux(f), extent=10.0)
+        mesh = osculating_developable(parallel_darboux(f), extent=10.0)
         for face in mesh.faces:
             quad = mesh.vertices[list(face)]
             c = quad.mean(axis=0)
@@ -160,7 +172,7 @@ class TestClassify:
     def test_cone(self, rng):
         f, apex = random_cone_fixture(rng, 200)
         df = parallel_darboux(f)
-        cls = classify_osculating(df, f=f)
+        cls = classify_osculating(df)
         assert cls.kind is SurfaceKind.CONE
         assert np.abs(cls.apex - apex).max() < 1e-8
 
@@ -168,12 +180,12 @@ class TestClassify:
         pts = helix_points(10)
         d = np.tile([0.0, 0.3, 1.0], (10, 1))
         f = FramedPolygon.build(pts, d)
-        cls = classify_osculating(parallel_darboux(f), f=f)
+        cls = classify_osculating(parallel_darboux(f))
         assert cls.kind is SurfaceKind.CYLINDER
 
     def test_generic(self, rng):
         f = random_generic_framed(rng, 25)
-        cls = classify_osculating(parallel_darboux(f), f=f)
+        cls = classify_osculating(parallel_darboux(f))
         assert cls.kind is SurfaceKind.GENERAL
 
     def test_perturbed_cone_flips_to_general(self, rng):
@@ -183,5 +195,5 @@ class TestClassify:
         f2 = FramedPolygon.build(pts, f.directions.values)
         # the moved vertex breaks exact face planarity, so the frame check
         # must be loosened to even compute a field; sigma then scatters
-        cls = classify_osculating(parallel_darboux(f2, tol_face=0.1), f=f2)
+        cls = classify_osculating(parallel_darboux(f2, tol_face=0.1))
         assert cls.kind is SurfaceKind.GENERAL

@@ -187,8 +187,8 @@ def _plane_crossing(points, normal, anchor, start_seg, start_t, snap_tol):
     return None
 
 
-def resample_helpers(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
-    """Rebuild an open framed polygon so its Darboux volumes are constant.
+def resample_helpers(df: DarbouxField) -> ResampleResult:
+    """Rebuild the field's open framed polygon so its Darboux volumes are constant.
 
     Keeps the first three vertices and their field vectors, then
     repeatedly intersects the plane through the vertex three steps back,
@@ -206,6 +206,7 @@ def resample_helpers(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
     longer input of the same trend would have produced another vertex.
     An input that simply ends before the next plane is not truncated.
     """
+    f = df.frame
     if f.closed:
         raise GeometryError("resampling is defined for open polygonal lines")
     n = len(f.polygon)
@@ -321,7 +322,7 @@ def jittered_dense_spiral(n: int, draw: int) -> np.ndarray:
 
 def assert_same_march(f: FramedPolygon) -> ResampleResult:
     df = parallel_darboux(f)
-    got, want = resample_equal_volume(f, df), resample_helpers(f, df)
+    got, want = resample_equal_volume(df), resample_helpers(df)
     assert np.array_equal(got.framed.polygon.points, want.framed.polygon.points)
     assert np.array_equal(got.framed.directions.values, want.framed.directions.values)
     assert got.truncated == want.truncated
@@ -346,7 +347,7 @@ class TestVolumeReports:
     def test_darboux_volumes_match_centroaffine_for_silhouette(self):
         f = spiral_framed(50)
         df = parallel_darboux(f)
-        rep_d = darboux_volumes(f, df)
+        rep_d = darboux_volumes(df)
         rep_c = centroaffine_volumes(f.polygon)
         # silhouette xi is the position field scaled by s(i) = |phi(i)|/|phi(0)|
         # only the constancy transfers, not the value
@@ -372,7 +373,7 @@ class TestResampler:
     def test_already_equal_volume_is_fixed_point(self):
         f = spiral_framed(200)
         df = parallel_darboux(f)
-        res = resample_equal_volume(f, df)
+        res = resample_equal_volume(df)
         assert not res.truncated
         np.testing.assert_allclose(res.framed.polygon.points, f.polygon.points,
                                    atol=1e-12)
@@ -380,23 +381,23 @@ class TestResampler:
     def test_output_is_equal_volume(self):
         f = spiral_framed(400, jitter=0.3)
         df = parallel_darboux(f)
-        assert darboux_volumes(f, df).spread > 1e-3
-        res = resample_equal_volume(f, df)
+        assert darboux_volumes(df).spread > 1e-3
+        res = resample_equal_volume(df)
         df2 = parallel_darboux(res.framed)
-        rep = darboux_volumes(res.framed, df2)
+        rep = darboux_volumes(df2)
         assert rep.spread <= 1e-9
 
     def test_idempotent(self):
         f = spiral_framed(400, jitter=0.3)
-        res = resample_equal_volume(f, parallel_darboux(f))
-        res2 = resample_equal_volume(res.framed, parallel_darboux(res.framed))
+        res = resample_equal_volume(parallel_darboux(f))
+        res2 = resample_equal_volume(parallel_darboux(res.framed))
         n = min(len(res.framed.polygon), len(res2.framed.polygon))
         gap = np.abs(res.framed.polygon.points[:n] - res2.framed.polygon.points[:n])
         assert gap.max() <= 1e-12 * f.polygon.diameter()
 
     def test_vertices_stay_on_input_polyline(self):
         f = spiral_framed(250, jitter=0.3)
-        res = resample_equal_volume(f, parallel_darboux(f))
+        res = resample_equal_volume(parallel_darboux(f))
         pts = f.polygon.points
         for q in res.framed.polygon.points:
             d = np.inf
@@ -411,7 +412,7 @@ class TestResampler:
         # next search plane: the input ended, the march did not stall
         for n in (250, 400, 600):
             f = spiral_framed(n, jitter=0.3)
-            res = resample_equal_volume(f, parallel_darboux(f))
+            res = resample_equal_volume(parallel_darboux(f))
             assert len(res.framed.polygon) < len(f.polygon)
             assert not res.truncated
 
@@ -420,7 +421,7 @@ class TestResampler:
         # later search plane, so the march stalls with input left over
         pts = spiral_framed(300).polygon.points
         f = FramedPolygon.silhouette(np.vstack([pts, pts[-2:-42:-1]]))
-        res = resample_equal_volume(f, parallel_darboux(f))
+        res = resample_equal_volume(parallel_darboux(f))
         assert res.truncated
         assert len(res.framed.polygon) <= len(pts) + 1
 
@@ -429,7 +430,7 @@ class TestResampler:
         # compare only a size where the two roundings stay close
         f = spiral_framed(400, jitter=0.3)
         df = parallel_darboux(f)
-        got = resample_equal_volume(f, df).framed.polygon.points
+        got = resample_equal_volume(df).framed.polygon.points
         want = resample_numpy(f, df).framed.polygon.points
         assert len(got) == len(want) == 386
         assert np.array_equal(got[:3], f.polygon.points[:3])
@@ -451,7 +452,7 @@ class TestResampler:
     def test_numpy_calls_do_not_grow_with_input(self):
         def calls(n):
             f = spiral_framed(n, jitter=0.3)
-            return numpy_calls(resample_equal_volume, f, parallel_darboux(f))
+            return numpy_calls(resample_equal_volume, parallel_darboux(f))
 
         assert calls(400) == calls(1600)
 
@@ -461,21 +462,21 @@ class TestResampler:
         n = 4000
         pts = jittered_dense_spiral(n, 0)
         f = FramedPolygon.silhouette(pts)
-        res = resample_equal_volume(f, parallel_darboux(f))
+        res = resample_equal_volume(parallel_darboux(f))
         out = res.framed.polygon.points
         expected = (n + 5) / 4
         assert np.array_equal(out[:3], pts[:3])
         assert abs(len(out) - expected) <= 0.03 * expected
-        assert darboux_volumes(res.framed, parallel_darboux(res.framed)).spread <= 1e-9
+        assert darboux_volumes(parallel_darboux(res.framed)).spread <= 1e-9
 
     def test_closed_input_rejected(self):
         t = np.linspace(0, 2 * np.pi, 11)[:-1]
         pts = np.stack([np.cos(t), np.sin(t), np.ones_like(t)], axis=1)
         f = FramedPolygon.silhouette(pts, closed=True)
         with pytest.raises(GeometryError):
-            resample_equal_volume(f, parallel_darboux(f))
+            resample_equal_volume(parallel_darboux(f))
 
     def test_too_short_rejected(self, rng):
         f = random_generic_framed(rng, 3)
         with pytest.raises(GeometryError):
-            resample_equal_volume(f, parallel_darboux(f))
+            resample_equal_volume(parallel_darboux(f))

@@ -27,10 +27,8 @@ from evpoly.invariants import (
 
 
 def silhouette_pipeline(pts, closed=False):
-    f = FramedPolygon.silhouette(pts, closed=closed)
-    df = parallel_darboux(f)
-    fr = frenet(f, df)
-    return f, df, fr
+    df = parallel_darboux(FramedPolygon.silhouette(pts, closed=closed))
+    return df, frenet(df)
 
 
 class TestFrenet:
@@ -135,8 +133,8 @@ class TestFocalSet:
             G = random_equal_area(12, rng)
             P = rng.normal(size=2) * 0.3
             phi = silhouette_lift(G, P)
-            f, df, fr = silhouette_pipeline(phi.points)
-            fd = focal_data(f, df, fr)
+            df, fr = silhouette_pipeline(phi.points)
+            fd = focal_data(df, fr)
             fc = classify_focal(df, fd)
             assert fc.kind is FocalKind.SINGLE_LINE
             assert fc.mu_spread <= 1e-9
@@ -144,9 +142,9 @@ class TestFocalSet:
     def test_focal_lines_are_gauge_invariant(self, rng):
         G = random_equal_area(12, rng)
         phi = silhouette_lift(G, [0.2, -0.1])
-        f, df, fr = silhouette_pipeline(phi.points)
-        fd0 = focal_data(f, df, fr, gauge=(fr.tau.base, 0.0))
-        fd1 = focal_data(f, df, fr, gauge=(fr.tau.base, 3.7))
+        df, fr = silhouette_pipeline(phi.points)
+        fd0 = focal_data(df, fr, gauge=(fr.tau.base, 0.0))
+        fd1 = focal_data(df, fr, gauge=(fr.tau.base, 3.7))
         for o0, d0, o1, d1 in zip(fd0.line_origins, fd0.line_directions,
                                   fd1.line_origins, fd1.line_directions):
             # same line: both anchor points and both directions colinear
@@ -156,8 +154,8 @@ class TestFocalSet:
     def test_mu_prime_identity(self, rng):
         G = random_equal_area(14, rng)
         phi = silhouette_lift(G, [0.1, 0.3])
-        f, df, fr = silhouette_pipeline(phi.points)
-        fd = focal_data(f, df, fr)
+        df, fr = silhouette_pipeline(phi.points)
+        fd = focal_data(df, fr)
         # mu'(i) = rho1'(i+1/2) - sigma tau(i+1/2) and its rho2 twin, with
         # sigma constant (-1 on a silhouette) and mu' at a vertex the
         # difference of mu over its two sides
@@ -176,14 +174,14 @@ class TestFocalSet:
 
     def test_generic_polygon_is_not_single_line(self, rng):
         p = random_equal_volume_polygon(rng, 12)
-        f, df, fr = silhouette_pipeline(p.points)
-        fd = focal_data(f, df, fr)
+        df, fr = silhouette_pipeline(p.points)
+        fd = focal_data(df, fr)
         assert classify_focal(df, fd).kind is FocalKind.GENERAL
 
     def test_mesh_faces_are_planar(self, rng):
         p = random_equal_volume_polygon(rng, 12)
-        f, df, fr = silhouette_pipeline(p.points)
-        fd = focal_data(f, df, fr)
+        df, fr = silhouette_pipeline(p.points)
+        fd = focal_data(df, fr)
         mesh = focal_set_mesh(fd)
         assert mesh.faces
         scale = np.abs(mesh.vertices).max()
@@ -193,16 +191,16 @@ class TestFocalSet:
 def prism_pipeline(G):
     """The vertical prism frame over a closed planar polygon in z = 0."""
     pts3 = np.column_stack([G.Gamma.values, np.zeros(len(G.Gamma))])
-    f = FramedPolygon.build(pts3, np.tile([0.0, 0.0, 1.0], (len(pts3), 1)), closed=True)
-    df = parallel_darboux(f)
-    return pts3, f, df, frenet(f, df)
+    df = parallel_darboux(
+        FramedPolygon.build(pts3, np.tile([0.0, 0.0, 1.0], (len(pts3), 1)), closed=True))
+    return pts3, df, frenet(df)
 
 
 class TestPlanarReduction:
     @pytest.mark.parametrize("n", [5, 7, 12, 100])
     def test_regular_gon_curvature(self, n):
         G = regular_equal_area(n)
-        pts3, _, _, fr = prism_pipeline(G)
+        pts3, _, fr = prism_pipeline(G)
         e = np.roll(pts3, -1, axis=0) - pts3
         areas = e[:, 0] * np.roll(e[:, 1], -1) - e[:, 1] * np.roll(e[:, 0], -1)
         assert np.abs(areas - G.area_constant).max() <= 1e-8 * abs(G.area_constant)
@@ -213,7 +211,7 @@ class TestPlanarReduction:
 
     def test_evolute_of_regular_gon_is_center(self):
         # the focal lines pierce the polygon's plane in its affine evolute
-        _, f, df, fr = prism_pipeline(regular_equal_area(9))
-        fd = focal_data(f, df, fr, gauge=(0, 0.0))
+        _, df, fr = prism_pipeline(regular_equal_area(9))
+        fd = focal_data(df, fr, gauge=(0, 0.0))
         hits = [o - (o[2] / d[2]) * d for o, d in zip(fd.line_origins, fd.line_directions)]
         assert np.abs(hits).max() <= 1e-10

@@ -32,7 +32,7 @@ from conftest import (
     support_function,
 )
 
-from evpoly import cli, invariants
+from evpoly import cli, darboux, invariants
 from evpoly.constructions import Ellipse, ExampleSpiralRepresentative, GridScheme, sample_curve
 from evpoly.core import (
     GeometryError,
@@ -49,6 +49,7 @@ from evpoly.darboux import (
     DarbouxField,
     DegenerateFrameError,
     FramedPolygon,
+    once_per_field,
     osculating_points,
     parallel_darboux,
     validate_frame,
@@ -142,7 +143,7 @@ def test_batched_kernels_match_references(kind, closed, seed, n):
     if kind != "equal_volume" or closed:
         return  # no Frenet data: test_face_solve_matches_exact_least_squares covers these faces
 
-    fr = frenet(f, df)
+    fr = frenet(df)
     for k in np.random.default_rng(seed).choice(fr.tau.slots, size=min(6, len(fr.tau))):
         k = int(k)
         d3, edge, xi_k, xi_k1 = third_diff_faces(f, df, k)
@@ -197,7 +198,7 @@ def test_frenet_third_differences_match_long_double(n, monkeypatch):
         return face_solve(v, a, b, normal)
 
     monkeypatch.setattr(invariants, "face_solve", spy)
-    frenet(f, parallel_darboux(f))
+    frenet(parallel_darboux(f))
     e = np.diff(f.polygon.points.astype(np.longdouble), axis=0)
     ref = (e[2:] - e[1:-1]) - (e[1:-1] - e[:-2])
     scale = np.abs(ref).max()
@@ -250,14 +251,15 @@ def test_closed_equals_open_padded_with_wrap_around(k, seed):
 
     pts, xi = rng.normal(size=(2, n, 3))
     closed = FramedPolygon.silhouette(pts, closed=True)
-    df = DarbouxField(GridSeq(xi, Grid.VERTEX, Topology.CLOSED),
+    df = DarbouxField(closed, GridSeq(xi, Grid.VERTEX, Topology.CLOSED),
                       GridSeq(np.zeros(n), Grid.SIDE, Topology.CLOSED))
     open_ = FramedPolygon.silhouette(pad(pts, 1, 1))
-    df_open = DarbouxField(GridSeq(pad(xi, 1, 1), Grid.VERTEX), GridSeq(np.zeros(n + 1), Grid.SIDE))
-    assert_same_slots(darboux_volumes(closed, df).volumes,
-                      darboux_volumes(open_, df_open).volumes, 1)
+    df_open = DarbouxField(open_, GridSeq(pad(xi, 1, 1), Grid.VERTEX),
+                           GridSeq(np.zeros(n + 1), Grid.SIDE))
+    assert_same_slots(darboux_volumes(df).volumes,
+                      darboux_volumes(df_open).volumes, 1)
     e = np.roll(pts, -1, axis=0) - pts
-    assert np.array_equal(darboux_volumes(closed, df).values, det3(np.roll(e, 1, axis=0), e, xi))
+    assert np.array_equal(darboux_volumes(df).values, det3(np.roll(e, 1, axis=0), e, xi))
 
     # The padded run repeats vertex 0's triple volume once.  With n odd and
     # vertex 0 carrying the median volume, both medians (the constant c)
@@ -326,7 +328,7 @@ def test_planar_reduction_reads_affine_curvature(frame, closed, seed):
     if frame == "prism":
         pts3 = np.column_stack([G.Gamma.values, np.zeros(len(G.Gamma))])
         f = FramedPolygon.build(pts3, np.tile([0.0, 0.0, 1.0], (len(pts3), 1)), closed=closed)
-        fr = frenet(f, parallel_darboux(f))
+        fr = frenet(parallel_darboux(f))
         assert np.abs(fr.tau.values).max() <= 1e-12
         rho1_slot, rho2_slot = fr.rho1.base, fr.rho2.base + 1
     else:
@@ -467,7 +469,7 @@ def focal_fixture(kind, seed):
     else:
         f = parabola_prism(rng.choice([1, 2, 2, 3], size=10 + seed))
     df = parallel_darboux(f)
-    fr = frenet(f, df)
+    fr = frenet(df)
     if f.closed:  # tau is roundoff here: centre it so the closed gauge exists
         fr = dataclasses.replace(fr, tau=fr.tau.with_values(fr.tau.values - fr.tau.values.mean()))
     return f, df, fr
@@ -478,7 +480,7 @@ def focal_fixture(kind, seed):
 def test_focal_line_arrays_match_the_list_of_tuples(kind, seed):
     f, df, fr = focal_fixture(kind, seed)
     gauge = (0 if f.closed else fr.tau.base, 0.7 * seed)
-    fd = focal_data(f, df, fr, gauge)
+    fd = focal_data(df, fr, gauge)
     lines = reference_focal_lines(f, df, fr, fd, gauge)
     assert fd.line_origins.shape == fd.line_directions.shape == (len(lines), 3)
     for j, line in enumerate(lines):
@@ -573,56 +575,57 @@ def test_frame_report_names_injected_face():
 @pytest.fixture
 def pipeline():
     p = random_equal_volume_polygon(np.random.default_rng(11), 12)
-    f = FramedPolygon.silhouette(p.points)
-    df = parallel_darboux(f)
-    return f, df, frenet(f, df)
+    df = parallel_darboux(FramedPolygon.silhouette(p.points))
+    return df, frenet(df)
 
 
 def with_xi(df, xi):
-    return DarbouxField(GridSeq(xi, Grid.VERTEX), df.sigma, df.holonomy)
+    return dataclasses.replace(df, xi=GridSeq(xi, Grid.VERTEX))
 
 
 def test_degenerate_frenet_face_names_side(pipeline):
     # xi(5) along side 5 flattens the face of side 5 and zeroes the volume at
     # vertex 5, so the volume gate refuses it before any face solve
-    f, df, _ = pipeline
+    df, _ = pipeline
+    p = df.frame.polygon.points
     xi = df.xi.values.copy()
-    xi[5] = f.polygon.points[6] - f.polygon.points[5]
+    xi[5] = p[6] - p[5]
     with pytest.raises(NotEqualVolumeError, match=r"^vertex 5: volume spread") as info:
-        frenet(f, with_xi(df, xi))
+        frenet(with_xi(df, xi))
     assert info.value.vertex == 5
 
 
 def test_tau_gap_names_side(pipeline):
     # moving xi(5) along side 5 keeps every volume but tilts the face of side 4
-    f, df, _ = pipeline
+    df, _ = pipeline
+    p = df.frame.polygon.points
     xi = df.xi.values.copy()
-    xi[5] += 1e-3 * (f.polygon.points[6] - f.polygon.points[5])
+    xi[5] += 1e-3 * (p[6] - p[5])
     with pytest.raises(GeometryError, match=r"^side 4: the two tau evaluations"):
-        frenet(f, with_xi(df, xi))
+        frenet(with_xi(df, xi))
 
 
 def test_support_line_gap_names_side(pipeline):
-    f, df, _ = pipeline
+    df, _ = pipeline
     sigma = df.sigma.values.copy()
     sigma[6] *= 1.001
-    bad = DarbouxField(df.xi, df.sigma.with_values(sigma), df.holonomy)
+    bad = dataclasses.replace(df, sigma=df.sigma.with_values(sigma))
     with pytest.raises(GeometryError, match=r"^side 6: the two support-line evaluations"):
-        osculating_points(f, bad)
+        osculating_points(bad)
 
 
 def test_mu_gap_names_side(pipeline):
-    f, df, fr = pipeline
+    df, fr = pipeline
     rho2 = fr.rho2.values.copy()
     rho2[fr.rho2.slots == 4] += 1e-3
     with pytest.raises(GeometryError, match=r"^side 4: the two mu evaluations"):
-        focal_data(f, df, dataclasses.replace(fr, rho2=fr.rho2.with_values(rho2)))
+        focal_data(df, dataclasses.replace(fr, rho2=fr.rho2.with_values(rho2)))
 
 
 def test_q_gap_names_side(pipeline):
     # shifting rho2(k) and rho1(k+1) together moves mu(k) without a mu gap
-    f, df, fr = pipeline
-    mu = focal_data(f, df, fr).mu
+    df, fr = pipeline
+    mu = focal_data(df, fr).mu
     shift = 0.1 * abs(mu.at(3))
     rho1, rho2 = fr.rho1.values.copy(), fr.rho2.values.copy()
     rho1[fr.rho1.slots == 4] += shift
@@ -630,7 +633,7 @@ def test_q_gap_names_side(pipeline):
     moved = dataclasses.replace(fr, rho1=fr.rho1.with_values(rho1),
                                 rho2=fr.rho2.with_values(rho2))
     with pytest.raises(GeometryError, match=r"^side 3: the two Q evaluations"):
-        focal_data(f, df, moved)
+        focal_data(df, moved)
 
 
 # ---------------------------------------------------------------- loop guard
@@ -689,11 +692,16 @@ def recording(fn, calls: list):
     return recorded
 
 
-def record_calls(monkeypatch, fn, calls: list) -> None:
-    """Record the calls of ``fn`` made through any evpoly module."""
+def replace_everywhere(monkeypatch, fn, replacement) -> None:
+    """Put ``replacement`` in place of ``fn`` in every evpoly module that holds it."""
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "evpoly"]:
         if getattr(module, fn.__name__, None) is fn:
-            monkeypatch.setattr(module, fn.__name__, recording(fn, calls))
+            monkeypatch.setattr(module, fn.__name__, replacement)
+
+
+def record_calls(monkeypatch, fn, calls: list) -> None:
+    """Record the calls of ``fn`` made through any evpoly module."""
+    replace_everywhere(monkeypatch, fn, recording(fn, calls))
 
 
 def test_analyze_computes_each_derived_quantity_once(rng, tmp_path, monkeypatch):
@@ -725,3 +733,34 @@ def test_analyze_computes_each_derived_quantity_once(rng, tmp_path, monkeypatch)
     # evaluations, not calls: a repeated call must hand back the same result
     assert volumes and len({id(r) for r in volumes}) == 1
     assert points and len({id(seq) for seq, _ in points}) == 1
+
+
+def test_memo_keeps_each_result_on_its_field(rng):
+    f, _ = random_cone_fixture(rng)
+    df = parallel_darboux(f)
+    assert darboux_volumes(df) is darboux_volumes(df)
+    assert osculating_points(df)[0] is osculating_points(df)[0]
+    # another field of the same frame evaluates again
+    assert darboux_volumes(parallel_darboux(f)) is not darboux_volumes(df)
+
+
+def test_analyze_evaluates_volumes_and_osculating_points_once(rng, tmp_path, monkeypatch):
+    """On a cone ``analyze`` reads both twice, and each kernel body runs once."""
+    src, out = tmp_path / "cone.json", tmp_path / "report.json"
+    write_document(PolygonDocument.from_polygon(random_equal_volume_polygon(rng, 40)), src)
+    evaluated = []
+
+    def counted(body):
+        def run(df):
+            evaluated.append(body.__name__)
+            return body(df)
+        return once_per_field(run)
+
+    replace_everywhere(monkeypatch, darboux_volumes, counted(darboux_volumes.__wrapped__))
+    monkeypatch.setattr(darboux, "_osculating_points",
+                        counted(darboux._osculating_points.__wrapped__))
+
+    assert cli.main(["analyze", str(src), "--origin", "0,0,0", "--json", str(out)]) == 0
+    report = out.read_text()
+    assert '"rho1"' in report and '"classification": "cone"' in report
+    assert sorted(evaluated) == ["_osculating_points", "darboux_volumes"]

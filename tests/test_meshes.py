@@ -117,7 +117,7 @@ def per_record_obj(mesh) -> str:
 def test_developable_obj_matches_per_record_formatting(tmp_path, rng, closed):
     f = random_generic_framed(rng, 9, closed=closed)
     df = parallel_darboux(f)
-    mesh = osculating_developable(f, df, extent=1.5)
+    mesh = osculating_developable(df, extent=1.5)
     # each quad keeps its own four v records, P(k) -+ X(k) and P(k+1) +- X(k+1);
     # neighbours share two rows
     x = 1.5 * (df.xi.values / np.linalg.norm(df.xi.values, axis=1)[:, None])
@@ -136,7 +136,7 @@ def test_focal_set_obj_matches_per_record_formatting(tmp_path, rng, closed):
     p = random_equal_volume_polygon(rng, 12)
     f = FramedPolygon.silhouette(p.points)
     df = parallel_darboux(f)
-    fd = focal_data(f, df, frenet(f, df))
+    fd = focal_data(df, frenet(df))
     if closed:
         # a closed polygon whose focal set exists needs sum tau = 0; the
         # same lines on the closed topology add the face that wraps around
