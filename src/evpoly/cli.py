@@ -184,7 +184,9 @@ def cmd_plength(args) -> int:
     doc = read_document(args.input)
     if doc.kind != "polygon2":
         raise DocumentError("plength expects a planar (polygon2) document")
-    poly = PlanarProjectivePolygon.from_vertices(doc.vertices, closed=doc.closed)
+    if doc.closed:  # the lift recursion has a closure obstruction on loops
+        raise GeometryError("representative lift is defined for open polygons")
+    poly = PlanarProjectivePolygon.from_vertices(doc.vertices)
     norm = default_normalization(poly)
     phi = lift_representative(poly, norm)
     rep = projective_lengths(phi)
@@ -214,7 +216,9 @@ def cmd_focal(args) -> int:
     fd = focal_data(df, frenet(df))
     mesh = focal_set_mesh(fd, extent=args.extent)
     mesh.write_obj(args.obj)
-    skipped = sorted(set(fd.at_infinity_O) | set(fd.at_infinity_Q))
+    # NaN rows of O and Q are the points at infinity
+    at_infinity = [seq.slots[np.isnan(seq.values[:, 0])] for seq in (fd.O, fd.Q)]
+    skipped = np.union1d(*at_infinity).tolist()
     if skipped:
         print(f"evpoly: warning: sides {skipped} have support lines or normals "
               "meeting at infinity; their focal faces were skipped",

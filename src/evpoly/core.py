@@ -29,12 +29,14 @@ __all__ = [
     "Polygon3",
     "GeometryError",
     "DegenerateVertexError",
+    "agreed",
     "cross3",
     "det2",
     "det3",
     "face_solve",
     "forward_diff",
     "median",
+    "meeting_points",
     "norm3",
     "require_finite",
 ]
@@ -233,6 +235,42 @@ def face_solve(v, a, b, n) -> tuple[np.ndarray, np.ndarray]:
     nn = np.einsum("...i,...i->...", n, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         return det3(v, b, n) / nn, det3(a, v, n) / nn
+
+
+def agreed(a, b, scale, tol, what: str, first: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint and gap of two evaluations of one quantity per side.
+
+    The gap is |a - b|, the row length for points.  Row k must have a gap
+    of at most ``tol * scale[k]``; the first that does not raises a
+    GeometryError naming side ``first + k``.  A row whose gap or scale is
+    NaN is not compared.
+    """
+    gap = np.abs(a - b) if a.ndim == 1 else norm3(a - b)
+    bad = gap > tol * scale
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise GeometryError(
+            f"side {first + k}: the two {what} evaluations disagree by {gap[k]:.3e}")
+    return 0.5 * (a + b), gap
+
+
+def meeting_points(p0, p1, v0, v1, s, tol, what: str, first: int, diameter: float) -> np.ndarray:
+    """The point p0 + v0/s = p1 + v1/s of each side, from both of its ends.
+
+    The two evaluations a and b go through ``agreed`` against
+    max(|a - p0|, |b - p1|, diameter), and their midpoint is returned.
+    Where 1/s is not finite the lines are parallel: that row is a point
+    at infinity, comes back NaN and is not compared.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        at_infinity = ~np.isfinite(1.0 / s)
+        a = p0 + v0 / s[:, None]
+        b = p1 + v1 / s[:, None]
+        scale = np.maximum(np.maximum(norm3(a - p0), norm3(b - p1)), diameter)
+        scale[at_infinity] = np.nan
+        out, _ = agreed(a, b, scale, tol, what, first)
+    out[at_infinity] = np.nan
+    return out
 
 
 def det2(u, v) -> float | np.ndarray:

@@ -24,6 +24,7 @@ from .core import (
     cross3,
     face_solve,
     median,
+    meeting_points,
     norm3,
     require_finite,
 )
@@ -88,6 +89,8 @@ class FramedPolygon:
         """Frame a polygon by the lines through a fixed point (cone edges)."""
         pts = np.asarray(points, dtype=float)
         apex = np.asarray(apex, dtype=float)
+        if apex.shape != (3,):
+            raise GeometryError(f"apex must be one 3-vector, got shape {apex.shape}")
         if not np.isfinite(apex).all():
             raise GeometryError("non-finite apex")
         # the difference is a fresh array, so unlike the points it is not copied
@@ -111,10 +114,6 @@ class FramedPolygon:
     @property
     def closed(self) -> bool:
         return self.polygon.closed
-
-    def n_sides(self) -> int:
-        n = len(self.polygon)
-        return n if self.closed else n - 1
 
 
 @dataclass(frozen=True)
@@ -194,25 +193,19 @@ def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Fram
                        (margins <= tol_face).nonzero()[0].tolist())
 
 
-def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
-                     tol_face: float = TOL_FACE_DEFAULT) -> DarbouxField:
+def parallel_darboux(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> DarbouxField:
     """Compute the parallel Darboux vector field and sigma per side.
 
-    The field is fixed by ``xi(0) = seed_scale * d(0)/|d(0)|`` and the
+    The field is fixed by ``xi(0) = d(0)/|d(0)|`` and the
     per-side recursion obtained from decomposing each side in the face
     basis of its two end directions (``core.face_solve``): with
     side = p*d0 + q*d1,
 
         s_next = -q * s / p,   sigma = s / p,
 
-    so the scales are ``seed_scale`` times a cumulative product.  Scaling
-    the seed scales both xi and sigma linearly.  A side whose step leaves
-    a scale or sigma non-finite raises ``DegenerateFrameError``.
+    so the scales are a cumulative product.  A side whose step leaves a
+    scale or sigma non-finite raises ``DegenerateFrameError``.
     """
-    if not np.isfinite(seed_scale):
-        raise GeometryError("non-finite seed_scale")
-    if seed_scale == 0.0:
-        raise GeometryError("seed_scale must be nonzero")
     report = validate_frame(f, tol_face)
     if not report.ok:
         raise GeometryError(
@@ -235,7 +228,7 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratio = np.where(parallel, np.sign(np.einsum("ij,ij->i", d0, d1)), -q / p)
         # s(0), then the scale at the far end of each side
-        scales = np.cumprod(np.concatenate([[seed_scale], ratio]))
+        scales = np.cumprod(np.concatenate([[1.0], ratio]))
         sigma = scales[:nsides] / p
     sigma[parallel] = 0.0
     overflow = ~(np.isfinite(scales[1:]) & np.isfinite(sigma))
@@ -245,45 +238,26 @@ def parallel_darboux(f: FramedPolygon, seed_scale: float = 1.0,
 
     topo = f.polygon.topology
     xi = GridSeq(scales[:n, None] * dh.values, Grid.VERTEX, topo)
-    holonomy = float(scales[-1] / seed_scale) if f.closed else None
+    holonomy = float(scales[-1]) if f.closed else None
     return DarbouxField(f, xi, GridSeq(sigma, Grid.SIDE, topo), holonomy)
 
 
-def osculating_points(df: DarbouxField):
+@once_per_field
+def osculating_points(df: DarbouxField) -> GridSeq:
     """Intersections of consecutive Darboux support lines, one per side.
 
     Each point evaluates as ``phi(k) + xi(k)/sigma(k)`` and equivalently
-    from the far vertex; the midpoint of the two evaluations is returned.
-    Sides with ``sigma = 0`` have no finite intersection (parallel
-    support lines) and come back as NaN rows, with their indices listed
-    separately.  The points are evaluated once per field.
+    from the far vertex (``core.meeting_points``); the midpoint of the two
+    evaluations is returned.  Sides with ``sigma = 0`` have no finite
+    intersection (parallel support lines) and come back as NaN rows.  The
+    points are evaluated once per field.
     """
-    seq, at_infinity = _osculating_points(df)
-    return seq, list(at_infinity)
-
-
-@once_per_field
-def _osculating_points(df: DarbouxField):
     f = df.frame
-    sigma = df.sigma.values
     _, (p0, p1) = f.polygon.vertices.stencil(0, 1)
     _, (x0, x1) = df.xi.stencil(0, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        at_infinity = ~np.isfinite(1.0 / sigma)
-        o1 = p0 + x0 / sigma[:, None]
-        o2 = p1 + x1 / sigma[:, None]
-        gap = norm3(o1 - o2)
-        ref = np.maximum(np.maximum(norm3(o1 - p0), norm3(o2 - p1)),
-                         f.polygon.diameter())
-        out = 0.5 * (o1 + o2)
-    bad = ~at_infinity & (gap > OSCULATING_AGREEMENT_TOL * ref)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise GeometryError(
-            f"side {k}: the two support-line evaluations disagree (gap {gap[k]:.3e})")
-    out[at_infinity] = np.nan
-    seq = GridSeq(out, Grid.SIDE, f.polygon.topology)
-    return seq, tuple(at_infinity.nonzero()[0].tolist())
+    out = meeting_points(p0, p1, x0, x1, df.sigma.values, OSCULATING_AGREEMENT_TOL,
+                         "support-line", 0, f.polygon.diameter())
+    return GridSeq(out, Grid.SIDE, f.polygon.topology)
 
 
 def osculating_developable(df: DarbouxField, extent: float | None = None) -> Mesh:
@@ -307,7 +281,7 @@ def osculating_developable(df: DarbouxField, extent: float | None = None) -> Mes
     xi = df.xi.values
     x = extent * (xi / norm3(xi)[:, None])
     rows = np.stack([p - x, p + x], axis=1).reshape(-1, 3)
-    nsides = f.n_sides()
+    nsides = len(f.polygon.sides())
     k2 = 2 * np.arange(nsides)
     corners = np.stack([k2, k2 + 1, k2 + 3, k2 + 2], axis=1) % len(rows)
     return Mesh(rows, np.arange(4 * nsides).reshape(nsides, 4).tolist(), v_rows=corners)
@@ -337,8 +311,7 @@ def classify_osculating(df: DarbouxField) -> OsculatingClass:
     spread = float(sigma.max() - sigma.min())
 
     if med > 0 and spread / med <= CLASSIFY_TOL and (np.abs(sigma) > CLASSIFY_TOL * med).all():
-        pts, _ = osculating_points(df)
-        apex = pts.values.mean(axis=0)
+        apex = osculating_points(df).values.mean(axis=0)
         return OsculatingClass(SurfaceKind.CONE, apex)
 
     xi_scale = median(norm3(df.xi.values))

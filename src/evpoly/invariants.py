@@ -34,10 +34,12 @@ from .core import (
     GridSeq,
     Polygon3,
     Topology,
+    agreed,
     cross3,
     det3,
     face_solve,
     median,
+    meeting_points,
     norm3,
 )
 from .darboux import DarbouxField, osculating_points
@@ -145,7 +147,8 @@ def frenet(df: DarbouxField) -> FrenetData:
     """Frenet coefficient sequences of the field's equal-volume framed polygon.
 
     Both decompositions of each third difference go through
-    ``core.face_solve``; the two tau values they give must agree.
+    ``core.face_solve``; the two tau values they give must agree
+    (``core.agreed``) to ``TAU_AGREEMENT_TOL`` times max(1, |tau_a|).
     """
     f = df.frame
     if len(f.polygon) < 5 and not f.closed:
@@ -167,12 +170,7 @@ def frenet(df: DarbouxField) -> FrenetData:
     if bad.any():
         k = k0 + int(np.argmax(bad))
         raise GeometryError(f"side {k}: degenerate face basis in Frenet solve")
-    gap = np.abs(tau_a - tau_b)
-    tau = 0.5 * (tau_a + tau_b)
-    bad = gap > TAU_AGREEMENT_TOL * np.maximum(1.0, np.abs(tau))
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise GeometryError(f"side {k0 + j}: the two tau evaluations disagree by {gap[j]:.3e}")
+    tau, gap = agreed(tau_a, tau_b, np.maximum(1.0, np.abs(tau_a)), TAU_AGREEMENT_TOL, "tau", k0)
     return _frenet_data(f.polygon.topology, k0, c, rho1, rho2, tau, gap)
 
 
@@ -223,7 +221,8 @@ def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float) -> Gri
 class FocalSetData:
     """mu, Q and O, and a point and unit direction of each side's focal line.
 
-    Both line rows are NaN on a side whose O and Q are at infinity: it has no line.
+    NaN rows of O and Q mark points at infinity.  Both line rows are NaN
+    on a side whose O and Q are at infinity: it has no line.
     """
 
     mu: GridSeq
@@ -231,8 +230,6 @@ class FocalSetData:
     O: GridSeq
     line_origins: np.ndarray
     line_directions: np.ndarray
-    at_infinity_O: list
-    at_infinity_Q: list
 
 
 def focal_data(df: DarbouxField, fr: FrenetData,
@@ -242,12 +239,15 @@ def focal_data(df: DarbouxField, fr: FrenetData,
     ``gauge`` anchors the lambda anti-difference (defaults to value 0 at
     the first admissible vertex).  Per side the focal line joins the
     support-line intersection O with the point Q where the parallel
-    normal vectors through the two end vertices meet.
+    normal vectors through the two end vertices meet.  mu and Q are each
+    evaluated from both ends of a side and gated by ``core.agreed`` to
+    ``FOCAL_AGREEMENT_TOL``: mu against max(1, |mu_a|), Q through
+    ``core.meeting_points``.
     """
     f = df.frame
     P = f.polygon.vertices
     if gauge is None:
-        gauge = (0 if f.closed else fr.tau.base, 0.0)
+        gauge = (fr.tau.base, 0.0)
     lam = lambda_from_tau(fr.tau, gauge[0], gauge[1])
 
     # eta(i) = phi''(i) + lambda(i) xi(i) on the gauge window
@@ -261,32 +261,16 @@ def focal_data(df: DarbouxField, fr: FrenetData,
     sg = df.sigma.window(k0, m)
     m_a = fr.rho1.window(k0 + 1, m) + sg * lam.window(k0 + 1, m)
     m_b = fr.rho2.window(k0, m) + sg * lam.window(k0, m)
-    gap = np.abs(m_a - m_b)
-    bad = gap > FOCAL_AGREEMENT_TOL * np.maximum(1.0, np.abs(m_a))
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise GeometryError(f"side {k0 + j}: the two mu evaluations disagree by {gap[j]:.3e}")
-    mu = GridSeq(0.5 * (m_a + m_b), Grid.SIDE, fr.tau.topology, k0)
+    mu_v, _ = agreed(m_a, m_b, np.maximum(1.0, np.abs(m_a)), FOCAL_AGREEMENT_TOL, "mu", k0)
+    mu = GridSeq(mu_v, Grid.SIDE, fr.tau.topology, k0)
 
-    O_all, inf_O = osculating_points(df)
+    O_all = osculating_points(df)
     O = O_all.window(k0, m)
-    o_inf = np.isnan(O[:, 0])
-    p0, p1 = P.window(k0, m), P.window(k0 + 1, m)
-    e_near, e_far = eta.window(k0, m), eta.window(k0 + 1, m)
-    mu_col = mu.values[:, None]
+    e_near = eta.window(k0, m)
+    q_pts = meeting_points(P.window(k0, m), P.window(k0 + 1, m), e_near, eta.window(k0 + 1, m),
+                           mu_v, FOCAL_AGREEMENT_TOL, "Q", k0, f.polygon.diameter())
+    o_inf, q_inf = np.isnan(O[:, 0]), np.isnan(q_pts[:, 0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        q_inf = ~np.isfinite(1.0 / mu.values)
-        q1 = p0 + e_near / mu_col
-        q2 = p1 + e_far / mu_col
-        gapq = norm3(q1 - q2)
-        ref = np.maximum(norm3(q1 - p0), f.polygon.diameter())
-        bad = ~q_inf & (gapq > FOCAL_AGREEMENT_TOL * ref)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise GeometryError(f"side {k0 + j}: the two Q evaluations disagree by {gapq[j]:.3e}")
-        q_pts = 0.5 * (q1 + q2)
-        q_pts[q_inf] = np.nan
-
         # The focal line joins O and Q.  With O at infinity it runs through Q
         # along xi; with Q at infinity, or Q = O, it runs through O along eta.
         origin = O.copy()
@@ -300,8 +284,7 @@ def focal_data(df: DarbouxField, fr: FrenetData,
     d[o_inf & q_inf] = np.nan
 
     Q = GridSeq(q_pts, Grid.SIDE, fr.tau.topology, k0)
-    return FocalSetData(mu, Q, O_all, origin, d, inf_O,
-                        (k0 + q_inf.nonzero()[0]).tolist())
+    return FocalSetData(mu, Q, O_all, origin, d)
 
 
 def focal_set_mesh(fd: FocalSetData, extent: float | None = None) -> Mesh:

@@ -24,7 +24,6 @@ from .core import (
     Grid,
     GridSeq,
     Polygon3,
-    Topology,
     det2,
     det3,
     forward_diff,
@@ -57,24 +56,23 @@ class InflectionError(GeometryError):
 
 @dataclass(frozen=True)
 class PlanarProjectivePolygon:
-    """Planar polygon with its per-vertex convexity determinants b(i)."""
+    """Open planar polygon with its per-vertex convexity determinants b(i).
+
+    It is open because its lift is: the recursion has a closure
+    obstruction on loops.
+    """
 
     vertices: GridSeq
     b: GridSeq
 
     @classmethod
-    def from_vertices(cls, points, closed: bool = False) -> "PlanarProjectivePolygon":
+    def from_vertices(cls, points) -> "PlanarProjectivePolygon":
         pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise GeometryError("planar polygon vertices must be 2-vectors")
         require_finite(pts, "coordinate")
-        topo = Topology.CLOSED if closed else Topology.OPEN
-        v = GridSeq(pts, Grid.VERTEX, topo)
+        v = GridSeq(pts, Grid.VERTEX)
         return cls(v, b_sequence(v))
-
-    @property
-    def closed(self) -> bool:
-        return self.vertices.topology is Topology.CLOSED
 
 
 def b_sequence(poly: GridSeq) -> GridSeq:
@@ -137,13 +135,10 @@ def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) 
     c.  Dividing two consecutive steps telescopes the recursion to
     a(i+2) = a(i-1) b(i) / b(i+1), so each residue class of vertices
     mod 3 is a product of b ratios started at its seed a(0), a(1) or
-    a(2): one column of a single cumulative product.  Only open polygons
-    are lifted (the recursion has a closure obstruction on loops).  A
-    lift with a coordinate beyond ``LIFT_COORD_MAX`` is refused at its
-    first such vertex.
+    a(2): one column of a single cumulative product.  A lift with a
+    coordinate beyond ``LIFT_COORD_MAX`` is refused at its first such
+    vertex.
     """
-    if poly.closed:
-        raise GeometryError("representative lift is defined for open polygons")
     if norm.a1 <= 0 or norm.a2 <= 0 or norm.c <= 0:
         raise GeometryError("lift seeds and volume constant must be positive")
     pts = poly.vertices.values

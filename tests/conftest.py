@@ -53,7 +53,7 @@ def silhouette_frenet(p, origin=(0.0, 0.0, 0.0)):
     topo = p.vertices.topology
     f = FramedPolygon.silhouette(p.points, o, closed=p.closed)
     xi = GridSeq(p.points - o, Grid.VERTEX, topo)
-    sigma = GridSeq(np.full(f.n_sides(), -1.0), Grid.SIDE, topo)
+    sigma = GridSeq(np.full(len(p.sides()), -1.0), Grid.SIDE, topo)
     return frenet(DarbouxField(f, xi, sigma, 1.0 if p.closed else None))
 
 

@@ -236,6 +236,14 @@ class TestPlength:
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_closed_polygon_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "square.json"
+        square = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
+        write_document(PolygonDocument("polygon2", True, square), path)
+        assert main(["plength", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "evpoly: representative lift is defined for open polygons\n")
+
     def test_concave_polygon_exits_2(self, tmp_path, capsys):
         pts = np.array([[0, 0], [1, 0], [2, 1], [1.2, 1.1], [0.2, 2]], float)
         path = tmp_path / "cc.csv"
@@ -279,7 +287,9 @@ class TestMeshExports:
         path = write_framed(f, tmp_path / "prism.json")
         code = main(["focal", path, "--obj", str(tmp_path / "o.obj")])
         assert code == 2
-        assert "infinity" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "evpoly: warning: sides [0, 1, 2, 3, 4, 5, 6, 7, 8] have support lines or "
+            "normals meeting at infinity; their focal faces were skipped\n")
 
 
 @pytest.fixture(params=[True, False], ids=["collecting", "paused-by-caller"])

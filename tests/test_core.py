@@ -14,11 +14,13 @@ from evpoly.core import (
     GridSeq,
     Polygon3,
     Topology,
+    agreed,
     cross3,
     det2,
     det3,
     forward_diff,
     median,
+    meeting_points,
     norm3,
 )
 from evpoly import core, darboux, invariants, projective
@@ -140,6 +142,67 @@ def test_cached_arrays_are_read_only():
 def test_det2():
     assert det2([1, 0], [0, 1]) == 1.0
     assert det2([2, 1], [4, 2]) == 0.0
+
+
+class TestAgreed:
+    def test_gap_at_the_bound_passes(self):
+        mid, gap = agreed(np.zeros(3), np.array([0.5, -0.25, 0.0]), np.ones(3), 0.5, "tau", 7)
+        assert mid.tolist() == [0.25, -0.125, 0.0]
+        assert gap.tolist() == [0.5, 0.25, 0.0]
+
+    def test_gap_above_the_bound_names_its_side(self):
+        b = np.array([0.5, np.nextafter(0.5, 1.0), 0.0])
+        with pytest.raises(GeometryError,
+                           match=r"^side 8: the two tau evaluations disagree by 5\.000e-01$"):
+            agreed(np.zeros(3), b, np.ones(3), 0.5, "tau", 7)
+
+    def test_nan_gap_or_scale_is_not_compared(self):
+        b = np.array([9.0, np.nan, 0.0])
+        mid, gap = agreed(np.zeros(3), b, np.array([np.nan, 1.0, 1.0]), 0.5, "mu", 0)
+        assert mid[0] == 4.5 and np.isnan(gap[1])
+
+    def test_point_gap_is_the_row_length(self):
+        b = np.array([[0.0, 3.0, 4.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(GeometryError,
+                           match=r"^side 3: the two Q evaluations disagree by 1\.000e\+00$"):
+            agreed(np.zeros((2, 3)), b, np.array([10.0, 1.0]), 0.5, "Q", 2)
+        _, gap = agreed(np.zeros((2, 3)), b, np.array([10.0, 2.0]), 0.5, "Q", 2)
+        assert gap.tolist() == [5.0, 1.0]
+
+
+def meeting_rows(b0):
+    """Five sides from p0 = 0 to p1 = (1, 0, 0).  Side 0 meets at (0, 1, 0)
+    from its near end and at ``b0`` from its far end, with s = 2.  The
+    other four have 1/s infinite; on the last, s and v are so small that
+    both evaluations are finite and 1 apart, which no gate may compare."""
+    p0, p1 = np.zeros((5, 3)), np.tile([1.0, 0.0, 0.0], (5, 1))
+    v0 = np.tile([0.0, 2.0, 0.0], (5, 1))
+    v1 = np.tile(2.0 * (np.asarray(b0) - p1[0]), (5, 1))
+    v0[4], v1[4] = [0.0, 1e-320, 0.0], 0.0
+    return p0, p1, v0, v1, np.array([2.0, 0.0, -0.0, 5e-324, 1e-310])
+
+
+class TestMeetingPoints:
+    def test_gap_at_the_bound_passes_and_infinity_is_nan(self):
+        # gap 0.5 against 0.125 * diameter 4
+        out = meeting_points(*meeting_rows([0.0, 1.5, 0.0]), 0.125, "Q", 5, 4.0)
+        assert out[0].tolist() == [0.0, 1.25, 0.0]
+        assert np.isnan(out[1:]).all()
+
+    def test_gap_above_the_bound_names_its_side(self):
+        with pytest.raises(GeometryError,
+                           match=r"^side 5: the two Q evaluations disagree by 5\.000e-01$"):
+            meeting_points(*meeting_rows([0.0, 1.5, 0.0]), np.nextafter(0.125, 0.0), "Q", 5, 4.0)
+
+    @pytest.mark.parametrize("tol, passes", [(0.28, True), (0.27, False)])
+    def test_reference_includes_the_far_end(self, tol, passes):
+        # |a - p0| = 1 but |b - p1| = sqrt(3.25), so only the far end admits tol = 0.28
+        args = (*meeting_rows([0.0, 1.5, 0.0]), tol, "O", 0, 0.0)
+        if passes:
+            meeting_points(*args)
+        else:
+            with pytest.raises(GeometryError, match=r"^side 0: the two O evaluations"):
+                meeting_points(*args)
 
 
 class TestGridSeq:
@@ -330,7 +393,6 @@ PARAMETERS = {
     # a NaN tolerance fails no comparison, so it would pass every frame
     "validate_frame-tol_face": lambda x: validate_frame(FRAMED_ARC, tol_face=x),
     "parallel_darboux-tol_face": lambda x: parallel_darboux(FRAMED_ARC, tol_face=x),
-    "parallel_darboux-seed_scale": lambda x: parallel_darboux(FRAMED_ARC, seed_scale=x),
     "focal_set_mesh-extent": lambda x: focal_set_mesh(arc_focal_data(), extent=x),
 }
 

@@ -32,7 +32,7 @@ from conftest import (
     support_function,
 )
 
-from evpoly import cli, darboux, invariants
+from evpoly import cli, invariants
 from evpoly.constructions import Ellipse, ExampleSpiralRepresentative, GridScheme, sample_curve
 from evpoly.core import (
     GeometryError,
@@ -78,12 +78,12 @@ def exact_face_solve(v, a, b):
     return (bb * av - ab * bv) / det, (aa * bv - ab * av) / det
 
 
-def reference_scales(f: FramedPolygon, seed_scale=1.0):
+def reference_scales(f: FramedPolygon):
     """Darboux scales per vertex and sigma per side, one side at a time."""
     e = f.polygon.sides().values
     dh = f.unit_directions.values
     n = len(dh)
-    s = [seed_scale]
+    s = [1.0]
     sigma = []
     for k in range(len(e)):
         d0, d1 = dh[k], dh[(k + 1) % n]
@@ -525,16 +525,20 @@ def test_singular_recursion_names_side():
 
 
 def test_overflow_names_side():
+    # each side turned towards its far direction multiplies the scale by about 1e9
     rng = np.random.default_rng(7)
-    pts, d = planar_framed(rng)
-    d[4] = turn_into_side(pts, 3, 1e-10)
-    f = FramedPolygon.build(pts, d)
+    pts, d = planar_framed(rng, 40)
+    for k in range(33):
+        d[k + 1] = turn_into_side(pts, k, 1e-10)
+    inside = FramedPolygon.build(pts, d)
+    d[34] = turn_into_side(pts, 33, 1e-10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        parallel_darboux(f, seed_scale=1e290, tol_face=1e-12)
+        df = parallel_darboux(inside, tol_face=1e-12)
+        assert np.abs(df.xi.values).max() > 1e307  # just inside the float range
         with pytest.raises(DegenerateFrameError) as info:
-            parallel_darboux(f, seed_scale=1e300, tol_face=1e-12)
-    assert info.value.side == 3
+            parallel_darboux(FramedPolygon.build(pts, d), tol_face=1e-12)
+    assert info.value.side == 33
 
 
 def test_overflow_on_long_generic_polygon(tmp_path, capsys):
@@ -732,20 +736,21 @@ def test_analyze_computes_each_derived_quantity_once(rng, tmp_path, monkeypatch)
     assert len(gridseqs) == 16
     # evaluations, not calls: a repeated call must hand back the same result
     assert volumes and len({id(r) for r in volumes}) == 1
-    assert points and len({id(seq) for seq, _ in points}) == 1
+    assert points and len({id(seq) for seq in points}) == 1
 
 
 def test_memo_keeps_each_result_on_its_field(rng):
     f, _ = random_cone_fixture(rng)
     df = parallel_darboux(f)
     assert darboux_volumes(df) is darboux_volumes(df)
-    assert osculating_points(df)[0] is osculating_points(df)[0]
+    assert osculating_points(df) is osculating_points(df)
     # another field of the same frame evaluates again
     assert darboux_volumes(parallel_darboux(f)) is not darboux_volumes(df)
 
 
-def test_analyze_evaluates_volumes_and_osculating_points_once(rng, tmp_path, monkeypatch):
-    """On a cone ``analyze`` reads both twice, and each kernel body runs once."""
+def test_analyze_evaluates_each_field_memo_once(rng, tmp_path, monkeypatch):
+    """On a cone ``analyze`` reads the Darboux volumes and the osculating points
+    twice each, and each kernel body runs once."""
     src, out = tmp_path / "cone.json", tmp_path / "report.json"
     write_document(PolygonDocument.from_polygon(random_equal_volume_polygon(rng, 40)), src)
     evaluated = []
@@ -757,10 +762,9 @@ def test_analyze_evaluates_volumes_and_osculating_points_once(rng, tmp_path, mon
         return once_per_field(run)
 
     replace_everywhere(monkeypatch, darboux_volumes, counted(darboux_volumes.__wrapped__))
-    monkeypatch.setattr(darboux, "_osculating_points",
-                        counted(darboux._osculating_points.__wrapped__))
+    replace_everywhere(monkeypatch, osculating_points, counted(osculating_points.__wrapped__))
 
     assert cli.main(["analyze", str(src), "--origin", "0,0,0", "--json", str(out)]) == 0
     report = out.read_text()
     assert '"rho1"' in report and '"classification": "cone"' in report
-    assert sorted(evaluated) == ["_osculating_points", "darboux_volumes"]
+    assert sorted(evaluated) == ["darboux_volumes", "osculating_points"]

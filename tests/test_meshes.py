@@ -121,7 +121,7 @@ def test_developable_obj_matches_per_record_formatting(tmp_path, rng, closed):
     # each quad keeps its own four v records, P(k) -+ X(k) and P(k+1) +- X(k+1);
     # neighbours share two rows
     x = 1.5 * (df.xi.values / np.linalg.norm(df.xi.values, axis=1)[:, None])
-    p, k = f.polygon.points, np.arange(f.n_sides())
+    p, k = f.polygon.points, np.arange(len(f.polygon.sides()))
     k1 = (k + 1) % len(p)
     quads = np.stack([p[k] - x[k], p[k] + x[k], p[k1] + x[k1], p[k1] - x[k1]], axis=1)
     assert np.array_equal(mesh.vertices, quads.reshape(-1, 3))

@@ -54,7 +54,6 @@ KEPT = {
     "core.Polygon3.from_points(closed)": "darboux.FramedPolygon.build",
     "darboux.FramedPolygon.build(closed)": "documents.PolygonDocument.to_framed",
     "darboux.FramedPolygon.silhouette(closed)": "cli._load_framed for a bare polygon3",
-    "projective.PlanarProjectivePolygon.from_vertices(closed)": "cli.cmd_plength",
     # base points
     "darboux.FramedPolygon.silhouette(apex)": "cli analyze/developable/focal --origin",
     # the paper's gauge freedom: lambda is fixed up to one anchor value
@@ -62,7 +61,6 @@ KEPT = {
     # mesh size
     "darboux.osculating_developable(extent)": "cli developable --extent",
     "invariants.focal_set_mesh(extent)": "cli focal --extent",
-    "darboux.parallel_darboux(seed_scale)": "tests/test_darboux.py, tests/test_kernels.py",
     "darboux.parallel_darboux(tol_face)": "acceptance criterion 4, tests/test_kernels.py",
     "darboux.validate_frame(tol_face)": "darboux.parallel_darboux passes its tol_face",
     "constructions.sample_curve(scheme)": "GridScheme.INCLUDE_BOTH_ENDS in tests and benchmark",
@@ -91,8 +89,6 @@ PINNED = {
 # members of public classes that nothing in the package reads, each kept by its reader
 PINNED_MEMBERS = {
     "core.GridSeq.at": "slot lookups in tests/test_invariants.py; the benchmark tracer counts it",
-    "core.GridSeq.slots": "the open-window slot bookkeeping, tests/test_invariants.py",
-    "invariants.FocalSetData.O": "perfbench/spans.py _vertices sizes the focal spans by it",
     "documents.PolygonDocument.from_polygon": "the polygon3 corpus, perfbench/workloads.py",
     "meshes.Mesh.face_planarity":
         "the developable's and the focal set's faces are planar, "
@@ -112,7 +108,6 @@ SHARED_MEMBERS = {
         "darboux.validate_frame and parallel_darboux, invariants.frenet, cli.cmd_analyze",
     "documents.PolygonDocument.closed":
         "PolygonDocument.to_framed, documents.write_document, cli._load_framed, cli.cmd_plength",
-    "projective.PlanarProjectivePolygon.closed": "projective.lift_representative",
     "constructions.Ellipse.dim": "constructions.sample_curve",
     "constructions.ExampleSpiral.dim": "constructions.sample_curve",
     "constructions.ExampleSpiralRepresentative.dim": "constructions.sample_curve",
@@ -127,7 +122,7 @@ SHARED_MEMBERS = {
     "core.Polygon3.topology": "darboux.parallel_darboux, invariants.frenet",
     "core.GridSeq.values": "core.forward_diff, cli._seq_payload",
     "equal_volume.VolumeReport.values": "invariants._volume_constant",
-    "core.Polygon3.vertices": "Polygon3.points, darboux._osculating_points, invariants.focal_data",
+    "core.Polygon3.vertices": "Polygon3.points, darboux.osculating_points, invariants.focal_data",
     "documents.PolygonDocument.vertices":
         "PolygonDocument.to_framed, documents.write_document, cli.cmd_plength",
     "meshes.Mesh.vertices":
@@ -141,6 +136,7 @@ CONSTANTS = [
     (darboux, "OSCULATING_AGREEMENT_TOL", 1e-10),
     (darboux, "CLASSIFY_TOL", 1e-6),
     (equal_volume, "EQUAL_VOLUME_TOL", 1e-8),
+    (invariants, "TAU_AGREEMENT_TOL", 1e-9),
     (invariants, "FOCAL_AGREEMENT_TOL", 1e-9),
     (invariants, "GAUGE_CLOSURE_TOL", 1e-9),
     (invariants, "FOCAL_CLASSIFY_TOL", 1e-6),

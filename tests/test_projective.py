@@ -90,7 +90,7 @@ def line_events(fn, *args) -> int:
 
 class TestBSequence:
     def test_square(self):
-        b = b_sequence(PlanarProjectivePolygon.from_vertices(SQUARE, closed=True).vertices)
+        b = b_sequence(GridSeq(SQUARE, Grid.VERTEX, Topology.CLOSED))
         np.testing.assert_allclose(b.values, 4.0)
 
     def test_collinear_raises_with_index(self):
@@ -262,11 +262,6 @@ class TestLift:
             warnings.simplefilter("error")
             with pytest.raises(GeometryError, match=rf"^vertex {first}: "):
                 lift_representative(poly, LiftNormalization(a1, 1.0, 1.0, "test-seed"))
-
-    def test_closed_polygon_rejected(self):
-        poly = PlanarProjectivePolygon.from_vertices(SQUARE, closed=True)
-        with pytest.raises(GeometryError):
-            lift_representative(poly, LiftNormalization(1.0, 1.0, 4.0, "test-seed"))
 
 
 class TestProjectiveLengths:
