@@ -21,7 +21,6 @@ import argparse
 import functools
 import gc
 import json
-import math
 import sys
 
 import numpy as np
@@ -60,14 +59,14 @@ def _fail(msg: str, code: int) -> int:
 
 def _planar(pts: np.ndarray) -> bool:
     """True when the centred vertices' smallest singular value is at most
-    1e-10 of the largest (or of 1).
+    1e-10 of the largest, at any scale.
 
     Only the singular values are computed.  With or without U and V,
     LAPACK gives them to about eps * sv[0], so the two paths can classify
     apart only within about 1e-6 relative of the threshold.
     """
     sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-    return bool(sv[-1] <= 1e-10 * max(sv[0], 1.0))
+    return bool(sv[-1] <= 1e-10 * sv[0])
 
 
 def _emit(text: str, path) -> None:
@@ -205,7 +204,7 @@ def cmd_plength(args) -> int:
 
 def cmd_developable(args) -> int:
     framed, _ = _load_framed(args)
-    mesh = osculating_developable(parallel_darboux(framed), extent=args.extent)
+    mesh = osculating_developable(parallel_darboux(framed))
     mesh.write_obj(args.obj)
     return 0
 
@@ -214,7 +213,7 @@ def cmd_focal(args) -> int:
     framed, _ = _load_framed(args)
     df = parallel_darboux(framed)
     fd = focal_data(df, frenet(df))
-    mesh = focal_set_mesh(fd, extent=args.extent)
+    mesh = focal_set_mesh(fd)
     mesh.write_obj(args.obj)
     # NaN rows of O and Q are the points at infinity
     at_infinity = [seq.slots[np.isnan(seq.values[:, 0])] for seq in (fd.O, fd.Q)]
@@ -250,16 +249,6 @@ class _Parser(argparse.ArgumentParser):
         raise DocumentError(f"{message} (see {self.prog} --help)")
 
 
-def _positive(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"expects a finite positive number, got {text!r}")
-    return value
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
@@ -289,14 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("input")
     pd.add_argument("--origin")
     pd.add_argument("--obj", required=True)
-    pd.add_argument("--extent", type=_positive)
     pd.set_defaults(fn=cmd_developable)
 
     pf = sub.add_parser("focal", help="export the affine focal set as OBJ")
     pf.add_argument("input")
     pf.add_argument("--origin")
     pf.add_argument("--obj", required=True)
-    pf.add_argument("--extent", type=_positive)
     pf.set_defaults(fn=cmd_focal)
 
     pt = sub.add_parser("table1", help="projective-length convergence table")

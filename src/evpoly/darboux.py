@@ -44,7 +44,8 @@ __all__ = [
     "classify_osculating",
 ]
 
-TOL_FACE_DEFAULT = 1e-8
+# face residual above which, and vertex margin at or below which, a frame is refused
+TOL_FACE = 1e-8
 # relative sigma spread below which the surface is a cone (or cylinder)
 CLASSIFY_TOL = 1e-6
 # relative gap allowed between the two evaluations of an osculating point
@@ -162,7 +163,7 @@ class FrameReport:
         return not self.bad_sides and not self.bad_vertices
 
 
-def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> FrameReport:
+def validate_frame(f: FramedPolygon) -> FrameReport:
     """Check the planar-quadrilateral-face hypothesis and transversal directions.
 
     The face residual per side is |det(side, d_left, d_right)|
@@ -170,10 +171,8 @@ def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Fram
     with the face normal, summed in ``det3``'s order; the margin per vertex
     is the smallest sine of the angle between the direction and its
     adjacent sides.  The report lists the sides whose residual exceeds
-    ``tol_face`` (which must be finite) and the vertices whose margin does not.
+    ``TOL_FACE`` and the vertices whose margin does not.
     """
-    if not np.isfinite(tol_face):
-        raise GeometryError("non-finite tol_face")
     e = f.polygon.sides().values
     eh = e / norm3(e)[:, None]
     nf = f.face_normals
@@ -189,11 +188,11 @@ def validate_frame(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Fram
     np.minimum(near[1:], far[:-1], out=margins[1:nsides])
     if f.closed:
         np.minimum(near[:1], far[-1:], out=margins[:1])
-    return FrameReport((cop > tol_face).nonzero()[0].tolist(),
-                       (margins <= tol_face).nonzero()[0].tolist())
+    return FrameReport((cop > TOL_FACE).nonzero()[0].tolist(),
+                       (margins <= TOL_FACE).nonzero()[0].tolist())
 
 
-def parallel_darboux(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> DarbouxField:
+def parallel_darboux(f: FramedPolygon) -> DarbouxField:
     """Compute the parallel Darboux vector field and sigma per side.
 
     The field is fixed by ``xi(0) = d(0)/|d(0)|`` and the
@@ -206,7 +205,7 @@ def parallel_darboux(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Da
     so the scales are a cumulative product.  A side whose step leaves a
     scale or sigma non-finite raises ``DegenerateFrameError``.
     """
-    report = validate_frame(f, tol_face)
+    report = validate_frame(f)
     if not report.ok:
         raise GeometryError(
             f"frame validation failed (sides {report.bad_sides}, vertices {report.bad_vertices})")
@@ -220,10 +219,6 @@ def parallel_darboux(f: FramedPolygon, tol_face: float = TOL_FACE_DEFAULT) -> Da
     # parallel end directions: prism-like face, xi is constant along it
     # and sigma vanishes
     parallel = norm3(nf) <= 1e-12
-    singular = ~parallel & (np.abs(p) <= 1e-14 * (np.abs(q) + 1.0))
-    if singular.any():
-        raise DegenerateFrameError(int(np.argmax(singular)),
-                                   "side parallel to far direction, recursion singular")
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         ratio = np.where(parallel, np.sign(np.einsum("ij,ij->i", d0, d1)), -q / p)
@@ -260,23 +255,19 @@ def osculating_points(df: DarbouxField) -> GridSeq:
     return GridSeq(out, Grid.SIDE, f.polygon.topology)
 
 
-def osculating_developable(df: DarbouxField, extent: float | None = None) -> Mesh:
+def osculating_developable(df: DarbouxField) -> Mesh:
     """Ruled mesh of the faces between consecutive Darboux support lines.
 
     One planar quad per side, bounded by the support lines through the
     two end vertices, truncated to parameter |u| <= extent along the
-    unit Darboux directions.  The mesh holds the rows P(k) - X(k) and
-    P(k) + X(k) of each vertex once; quad k has the corners 2k, 2k+1,
-    2k+3, 2k+2 (mod 2m on a closed polygon of m vertices), and each quad
-    keeps its own four OBJ ``v`` records.
+    unit Darboux directions, where extent is twice the polygon's
+    diameter.  The mesh holds the rows P(k) - X(k) and P(k) + X(k) of
+    each vertex once; quad k has the corners 2k, 2k+1, 2k+3, 2k+2 (mod
+    2m on a closed polygon of m vertices), and each quad keeps its own
+    four OBJ ``v`` records.
     """
     f = df.frame
-    if extent is None:
-        extent = 2.0 * f.polygon.diameter()
-    if not np.isfinite(extent):
-        raise GeometryError("non-finite extent")
-    if extent <= 0.0:
-        raise GeometryError("extent must be positive")
+    extent = 2.0 * f.polygon.diameter()
     p = f.polygon.points
     xi = df.xi.values
     x = extent * (xi / norm3(xi)[:, None])

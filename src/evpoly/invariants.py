@@ -70,7 +70,7 @@ __all__ = [
 TAU_AGREEMENT_TOL = 1e-9
 # relative gap allowed between the two evaluations of mu and of Q
 FOCAL_AGREEMENT_TOL = 1e-9
-# |sum tau| relative to sum |tau| above which a closed gauge is obstructed
+# |sum tau| relative to max(1, sum |tau|) above which a closed gauge is obstructed
 GAUGE_CLOSURE_TOL = 1e-9
 # relative spread of sigma and mu below which the focal set is one line
 FOCAL_CLASSIFY_TOL = 1e-6
@@ -188,33 +188,24 @@ def centroaffine_frenet(p: Polygon3) -> FrenetData:
                         (d_a + d_b) / c, np.zeros(len(d_a)))
 
 
-def lambda_from_tau(tau: GridSeq, anchor_index: int, anchor_value: float) -> GridSeq:
+def lambda_from_tau(tau: GridSeq, value: float) -> GridSeq:
     """Anti-difference gauge: lambda(i) - lambda(i+1) = tau(side i).
 
-    Summed outwards from the anchor as cumulative sums: one around a
-    closed polygon, and on an open one a sum ahead of the anchor and a
-    sum behind it.
+    One cumulative sum from lambda = ``value`` at the first vertex of
+    tau's window: on vertices base .. base+len(tau) of an open polygon,
+    and once around a closed one, whose tau must sum to zero to
+    ``GAUGE_CLOSURE_TOL`` times max(1, sum |tau|).
     """
-    if not np.isfinite(anchor_value):
-        raise GeometryError("non-finite gauge anchor value")
+    if not np.isfinite(value):
+        raise GeometryError("non-finite gauge value")
     t = tau.values
-    if tau.topology is Topology.CLOSED:
+    closed = tau.topology is Topology.CLOSED
+    if closed:
         total = float(t.sum())
-        scale = float(np.abs(t).sum()) or 1.0
-        if abs(total) > GAUGE_CLOSURE_TOL * scale:
+        if abs(total) > GAUGE_CLOSURE_TOL * max(1.0, float(np.abs(t).sum())):
             raise GaugeObstructionError(total)
-        a = anchor_index % len(t)
-        lam = np.cumsum(np.concatenate([[anchor_value], -np.roll(t, -a)[:-1]]))
-        return GridSeq(np.roll(lam, a), Grid.VERTEX, Topology.CLOSED)
-    # open: lambda lives on vertices base .. base+len(tau)
-    base = tau.base
-    m = len(t) + 1
-    j0 = anchor_index - base
-    if not 0 <= j0 < m:
-        raise GeometryError(f"anchor {anchor_index} outside gauge window [{base}, {base + m})")
-    ahead = np.cumsum(np.concatenate([[anchor_value], -t[j0:]]))
-    behind = np.cumsum(np.concatenate([[anchor_value], t[:j0][::-1]]))
-    return GridSeq(np.concatenate([behind[:0:-1], ahead]), Grid.VERTEX, tau.topology, base)
+    lam = np.cumsum(np.concatenate([[value], -(t[:-1] if closed else t)]))
+    return GridSeq(lam, Grid.VERTEX, tau.topology, tau.base)
 
 
 @dataclass(frozen=True)
@@ -232,23 +223,20 @@ class FocalSetData:
     line_directions: np.ndarray
 
 
-def focal_data(df: DarbouxField, fr: FrenetData,
-               gauge: tuple[int, float] | None = None) -> FocalSetData:
+def focal_data(df: DarbouxField, fr: FrenetData, gauge: float = 0.0) -> FocalSetData:
     """mu per side and the focal lines, via the gauge field and the normals.
 
-    ``gauge`` anchors the lambda anti-difference (defaults to value 0 at
-    the first admissible vertex).  Per side the focal line joins the
-    support-line intersection O with the point Q where the parallel
-    normal vectors through the two end vertices meet.  mu and Q are each
-    evaluated from both ends of a side and gated by ``core.agreed`` to
-    ``FOCAL_AGREEMENT_TOL``: mu against max(1, |mu_a|), Q through
-    ``core.meeting_points``.
+    ``gauge`` is lambda's value at the first vertex of tau's window, the
+    one constant that the anti-difference leaves free.  Per side the
+    focal line joins the support-line intersection O with the point Q
+    where the parallel normal vectors through the two end vertices meet.
+    mu and Q are each evaluated from both ends of a side and gated by
+    ``core.agreed`` to ``FOCAL_AGREEMENT_TOL``: mu against max(1,
+    |mu_a|), Q through ``core.meeting_points``.
     """
     f = df.frame
     P = f.polygon.vertices
-    if gauge is None:
-        gauge = (fr.tau.base, 0.0)
-    lam = lambda_from_tau(fr.tau, gauge[0], gauge[1])
+    lam = lambda_from_tau(fr.tau, gauge)
 
     # eta(i) = phi''(i) + lambda(i) xi(i) on the gauge window
     lo, m = lam.base, len(lam)
@@ -287,23 +275,19 @@ def focal_data(df: DarbouxField, fr: FrenetData,
     return FocalSetData(mu, Q, O_all, origin, d)
 
 
-def focal_set_mesh(fd: FocalSetData, extent: float | None = None) -> Mesh:
+def focal_set_mesh(fd: FocalSetData) -> Mesh:
     """Mesh of the focal set: one planar face per interior vertex.
 
     Each face lies in that vertex's affine normal plane, bounded by the
     two adjacent focal lines; each line is sampled between its O and Q
-    anchor points extended by ``extent`` on both ends.
+    anchor points extended on both ends by twice the length of the line
+    origins' bounding-box diagonal, and by at least 2.
     """
     usable = ~np.isnan(fd.line_origins[:, 0])
     idx = np.flatnonzero(usable)
     origin, d = fd.line_origins[idx], fd.line_directions[idx]
-    if extent is None:
-        span = np.ptp(origin, axis=0) if len(idx) else np.ones(3)
-        extent = 2.0 * max(float(np.linalg.norm(span)), 1.0)
-    if not np.isfinite(extent):
-        raise GeometryError("non-finite extent")
-    if extent <= 0.0:
-        raise GeometryError("extent must be positive")
+    span = np.ptp(origin, axis=0) if len(idx) else np.ones(3)
+    extent = 2.0 * max(float(np.linalg.norm(span)), 1.0)
 
     q = fd.Q.values[idx]
     with np.errstate(invalid="ignore"):

@@ -24,6 +24,7 @@ from .core import (
     Grid,
     GridSeq,
     Polygon3,
+    Topology,
     det2,
     det3,
     forward_diff,
@@ -59,11 +60,16 @@ class PlanarProjectivePolygon:
     """Open planar polygon with its per-vertex convexity determinants b(i).
 
     It is open because its lift is: the recursion has a closure
-    obstruction on loops.
+    obstruction on loops, so closed vertices are refused.
     """
 
     vertices: GridSeq
     b: GridSeq
+
+    def __post_init__(self):
+        if self.vertices.topology is Topology.CLOSED:
+            raise GeometryError("a planar projective polygon is open: its lift has "
+                                "a closure obstruction on loops")
 
     @classmethod
     def from_vertices(cls, points) -> "PlanarProjectivePolygon":

@@ -376,6 +376,13 @@ def test_silhouette_builds_its_directions_without_a_second_copy(apex):
     assert f.directions.topology is f.polygon.topology
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_gauge_value_is_refused(bad):
+    # the one parameter that brings a value from outside into a derived sequence
+    with pytest.raises(GeometryError, match="^non-finite gauge value$"):
+        lambda_from_tau(GridSeq(np.ones(4), Grid.SIDE), bad)
+
+
 FRAMED_ARC = FramedPolygon.silhouette(ARC)
 
 
@@ -384,29 +391,19 @@ def arc_focal_data():
     return focal_data(df, frenet(df))
 
 
-# each other parameter that brings a value from outside into a derived sequence
-PARAMETERS = {
-    "lambda_from_tau-anchor": lambda x: lambda_from_tau(
-        GridSeq(np.ones(4), Grid.SIDE), 1, x),
-    "osculating_developable-extent": lambda x: osculating_developable(
-        parallel_darboux(FRAMED_ARC), extent=x),
-    # a NaN tolerance fails no comparison, so it would pass every frame
-    "validate_frame-tol_face": lambda x: validate_frame(FRAMED_ARC, tol_face=x),
-    "parallel_darboux-tol_face": lambda x: parallel_darboux(FRAMED_ARC, tol_face=x),
-    "focal_set_mesh-extent": lambda x: focal_set_mesh(arc_focal_data(), extent=x),
+# each call passes a parameter that the function no longer takes: a frame
+# tolerance, a mesh extent or a gauge anchor index
+REMOVED = {
+    "validate_frame-tol_face": lambda: validate_frame(FRAMED_ARC, tol_face=1e-8),
+    "parallel_darboux-tol_face": lambda: parallel_darboux(FRAMED_ARC, tol_face=1e-8),
+    "osculating_developable-extent": lambda: osculating_developable(
+        parallel_darboux(FRAMED_ARC), extent=1.0),
+    "focal_set_mesh-extent": lambda: focal_set_mesh(arc_focal_data(), extent=1.0),
+    "lambda_from_tau-anchor": lambda: lambda_from_tau(GridSeq(np.ones(4), Grid.SIDE), 0, 0.0),
 }
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("parameter", PARAMETERS)
-def test_non_finite_parameters_are_refused(parameter, bad):
-    with pytest.raises(GeometryError, match="^non-finite "):
-        PARAMETERS[parameter](bad)
-
-
-@pytest.mark.parametrize("extent", [0.0, -0.0, -1.0])
-@pytest.mark.parametrize("parameter", ["osculating_developable-extent", "focal_set_mesh-extent"])
-def test_non_positive_mesh_extent_is_refused(parameter, extent):
-    # a zero extent gives quads whose corners coincide in pairs
-    with pytest.raises(GeometryError, match="^extent must be positive$"):
-        PARAMETERS[parameter](extent)
+@pytest.mark.parametrize("call", REMOVED)
+def test_removed_parameters_are_refused(call):
+    with pytest.raises(TypeError):
+        REMOVED[call]()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_cone_fixture, random_generic_framed
+from conftest import random_cone_fixture, random_equal_volume_polygon, random_generic_framed
 
 from evpoly.core import GeometryError
 from evpoly.darboux import (
@@ -71,6 +71,16 @@ class TestParallelDarboux:
         f, _ = random_cone_fixture(rng)
         df = parallel_darboux(f)
         assert df.frame is f
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-16, 1e-100, 1e100])
+    def test_scale_covariance(self, scale):
+        # the unit-length xi(0) fixes the field, so scaling the polygon by s
+        # keeps xi and divides sigma by s: no gate sees the absolute size
+        p = random_equal_volume_polygon(np.random.default_rng(3), 20)
+        ref = parallel_darboux(FramedPolygon.silhouette(p.points))
+        df = parallel_darboux(FramedPolygon.silhouette(scale * p.points))
+        np.testing.assert_allclose(df.sigma.values * scale, ref.sigma.values, rtol=1e-14)
+        np.testing.assert_allclose(df.xi.values, ref.xi.values, rtol=0, atol=1e-14)
 
     def test_silhouette_sigma_is_constant(self, rng):
         f, apex = random_cone_fixture(rng, 40)
@@ -158,7 +168,7 @@ class TestDevelopable:
 
     def test_cone_faces_contain_apex_line(self, rng):
         f, apex = random_cone_fixture(rng, 15)
-        mesh = osculating_developable(parallel_darboux(f), extent=10.0)
+        mesh = osculating_developable(parallel_darboux(f))
         for face in mesh.faces:
             quad = mesh.vertices[list(face)]
             c = quad.mean(axis=0)
@@ -189,10 +199,11 @@ class TestClassify:
 
     def test_perturbed_cone_flips_to_general(self, rng):
         f, apex = random_cone_fixture(rng, 200)
-        pts = f.polygon.points.copy()
-        pts[100] += 1e-3
-        f2 = FramedPolygon.build(pts, f.directions.values)
-        # the moved vertex breaks exact face planarity, so the frame check
-        # must be loosened to even compute a field; sigma then scatters
-        cls = classify_osculating(parallel_darboux(f2, tol_face=0.1))
+        pts, d = f.polygon.points, f.directions.values.copy()
+        # the last direction turned within its face: every face stays
+        # planar, and that direction's line misses the apex
+        d[-1] += 1e-3 * (pts[-1] - pts[-2])
+        f2 = FramedPolygon.build(pts, d)
+        assert validate_frame(f2).ok
+        cls = classify_osculating(parallel_darboux(f2))
         assert cls.kind is SurfaceKind.GENERAL

@@ -14,6 +14,7 @@ from evpoly.constructions import ExampleSpiralRepresentative, sample_curve
 from evpoly.darboux import FramedPolygon, parallel_darboux
 from evpoly.equal_volume import EQUAL_VOLUME_TOL, centroaffine_volumes
 from evpoly.invariants import (
+    GAUGE_CLOSURE_TOL,
     FocalKind,
     GaugeObstructionError,
     NotEqualVolumeError,
@@ -103,15 +104,16 @@ class TestFrenet:
 class TestLambdaGauge:
     def test_anti_difference(self, rng):
         tau = GridSeq(rng.normal(size=6), Grid.SIDE, base=1)
-        lam = lambda_from_tau(tau, 3, 0.25)
-        assert lam.at(3) == 0.25
+        lam = lambda_from_tau(tau, 0.25)
+        assert lam.base == 1 and len(lam) == 7
+        assert lam.at(1) == 0.25
         for k in tau.slots:
             assert lam.at(k) - lam.at(k + 1) == pytest.approx(tau.at(k))
 
     def test_gauge_shift_is_additive(self, rng):
         tau = GridSeq(rng.normal(size=6), Grid.SIDE, base=1)
-        l0 = lambda_from_tau(tau, 1, 0.0)
-        l1 = lambda_from_tau(tau, 1, 2.0)
+        l0 = lambda_from_tau(tau, 0.0)
+        l1 = lambda_from_tau(tau, 2.0)
         np.testing.assert_allclose(l1.values - l0.values, 2.0)
 
     def test_closed_obstruction(self, rng):
@@ -119,12 +121,42 @@ class TestLambdaGauge:
         tau = GridSeq(vals, Grid.SIDE, Topology.CLOSED)
         if abs(vals.sum()) > 1e-6:
             with pytest.raises(GaugeObstructionError):
-                lambda_from_tau(tau, 0, 0.0)
+                lambda_from_tau(tau, 0.0)
         balanced = GridSeq(vals - vals.mean(), Grid.SIDE, Topology.CLOSED)
-        lam = lambda_from_tau(balanced, 0, 0.0)
+        lam = lambda_from_tau(balanced, 0.0)
         for k in range(7):
             gap = lam.values[k] - lam.values[(k + 1) % 7]
             assert gap == pytest.approx(balanced.values[k], abs=1e-9)
+
+    def test_closed_gauge_value_is_at_vertex_zero(self, rng):
+        vals = rng.normal(size=7)
+        tau = GridSeq(vals - vals.mean(), Grid.SIDE, Topology.CLOSED)
+        lam = lambda_from_tau(tau, -1.5)
+        assert lam.topology is Topology.CLOSED and lam.base == 0 and len(lam) == 7
+        assert lam.values[0] == -1.5
+
+    @pytest.mark.parametrize("size", [1e-6, 1.0, 1e6])
+    def test_closed_gate_is_relative_to_sum_of_tau(self, rng, size):
+        # below sum |tau| = 1 the gate is absolute, above it relative
+        vals = rng.normal(size=7)
+        vals = size * (vals - vals.mean())
+        ref = GAUGE_CLOSURE_TOL * max(1.0, np.abs(vals).sum())
+        vals[3] += 0.5 * ref
+        lambda_from_tau(GridSeq(vals, Grid.SIDE, Topology.CLOSED), 0.0)
+        vals[3] += 2.0 * ref
+        with pytest.raises(GaugeObstructionError):
+            lambda_from_tau(GridSeq(vals, Grid.SIDE, Topology.CLOSED), 0.0)
+
+    @pytest.mark.parametrize("n", [9, 12, 20, 30])
+    def test_closed_gauge_exists_when_tau_is_roundoff(self, n):
+        # tau vanishes on the closed silhouette lift of a regular polygon, so
+        # what is left is roundoff: sum |tau| is 6e-14 to 5e-12 here, and
+        # the gate measures the sum against max(1, sum |tau|)
+        phi = silhouette_lift(regular_equal_area(n), [0.2, -0.1])
+        df, fr = silhouette_pipeline(phi.points, closed=True)
+        assert np.abs(fr.tau.values).sum() <= 1e-10
+        fd = focal_data(df, fr)
+        assert fd.mu.topology is Topology.CLOSED and len(fd.mu) == n
 
 
 class TestFocalSet:
@@ -143,8 +175,8 @@ class TestFocalSet:
         G = random_equal_area(12, rng)
         phi = silhouette_lift(G, [0.2, -0.1])
         df, fr = silhouette_pipeline(phi.points)
-        fd0 = focal_data(df, fr, gauge=(fr.tau.base, 0.0))
-        fd1 = focal_data(df, fr, gauge=(fr.tau.base, 3.7))
+        fd0 = focal_data(df, fr, gauge=0.0)
+        fd1 = focal_data(df, fr, gauge=3.7)
         for o0, d0, o1, d1 in zip(fd0.line_origins, fd0.line_directions,
                                   fd1.line_origins, fd1.line_directions):
             # same line: both anchor points and both directions colinear
@@ -212,6 +244,6 @@ class TestPlanarReduction:
     def test_evolute_of_regular_gon_is_center(self):
         # the focal lines pierce the polygon's plane in its affine evolute
         _, df, fr = prism_pipeline(regular_equal_area(9))
-        fd = focal_data(df, fr, gauge=(0, 0.0))
+        fd = focal_data(df, fr, gauge=0.0)
         hits = [o - (o[2] / d[2]) * d for o, d in zip(fd.line_origins, fd.line_directions)]
         assert np.abs(hits).max() <= 1e-10

@@ -14,6 +14,7 @@ import functools
 import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from conftest import (
     support_function,
 )
 
-from evpoly import cli, invariants
+from evpoly import cli, darboux, invariants
 from evpoly.constructions import Ellipse, ExampleSpiralRepresentative, GridScheme, sample_curve
 from evpoly.core import (
     GeometryError,
@@ -364,17 +365,18 @@ def reference_frame_measures(f):
        seed=st.integers(0, 2**32 - 1), n=st.integers(4, 30))
 @settings(max_examples=40, deadline=None)
 def test_validate_frame_flags_what_the_determinant_and_padded_margins_flag(kind, closed, seed, n):
-    """Every residual and every margin is tried as ``tol_face``, and so is the
-    float just below it.
+    """Every residual and every margin is tried as the gate ``TOL_FACE``,
+    and so is the float just below it.
 
     At one of the two, a value one ulp off the reference would move its
     side or vertex across the gate (residual > tol, margin <= tol).
     """
     f = framed_fixture(kind, seed, n, closed)
     cop, margins = reference_frame_measures(f)
-    at = np.concatenate([cop, margins, [1e-8]])
+    at = np.concatenate([cop, margins, [darboux.TOL_FACE]])
     for tol in np.unique(np.concatenate([at, np.nextafter(at, -np.inf)])):
-        rep = validate_frame(f, tol)
+        with mock.patch.object(darboux, "TOL_FACE", tol):
+            rep = validate_frame(f)
         assert rep.bad_sides == np.flatnonzero(cop > tol).tolist()
         assert rep.bad_vertices == np.flatnonzero(margins <= tol).tolist()
 
@@ -391,7 +393,7 @@ def reference_focal_lines(f, df, fr, fd, gauge):
     """Per side an (origin, direction) tuple of row views, None where O and Q
     are both at infinity, built from the same O, Q and mu."""
     P = f.polygon.vertices
-    lam = lambda_from_tau(fr.tau, *gauge)
+    lam = lambda_from_tau(fr.tau, gauge)
     lo, m = lam.base, len(lam)
     pp = P.window(lo + 1, m) - 2 * P.window(lo, m) + P.window(lo - 1, m)
     eta = GridSeq(pp + lam.values[:, None] * df.xi.window(lo, m), Grid.VERTEX, lam.topology, lo)
@@ -469,17 +471,14 @@ def focal_fixture(kind, seed):
     else:
         f = parabola_prism(rng.choice([1, 2, 2, 3], size=10 + seed))
     df = parallel_darboux(f)
-    fr = frenet(df)
-    if f.closed:  # tau is roundoff here: centre it so the closed gauge exists
-        fr = dataclasses.replace(fr, tau=fr.tau.with_values(fr.tau.values - fr.tau.values.mean()))
-    return f, df, fr
+    return f, df, frenet(df)
 
 
 @pytest.mark.parametrize("kind", ["single_line", "general", "closed", "prism", "parabola"])
 @pytest.mark.parametrize("seed", range(3))
 def test_focal_line_arrays_match_the_list_of_tuples(kind, seed):
     f, df, fr = focal_fixture(kind, seed)
-    gauge = (0 if f.closed else fr.tau.base, 0.7 * seed)
+    gauge = 0.7 * seed
     fd = focal_data(df, fr, gauge)
     lines = reference_focal_lines(f, df, fr, fd, gauge)
     assert fd.line_origins.shape == fd.line_directions.shape == (len(lines), 3)
@@ -515,30 +514,53 @@ def turn_into_side(pts, k, angle):
     return np.array([c * e[0] - s * e[1], s * e[0] + c * e[1], 0.0])
 
 
-def test_singular_recursion_names_side():
+@pytest.mark.parametrize("angle, refused", [(1e-15, True), (5e-9, True), (2e-8, False)])
+def test_direction_turned_into_its_side_stops_at_the_frame_gate(angle, refused):
+    # a vertex margin at or below TOL_FACE is refused before the recursion
+    # runs, so no side reaches it nearly parallel to its far direction
     rng = np.random.default_rng(7)
     pts, d = planar_framed(rng)
-    d[4] = turn_into_side(pts, 3, 1e-15)
-    with pytest.raises(DegenerateFrameError) as info:
-        parallel_darboux(FramedPolygon.build(pts, d), tol_face=1e-30)
-    assert info.value.side == 3
+    d[4] = turn_into_side(pts, 3, angle)
+    f = FramedPolygon.build(pts, d)
+    if refused:
+        with pytest.raises(GeometryError,
+                           match=r"^frame validation failed \(sides \[\], vertices \[4\]\)$"):
+            parallel_darboux(f)
+    else:
+        assert np.isfinite(parallel_darboux(f).sigma.values).all()
+
+
+@pytest.mark.parametrize("scale", [1e-16, 1e16])
+@pytest.mark.parametrize("angle, refused", [(5e-9, True), (2e-8, False)])
+def test_frame_gate_ignores_scale(scale, angle, refused):
+    # margins are sines of angles, so the polygon's size moves no vertex
+    # across TOL_FACE
+    rng = np.random.default_rng(7)
+    pts, d = planar_framed(rng)
+    d[4] = turn_into_side(pts, 3, angle)
+    rep = validate_frame(FramedPolygon.build(scale * pts, d))
+    assert rep.bad_sides == []
+    assert rep.bad_vertices == ([4] if refused else [])
 
 
 def test_overflow_names_side():
-    # each side turned towards its far direction multiplies the scale by about 1e9
+    # each side turned towards its far direction by 2e-8, above the 1e-8
+    # frame gate, multiplies the scale by about 1e7
     rng = np.random.default_rng(7)
-    pts, d = planar_framed(rng, 40)
-    for k in range(33):
-        d[k + 1] = turn_into_side(pts, k, 1e-10)
+    pts, d = planar_framed(rng, 50)
+    for k in range(44):
+        d[k + 1] = turn_into_side(pts, k, 2e-8)
     inside = FramedPolygon.build(pts, d)
-    d[34] = turn_into_side(pts, 33, 1e-10)
+    d[45] = turn_into_side(pts, 44, 2e-8)
+    outside = FramedPolygon.build(pts, d)
+    assert validate_frame(inside).ok and validate_frame(outside).ok
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        df = parallel_darboux(inside, tol_face=1e-12)
+        df = parallel_darboux(inside)
         assert np.abs(df.xi.values).max() > 1e307  # just inside the float range
         with pytest.raises(DegenerateFrameError) as info:
-            parallel_darboux(FramedPolygon.build(pts, d), tol_face=1e-12)
-    assert info.value.side == 33
+            parallel_darboux(outside)
+    assert info.value.side == 44
 
 
 def test_overflow_on_long_generic_polygon(tmp_path, capsys):

@@ -117,10 +117,10 @@ def per_record_obj(mesh) -> str:
 def test_developable_obj_matches_per_record_formatting(tmp_path, rng, closed):
     f = random_generic_framed(rng, 9, closed=closed)
     df = parallel_darboux(f)
-    mesh = osculating_developable(df, extent=1.5)
+    mesh = osculating_developable(df)
     # each quad keeps its own four v records, P(k) -+ X(k) and P(k+1) +- X(k+1);
     # neighbours share two rows
-    x = 1.5 * (df.xi.values / np.linalg.norm(df.xi.values, axis=1)[:, None])
+    x = 2.0 * f.polygon.diameter() * (df.xi.values / np.linalg.norm(df.xi.values, axis=1)[:, None])
     p, k = f.polygon.points, np.arange(len(f.polygon.sides()))
     k1 = (k + 1) % len(p)
     quads = np.stack([p[k] - x[k], p[k] + x[k], p[k1] + x[k1], p[k1] - x[k1]], axis=1)

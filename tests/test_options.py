@@ -56,13 +56,8 @@ KEPT = {
     "darboux.FramedPolygon.silhouette(closed)": "cli._load_framed for a bare polygon3",
     # base points
     "darboux.FramedPolygon.silhouette(apex)": "cli analyze/developable/focal --origin",
-    # the paper's gauge freedom: lambda is fixed up to one anchor value
+    # the paper's gauge freedom: lambda is fixed up to one additive constant
     "invariants.focal_data(gauge)": "tests/test_invariants.py, acceptance criteria 5 and 8",
-    # mesh size
-    "darboux.osculating_developable(extent)": "cli developable --extent",
-    "invariants.focal_set_mesh(extent)": "cli focal --extent",
-    "darboux.parallel_darboux(tol_face)": "acceptance criterion 4, tests/test_kernels.py",
-    "darboux.validate_frame(tol_face)": "darboux.parallel_darboux passes its tol_face",
     "constructions.sample_curve(scheme)": "GridScheme.INCLUDE_BOTH_ENDS in tests and benchmark",
     "constructions.Ellipse.__init__(a)": "semi-axes set in tests and benchmark",
     "constructions.Ellipse.__init__(b)": "semi-axes set in tests and benchmark",
@@ -133,6 +128,7 @@ SHARED_MEMBERS = {
 
 # tolerances that were keyword options, kept as module constants
 CONSTANTS = [
+    (darboux, "TOL_FACE", 1e-8),
     (darboux, "OSCULATING_AGREEMENT_TOL", 1e-10),
     (darboux, "CLASSIFY_TOL", 1e-6),
     (equal_volume, "EQUAL_VOLUME_TOL", 1e-8),
@@ -350,7 +346,7 @@ def test_census_texts_name_real_readers(kind):
     ("PINNED", "constructions.Ellipse", "tests/test_ellipse.py", "no file tests/test_ellipse.py"),
     ("PINNED_MEMBERS", "meshes.Mesh.face_planarity", "tests/test_cli.py",
      "tests/test_cli.py does not use it"),
-    ("KEPT", "invariants.focal_set_mesh(extent)", "tests/test_projective.py",
+    ("KEPT", "invariants.focal_data(gauge)", "tests/test_projective.py",
      "tests/test_projective.py does not use it"),
 ], ids=["reader", "name", "file", "member", "option"])
 def test_census_text_faults_are_caught(kind, key, text, fault):

@@ -105,6 +105,12 @@ class TestBSequence:
 
 
 class TestLift:
+    def test_closed_vertices_are_refused(self):
+        # the lift recursion has a closure obstruction on loops
+        v = GridSeq(SQUARE, Grid.VERTEX, Topology.CLOSED)
+        with pytest.raises(GeometryError, match="^a planar projective polygon is open: "):
+            PlanarProjectivePolygon(v, b_sequence(v))
+
     def test_square_in_unit_plane_unit_scales(self):
         poly = PlanarProjectivePolygon.from_vertices(SQUARE)
         phi = lift_representative(poly, LiftNormalization(1.0, 1.0, 4.0, "test-seed"))
