@@ -13,6 +13,11 @@ reference counting frees all of it; the collector would only walk the
 row lists that JSON reading and writing create.  A freed container also
 lowers the collector's young-generation count again, so no collection is
 pushed past the command.
+
+Arguments are parsed at one level: when ``argv[0]`` names a command,
+that command's sub-parser reads the rest, and the full parser, which
+would only pass them on, runs just for ``--help``, for no command and
+for an unknown one.  The messages and exit codes are the full parser's.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .core import GeometryError
+from .core import GeometryError, row_mean
 from .darboux import (
     FramedPolygon,
     classify_osculating,
@@ -65,7 +70,7 @@ def _planar(pts: np.ndarray) -> bool:
     LAPACK gives them to about eps * sv[0], so the two paths can classify
     apart only within about 1e-6 relative of the threshold.
     """
-    sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    sv = np.linalg.svd(pts - row_mean(pts), compute_uv=False)
     return bool(sv[-1] <= 1e-10 * sv[0])
 
 
@@ -249,8 +254,13 @@ class _Parser(argparse.ArgumentParser):
         raise DocumentError(f"{message} (see {self.prog} --help)")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser and each command's sub-parser by name, built once."""
     ap = _Parser(
         prog="evpoly",
         description="Discrete affine invariants of polygons in 3-space")
@@ -291,14 +301,31 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--csv", help="write the table to this path")
     pt.set_defaults(fn=cmd_table1)
 
-    return ap
+    return ap, sub.choices
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The arguments of one command, read by its sub-parser alone.
+
+    Arguments it does not take are reported as the full parser reports
+    them, pointing at ``evpoly --help``.
+    """
+    ap, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()  # see the module docstring
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(argv)
         return args.fn(args)
     except (DocumentError, OSError) as exc:
         return _fail(str(exc), 1)

@@ -39,6 +39,7 @@ __all__ = [
     "meeting_points",
     "norm3",
     "require_finite",
+    "row_mean",
 ]
 
 
@@ -100,7 +101,9 @@ class GridSeq:
     base: int = 0
 
     def __post_init__(self):
-        a = np.asarray(self.values, dtype=float)
+        a = self.values
+        if type(a) is not np.ndarray or a.dtype != float:
+            a = np.asarray(a, dtype=float)
         if a.flags.writeable:  # freeze a view, never the caller's array itself
             a = a.view()
             a.setflags(write=False)
@@ -202,6 +205,16 @@ def norm3(x) -> np.ndarray:
     return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2])
 
 
+def row_mean(x) -> np.ndarray:
+    """Mean of the rows of a 2-D array.
+
+    Equal to ``x.mean(axis=0)`` bit for bit: numpy's mean is this same
+    ``np.add.reduce`` divided by the row count, behind a fixed cost of
+    about twice the reduction on the short arrays of one polygon.
+    """
+    return np.add.reduce(x, axis=0) / len(x)
+
+
 def median(x) -> float:
     """Median of a 1-D array by one sort, as a float.
 
@@ -209,9 +222,11 @@ def median(x) -> float:
     mean of the two middle values, with a zero median returned as +0.0
     as numpy's mean returns it; NaN when ``x`` holds a NaN.  It skips
     ``np.median``'s partition, mean and NaN check, which cost about seven
-    times the sort itself on the short arrays of one polygon.
+    times the sort itself on the short arrays of one polygon, and sorts a
+    copy in place without ``np.sort``'s wrapper.
     """
-    s = np.sort(x)
+    s = np.array(x)
+    s.sort()
     n = len(s)
     if s[-1] != s[-1]:  # NaN sorts last
         return math.nan
@@ -232,6 +247,8 @@ def face_solve(v, a, b, n) -> tuple[np.ndarray, np.ndarray]:
     and the least-squares one otherwise.  Rows with ``a`` parallel to ``b``
     come back non-finite.
     """
+    # einsum's summation order follows the memory layout; fix it to C order
+    n = np.ascontiguousarray(n)
     nn = np.einsum("...i,...i->...", n, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         return det3(v, b, n) / nn, det3(a, v, n) / nn
@@ -263,13 +280,16 @@ def meeting_points(p0, p1, v0, v1, s, tol, what: str, first: int, diameter: floa
     at infinity, comes back NaN and is not compared.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        at_infinity = ~np.isfinite(1.0 / s)
+        finite = np.isfinite(1.0 / s)
         a = p0 + v0 / s[:, None]
         b = p1 + v1 / s[:, None]
         scale = np.maximum(np.maximum(norm3(a - p0), norm3(b - p1)), diameter)
-        scale[at_infinity] = np.nan
+        at_infinity = not finite.all()
+        if at_infinity:
+            scale[~finite] = np.nan
         out, _ = agreed(a, b, scale, tol, what, first)
-    out[at_infinity] = np.nan
+    if at_infinity:
+        out[~finite] = np.nan
     return out
 
 

@@ -27,6 +27,7 @@ from .core import (
     meeting_points,
     norm3,
     require_finite,
+    row_mean,
 )
 from .meshes import Mesh
 
@@ -219,16 +220,20 @@ def parallel_darboux(f: FramedPolygon) -> DarbouxField:
     # parallel end directions: prism-like face, xi is constant along it
     # and sigma vanishes
     parallel = norm3(nf) <= 1e-12
+    any_parallel = parallel.any()
 
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = np.where(parallel, np.sign(np.einsum("ij,ij->i", d0, d1)), -q / p)
+        ratio = -q / p
+        if any_parallel:
+            ratio[parallel] = np.sign(np.einsum("ij,ij->i", d0[parallel], d1[parallel]))
         # s(0), then the scale at the far end of each side
         scales = np.cumprod(np.concatenate([[1.0], ratio]))
         sigma = scales[:nsides] / p
-    sigma[parallel] = 0.0
-    overflow = ~(np.isfinite(scales[1:]) & np.isfinite(sigma))
-    if overflow.any():
-        raise DegenerateFrameError(int(np.argmax(overflow)),
+    if any_parallel:
+        sigma[parallel] = 0.0
+    finite = np.isfinite(scales[1:]) & np.isfinite(sigma)
+    if not finite.all():
+        raise DegenerateFrameError(int(np.argmin(finite)),
                                    "the Darboux recursion overflows (scale or sigma not finite)")
 
     topo = f.polygon.topology
@@ -298,15 +303,16 @@ def classify_osculating(df: DarbouxField) -> OsculatingClass:
     reports the apex (mean of the support-line intersections).
     """
     sigma = df.sigma.values
-    med = median(np.abs(sigma))
+    size = np.abs(sigma)
+    med = median(size)
     spread = float(sigma.max() - sigma.min())
 
-    if med > 0 and spread / med <= CLASSIFY_TOL and (np.abs(sigma) > CLASSIFY_TOL * med).all():
-        apex = osculating_points(df).values.mean(axis=0)
+    if med > 0 and spread / med <= CLASSIFY_TOL and (size > CLASSIFY_TOL * med).all():
+        apex = row_mean(osculating_points(df).values)
         return OsculatingClass(SurfaceKind.CONE, apex)
 
     xi_scale = median(norm3(df.xi.values))
     edge_scale = median(norm3(df.frame.polygon.sides().values))
-    if np.abs(sigma).max() <= CLASSIFY_TOL * (xi_scale / edge_scale):
+    if size.max() <= CLASSIFY_TOL * (xi_scale / edge_scale):
         return OsculatingClass(SurfaceKind.CYLINDER)
     return OsculatingClass(SurfaceKind.GENERAL)

@@ -63,6 +63,7 @@ __all__ = [
     "centroaffine_frenet",
     "lambda_from_tau",
     "focal_data",
+    "focal_lines",
     "focal_set_mesh",
     "classify_focal",
 ]
@@ -166,9 +167,9 @@ def frenet(df: DarbouxField) -> FrenetData:
     xi_near, xi_far = df.xi.window(k0, m), df.xi.window(k0 + 1, m)
     rho2, tau_a = face_solve(d3, back, xi_far, cross3(back, xi_far))     # rho2 at vertex k
     rho1, tau_b = face_solve(d3, back, xi_near, cross3(back, xi_near))   # rho1 at vertex k+1
-    bad = ~np.isfinite(rho1 + rho2 + tau_a + tau_b)
-    if bad.any():
-        k = k0 + int(np.argmax(bad))
+    finite = np.isfinite(rho1 + rho2 + tau_a + tau_b)
+    if not finite.all():
+        k = k0 + int(np.argmin(finite))
         raise GeometryError(f"side {k}: degenerate face basis in Frenet solve")
     tau, gap = agreed(tau_a, tau_b, np.maximum(1.0, np.abs(tau_a)), TAU_AGREEMENT_TOL, "tau", k0)
     return _frenet_data(f.polygon.topology, k0, c, rho1, rho2, tau, gap)
@@ -210,21 +211,21 @@ def lambda_from_tau(tau: GridSeq, value: float) -> GridSeq:
 
 @dataclass(frozen=True)
 class FocalSetData:
-    """mu, Q and O, and a point and unit direction of each side's focal line.
+    """mu, Q and O of a Darboux field's sides, and the normals eta behind Q.
 
-    NaN rows of O and Q mark points at infinity.  Both line rows are NaN
-    on a side whose O and Q are at infinity: it has no line.
+    NaN rows of O and Q mark points at infinity.  The focal lines that
+    join O and Q are built on demand, by ``focal_lines``.
     """
 
+    field: DarbouxField
     mu: GridSeq
     Q: GridSeq
     O: GridSeq
-    line_origins: np.ndarray
-    line_directions: np.ndarray
+    eta: GridSeq
 
 
 def focal_data(df: DarbouxField, fr: FrenetData, gauge: float = 0.0) -> FocalSetData:
-    """mu per side and the focal lines, via the gauge field and the normals.
+    """mu per side and the points O and Q, via the gauge field and the normals.
 
     ``gauge`` is lambda's value at the first vertex of tau's window, the
     one constant that the anti-difference leaves free.  Per side the
@@ -252,42 +253,53 @@ def focal_data(df: DarbouxField, fr: FrenetData, gauge: float = 0.0) -> FocalSet
     mu_v, _ = agreed(m_a, m_b, np.maximum(1.0, np.abs(m_a)), FOCAL_AGREEMENT_TOL, "mu", k0)
     mu = GridSeq(mu_v, Grid.SIDE, fr.tau.topology, k0)
 
-    O_all = osculating_points(df)
-    O = O_all.window(k0, m)
-    e_near = eta.window(k0, m)
-    q_pts = meeting_points(P.window(k0, m), P.window(k0 + 1, m), e_near, eta.window(k0 + 1, m),
-                           mu_v, FOCAL_AGREEMENT_TOL, "Q", k0, f.polygon.diameter())
+    O = osculating_points(df)  # its gate first, then Q's
+    q_pts = meeting_points(P.window(k0, m), P.window(k0 + 1, m), eta.window(k0, m),
+                           eta.window(k0 + 1, m), mu_v, FOCAL_AGREEMENT_TOL, "Q", k0,
+                           f.polygon.diameter())
+    Q = GridSeq(q_pts, Grid.SIDE, fr.tau.topology, k0)
+    return FocalSetData(df, mu, Q, O, eta)
+
+
+def focal_lines(fd: FocalSetData) -> tuple[np.ndarray, np.ndarray]:
+    """A point and a unit direction of each side's focal line, one row per side of Q.
+
+    The focal line joins O and Q.  With O at infinity it runs through Q
+    along xi; with Q at infinity, or Q = O, it runs through O along eta.
+    Both rows are NaN on a side whose O and Q are at infinity: it has no
+    line.
+    """
+    k0, m = fd.Q.base, len(fd.Q)
+    O, q_pts = fd.O.window(k0, m), fd.Q.values
     o_inf, q_inf = np.isnan(O[:, 0]), np.isnan(q_pts[:, 0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        # The focal line joins O and Q.  With O at infinity it runs through Q
-        # along xi; with Q at infinity, or Q = O, it runs through O along eta.
         origin = O.copy()
         origin[o_inf] = q_pts[o_inf]
         d = q_pts - O
-        d[o_inf] = df.xi.window(k0, m)[o_inf]
+        d[o_inf] = fd.field.xi.window(k0, m)[o_inf]
         use_eta = ~o_inf & (q_inf | (norm3(d) == 0.0))
-        d[use_eta] = e_near[use_eta]
+        d[use_eta] = fd.eta.window(k0, m)[use_eta]
         d /= norm3(d)[:, None]
     # no line where O and Q are both at infinity; origin is NaN there already
     d[o_inf & q_inf] = np.nan
-
-    Q = GridSeq(q_pts, Grid.SIDE, fr.tau.topology, k0)
-    return FocalSetData(mu, Q, O_all, origin, d)
+    return origin, d
 
 
 def focal_set_mesh(fd: FocalSetData) -> Mesh:
     """Mesh of the focal set: one planar face per interior vertex.
 
     Each face lies in that vertex's affine normal plane, bounded by the
-    two adjacent focal lines; each line is sampled between its O and Q
-    anchor points extended on both ends by twice the length of the line
-    origins' bounding-box diagonal, and by at least 2.
+    two adjacent focal lines (``focal_lines``); each line is sampled
+    between its O and Q anchor points extended on both ends by twice the
+    length of the line origins' bounding-box diagonal, and by at least
+    twice the polygon's diameter, so the mesh scales with the polygon.
     """
-    usable = ~np.isnan(fd.line_origins[:, 0])
+    origins, directions = focal_lines(fd)
+    usable = ~np.isnan(origins[:, 0])
     idx = np.flatnonzero(usable)
-    origin, d = fd.line_origins[idx], fd.line_directions[idx]
-    span = np.ptp(origin, axis=0) if len(idx) else np.ones(3)
-    extent = 2.0 * max(float(np.linalg.norm(span)), 1.0)
+    origin, d = origins[idx], directions[idx]
+    span = float(np.linalg.norm(np.ptp(origin, axis=0))) if len(idx) else 0.0
+    extent = 2.0 * max(span, fd.field.frame.polygon.diameter())
 
     q = fd.Q.values[idx]
     with np.errstate(invalid="ignore"):

@@ -45,6 +45,7 @@ from evpoly.invariants import (
     centroaffine_frenet,
     classify_focal,
     focal_data,
+    focal_lines,
     frenet,
 )
 from evpoly.projective import (
@@ -183,8 +184,7 @@ def test_criterion_5_single_line_focal(rng):
         fd1 = focal_data(df, fr, gauge=1.3)
         fc = classify_focal(df, fd0)
         ok = ok and fc.kind is FocalKind.SINGLE_LINE and fc.mu_spread <= 1e-9
-        for o0, d0, o1, d1 in zip(fd0.line_origins, fd0.line_directions,
-                                  fd1.line_origins, fd1.line_directions):
+        for o0, d0, o1, d1 in zip(*focal_lines(fd0), *focal_lines(fd1)):
             ok = ok and np.linalg.norm(np.cross(d0, d1)) <= 1e-9
             ok = ok and np.linalg.norm(np.cross(o1 - o0, d0)) <= 1e-8
     for _ in range(10):
@@ -261,7 +261,7 @@ def test_criterion_8_planar_reduction(rng):
         _, evolute = affine_curvature(G)
         evolute = np.column_stack([evolute, np.zeros(len(evolute))])
         hits = []
-        for origin, d in zip(fd.line_origins, fd.line_directions):
+        for origin, d in zip(*focal_lines(fd)):
             hits.append(origin - (origin[2] / d[2]) * d)
         hits = np.asarray(hits)
         scale = max(np.abs(evolute).max(), 1.0)

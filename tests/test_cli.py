@@ -38,6 +38,49 @@ def spiral_doc(tmp_path):
     return write_framed(f, tmp_path / "spiral.json")
 
 
+# Exit code, stdout and stderr of usage errors and help, as printed when the
+# full parser read every command line (Python 3.11's argparse, 80 columns).
+# A command's sub-parser now reads its arguments alone; the texts stay.
+USAGE_TEXTS = [
+    ([], 1, "", "evpoly: the following arguments are required: command (see evpoly --help)\n"),
+    (["bogus"], 1, "",
+     "evpoly: argument command: invalid choice: 'bogus' (choose from 'analyze', 'resample', "
+     "'plength', 'developable', 'focal', 'table1') (see evpoly --help)\n"),
+    (["analyze"], 1, "",
+     "evpoly: the following arguments are required: input (see evpoly analyze --help)\n"),
+    (["analyze", "x.json", "--bogus", "1"], 1, "",
+     "evpoly: unrecognized arguments: --bogus 1 (see evpoly --help)\n"),
+    (["--help"], 0, """\
+usage: evpoly [-h] {analyze,resample,plength,developable,focal,table1} ...
+
+Discrete affine invariants of polygons in 3-space
+
+positional arguments:
+  {analyze,resample,plength,developable,focal,table1}
+    analyze             volumes, Frenet data and classification
+    resample            equal-volume resampling of a framed polyline
+    plength             discrete projective lengths of a planar polygon
+    developable         export the osculating developable as OBJ
+    focal               export the affine focal set as OBJ
+    table1              projective-length convergence table
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["analyze", "--help"], 0, """\
+usage: evpoly analyze [-h] [--origin ORIGIN] [--json JSON] input
+
+positional arguments:
+  input
+
+options:
+  -h, --help       show this help message and exit
+  --origin ORIGIN  x,y,z base point for a bare space polygon
+  --json JSON      write the report to this path
+""", ""),
+]
+
+
 class TestUsage:
     @pytest.mark.parametrize("argv", [
         ["analyze"],
@@ -55,6 +98,18 @@ class TestUsage:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: evpoly")
+
+    @pytest.mark.parametrize("argv, code, out, err", USAGE_TEXTS,
+                             ids=[" ".join(argv) or "no-arguments" for argv, *_ in USAGE_TEXTS])
+    def test_usage_texts_are_those_of_the_full_parser(self, capsys, monkeypatch,
+                                                      argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        assert capsys.readouterr() == (out, err)
 
     def test_parser_is_built_once_and_keeps_no_state(self, rng, tmp_path, capsys):
         G = random_equal_area(12, rng)

@@ -21,6 +21,7 @@ from evpoly.invariants import (
     centroaffine_frenet,
     classify_focal,
     focal_data,
+    focal_lines,
     focal_set_mesh,
     frenet,
     lambda_from_tau,
@@ -177,8 +178,7 @@ class TestFocalSet:
         df, fr = silhouette_pipeline(phi.points)
         fd0 = focal_data(df, fr, gauge=0.0)
         fd1 = focal_data(df, fr, gauge=3.7)
-        for o0, d0, o1, d1 in zip(fd0.line_origins, fd0.line_directions,
-                                  fd1.line_origins, fd1.line_directions):
+        for o0, d0, o1, d1 in zip(*focal_lines(fd0), *focal_lines(fd1)):
             # same line: both anchor points and both directions colinear
             assert np.linalg.norm(np.cross(d0, d1)) <= 1e-9
             assert np.linalg.norm(np.cross(o1 - o0, d0)) <= 1e-8
@@ -219,6 +219,28 @@ class TestFocalSet:
         scale = np.abs(mesh.vertices).max()
         assert mesh.face_planarity().max() <= 1e-8 * scale
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mesh_scales_with_the_polygon(self, seed):
+        """The lines' extension is at least twice the polygon's diameter, not
+        an absolute length, so scaling the polygon scales the mesh.
+
+        Every focal line of a silhouette passes through its origin, so the
+        origins' bounding box is roundoff-sized and the floor sets the
+        extent.  The scaled meshes agree to 1.9e-15 of the mesh size on
+        these fixtures; an absolute floor of 1 left the 1e-6 mesh 5.83
+        across, a million times too large.
+        """
+        pts = random_equal_volume_polygon(np.random.default_rng(seed), 20).points
+        meshes = {}
+        for s in (1.0, 1e-3, 1e-6):
+            df, fr = silhouette_pipeline(s * pts)
+            meshes[s] = focal_set_mesh(focal_data(df, fr))
+        base = meshes[1.0].vertices
+        for s in (1e-3, 1e-6):
+            assert meshes[s].faces == meshes[1.0].faces
+            assert meshes[s].lines == meshes[1.0].lines
+            assert np.abs(meshes[s].vertices / s - base).max() <= 1e-13 * np.abs(base).max()
+
 
 def prism_pipeline(G):
     """The vertical prism frame over a closed planar polygon in z = 0."""
@@ -245,5 +267,5 @@ class TestPlanarReduction:
         # the focal lines pierce the polygon's plane in its affine evolute
         _, df, fr = prism_pipeline(regular_equal_area(9))
         fd = focal_data(df, fr, gauge=0.0)
-        hits = [o - (o[2] / d[2]) * d for o, d in zip(fd.line_origins, fd.line_directions)]
+        hits = [o - (o[2] / d[2]) * d for o, d in zip(*focal_lines(fd))]
         assert np.abs(hits).max() <= 1e-10

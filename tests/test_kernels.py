@@ -9,6 +9,7 @@ wrap-around vertices gives.  The error-path cases inject one bad side or
 vertex and check that the error names it.
 """
 
+import argparse
 import dataclasses
 import functools
 import sys
@@ -61,6 +62,7 @@ from evpoly.invariants import (
     NotEqualVolumeError,
     centroaffine_frenet,
     focal_data,
+    focal_lines,
     focal_set_mesh,
     frenet,
     lambda_from_tau,
@@ -178,6 +180,77 @@ def test_face_solve_matches_exact_least_squares(kind, closed, seed, n):
             x_scale, y_scale = coefficient_scales(d3[j], edge[j], near[j])
             assert_close(x[j], float(x_ref), x_scale)
             assert_close(y[j], float(y_ref), y_scale)
+
+
+def test_face_solve_ignores_the_memory_layout_of_the_normal(rng):
+    """C-ordered, F-ordered and strided copies of one normal give the same bits.
+
+    ``np.einsum`` sums |n|^2 in an order that follows the layout of n:
+    without the contiguous copy, the F-ordered and the column-strided
+    normals each moved the last bits of about one row in four here (the
+    row-strided one moved none).
+    """
+    for _ in range(20):
+        v, a, b = (rng.normal(size=(50, 3)) * rng.uniform(0.1, 10, size=(50, 1)) for _ in range(3))
+        n = cross3(a, b)
+        rows, columns = np.empty((100, 3))[::2], np.empty((50, 6))[:, ::2]
+        rows[...] = columns[...] = n
+        for layout in (np.asfortranarray(n), rows, columns):
+            assert not layout.flags.c_contiguous and np.array_equal(layout, n)
+            for got, want in zip(face_solve(v, a, b, layout), face_solve(v, a, b, n)):
+                assert got.tobytes() == want.tobytes()
+
+
+def frame_with_parallel_faces(rng, parallel, n=12):
+    """Generic frame whose faces in ``parallel`` have parallel end directions.
+
+    Built as ``random_generic_framed`` is, direction i+1 = a side(i) + b
+    direction(i), with a = 0 on the parallel faces; the first of them
+    reverses the direction (b < 0), so its scale changes sign.
+    """
+    pts = np.cumsum(rng.normal(size=(n, 3)), axis=0)
+    d = np.empty((n, 3))
+    d[0] = rng.normal(size=3)
+    for i in range(n - 1):
+        a = 0.0 if i in parallel else rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
+        sign = -1.0 if i == parallel[0] else 1.0 if i in parallel else rng.choice([-1.0, 1.0])
+        d[i + 1] = a * (pts[i + 1] - pts[i]) + sign * rng.uniform(0.4, 1.5) * d[i]
+    return FramedPolygon.build(pts, d)
+
+
+def where_scales(f):
+    """Scales and sigma by the one-pass formula that evaluates the parallel
+    branch on every face and picks per face with ``np.where``."""
+    e = f.polygon.sides().values
+    _, (d0, d1) = f.unit_directions.stencil(0, 1)
+    nf = f.face_normals
+    p, q = face_solve(e, d0, d1, nf)
+    parallel = np.linalg.norm(nf, axis=1) <= 1e-12
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratio = np.where(parallel, np.sign(np.einsum("ij,ij->i", d0, d1)), -q / p)
+        scales = np.cumprod(np.concatenate([[1.0], ratio]))
+        sigma = scales[:len(e)] / p
+    sigma[parallel] = 0.0
+    return scales[:len(f.polygon)], sigma
+
+
+@pytest.mark.parametrize("parallel", [(4,), (2, 7)], ids=["one", "two-apart"])
+@pytest.mark.parametrize("seed", range(4))
+def test_parallel_faces_among_generic_ones(parallel, seed):
+    """The parallel branch runs only on the faces that need it, with the bits
+    of the formula that ran it on every face, and the scales follow the
+    sequential product."""
+    f = frame_with_parallel_faces(np.random.default_rng(seed), parallel)
+    df = parallel_darboux(f)
+    scales, sigma = where_scales(f)
+    assert np.flatnonzero(sigma == 0.0).tolist() == list(parallel)
+    assert (scales[parallel[0] + 1] < 0) != (scales[parallel[0]] < 0)
+    assert df.sigma.values.tobytes() == sigma.tobytes()
+    assert df.xi.values.tobytes() == (scales[:, None] * f.unit_directions.values).tobytes()
+    s_ref, sigma_ref = reference_scales(f)
+    s = np.einsum("ij,ij->i", df.xi.values, f.unit_directions.values)
+    np.testing.assert_allclose(s, s_ref, rtol=REL_TOL, atol=0)
+    np.testing.assert_allclose(df.sigma.values, sigma_ref, rtol=REL_TOL, atol=0)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
@@ -414,14 +487,14 @@ def reference_focal_lines(f, df, fr, fd, gauge):
     return lines
 
 
-def reference_focal_mesh(fd, lines):
+def reference_focal_mesh(fd, lines, diameter):
     """The focal set mesh rebuilt from the list of line tuples."""
     usable = np.array([ln is not None for ln in lines], dtype=bool)
     idx = np.flatnonzero(usable)
     origin = np.array([lines[j][0] for j in idx]).reshape(-1, 3)
     d = np.array([lines[j][1] for j in idx]).reshape(-1, 3)
-    span = np.ptp(origin, axis=0) if len(idx) else np.ones(3)
-    extent = 2.0 * max(float(np.linalg.norm(span)), 1.0)
+    span = np.ptp(origin, axis=0) if len(idx) else np.zeros(3)
+    extent = 2.0 * max(float(np.linalg.norm(span)), diameter)
     q = fd.Q.values[idx]
     with np.errstate(invalid="ignore"):
         t_q = np.where(np.isfinite(q).all(axis=1), np.einsum("ij,ij->i", q - origin, d), 0.0)
@@ -481,17 +554,18 @@ def test_focal_line_arrays_match_the_list_of_tuples(kind, seed):
     gauge = 0.7 * seed
     fd = focal_data(df, fr, gauge)
     lines = reference_focal_lines(f, df, fr, fd, gauge)
-    assert fd.line_origins.shape == fd.line_directions.shape == (len(lines), 3)
+    origins, directions = focal_lines(fd)
+    assert origins.shape == directions.shape == (len(lines), 3)
     for j, line in enumerate(lines):
         if line is None:
-            assert np.isnan(fd.line_origins[j]).all() and np.isnan(fd.line_directions[j]).all()
+            assert np.isnan(origins[j]).all() and np.isnan(directions[j]).all()
         else:
-            assert fd.line_origins[j].tobytes() == line[0].tobytes()
-            assert fd.line_directions[j].tobytes() == line[1].tobytes()
+            assert origins[j].tobytes() == line[0].tobytes()
+            assert directions[j].tobytes() == line[1].tobytes()
     if kind == "parabola":
         assert None in lines and any(ln is not None for ln in lines)
     mesh = focal_set_mesh(fd)
-    verts, faces = reference_focal_mesh(fd, lines)
+    verts, faces = reference_focal_mesh(fd, lines, f.polygon.diameter())
     assert mesh.vertices.tobytes() == verts.tobytes()
     assert mesh.faces == faces
     assert mesh.lines == np.arange(len(verts)).reshape(-1, 2).tolist()
@@ -731,24 +805,34 @@ def record_calls(monkeypatch, fn, calls: list) -> None:
 
 
 def test_analyze_computes_each_derived_quantity_once(rng, tmp_path, monkeypatch):
-    """One ``analyze --origin`` call on a small polygon pays each derived array once."""
+    """One ``analyze --origin`` call on a small polygon pays each derived array once,
+    and nothing that its report and gates do not read."""
     src, out = tmp_path / "ev.json", tmp_path / "report.json"
     write_document(PolygonDocument.from_polygon(random_equal_volume_polygon(rng, 40)), src)
     diffs, volumes, points, crosses, normals, numpy_calls = [], [], [], [], [], []
+    parses, lines = [], []
     record_calls(monkeypatch, forward_diff, diffs)
     record_calls(monkeypatch, darboux_volumes, volumes)
     record_calls(monkeypatch, osculating_points, points)
     record_calls(monkeypatch, cross3, crosses)
+    record_calls(monkeypatch, focal_lines, lines)
     face_normals = functools.cached_property(recording(FramedPolygon.face_normals.func, normals))
     face_normals.__set_name__(FramedPolygon, "face_normals")
     monkeypatch.setattr(FramedPolygon, "face_normals", face_normals)
-    for name in ("cross", "median", "stack", "roll"):
+    # this polygon has no parallel face and no point at infinity, so the
+    # work kept for those cases does not run; the cone apex is a row mean
+    # that skips np.mean
+    for name in ("cross", "median", "stack", "roll", "mean", "where"):
         monkeypatch.setattr(np, name, recording(getattr(np, name), numpy_calls))
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                        recording(argparse.ArgumentParser.parse_known_args, parses))
     gridseqs = []
     monkeypatch.setattr(GridSeq, "__post_init__", recording(GridSeq.__post_init__, gridseqs))
 
     assert cli.main(["analyze", str(src), "--origin", "0,0,0", "--json", str(out)]) == 0
     assert '"rho1"' in out.read_text()
+    # the command's own sub-parser alone reads the arguments
+    assert len(parses) == 1
     assert len(diffs) == 1
     # the face normals once, read by validate_frame and parallel_darboux;
     # then the two margins and the two Frenet face normals, all distinct
@@ -759,6 +843,10 @@ def test_analyze_computes_each_derived_quantity_once(rng, tmp_path, monkeypatch)
     # evaluations, not calls: a repeated call must hand back the same result
     assert volumes and len({id(r) for r in volumes}) == 1
     assert points and len({id(seq) for seq in points}) == 1
+    # the report holds no focal line; the focal mesh builds them once
+    assert lines == []
+    assert cli.main(["focal", str(src), "--origin", "0,0,0", "--obj", str(tmp_path / "f.obj")]) == 0
+    assert len(lines) == 1
 
 
 def test_memo_keeps_each_result_on_its_field(rng):
