@@ -38,12 +38,7 @@ from .darboux import (
     parallel_darboux,
 )
 from .documents import DocumentError, PolygonDocument, read_document, write_document
-from .equal_volume import (
-    EQUAL_VOLUME_TOL,
-    darboux_volumes,
-    is_equal_volume,
-    resample_equal_volume,
-)
+from .equal_volume import NotEqualVolumeError, darboux_volumes, resample_equal_volume
 from .invariants import classify_focal, focal_data, focal_set_mesh, frenet
 from .projective import (
     InflectionError,
@@ -138,8 +133,16 @@ def cmd_analyze(args) -> int:
     if _planar(framed.polygon.points):
         classification = "planar"
 
-    if is_equal_volume(rep):
+    try:
         fr = frenet(df)
+    except NotEqualVolumeError as exc:
+        # resample takes framed3 documents only; a bare polygon is framed by its origin
+        remedy = ("resample this framed3 document first" if origin is None else
+                  f"the polygon is not equal-volume about --origin {args.origin}")
+        print(f"evpoly: volumes vary by {exc.spread:.3e} relative, above "
+              f"EQUAL_VOLUME_TOL = {exc.threshold:.0e}; Frenet data skipped "
+              f"({remedy})", file=sys.stderr)
+    else:
         fd = focal_data(df, fr)
         fc = classify_focal(df, fd)
         report.update({
@@ -155,13 +158,6 @@ def cmd_analyze(args) -> int:
         })
         if classification == "general" and fc.kind.value == "single_line":
             classification = "single_line"
-    else:
-        # resample takes framed3 documents only; a bare polygon is framed by its origin
-        remedy = ("resample this framed3 document first" if origin is None else
-                  f"the polygon is not equal-volume about --origin {args.origin}")
-        print(f"evpoly: volumes vary by {rep.spread:.3e} relative, above "
-              f"EQUAL_VOLUME_TOL = {EQUAL_VOLUME_TOL:.0e}; Frenet data skipped "
-              f"({remedy})", file=sys.stderr)
     report["classification"] = classification
     if osc.apex is not None:
         report["apex"] = np.asarray(osc.apex).tolist()
@@ -218,14 +214,11 @@ def cmd_focal(args) -> int:
     framed, _ = _load_framed(args)
     df = parallel_darboux(framed)
     fd = focal_data(df, frenet(df))
-    mesh = focal_set_mesh(fd)
-    mesh.write_obj(args.obj)
-    # NaN rows of O and Q are the points at infinity
-    at_infinity = [seq.slots[np.isnan(seq.values[:, 0])] for seq in (fd.O, fd.Q)]
-    skipped = np.union1d(*at_infinity).tolist()
+    focal_set_mesh(fd).write_obj(args.obj)
+    skipped = fd.Q.slots[fd.lineless()].tolist()
     if skipped:
-        print(f"evpoly: warning: sides {skipped} have support lines or normals "
-              "meeting at infinity; their focal faces were skipped",
+        print(f"evpoly: warning: sides {skipped} have no focal line (support lines and "
+              "normals both meet at infinity); the focal faces beside them were skipped",
               file=sys.stderr)
         return 2
     return 0

@@ -280,7 +280,7 @@ def osculating_developable(df: DarbouxField) -> Mesh:
     nsides = len(f.polygon.sides())
     k2 = 2 * np.arange(nsides)
     corners = np.stack([k2, k2 + 1, k2 + 3, k2 + 2], axis=1) % len(rows)
-    return Mesh(rows, np.arange(4 * nsides).reshape(nsides, 4).tolist(), v_rows=corners)
+    return Mesh(rows, np.arange(4 * nsides).reshape(nsides, 4), v_rows=corners)
 
 
 class SurfaceKind(enum.Enum):

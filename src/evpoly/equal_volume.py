@@ -31,6 +31,8 @@ __all__ = [
     "darboux_volumes",
     "centroaffine_volumes",
     "is_equal_volume",
+    "NotEqualVolumeError",
+    "volume_constant",
     "resample_equal_volume",
 ]
 
@@ -85,6 +87,32 @@ def is_equal_volume(r: VolumeReport) -> bool:
     no separate sign check is needed.
     """
     return bool(r.spread <= EQUAL_VOLUME_TOL)
+
+
+class NotEqualVolumeError(GeometryError):
+    """Frenet data requested on a polygon whose volumes vary.
+
+    The constant-volume condition is what keeps the third difference
+    inside the face plane; without it the Frenet coefficients are not
+    defined.  ``vertex`` is the slot whose volume lies farthest from the
+    median, ``spread`` the measured relative spread and ``threshold``
+    the gate it exceeds.
+    """
+
+    def __init__(self, vertex: int, spread: float, threshold: float):
+        self.vertex = vertex
+        self.spread = spread
+        self.threshold = threshold
+        super().__init__(f"vertex {vertex}: volume spread {spread:.3e} exceeds "
+                         f"{threshold:.0e}, so the polygon is not equal-volume")
+
+
+def volume_constant(rep: VolumeReport) -> float:
+    """The volume constant c of an equal-volume report, else NotEqualVolumeError."""
+    if not is_equal_volume(rep):
+        j = int(np.argmax(np.abs(rep.values - rep.c_hat)))
+        raise NotEqualVolumeError(rep.volumes.base + j, rep.spread, EQUAL_VOLUME_TOL)
+    return rep.c_hat
 
 
 @dataclass(frozen=True)

@@ -43,13 +43,7 @@ from .core import (
     norm3,
 )
 from .darboux import DarbouxField, osculating_points
-from .equal_volume import (
-    EQUAL_VOLUME_TOL,
-    VolumeReport,
-    centroaffine_volumes,
-    darboux_volumes,
-    is_equal_volume,
-)
+from .equal_volume import centroaffine_volumes, darboux_volumes, volume_constant
 from .meshes import Mesh
 
 __all__ = [
@@ -58,7 +52,6 @@ __all__ = [
     "FocalKind",
     "FocalClass",
     "GaugeObstructionError",
-    "NotEqualVolumeError",
     "frenet",
     "centroaffine_frenet",
     "lambda_from_tau",
@@ -75,32 +68,6 @@ FOCAL_AGREEMENT_TOL = 1e-9
 GAUGE_CLOSURE_TOL = 1e-9
 # relative spread of sigma and mu below which the focal set is one line
 FOCAL_CLASSIFY_TOL = 1e-6
-
-
-class NotEqualVolumeError(GeometryError):
-    """Frenet data requested on a polygon whose volumes vary.
-
-    The constant-volume condition is what keeps the third difference
-    inside the face plane; without it the Frenet coefficients are not
-    defined.  ``vertex`` is the slot whose volume lies farthest from the
-    median, ``spread`` the measured relative spread and ``threshold``
-    the gate it exceeds.
-    """
-
-    def __init__(self, vertex: int, spread: float, threshold: float):
-        self.vertex = vertex
-        self.spread = spread
-        self.threshold = threshold
-        super().__init__(f"vertex {vertex}: volume spread {spread:.3e} exceeds "
-                         f"{threshold:.0e}, so the polygon is not equal-volume")
-
-
-def _volume_constant(rep: VolumeReport) -> float:
-    """The volume constant c of an equal-volume report, else NotEqualVolumeError."""
-    if not is_equal_volume(rep):
-        j = int(np.argmax(np.abs(rep.values - rep.c_hat)))
-        raise NotEqualVolumeError(rep.volumes.base + j, rep.spread, EQUAL_VOLUME_TOL)
-    return rep.c_hat
 
 
 class GaugeObstructionError(GeometryError):
@@ -147,14 +114,16 @@ def _frenet_data(topo: Topology, first: int, c: float, rho1, rho2, tau,
 def frenet(df: DarbouxField) -> FrenetData:
     """Frenet coefficient sequences of the field's equal-volume framed polygon.
 
+    The volume gate (``equal_volume.volume_constant``) comes first, so a
+    polygon whose volumes vary raises NotEqualVolumeError at any size.
     Both decompositions of each third difference go through
     ``core.face_solve``; the two tau values they give must agree
     (``core.agreed``) to ``TAU_AGREEMENT_TOL`` times max(1, |tau_a|).
     """
     f = df.frame
+    c = volume_constant(darboux_volumes(df))
     if len(f.polygon) < 5 and not f.closed:
         raise GeometryError("need at least 5 vertices for open Frenet data")
-    c = _volume_constant(darboux_volumes(df))
 
     # Each third difference is nested on the sides, (e(k+1) - e(k)) -
     # (e(k) - e(k-1)), so that each subtraction acts on neighbouring,
@@ -181,7 +150,7 @@ def centroaffine_frenet(p: Polygon3) -> FrenetData:
     With xi = phi and sigma = -1 the face solves have closed forms in the
     triple brackets of the vertices about the origin.
     """
-    c = _volume_constant(centroaffine_volumes(p))
+    c = volume_constant(centroaffine_volumes(p))
     k0, (qm, q0, q1, q2) = p.vertices.stencil(-1, 0, 1, 2)
     d_a = det3(qm, q0, q2)
     d_b = det3(q2, q1, qm)
@@ -222,6 +191,11 @@ class FocalSetData:
     Q: GridSeq
     O: GridSeq
     eta: GridSeq
+
+    def lineless(self) -> np.ndarray:
+        """Mask over Q's window of the sides with no focal line: O and Q both at infinity."""
+        o_rows = self.O.window(self.Q.base, len(self.Q))
+        return np.isnan(o_rows[:, 0]) & np.isnan(self.Q.values[:, 0])
 
 
 def focal_data(df: DarbouxField, fr: FrenetData, gauge: float = 0.0) -> FocalSetData:
@@ -266,8 +240,7 @@ def focal_lines(fd: FocalSetData) -> tuple[np.ndarray, np.ndarray]:
 
     The focal line joins O and Q.  With O at infinity it runs through Q
     along xi; with Q at infinity, or Q = O, it runs through O along eta.
-    Both rows are NaN on a side whose O and Q are at infinity: it has no
-    line.
+    Both rows are NaN on the sides ``FocalSetData.lineless`` names.
     """
     k0, m = fd.Q.base, len(fd.Q)
     O, q_pts = fd.O.window(k0, m), fd.Q.values
@@ -280,8 +253,7 @@ def focal_lines(fd: FocalSetData) -> tuple[np.ndarray, np.ndarray]:
         use_eta = ~o_inf & (q_inf | (norm3(d) == 0.0))
         d[use_eta] = fd.eta.window(k0, m)[use_eta]
         d /= norm3(d)[:, None]
-    # no line where O and Q are both at infinity; origin is NaN there already
-    d[o_inf & q_inf] = np.nan
+    d[fd.lineless()] = np.nan  # origin is NaN there already
     return origin, d
 
 
@@ -307,7 +279,7 @@ def focal_set_mesh(fd: FocalSetData) -> Mesh:
     lo = (np.minimum(0.0, t_q) - extent)[:, None]
     hi = (np.maximum(0.0, t_q) + extent)[:, None]
     verts = np.stack([origin + lo * d, origin + hi * d], axis=1).reshape(-1, 3)
-    lines_idx = np.arange(2 * len(idx)).reshape(-1, 2).tolist()
+    lines_idx = np.arange(2 * len(idx)).reshape(-1, 2)
 
     # one face between the lines of neighbouring sides
     nxt = idx + 1
@@ -317,7 +289,7 @@ def focal_set_mesh(fd: FocalSetData) -> Mesh:
     both[both] = usable[nxt[both]]
     i0 = 2 * np.flatnonzero(both)
     i1 = 2 * (np.cumsum(usable)[nxt[both]] - 1)
-    faces = np.stack([i0, i0 + 1, i1 + 1, i1], axis=1).tolist()
+    faces = np.stack([i0, i0 + 1, i1 + 1, i1], axis=1)
     return Mesh(verts, faces, lines_idx)
 
 

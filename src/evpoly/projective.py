@@ -120,11 +120,9 @@ def default_normalization(poly: PlanarProjectivePolygon) -> LiftNormalization:
 
 def spiral_analytic_normalization(t0: float, h: float) -> LiftNormalization:
     """Seeds and c from the spiral's analytic equal-volume representative."""
-    rep = ExampleSpiralRepresentative()
-    t = t0 + h * np.arange(3)
-    p = rep(t)
-    a = 2.0 ** (-1.0 / 3.0) * np.exp(2.0 * t / 3.0)
-    return LiftNormalization(float(a[0]), float(a[1]),
+    p = ExampleSpiralRepresentative()(t0 + h * np.arange(3))
+    # the z column is each vertex's scale 2^(-1/3) exp(2t/3)
+    return LiftNormalization(float(p[0, 2]), float(p[1, 2]),
                              float(det3(p[0], p[1], p[2])), "analytic-seed")
 
 

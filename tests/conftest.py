@@ -91,6 +91,28 @@ def random_generic_framed(rng, n=15, closed=False):
     return FramedPolygon.build(pts, d, closed=closed)
 
 
+def parabola_prism(turns):
+    """Vertical prism over an integer equal-area polygon.
+
+    Its sides follow s(k+1) = turns(k) s(k) - s(k-1), so the third
+    difference of side k is (turns(k) - 2) s(k): a side with turn 2 has
+    mu = 0 exactly, and every side has sigma = 0, so O and Q are both at
+    infinity there.
+    """
+    sides = [np.array([1.0, 1.0]), np.array([0.0, 1.0])]
+    for t in turns:
+        sides.append(t * sides[-1] - sides[-2])
+    xy = np.concatenate([[[0.0, 0.0]], np.cumsum(sides, axis=0)])
+    pts = np.column_stack([xy, np.zeros(len(xy))])
+    return FramedPolygon.build(pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+
+
+def face_planarity(mesh):
+    """Smallest singular value of each face's centred vertices: 0 for a planar face."""
+    pts = mesh.vertices[mesh.faces]
+    return np.linalg.svd(pts - pts.mean(axis=1, keepdims=True), compute_uv=False)[:, -1]
+
+
 # The paper's equal-area polygons and their lifts, the oracles of the
 # single-line focal set and the planar reduction.  An equal-area planar
 # polygon Gamma lives on the side grid (vertices at half-integer slots);

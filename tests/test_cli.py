@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    parabola_prism,
     random_cone_fixture,
     random_equal_area,
     random_equal_volume_polygon,
@@ -21,6 +22,7 @@ from evpoly.constructions import (
     sample_curve,
 )
 from evpoly import cli, documents
+from evpoly.core import Polygon3
 from evpoly.darboux import FramedPolygon, parallel_darboux
 from evpoly.documents import PolygonDocument, read_document, write_document
 from evpoly.invariants import frenet
@@ -246,6 +248,18 @@ class TestAnalyze:
         assert report["compatibility_residual_max"] == fr.compatibility_residual(df.sigma).max()
         assert report["tau_agreement_gap_max"] == fr.tau_gap.values.max()
 
+    def test_planar_cone_reports_its_apex(self, tmp_path, capsys):
+        # an arc in z = 1 framed about the origin: the osculating surface is
+        # the cone over the arc, so the planar polygon's report keeps the apex
+        t = np.linspace(0.2, 1.6, 30)
+        arc = np.column_stack([2 * np.cos(t), np.sin(t), np.ones_like(t)])
+        path = tmp_path / "arc.json"
+        write_document(PolygonDocument.from_polygon(Polygon3.from_points(arc)), path)
+        assert main(["analyze", str(path), "--origin", "0,0,0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["classification"] == "planar"
+        assert np.abs(report["apex"]).max() < 1e-12
+
     def test_json_output_file(self, spiral_doc, tmp_path):
         out = tmp_path / "report.json"
         assert main(["analyze", spiral_doc, "--json", str(out)]) == 0
@@ -346,11 +360,25 @@ class TestMeshExports:
         d = np.tile([0.0, 0.0, 1.0], (10, 1))
         f = FramedPolygon.build(pts, d)
         path = write_framed(f, tmp_path / "prism.json")
-        code = main(["focal", path, "--obj", str(tmp_path / "o.obj")])
-        assert code == 2
+        obj = tmp_path / "o.obj"
+        # O is at infinity on every side, but Q is finite on sides 1-7, the
+        # whole of its window, so each of them has a focal line along xi
+        assert main(["focal", path, "--obj", str(obj)]) == 0
+        assert capsys.readouterr().err == ""
+        records = [ln.split()[0] for ln in obj.read_text().splitlines()]
+        assert (records.count("l"), records.count("f")) == (7, 6)
+
+    def test_focal_names_the_sides_without_a_line(self, tmp_path, capsys):
+        # a side with turn 2 has mu = 0, so its Q joins its O at infinity
+        path = write_framed(parabola_prism([1, 2, 3, 2, 1, 2, 3, 1, 2, 2]),
+                            tmp_path / "parabola.json")
+        obj = tmp_path / "o.obj"
+        assert main(["focal", path, "--obj", str(obj)]) == 2
         assert capsys.readouterr().err == (
-            "evpoly: warning: sides [0, 1, 2, 3, 4, 5, 6, 7, 8] have support lines or "
-            "normals meeting at infinity; their focal faces were skipped\n")
+            "evpoly: warning: sides [2, 4, 6, 9, 10] have no focal line (support lines "
+            "and normals both meet at infinity); the focal faces beside them were skipped\n")
+        records = [ln.split()[0] for ln in obj.read_text().splitlines()]
+        assert records.count("l") == 10 - 5
 
 
 @pytest.fixture(params=[True, False], ids=["collecting", "paused-by-caller"])

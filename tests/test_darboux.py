@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import random_cone_fixture, random_equal_volume_polygon, random_generic_framed
+from conftest import (
+    face_planarity,
+    random_cone_fixture,
+    random_equal_volume_polygon,
+    random_generic_framed,
+)
 
 from evpoly.core import GeometryError
 from evpoly.darboux import (
@@ -164,13 +169,13 @@ class TestDevelopable:
         f = random_generic_framed(rng, 12)
         mesh = osculating_developable(parallel_darboux(f))
         assert len(mesh.faces) == 11
-        assert mesh.face_planarity().max() <= 1e-9 * f.polygon.diameter()
+        assert face_planarity(mesh).max() <= 1e-9 * f.polygon.diameter()
 
     def test_cone_faces_contain_apex_line(self, rng):
         f, apex = random_cone_fixture(rng, 15)
         mesh = osculating_developable(parallel_darboux(f))
         for face in mesh.faces:
-            quad = mesh.vertices[list(face)]
+            quad = mesh.vertices[face]
             c = quad.mean(axis=0)
             nrm = np.cross(quad[1] - quad[0], quad[2] - quad[0])
             nrm /= np.linalg.norm(nrm)

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from conftest import (
     PlanarEqualAreaPolygon,
     affine_curvature,
+    parabola_prism,
     random_cone_fixture,
     random_equal_area,
     random_equal_volume_polygon,
@@ -57,9 +58,8 @@ from evpoly.darboux import (
     validate_frame,
 )
 from evpoly.documents import PolygonDocument, write_document
-from evpoly.equal_volume import centroaffine_volumes, darboux_volumes
+from evpoly.equal_volume import NotEqualVolumeError, centroaffine_volumes, darboux_volumes
 from evpoly.invariants import (
-    NotEqualVolumeError,
     centroaffine_frenet,
     focal_data,
     focal_lines,
@@ -508,23 +508,7 @@ def reference_focal_mesh(fd, lines, diameter):
     both[both] = usable[nxt[both]]
     i0 = 2 * np.flatnonzero(both)
     i1 = 2 * (np.cumsum(usable)[nxt[both]] - 1)
-    return verts, np.stack([i0, i0 + 1, i1 + 1, i1], axis=1).tolist()
-
-
-def parabola_prism(turns):
-    """Vertical prism over an integer equal-area polygon.
-
-    Its sides follow s(k+1) = turns(k) s(k) - s(k-1), so the third
-    difference of side k is (turns(k) - 2) s(k): a side with turn 2 has
-    mu = 0 exactly, and every side has sigma = 0, so O and Q are both at
-    infinity there.
-    """
-    sides = [np.array([1.0, 1.0]), np.array([0.0, 1.0])]
-    for t in turns:
-        sides.append(t * sides[-1] - sides[-2])
-    xy = np.concatenate([[[0.0, 0.0]], np.cumsum(sides, axis=0)])
-    pts = np.column_stack([xy, np.zeros(len(xy))])
-    return FramedPolygon.build(pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
+    return verts, np.stack([i0, i0 + 1, i1 + 1, i1], axis=1)
 
 
 def focal_fixture(kind, seed):
@@ -567,8 +551,8 @@ def test_focal_line_arrays_match_the_list_of_tuples(kind, seed):
     mesh = focal_set_mesh(fd)
     verts, faces = reference_focal_mesh(fd, lines, f.polygon.diameter())
     assert mesh.vertices.tobytes() == verts.tobytes()
-    assert mesh.faces == faces
-    assert mesh.lines == np.arange(len(verts)).reshape(-1, 2).tolist()
+    assert np.array_equal(mesh.faces, faces)
+    assert np.array_equal(mesh.lines, np.arange(len(verts)).reshape(-1, 2))
 
 
 # ---------------------------------------------------------------- error paths

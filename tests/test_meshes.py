@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_equal_volume_polygon, random_generic_framed
+from conftest import face_planarity, random_equal_volume_polygon, random_generic_framed
 
 from evpoly.core import GeometryError, Grid, GridSeq, Topology
 from evpoly.darboux import FramedPolygon, osculating_developable, parallel_darboux
@@ -34,40 +34,35 @@ def test_obj_roundtrip_precision(tmp_path):
 def test_face_planarity():
     flat = Mesh(np.array([[0., 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
                 faces=[[0, 1, 2, 3]])
-    assert flat.face_planarity()[0] == pytest.approx(0.0, abs=1e-14)
+    assert face_planarity(flat)[0] == pytest.approx(0.0, abs=1e-14)
     bent = Mesh(np.array([[0., 0, 0], [1, 0, 0], [1, 1, 0.5], [0, 1, 0]]),
                 faces=[[0, 1, 2, 3]])
-    assert bent.face_planarity()[0] > 0.1
+    assert face_planarity(bent)[0] > 0.1
 
 
-def test_index_validation():
-    with pytest.raises(GeometryError):
-        Mesh(np.zeros((2, 3)), faces=[[0, 1, 5]])
-    with pytest.raises(GeometryError):
-        Mesh(np.zeros((3, 3)), faces=[[0, 1]])
+@pytest.mark.parametrize("faces, lines, fault", [
+    ([[0, 1, 2, 0], [0, 1, 2]], [], "faces must be records of one length, at least 3"),
+    ([[0, 1, 2]], [[0, 2], [0, 1, 2]], "lines must be records of one length, at least 2"),
+    ([[0, 1, 2]], [[0, 1], []], "lines must be records of one length, at least 2"),
+    ([[0, 1]], [], "faces must be records of one length, at least 3"),
+    ([[0, 1, 2]], [[0], [1]], "lines must be records of one length, at least 2"),
+    ([0, 1, 2], [], "faces must be records of one length, at least 3"),
+    ([[0, 1, 5]], [], "face index out of range"),
+    ([[0, 1, 2]], [[0, 3]], "line index out of range"),
+    ([], [[-1, 2]], "line index out of range"),
+], ids=["ragged-faces", "ragged-lines", "ragged-short-lines", "short-faces", "short-lines",
+        "flat-faces", "face-range", "line-range", "negative-line"])
+def test_bad_records_are_refused(faces, lines, fault):
+    """Ragged, short and out-of-range index records raise GeometryError, not numpy's errors."""
+    with pytest.raises(GeometryError, match=fault):
+        Mesh(np.zeros((3, 3)), faces, lines)
 
 
-def test_line_index_validation():
-    with pytest.raises(GeometryError, match="line index out of range"):
-        Mesh(np.zeros((3, 3)), faces=[[0, 1, 2]], lines=[[0, 3]])
-    with pytest.raises(GeometryError, match="line index out of range"):
-        Mesh(np.zeros((3, 3)), faces=[], lines=[[-1, 2]])
-    # an OBJ line record joins at least two vertices
-    with pytest.raises(GeometryError, match="at least 2"):
-        Mesh(np.zeros((3, 3)), [[0, 1, 2]], lines=[[0], []])
-    with pytest.raises(GeometryError, match="at least 2"):
-        Mesh(np.zeros((3, 3)), [[0, 1, 2]], lines=[[0, 1], []])
-
-
-def test_ragged_faces(tmp_path):
-    v = np.array([[0., 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0], [2, 0, 0], [2, 1, 0]])
-    mesh = Mesh(v, faces=[[0, 1, 2, 3], [1, 4, 5], [4, 5, 2, 3, 0]], lines=[[0, 5], [1, 2, 3]])
-    path = tmp_path / "m.obj"
-    mesh.write_obj(path)
-    lines = path.read_text().splitlines()
-    assert lines[7:] == ["f 1 2 3 4", "f 2 5 6", "f 5 6 3 4 1", "l 1 6", "l 2 3 4"]
-    with pytest.raises(GeometryError, match="at least 3"):
-        Mesh(v, faces=[[0, 1, 2, 3], [1, 4]])
+def test_records_are_index_arrays():
+    mesh = Mesh(np.zeros((4, 3)), faces=[[0, 1, 2, 3]])
+    assert mesh.faces.shape == (1, 4) and mesh.faces.dtype == np.intp
+    assert mesh.lines.shape == (0, 2)
+    assert Mesh(np.zeros((4, 3)), faces=np.empty((0, 4), dtype=int)).faces.shape == (0, 4)
 
 
 def test_obj_text_matches_per_record_formatting(tmp_path, rng):
@@ -76,8 +71,8 @@ def test_obj_text_matches_per_record_formatting(tmp_path, rng):
     v = rng.normal(size=(7, 3)) * 10.0 ** rng.integers(-300, 300, size=(7, 3))
     v[0] = [0.0, -0.0, np.inf]
     v[1] = [-np.inf, np.nan, 5e-324]
-    faces = [[0, 1, 2], [2, 3, 4, 5], [5, 6, 0]]
-    lines = [[1, 6]]
+    faces = [[0, 1, 2, 3], [2, 3, 4, 5], [5, 6, 0, 1]]
+    lines = [[1, 6], [0, 3]]
     mesh = Mesh(v, faces, lines)
     path = tmp_path / "m.obj"
     mesh.write_obj(path)

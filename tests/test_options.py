@@ -85,9 +85,6 @@ PINNED = {
 PINNED_MEMBERS = {
     "core.GridSeq.at": "slot lookups in tests/test_invariants.py; the benchmark tracer counts it",
     "documents.PolygonDocument.from_polygon": "the polygon3 corpus, perfbench/workloads.py",
-    "meshes.Mesh.face_planarity":
-        "the developable's and the focal set's faces are planar, "
-        "tests/test_darboux.py and tests/test_invariants.py",
 }
 
 # members whose name two or more public classes share, each with the
@@ -116,12 +113,12 @@ SHARED_MEMBERS = {
     "core.GridSeq.topology": "GridSeq.window and stencil, core.forward_diff",
     "core.Polygon3.topology": "darboux.parallel_darboux, invariants.frenet",
     "core.GridSeq.values": "core.forward_diff, cli._seq_payload",
-    "equal_volume.VolumeReport.values": "invariants._volume_constant",
+    "equal_volume.VolumeReport.values": "equal_volume.volume_constant",
     "core.Polygon3.vertices": "Polygon3.points, darboux.osculating_points, invariants.focal_data",
     "documents.PolygonDocument.vertices":
         "PolygonDocument.to_framed, documents.write_document, cli.cmd_plength",
     "meshes.Mesh.vertices":
-        "the pinned Mesh.face_planarity, tests/test_meshes.py and tests/test_darboux.py",
+        "the face_planarity oracle in tests/conftest.py, tests/test_meshes.py, tests/test_darboux.py",
     "projective.PlanarProjectivePolygon.vertices":
         "projective.default_normalization and lift_representative, perfbench/spans.py",
 }
@@ -344,7 +341,7 @@ def test_census_texts_name_real_readers(kind):
     ("PINNED_MEMBERS", "core.GridSeq.at", "core.GridSeq.slot_at",
      "core.GridSeq.slot_at does not resolve"),
     ("PINNED", "constructions.Ellipse", "tests/test_ellipse.py", "no file tests/test_ellipse.py"),
-    ("PINNED_MEMBERS", "meshes.Mesh.face_planarity", "tests/test_cli.py",
+    ("PINNED_MEMBERS", "core.GridSeq.at", "tests/test_cli.py",
      "tests/test_cli.py does not use it"),
     ("KEPT", "invariants.focal_data(gauge)", "tests/test_projective.py",
      "tests/test_projective.py does not use it"),
