@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -316,11 +316,36 @@ def forward_diff(s: GridSeq) -> GridSeq:
     return GridSeq(b - a, s.grid.other(), s.topology, first)
 
 
+def _side_lengths(p: np.ndarray, closed: bool) -> np.ndarray:
+    """``norm3`` of the sides of the vertex rows ``p``, bit for bit, one column at a time.
+
+    Squares are summed in ``norm3``'s order, (s0 + s1) + s2, in two
+    n-length buffers instead of the (n, 3) sides and their squares.
+    """
+    n = len(p)
+    m = n if closed else n - 1
+    s, d = np.empty(m), np.empty(m)
+    for c, buf in ((0, s), (1, d), (2, d)):
+        x = p[:, c]
+        np.subtract(x[1:], x[:-1], out=buf[:n - 1])
+        if closed:
+            buf[n - 1] = x[0] - x[-1]
+        np.multiply(buf, buf, out=buf)
+        if c:
+            np.add(s, buf, out=s)
+    return np.sqrt(s, out=s)
+
+
 @dataclass(frozen=True)
 class Polygon3:
-    """Ordered vertices in 3-space on the vertex grid."""
+    """Ordered vertices in 3-space on the vertex grid.
+
+    ``side_lengths`` holds |side k| for every side, read-only.  The side
+    vectors themselves are built on first use of ``sides()``.
+    """
 
     vertices: GridSeq
+    side_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = self.vertices
@@ -330,10 +355,14 @@ class Polygon3:
         if a.ndim != 2 or a.shape[1] != 3:
             raise GeometryError("polygon vertices must be 3-vectors")
         require_finite(a, "coordinate")
-        d = self._sides
-        bad = norm3(d.values) == 0.0
+        if len(a) < 2:
+            raise GeometryError("need at least 2 entries to difference")
+        lengths = _side_lengths(a, self.closed)
+        bad = lengths == 0.0
         if bad.any():
-            raise DegenerateVertexError(d.base + int(np.argmax(bad)))
+            raise DegenerateVertexError(int(np.argmax(bad)))
+        lengths.setflags(write=False)
+        object.__setattr__(self, "side_lengths", lengths)
 
     @classmethod
     def from_points(cls, points, closed: bool = False) -> "Polygon3":

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -63,10 +63,14 @@ class DegenerateFrameError(GeometryError):
 
 @dataclass(frozen=True)
 class FramedPolygon:
-    """Polygon plus a transversal edge direction per vertex."""
+    """Polygon plus a transversal edge direction per vertex.
+
+    ``direction_lengths`` holds |d| of every direction, read-only.
+    """
 
     polygon: Polygon3
     directions: GridSeq
+    direction_lengths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.directions
@@ -77,8 +81,11 @@ class FramedPolygon:
         if d.values.shape != self.polygon.points.shape:
             raise GeometryError("directions must be 3-vectors")
         require_finite(d.values, "direction")
-        if (norm3(d.values) == 0.0).any():
+        lengths = norm3(d.values)
+        if (lengths == 0.0).any():
             raise GeometryError("zero direction vector")
+        lengths.setflags(write=False)
+        object.__setattr__(self, "direction_lengths", lengths)
 
     @classmethod
     def build(cls, points, directions, closed: bool = False) -> "FramedPolygon":
@@ -103,7 +110,7 @@ class FramedPolygon:
     @cached_property
     def unit_directions(self) -> GridSeq:
         d = self.directions.values
-        return self.directions.with_values(d / norm3(d)[:, None])
+        return self.directions.with_values(d / self.direction_lengths[:, None])
 
     @cached_property
     def face_normals(self) -> np.ndarray:
@@ -175,7 +182,7 @@ def validate_frame(f: FramedPolygon) -> FrameReport:
     ``TOL_FACE`` and the vertices whose margin does not.
     """
     e = f.polygon.sides().values
-    eh = e / norm3(e)[:, None]
+    eh = e / f.polygon.side_lengths[:, None]
     nf = f.face_normals
     n, nsides = len(f.polygon), len(e)
     _, (dl, dr) = f.unit_directions.stencil(0, 1)
@@ -312,7 +319,7 @@ def classify_osculating(df: DarbouxField) -> OsculatingClass:
         return OsculatingClass(SurfaceKind.CONE, apex)
 
     xi_scale = median(norm3(df.xi.values))
-    edge_scale = median(norm3(df.frame.polygon.sides().values))
+    edge_scale = median(df.frame.polygon.side_lengths)
     if size.max() <= CLASSIFY_TOL * (xi_scale / edge_scale):
         return OsculatingClass(SurfaceKind.CYLINDER)
     return OsculatingClass(SurfaceKind.GENERAL)

@@ -18,17 +18,24 @@ __all__ = ["Mesh"]
 
 
 def _records(recs, least: int, n: int, what: str) -> np.ndarray:
-    """Records indexing n ``v`` records, as an (m, k >= least) array; ``[]`` is (0, least)."""
+    """Records indexing n ``v`` records, as an (m, k >= least) array; ``[]`` is (0, least).
+
+    Indices must have an integer dtype: a fractional or boolean index is
+    refused, not truncated.
+    """
     try:
-        recs = np.asarray(recs, dtype=np.intp)
-        recs = recs.reshape(0, least) if recs.shape == (0,) else recs
+        recs = np.asarray(recs)
     except ValueError:  # records of different lengths
         recs = None
+    if recs is not None and recs.shape == (0,):  # ``[]``, which numpy reads as float
+        recs = np.empty((0, least), dtype=np.intp)
     if recs is None or recs.ndim != 2 or recs.shape[1] < least:
         raise GeometryError(f"mesh {what}s must be records of one length, at least {least}")
+    if recs.dtype.kind not in "iu":
+        raise GeometryError(f"mesh {what} indices must be integers, not {recs.dtype}")
     if recs.size and (recs.min() < 0 or recs.max() >= n):
         raise GeometryError(f"{what} index out of range")
-    return recs
+    return recs.astype(np.intp, copy=False)
 
 
 @dataclass

@@ -108,10 +108,15 @@ class LiftNormalization:
 
 
 def default_normalization(poly: PlanarProjectivePolygon) -> LiftNormalization:
-    """Unit seeds with c the geometric mean of the raw triple volumes."""
-    pts = poly.vertices.values
-    raw = np.column_stack([pts, np.ones(len(pts))])
-    vols = det3(raw[:-2], raw[1:-1], raw[2:])
+    """Unit seeds with c the geometric mean of the raw triple volumes.
+
+    The volume of the (x, y, 1) triples is ``det3``'s expansion with each
+    product by 1 written out, which is exact, so it rounds as ``det3`` of
+    those rows does without building them.
+    """
+    x, y = poly.vertices.values.T
+    x0, x1, x2, y0, y1, y2 = x[:-2], x[1:-1], x[2:], y[:-2], y[1:-1], y[2:]
+    vols = x0 * (y1 - y2) - y0 * (x1 - x2) + (x1 * y2 - y1 * x2)
     if np.any(vols <= 0):
         raise InflectionError(int(np.argmin(vols)) + 1, float(vols.min()))
     c = float(np.exp(np.mean(np.log(vols))))
@@ -163,19 +168,25 @@ def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) 
         lead = np.ldexp(0.5, np.frexp(seeds)[1])
         chain[0] = lead
         np.divide(b[:-1], b[1:], out=chain[1:].reshape(-1)[:n - 3])
-        a = (seeds / lead * np.cumprod(chain, axis=0)).reshape(-1)[:n]
+        np.cumprod(chain, axis=0, out=chain)
+        np.multiply(seeds / lead, chain, out=chain)
         lifted = np.empty((n, 3))
+        a = lifted[:, 2]
+        a[:] = chain.reshape(-1)[:n]
         np.multiply(a[:, None], pts, out=lifted[:, :2])
-        lifted[:, 2] = a
     ok = np.isfinite(a) & (a > 0.0)
     if not ok.all():
         raise GeometryError(f"vertex {int(np.argmin(ok))}: lift recursion overflowed")
-    size = np.maximum(np.maximum(np.abs(lifted[:, 0]), np.abs(lifted[:, 1])), a)
+    # the chain's buffer is free now; the largest coordinate of each row goes there
+    size = np.abs(lifted[:, 0], out=chain.reshape(-1)[:n])
+    np.maximum(size, np.abs(lifted[:, 1]), out=size)
+    np.maximum(size, a, out=size)
     big = size > LIFT_COORD_MAX
     if big.any():
         k = int(np.argmax(big))
         raise GeometryError(f"vertex {k}: lifted coordinate {size[k]:.3e} exceeds "
                             f"{LIFT_COORD_MAX:.3e}, beyond what det3 can evaluate")
+    del chain, size  # free before the polygon's side check allocates
     return Polygon3(GridSeq(lifted, Grid.VERTEX))  # no copy: nothing else holds ``lifted``
 
 
@@ -186,6 +197,14 @@ class ProjectiveLengthReport:
     per_side_terms1: GridSeq
     per_side_terms2: GridSeq
     summation_range: tuple
+
+
+def _cube_root_terms(ends, j: int, m: int, tau: np.ndarray) -> np.ndarray:
+    """cbrt(rho' + 2 tau) on m sides, written into the fresh rho' = hi - lo from entry j."""
+    lo, hi = ends
+    t = np.subtract(hi[j:j + m], lo[j:j + m])
+    np.add(t, 2.0 * tau, out=t)
+    return np.cbrt(t, out=t)
 
 
 def projective_lengths(phi: Polygon3) -> ProjectiveLengthReport:
@@ -201,14 +220,17 @@ def projective_lengths(phi: Polygon3) -> ProjectiveLengthReport:
         raise GeometryError("need at least 6 vertices for projective lengths")
     fr = centroaffine_frenet(phi)
     tau = fr.tau
-    d1, d2 = forward_diff(fr.rho1), forward_diff(fr.rho2)
-    start = max(d1.base, d2.base, tau.base)
-    stop1, stop2 = (min(d.base + len(d), tau.base + len(tau)) - 1 for d in (d1, d2))
+    # rho' is forward_diff's stencil of rho: from rho's first slot, on as
+    # many sides as the stencil has rows
+    (f1, ends1), (f2, ends2) = fr.rho1.stencil(0, 1), fr.rho2.stencil(0, 1)
+    start = max(f1, f2, tau.base)
+    stop1, stop2 = (min(f + len(ends[0]), tau.base + len(tau)) - 1
+                    for f, ends in ((f1, ends1), (f2, ends2)))
     if stop1 < start or stop2 < start:
         raise GeometryError("polygon too short for a nonempty summation window")
     m1, m2 = stop1 + 1 - start, stop2 + 1 - start
-    t1 = np.cbrt(d1.window(start, m1) + 2.0 * tau.window(start, m1))
-    t2 = np.cbrt(d2.window(start, m2) + 2.0 * tau.window(start, m2))
+    t1 = _cube_root_terms(ends1, start - f1, m1, tau.window(start, m1))
+    t2 = _cube_root_terms(ends2, start - f2, m2, tau.window(start, m2))
     topo = phi.topology
     return ProjectiveLengthReport(float(t1.sum()), float(t2.sum()),
                                   GridSeq(t1, Grid.SIDE, topo, start),
@@ -233,11 +255,13 @@ def table1_experiment(sizes) -> list:
         if N < 6:
             raise GeometryError(f"N = {N}: need at least 6 samples")
         h = 2.0 * np.pi / N
-        # no name for the samples: from_vertices copies them, and they are
-        # freed before the lift allocates
-        poly = PlanarProjectivePolygon.from_vertices(
-            sample_curve(ExampleSpiral(), 0.0, 2.0 * np.pi, N, GridScheme.HALF_OPEN_STEP))
-        phi = lift_representative(poly, spiral_analytic_normalization(0.0, h))
+        # no names for the samples and the planar polygon: from_vertices
+        # copies the samples, which are freed before the lift allocates, and
+        # the planar polygon is freed once its lift is built
+        phi = lift_representative(
+            PlanarProjectivePolygon.from_vertices(
+                sample_curve(ExampleSpiral(), 0.0, 2.0 * np.pi, N, GridScheme.HALF_OPEN_STEP)),
+            spiral_analytic_normalization(0.0, h))
         rep = projective_lengths(phi)
         rows.append((N, h, rep.pl1, rep.pl2))
     return rows

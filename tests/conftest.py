@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,20 @@ from evpoly.invariants import frenet
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes of the allocations traced while ``fn()`` runs.
+
+    What ``fn`` reads from outside is not counted, only what it allocates.
+    """
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_equal_volume_polygon(rng, n=12, c=1.0, closed=False):

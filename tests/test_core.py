@@ -139,6 +139,15 @@ def test_cached_arrays_are_read_only():
             cached[0, 0] = 5.0
 
 
+def test_direction_lengths_are_taken_once_and_give_the_unit_directions(rng):
+    d = rng.normal(size=(20, 3)) * 10.0 ** rng.integers(-150, 150, size=(20, 1))
+    f = FramedPolygon.build(np.cumsum(rng.normal(size=(20, 3)), axis=0), d)
+    assert f.direction_lengths.tobytes() == norm3(d).tobytes()
+    assert f.unit_directions.values.tobytes() == (d / norm3(d)[:, None]).tobytes()
+    with pytest.raises(ValueError):
+        f.direction_lengths[0] = 1.0
+
+
 def test_det2():
     assert det2([1, 0], [0, 1]) == 1.0
     assert det2([2, 1], [4, 2]) == 0.0
@@ -307,8 +316,26 @@ class TestPolygon3:
 
     def test_closed_checks_wraparound_edge(self):
         pts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 0]]
-        with pytest.raises(DegenerateVertexError):
+        with pytest.raises(DegenerateVertexError) as exc:
             Polygon3.from_points(pts, closed=True)
+        assert exc.value.index == 3
+
+    @pytest.mark.parametrize("closed, k", [(False, 1), (True, 1), (True, 3)])
+    def test_side_whose_square_underflows_is_degenerate(self, closed, k):
+        # vertices 1e-170 apart: the side is nonzero, its squared length is 0
+        pts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float)
+        pts[(k + 1) % 4] = pts[k] + [0.0, 0.0, 1e-170]
+        with pytest.raises(DegenerateVertexError) as exc:
+            Polygon3.from_points(pts, closed=closed)
+        assert exc.value.index == k
+
+    @pytest.mark.parametrize("closed", [False, True])
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_side_lengths_are_norm3_of_the_sides(self, rng, closed, scale):
+        p = Polygon3.from_points(rng.normal(size=(50, 3)) * scale, closed=closed)
+        assert p.side_lengths.tobytes() == norm3(p.sides().values).tobytes()
+        with pytest.raises(ValueError):
+            p.side_lengths[0] = 1.0
 
     def test_sides_and_diameter(self):
         p = Polygon3.from_points([[0, 0, 0], [1, 0, 0], [1, 2, 0]])

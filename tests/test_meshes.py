@@ -50,10 +50,16 @@ def test_face_planarity():
     ([[0, 1, 5]], [], "face index out of range"),
     ([[0, 1, 2]], [[0, 3]], "line index out of range"),
     ([], [[-1, 2]], "line index out of range"),
+    ([[0.9, 1.5, 2.99]], [], "face indices must be integers, not float64"),
+    ([[0, 1, 2]], [[True, False]], "line indices must be integers, not bool"),
 ], ids=["ragged-faces", "ragged-lines", "ragged-short-lines", "short-faces", "short-lines",
-        "flat-faces", "face-range", "line-range", "negative-line"])
+        "flat-faces", "face-range", "line-range", "negative-line", "fractional-faces",
+        "boolean-lines"])
 def test_bad_records_are_refused(faces, lines, fault):
-    """Ragged, short and out-of-range index records raise GeometryError, not numpy's errors."""
+    """Ragged, short, out-of-range and non-integer index records raise GeometryError.
+
+    numpy would raise its own errors on the first, and would truncate the last.
+    """
     with pytest.raises(GeometryError, match=fault):
         Mesh(np.zeros((3, 3)), faces, lines)
 
