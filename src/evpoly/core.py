@@ -301,6 +301,12 @@ def det2(u, v) -> float | np.ndarray:
     return float(r) if r.ndim == 0 else r
 
 
+def _require_two(n: int) -> None:
+    """The length a first difference needs; ``Polygon3`` checks its sides by it too."""
+    if n < 2:
+        raise GeometryError("need at least 2 entries to difference")
+
+
 def forward_diff(s: GridSeq) -> GridSeq:
     """First difference; output lives on the opposite grid.
 
@@ -309,8 +315,7 @@ def forward_diff(s: GridSeq) -> GridSeq:
     a side-grid difference lands on the vertex between the two sides
     (base shifts by one).
     """
-    if len(s.values) < 2:
-        raise GeometryError("need at least 2 entries to difference")
+    _require_two(len(s.values))
     lo, hi = (0, 1) if s.grid is Grid.VERTEX else (-1, 0)
     first, (a, b) = s.stencil(lo, hi)
     return GridSeq(b - a, s.grid.other(), s.topology, first)
@@ -319,8 +324,11 @@ def forward_diff(s: GridSeq) -> GridSeq:
 def _side_lengths(p: np.ndarray, closed: bool) -> np.ndarray:
     """``norm3`` of the sides of the vertex rows ``p``, bit for bit, one column at a time.
 
-    Squares are summed in ``norm3``'s order, (s0 + s1) + s2, in two
-    n-length buffers instead of the (n, 3) sides and their squares.
+    The sides follow ``forward_diff``'s rule for the vertex grid: side k
+    is p[k+1] - p[k], n - 1 of them when open, and when closed a last
+    side p[0] - p[n-1] wraps around.  Squares are summed in ``norm3``'s
+    order, (s0 + s1) + s2, in two n-length buffers instead of the (n, 3)
+    sides and their squares.
     """
     n = len(p)
     m = n if closed else n - 1
@@ -355,12 +363,11 @@ class Polygon3:
         if a.ndim != 2 or a.shape[1] != 3:
             raise GeometryError("polygon vertices must be 3-vectors")
         require_finite(a, "coordinate")
-        if len(a) < 2:
-            raise GeometryError("need at least 2 entries to difference")
+        _require_two(len(a))
         lengths = _side_lengths(a, self.closed)
         bad = lengths == 0.0
         if bad.any():
-            raise DegenerateVertexError(int(np.argmax(bad)))
+            raise DegenerateVertexError(v.base + int(np.argmax(bad)))
         lengths.setflags(write=False)
         object.__setattr__(self, "side_lengths", lengths)
 

@@ -148,22 +148,14 @@ def centroaffine_frenet(p: Polygon3) -> FrenetData:
     """Frenet data of an equal-volume polygon in the centro-affine setting.
 
     With xi = phi and sigma = -1 the face solves have closed forms in the
-    triple brackets of the vertices about the origin.  The two evaluations
-    of tau are one closed form, so its gap is zero on every side: one
-    read-only zero broadcast over them.
+    triple brackets of the vertices about the origin.
     """
     c = volume_constant(centroaffine_volumes(p))
     k0, (qm, q0, q1, q2) = p.vertices.stencil(-1, 0, 1, 2)
     d_a = det3(qm, q0, q2)
     d_b = det3(q2, q1, qm)
-    tau = np.add(d_a, d_b)
-    tau /= c
-    # rho1 = 3 - d_a/c and rho2 = 3 + d_b/c, each in its bracket's array
-    d_a /= c
-    rho1 = np.subtract(3.0, d_a, out=d_a)
-    d_b /= c
-    rho2 = np.add(3.0, d_b, out=d_b)
-    return _frenet_data(p.topology, k0, c, rho1, rho2, tau, np.broadcast_to(0.0, len(tau)))
+    return _frenet_data(p.topology, k0, c, 3.0 - d_a / c, 3.0 + d_b / c,
+                        (d_a + d_b) / c, np.zeros(len(d_a)))
 
 
 def lambda_from_tau(tau: GridSeq, value: float) -> GridSeq:

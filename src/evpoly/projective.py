@@ -199,14 +199,6 @@ class ProjectiveLengthReport:
     summation_range: tuple
 
 
-def _cube_root_terms(ends, j: int, m: int, tau: np.ndarray) -> np.ndarray:
-    """cbrt(rho' + 2 tau) on m sides, written into the fresh rho' = hi - lo from entry j."""
-    lo, hi = ends
-    t = np.subtract(hi[j:j + m], lo[j:j + m])
-    np.add(t, 2.0 * tau, out=t)
-    return np.cbrt(t, out=t)
-
-
 def projective_lengths(phi: Polygon3) -> ProjectiveLengthReport:
     """Both discrete projective-length sums of an equal-volume polygon.
 
@@ -220,17 +212,14 @@ def projective_lengths(phi: Polygon3) -> ProjectiveLengthReport:
         raise GeometryError("need at least 6 vertices for projective lengths")
     fr = centroaffine_frenet(phi)
     tau = fr.tau
-    # rho' is forward_diff's stencil of rho: from rho's first slot, on as
-    # many sides as the stencil has rows
-    (f1, ends1), (f2, ends2) = fr.rho1.stencil(0, 1), fr.rho2.stencil(0, 1)
-    start = max(f1, f2, tau.base)
-    stop1, stop2 = (min(f + len(ends[0]), tau.base + len(tau)) - 1
-                    for f, ends in ((f1, ends1), (f2, ends2)))
+    d1, d2 = forward_diff(fr.rho1), forward_diff(fr.rho2)
+    start = max(d1.base, d2.base, tau.base)
+    stop1, stop2 = (min(d.base + len(d), tau.base + len(tau)) - 1 for d in (d1, d2))
     if stop1 < start or stop2 < start:
         raise GeometryError("polygon too short for a nonempty summation window")
     m1, m2 = stop1 + 1 - start, stop2 + 1 - start
-    t1 = _cube_root_terms(ends1, start - f1, m1, tau.window(start, m1))
-    t2 = _cube_root_terms(ends2, start - f2, m2, tau.window(start, m2))
+    t1 = np.cbrt(d1.window(start, m1) + 2.0 * tau.window(start, m1))
+    t2 = np.cbrt(d2.window(start, m2) + 2.0 * tau.window(start, m2))
     topo = phi.topology
     return ProjectiveLengthReport(float(t1.sum()), float(t2.sum()),
                                   GridSeq(t1, Grid.SIDE, topo, start),

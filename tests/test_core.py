@@ -320,6 +320,13 @@ class TestPolygon3:
             Polygon3.from_points(pts, closed=True)
         assert exc.value.index == 3
 
+    def test_degenerate_index_counts_from_the_base(self):
+        # an open run of vertices from slot 5: the repeated vertex is slot 7
+        pts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 0], [0, 1, 0]], float)
+        with pytest.raises(DegenerateVertexError) as exc:
+            Polygon3(GridSeq(pts, Grid.VERTEX, Topology.OPEN, 5))
+        assert exc.value.index == 7
+
     @pytest.mark.parametrize("closed, k", [(False, 1), (True, 1), (True, 3)])
     def test_side_whose_square_underflows_is_degenerate(self, closed, k):
         # vertices 1e-170 apart: the side is nonzero, its squared length is 0

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology, det3, forward_diff
+from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology, det3
 from evpoly.constructions import Ellipse, ExampleSpiral, GridScheme, sample_curve
-from evpoly import equal_volume, projective
+from evpoly import projective
 from evpoly.equal_volume import NotEqualVolumeError, centroaffine_volumes
-from evpoly.invariants import centroaffine_frenet
 from evpoly.projective import (
     LIFT_COORD_MAX,
     SPIRAL_SMOOTH_LENGTH,
@@ -298,10 +297,10 @@ class TestDefaultNormalization:
         assert (exc.value.index, exc.value.value) == (int(np.argmin(vols)) + 1, float(vols.min()))
 
 
-# The projective chain at N = 10^5.  The planar samples, b and the lift
-# come to 48 bytes per vertex, 4.8 MB; before the lift and its polygon
-# built each derived array once, table1 peaked at 13.8 MB, the lift alone
-# at 11.4 MB and the whole chain past the volume gate at 14.4 MB.
+# The projective chain at N = 10^5, up to the volume gate.  The planar
+# samples, b and the lift come to 48 bytes per vertex, 4.8 MB; before the
+# lift and its polygon built each derived array once, table1 peaked at
+# 13.8 MB and the lift alone at 11.4 MB.
 N_LARGE = 10**5
 
 
@@ -318,10 +317,6 @@ class TestTracedMemory:
         norm = spiral_analytic_normalization(0.0, 2 * np.pi / N_LARGE)
         assert traced_peak(lambda: lift_representative(poly, norm)) <= 5.5e6
 
-    def test_whole_chain_past_the_volume_gate(self, monkeypatch):
-        monkeypatch.setattr(equal_volume, "EQUAL_VOLUME_TOL", 1.0)
-        assert traced_peak(lambda: table1_experiment([N_LARGE])) <= 10.0e6
-
     def test_lift_does_not_build_its_sides(self):
         n = 100
         phi = lift_representative(spiral_poly(n), spiral_analytic_normalization(0.0, 2 * np.pi / n))
@@ -330,24 +325,6 @@ class TestTracedMemory:
 
 
 class TestProjectiveLengths:
-    @pytest.mark.parametrize("closed", [False, True])
-    def test_terms_are_those_of_the_forward_differences(self, monkeypatch, closed):
-        # reference: the terms from forward_diff's GridSeqs, bit for bit; the
-        # spiral's lift closed into a loop is not equal-volume, so the gate is lifted
-        monkeypatch.setattr(equal_volume, "EQUAL_VOLUME_TOL", np.inf)
-        n = 40
-        phi = lift_representative(spiral_poly(n), spiral_analytic_normalization(0.0, 2 * np.pi / n))
-        if closed:
-            phi = Polygon3.from_points(phi.points, closed=True)
-        rep = projective_lengths(phi)
-        fr = centroaffine_frenet(phi)
-        (start, stop1), m2 = rep.summation_range, len(rep.per_side_terms2)
-        for d, terms, m in ((forward_diff(fr.rho1), rep.per_side_terms1, stop1 + 1 - start),
-                            (forward_diff(fr.rho2), rep.per_side_terms2, m2)):
-            want = np.cbrt(d.window(start, m) + 2.0 * fr.tau.window(start, m))
-            assert terms.values.tobytes() == want.tobytes()
-            assert terms.base == start and terms.topology is phi.topology
-
     def test_table1_values(self):
         rows = {n: (p1, p2) for n, _, p1, p2 in table1_experiment([10, 100, 1000])}
         assert rows[10][0] == pytest.approx(4.26627, abs=1e-5)
