@@ -143,8 +143,8 @@ def cmd_analyze(args) -> int:
               f"EQUAL_VOLUME_TOL = {exc.threshold:.0e}; Frenet data skipped "
               f"({remedy})", file=sys.stderr)
     else:
-        fd = focal_data(df, fr)
-        fc = classify_focal(df, fd)
+        fd = focal_data(df)
+        fc = classify_focal(fd)
         report.update({
             "rho1": _seq_payload(fr.rho1),
             "rho2": _seq_payload(fr.rho2),
@@ -212,8 +212,7 @@ def cmd_developable(args) -> int:
 
 def cmd_focal(args) -> int:
     framed, _ = _load_framed(args)
-    df = parallel_darboux(framed)
-    fd = focal_data(df, frenet(df))
+    fd = focal_data(parallel_darboux(framed))
     focal_set_mesh(fd).write_obj(args.obj)
     skipped = fd.Q.slots[fd.lineless()].tolist()
     if skipped:

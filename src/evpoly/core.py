@@ -321,23 +321,18 @@ def forward_diff(s: GridSeq) -> GridSeq:
     return GridSeq(b - a, s.grid.other(), s.topology, first)
 
 
-def _side_lengths(p: np.ndarray, closed: bool) -> np.ndarray:
-    """``norm3`` of the sides of the vertex rows ``p``, bit for bit, one column at a time.
+def _side_lengths(v: GridSeq) -> np.ndarray:
+    """``norm3`` of the sides of the vertices ``v``, bit for bit, one column at a time.
 
-    The sides follow ``forward_diff``'s rule for the vertex grid: side k
-    is p[k+1] - p[k], n - 1 of them when open, and when closed a last
-    side p[0] - p[n-1] wraps around.  Squares are summed in ``norm3``'s
-    order, (s0 + s1) + s2, in two n-length buffers instead of the (n, 3)
-    sides and their squares.
+    The sides are ``forward_diff``'s, from the stencil ``v.stencil(0, 1)``.
+    Squares are summed in ``norm3``'s order, (s0 + s1) + s2, in two
+    buffers of one entry per side instead of the (m, 3) sides and their
+    squares; an open stencil is a pair of views.
     """
-    n = len(p)
-    m = n if closed else n - 1
-    s, d = np.empty(m), np.empty(m)
+    _, (p0, p1) = v.stencil(0, 1)
+    s, d = np.empty(len(p0)), np.empty(len(p0))
     for c, buf in ((0, s), (1, d), (2, d)):
-        x = p[:, c]
-        np.subtract(x[1:], x[:-1], out=buf[:n - 1])
-        if closed:
-            buf[n - 1] = x[0] - x[-1]
+        np.subtract(p1[:, c], p0[:, c], out=buf)
         np.multiply(buf, buf, out=buf)
         if c:
             np.add(s, buf, out=s)
@@ -364,7 +359,7 @@ class Polygon3:
             raise GeometryError("polygon vertices must be 3-vectors")
         require_finite(a, "coordinate")
         _require_two(len(a))
-        lengths = _side_lengths(a, self.closed)
+        lengths = _side_lengths(v)
         bad = lengths == 0.0
         if bad.any():
             raise DegenerateVertexError(v.base + int(np.argmax(bad)))

@@ -147,8 +147,9 @@ def once_per_field(evaluate):
     """Evaluate ``evaluate(df)`` once per Darboux field.
 
     The field is frozen, so the result is kept on it and a later call
-    returns that same object.  ``analyze`` reads the Darboux volumes and
-    the osculating points in two places each and pays for them once.
+    returns that same object.  ``analyze`` reads the Darboux volumes, the
+    osculating points and the Frenet data in two places each and pays
+    for them once.
     """
     @functools.wraps(evaluate)
     def memo(df):
@@ -314,7 +315,7 @@ def classify_osculating(df: DarbouxField) -> OsculatingClass:
     med = median(size)
     spread = float(sigma.max() - sigma.min())
 
-    if med > 0 and spread / med <= CLASSIFY_TOL and (size > CLASSIFY_TOL * med).all():
+    if med > 0 and spread / med <= CLASSIFY_TOL:
         apex = row_mean(osculating_points(df).values)
         return OsculatingClass(SurfaceKind.CONE, apex)
 

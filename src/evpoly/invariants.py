@@ -42,7 +42,7 @@ from .core import (
     meeting_points,
     norm3,
 )
-from .darboux import DarbouxField, osculating_points
+from .darboux import DarbouxField, once_per_field, osculating_points
 from .equal_volume import centroaffine_volumes, darboux_volumes, volume_constant
 from .meshes import Mesh
 
@@ -111,6 +111,7 @@ def _frenet_data(topo: Topology, first: int, c: float, rho1, rho2, tau,
     )
 
 
+@once_per_field
 def frenet(df: DarbouxField) -> FrenetData:
     """Frenet coefficient sequences of the field's equal-volume framed polygon.
 
@@ -119,6 +120,7 @@ def frenet(df: DarbouxField) -> FrenetData:
     Both decompositions of each third difference go through
     ``core.face_solve``; the two tau values they give must agree
     (``core.agreed``) to ``TAU_AGREEMENT_TOL`` times max(1, |tau_a|).
+    The data are solved once per field.
     """
     f = df.frame
     c = volume_constant(darboux_volumes(df))
@@ -198,8 +200,8 @@ class FocalSetData:
         return np.isnan(o_rows[:, 0]) & np.isnan(self.Q.values[:, 0])
 
 
-def focal_data(df: DarbouxField, fr: FrenetData, gauge: float = 0.0) -> FocalSetData:
-    """mu per side and the points O and Q, via the gauge field and the normals.
+def focal_data(df: DarbouxField, gauge: float = 0.0) -> FocalSetData:
+    """mu per side and the points O and Q, from ``frenet(df)``, the gauge field and the normals.
 
     ``gauge`` is lambda's value at the first vertex of tau's window, the
     one constant that the anti-difference leaves free.  Per side the
@@ -209,14 +211,15 @@ def focal_data(df: DarbouxField, fr: FrenetData, gauge: float = 0.0) -> FocalSet
     ``core.agreed`` to ``FOCAL_AGREEMENT_TOL``: mu against max(1,
     |mu_a|), Q through ``core.meeting_points``.
     """
+    fr = frenet(df)
     f = df.frame
     P = f.polygon.vertices
     lam = lambda_from_tau(fr.tau, gauge)
 
-    # eta(i) = phi''(i) + lambda(i) xi(i) on the gauge window
-    lo, m = lam.base, len(lam)
-    pp = P.window(lo + 1, m) - 2 * P.window(lo, m) + P.window(lo - 1, m)
-    eta = GridSeq(pp + lam.values[:, None] * df.xi.window(lo, m),
+    # eta(i) = phi''(i) + lambda(i) xi(i) on the gauge window, the interior
+    # vertices; phi'' differences the sides that frenet's d3 is nested on
+    lo, (em, e0) = f.polygon.sides().stencil(-1, 0)
+    eta = GridSeq((e0 - em) + lam.values[:, None] * df.xi.window(lo, len(lam)),
                   Grid.VERTEX, lam.topology, lo)
 
     # mu per side, from both end expansions
@@ -312,9 +315,9 @@ def _rel_spread(x: np.ndarray) -> float:
     return float((x.max() - x.min()) / med)
 
 
-def classify_focal(df: DarbouxField, fd: FocalSetData) -> FocalClass:
+def classify_focal(fd: FocalSetData) -> FocalClass:
     """Single-line focal set iff both sigma and mu have constant sign pattern."""
-    s_spread = _rel_spread(df.sigma.window(fd.mu.base, len(fd.mu)))
+    s_spread = _rel_spread(fd.field.sigma.window(fd.mu.base, len(fd.mu)))
     m_spread = _rel_spread(fd.mu.values)
     single = s_spread <= FOCAL_CLASSIFY_TOL and m_spread <= FOCAL_CLASSIFY_TOL
     return FocalClass(FocalKind.SINGLE_LINE if single else FocalKind.GENERAL, s_spread, m_spread)

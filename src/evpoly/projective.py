@@ -108,18 +108,11 @@ class LiftNormalization:
 
 
 def default_normalization(poly: PlanarProjectivePolygon) -> LiftNormalization:
-    """Unit seeds with c the geometric mean of the raw triple volumes.
+    """Unit seeds with c the geometric mean of the convexity determinants b.
 
-    The volume of the (x, y, 1) triples is ``det3``'s expansion with each
-    product by 1 written out, which is exact, so it rounds as ``det3`` of
-    those rows does without building them.
+    ``b_sequence`` has already refused any b <= 0, so every logarithm is finite.
     """
-    x, y = poly.vertices.values.T
-    x0, x1, x2, y0, y1, y2 = x[:-2], x[1:-1], x[2:], y[:-2], y[1:-1], y[2:]
-    vols = x0 * (y1 - y2) - y0 * (x1 - x2) + (x1 * y2 - y1 * x2)
-    if np.any(vols <= 0):
-        raise InflectionError(int(np.argmin(vols)) + 1, float(vols.min()))
-    c = float(np.exp(np.mean(np.log(vols))))
+    c = float(np.exp(np.mean(np.log(poly.b.values))))
     return LiftNormalization(1.0, 1.0, c, "unit-seed")
 
 

@@ -179,10 +179,9 @@ def test_criterion_5_single_line_focal(rng):
         phi = silhouette_lift(G, P)
         f = FramedPolygon.silhouette(phi.points, closed=False)
         df = parallel_darboux(f)
-        fr = frenet(df)
-        fd0 = focal_data(df, fr, gauge=0.0)
-        fd1 = focal_data(df, fr, gauge=1.3)
-        fc = classify_focal(df, fd0)
+        fd0 = focal_data(df, gauge=0.0)
+        fd1 = focal_data(df, gauge=1.3)
+        fc = classify_focal(fd0)
         ok = ok and fc.kind is FocalKind.SINGLE_LINE and fc.mu_spread <= 1e-9
         for o0, d0, o1, d1 in zip(*focal_lines(fd0), *focal_lines(fd1)):
             ok = ok and np.linalg.norm(np.cross(d0, d1)) <= 1e-9
@@ -257,7 +256,7 @@ def test_criterion_8_planar_reduction(rng):
         ok = ok and np.abs(fr.tau.values).max() <= 1e-12
 
         # the focal lines pierce the polygon's plane in the affine evolute
-        fd = focal_data(df, fr, gauge=0.0)
+        fd = focal_data(df, gauge=0.0)
         _, evolute = affine_curvature(G)
         evolute = np.column_stack([evolute, np.zeros(len(evolute))])
         hits = []

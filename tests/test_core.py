@@ -25,7 +25,7 @@ from evpoly.core import (
 )
 from evpoly import core, darboux, invariants, projective
 from evpoly.darboux import FramedPolygon, osculating_developable, parallel_darboux, validate_frame
-from evpoly.invariants import focal_data, focal_set_mesh, frenet, lambda_from_tau
+from evpoly.invariants import focal_data, focal_set_mesh, lambda_from_tau
 from evpoly.projective import PlanarProjectivePolygon
 
 vec3 = arrays(np.float64, 3, elements=st.floats(-100, 100))
@@ -421,8 +421,7 @@ FRAMED_ARC = FramedPolygon.silhouette(ARC)
 
 
 def arc_focal_data():
-    df = parallel_darboux(FRAMED_ARC)
-    return focal_data(df, frenet(df))
+    return focal_data(parallel_darboux(FRAMED_ARC))
 
 
 # each call passes a parameter that the function no longer takes: a frame

@@ -10,6 +10,7 @@ from conftest import (
     silhouette_lift,
 )
 
+from evpoly import invariants
 from evpoly.core import Grid, GridSeq, Polygon3, Topology
 from evpoly.constructions import ExampleSpiralRepresentative, sample_curve
 from evpoly.darboux import FramedPolygon, parallel_darboux
@@ -156,28 +157,41 @@ class TestLambdaGauge:
         phi = silhouette_lift(regular_equal_area(n), [0.2, -0.1])
         df, fr = silhouette_pipeline(phi.points, closed=True)
         assert np.abs(fr.tau.values).sum() <= 1e-10
-        fd = focal_data(df, fr)
+        fd = focal_data(df)
         assert fd.mu.topology is Topology.CLOSED and len(fd.mu) == n
 
 
 class TestFocalSet:
+    def test_focal_data_reads_the_fields_frenet_data(self, rng, monkeypatch):
+        df, fr = silhouette_pipeline(random_equal_volume_polygon(rng, 12).points)
+        gauged = []
+
+        def spy(tau, value):
+            gauged.append(tau)
+            return lambda_from_tau(tau, value)
+
+        monkeypatch.setattr(invariants, "lambda_from_tau", spy)
+        mu = focal_data(df).mu
+        assert len(gauged) == 1 and gauged[0] is fr.tau
+        assert (mu.base, len(mu)) == (fr.tau.base, len(fr.tau))
+
     def test_single_line_for_silhouette_lift(self, rng):
         for _ in range(10):
             G = random_equal_area(12, rng)
             P = rng.normal(size=2) * 0.3
             phi = silhouette_lift(G, P)
-            df, fr = silhouette_pipeline(phi.points)
-            fd = focal_data(df, fr)
-            fc = classify_focal(df, fd)
+            df, _ = silhouette_pipeline(phi.points)
+            fd = focal_data(df)
+            fc = classify_focal(fd)
             assert fc.kind is FocalKind.SINGLE_LINE
             assert fc.mu_spread <= 1e-9
 
     def test_focal_lines_are_gauge_invariant(self, rng):
         G = random_equal_area(12, rng)
         phi = silhouette_lift(G, [0.2, -0.1])
-        df, fr = silhouette_pipeline(phi.points)
-        fd0 = focal_data(df, fr, gauge=0.0)
-        fd1 = focal_data(df, fr, gauge=3.7)
+        df, _ = silhouette_pipeline(phi.points)
+        fd0 = focal_data(df, gauge=0.0)
+        fd1 = focal_data(df, gauge=3.7)
         for o0, d0, o1, d1 in zip(*focal_lines(fd0), *focal_lines(fd1)):
             # same line: both anchor points and both directions colinear
             assert np.linalg.norm(np.cross(d0, d1)) <= 1e-9
@@ -187,7 +201,7 @@ class TestFocalSet:
         G = random_equal_area(14, rng)
         phi = silhouette_lift(G, [0.1, 0.3])
         df, fr = silhouette_pipeline(phi.points)
-        fd = focal_data(df, fr)
+        fd = focal_data(df)
         # mu'(i) = rho1'(i+1/2) - sigma tau(i+1/2) and its rho2 twin, with
         # sigma constant (-1 on a silhouette) and mu' at a vertex the
         # difference of mu over its two sides
@@ -206,14 +220,14 @@ class TestFocalSet:
 
     def test_generic_polygon_is_not_single_line(self, rng):
         p = random_equal_volume_polygon(rng, 12)
-        df, fr = silhouette_pipeline(p.points)
-        fd = focal_data(df, fr)
-        assert classify_focal(df, fd).kind is FocalKind.GENERAL
+        df, _ = silhouette_pipeline(p.points)
+        fd = focal_data(df)
+        assert classify_focal(fd).kind is FocalKind.GENERAL
 
     def test_mesh_faces_are_planar(self, rng):
         p = random_equal_volume_polygon(rng, 12)
-        df, fr = silhouette_pipeline(p.points)
-        fd = focal_data(df, fr)
+        df, _ = silhouette_pipeline(p.points)
+        fd = focal_data(df)
         mesh = focal_set_mesh(fd)
         assert len(mesh.faces)
         scale = np.abs(mesh.vertices).max()
@@ -233,8 +247,8 @@ class TestFocalSet:
         pts = random_equal_volume_polygon(np.random.default_rng(seed), 20).points
         meshes = {}
         for s in (1.0, 1e-3, 1e-6):
-            df, fr = silhouette_pipeline(s * pts)
-            meshes[s] = focal_set_mesh(focal_data(df, fr))
+            df, _ = silhouette_pipeline(s * pts)
+            meshes[s] = focal_set_mesh(focal_data(df))
         base = meshes[1.0].vertices
         for s in (1e-3, 1e-6):
             assert np.array_equal(meshes[s].faces, meshes[1.0].faces)
@@ -265,7 +279,7 @@ class TestPlanarReduction:
 
     def test_evolute_of_regular_gon_is_center(self):
         # the focal lines pierce the polygon's plane in its affine evolute
-        _, df, fr = prism_pipeline(regular_equal_area(9))
-        fd = focal_data(df, fr, gauge=0.0)
+        _, df, _ = prism_pipeline(regular_equal_area(9))
+        fd = focal_data(df, gauge=0.0)
         hits = [o - (o[2] / d[2]) * d for o, d in zip(*focal_lines(fd))]
         assert np.abs(hits).max() <= 1e-10

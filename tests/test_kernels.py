@@ -283,6 +283,33 @@ def test_frenet_third_differences_match_long_double(n, monkeypatch):
     assert np.abs(expanded - ref).max() > 1e-10 * scale  # the fixture tells the forms apart
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="np.longdouble is float64 here, no more precise than the code")
+def test_eta_second_differences_match_long_double(monkeypatch):
+    """The phi'' in eta = phi'' + lambda xi, against the vertices
+    differenced in long double, relative to max |phi''|, at N = 10^4.
+
+    As the difference of the sides it is good to 2.5e-15 here; the
+    expanded p(i+1) - 2 p(i) + p(i-1) missed by 3.0e-12.
+    """
+    phi = sample_curve(ExampleSpiralRepresentative(), 0.0, 2 * np.pi, 10_000)
+    df = parallel_darboux(FramedPolygon.silhouette(phi.points))
+    gauges = []
+
+    def spy(tau, value):
+        gauges.append(lambda_from_tau(tau, value))
+        return gauges[-1]
+
+    monkeypatch.setattr(invariants, "lambda_from_tau", spy)
+    eta = focal_data(df).eta
+    (lam,) = gauges
+    pp = eta.values - lam.values[:, None] * df.xi.window(lam.base, len(lam))
+    e = np.diff(df.frame.polygon.points.astype(np.longdouble), axis=0)
+    ref = e[1:] - e[:-1]
+    assert eta.base == 1 and pp.shape == ref.shape
+    assert np.abs(pp - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 # ---------------------------------------------------------------- one stencil for both topologies
 
 
@@ -462,15 +489,11 @@ def test_validate_frame_on_a_two_vertex_polygon():
     assert (rep.bad_sides, rep.bad_vertices) == ([], [1])
 
 
-def reference_focal_lines(f, df, fr, fd, gauge):
+def reference_focal_lines(fd):
     """Per side an (origin, direction) tuple of row views, None where O and Q
-    are both at infinity, built from the same O, Q and mu."""
-    P = f.polygon.vertices
-    lam = lambda_from_tau(fr.tau, gauge)
-    lo, m = lam.base, len(lam)
-    pp = P.window(lo + 1, m) - 2 * P.window(lo, m) + P.window(lo - 1, m)
-    eta = GridSeq(pp + lam.values[:, None] * df.xi.window(lo, m), Grid.VERTEX, lam.topology, lo)
-    k0, m = fr.tau.base, len(fr.tau)
+    are both at infinity, built from the same O, Q, mu and eta."""
+    df, eta = fd.field, fd.eta
+    k0, m = fd.Q.base, len(fd.Q)
     O, q_pts = fd.O.window(k0, m), fd.Q.values
     o_inf = np.isnan(O[:, 0])
     with np.errstate(divide="ignore"):
@@ -527,17 +550,15 @@ def focal_fixture(kind, seed):
         f = FramedPolygon.build(pts, np.tile([0.0, 0.0, 1.0], (len(pts), 1)))
     else:
         f = parabola_prism(rng.choice([1, 2, 2, 3], size=10 + seed))
-    df = parallel_darboux(f)
-    return f, df, frenet(df)
+    return f, parallel_darboux(f)
 
 
 @pytest.mark.parametrize("kind", ["single_line", "general", "closed", "prism", "parabola"])
 @pytest.mark.parametrize("seed", range(3))
 def test_focal_line_arrays_match_the_list_of_tuples(kind, seed):
-    f, df, fr = focal_fixture(kind, seed)
-    gauge = 0.7 * seed
-    fd = focal_data(df, fr, gauge)
-    lines = reference_focal_lines(f, df, fr, fd, gauge)
+    f, df = focal_fixture(kind, seed)
+    fd = focal_data(df, 0.7 * seed)
+    lines = reference_focal_lines(fd)
     origins, directions = focal_lines(fd)
     assert origins.shape == directions.shape == (len(lines), 3)
     for j, line in enumerate(lines):
@@ -698,26 +719,29 @@ def test_support_line_gap_names_side(pipeline):
         osculating_points(bad)
 
 
-def test_mu_gap_names_side(pipeline):
+def test_mu_gap_names_side(pipeline, monkeypatch):
     df, fr = pipeline
     rho2 = fr.rho2.values.copy()
     rho2[fr.rho2.slots == 4] += 1e-3
+    moved = dataclasses.replace(fr, rho2=fr.rho2.with_values(rho2))
+    monkeypatch.setattr(invariants, "frenet", lambda _: moved)
     with pytest.raises(GeometryError, match=r"^side 4: the two mu evaluations"):
-        focal_data(df, dataclasses.replace(fr, rho2=fr.rho2.with_values(rho2)))
+        focal_data(df)
 
 
-def test_q_gap_names_side(pipeline):
+def test_q_gap_names_side(pipeline, monkeypatch):
     # shifting rho2(k) and rho1(k+1) together moves mu(k) without a mu gap
     df, fr = pipeline
-    mu = focal_data(df, fr).mu
+    mu = focal_data(df).mu
     shift = 0.1 * abs(mu.at(3))
     rho1, rho2 = fr.rho1.values.copy(), fr.rho2.values.copy()
     rho1[fr.rho1.slots == 4] += shift
     rho2[fr.rho2.slots == 3] += shift
     moved = dataclasses.replace(fr, rho1=fr.rho1.with_values(rho1),
                                 rho2=fr.rho2.with_values(rho2))
+    monkeypatch.setattr(invariants, "frenet", lambda _: moved)
     with pytest.raises(GeometryError, match=r"^side 3: the two Q evaluations"):
-        focal_data(df, moved)
+        focal_data(df)
 
 
 # ---------------------------------------------------------------- loop guard
@@ -842,9 +866,17 @@ def test_memo_keeps_each_result_on_its_field(rng):
     assert darboux_volumes(parallel_darboux(f)) is not darboux_volumes(df)
 
 
+def test_memo_keeps_the_frenet_data_on_their_field(rng):
+    # the cone fixture is not equal-volume, so the Frenet data need their own polygon
+    f = FramedPolygon.silhouette(random_equal_volume_polygon(rng, 12).points)
+    df = parallel_darboux(f)
+    assert frenet(df) is frenet(df)
+    assert frenet(parallel_darboux(f)) is not frenet(df)
+
+
 def test_analyze_evaluates_each_field_memo_once(rng, tmp_path, monkeypatch):
-    """On a cone ``analyze`` reads the Darboux volumes and the osculating points
-    twice each, and each kernel body runs once."""
+    """On a cone ``analyze`` reads the Darboux volumes, the osculating points
+    and the Frenet data twice each, and each kernel body runs once."""
     src, out = tmp_path / "cone.json", tmp_path / "report.json"
     write_document(PolygonDocument.from_polygon(random_equal_volume_polygon(rng, 40)), src)
     evaluated = []
@@ -857,8 +889,9 @@ def test_analyze_evaluates_each_field_memo_once(rng, tmp_path, monkeypatch):
 
     replace_everywhere(monkeypatch, darboux_volumes, counted(darboux_volumes.__wrapped__))
     replace_everywhere(monkeypatch, osculating_points, counted(osculating_points.__wrapped__))
+    replace_everywhere(monkeypatch, frenet, counted(frenet.__wrapped__))
 
     assert cli.main(["analyze", str(src), "--origin", "0,0,0", "--json", str(out)]) == 0
     report = out.read_text()
     assert '"rho1"' in report and '"classification": "cone"' in report
-    assert sorted(evaluated) == ["darboux_volumes", "osculating_points"]
+    assert sorted(evaluated) == ["darboux_volumes", "frenet", "osculating_points"]

@@ -7,7 +7,7 @@ from conftest import face_planarity, random_equal_volume_polygon, random_generic
 
 from evpoly.core import GeometryError, Grid, GridSeq, Topology
 from evpoly.darboux import FramedPolygon, osculating_developable, parallel_darboux
-from evpoly.invariants import focal_data, focal_set_mesh, frenet
+from evpoly.invariants import focal_data, focal_set_mesh
 from evpoly.meshes import Mesh
 
 
@@ -135,9 +135,7 @@ def test_developable_obj_matches_per_record_formatting(tmp_path, rng, closed):
 @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
 def test_focal_set_obj_matches_per_record_formatting(tmp_path, rng, closed):
     p = random_equal_volume_polygon(rng, 12)
-    f = FramedPolygon.silhouette(p.points)
-    df = parallel_darboux(f)
-    fd = focal_data(df, frenet(df))
+    fd = focal_data(parallel_darboux(FramedPolygon.silhouette(p.points)))
     if closed:
         # a closed polygon whose focal set exists needs sum tau = 0; the
         # same lines on the closed topology add the face that wraps around

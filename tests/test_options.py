@@ -21,6 +21,10 @@ only through ``SHARED_MEMBERS``, which names the reader of each class's
 member.  Every census fails in both directions: on a new unread name and
 on a pin that is no longer needed.
 
+No public function or method takes more than one parameter annotated
+``DarbouxField``, ``FrenetData`` or ``FocalSetData``: a stage takes the
+field or one datum derived from it and reads the rest from there.
+
 The texts are checked too.  Each dotted name in them that starts with an
 evpoly module or public class must resolve; in a member entry, each such
 function must read the member.  Each test or benchmark file a text names
@@ -120,7 +124,7 @@ SHARED_MEMBERS = {
     "meshes.Mesh.vertices":
         "the face_planarity oracle in tests/conftest.py, tests/test_meshes.py, tests/test_darboux.py",
     "projective.PlanarProjectivePolygon.vertices":
-        "projective.default_normalization and lift_representative, perfbench/spans.py",
+        "projective.lift_representative, perfbench/spans.py",
 }
 
 # tolerances that were keyword options, kept as module constants
@@ -384,6 +388,32 @@ def test_benchmark_tracer_names_resolve():
                 if owner is None or attr not in vars(owner):
                     missing.append(f"{mod}.{qual}")
     assert missing == []
+
+
+# a Darboux field and the data derived from it; taking one of them alone,
+# a stage cannot be handed a mismatched pair
+FIELD_TYPES = {"DarbouxField", "FrenetData", "FocalSetData"}
+
+
+def takes_matched_pair(fn) -> bool:
+    """True if ``fn`` takes more than one parameter annotated with a ``FIELD_TYPES`` name."""
+    return sum(getattr(p.annotation, "__name__", p.annotation) in FIELD_TYPES
+               for p in inspect.signature(fn).parameters.values()) > 1
+
+
+def test_no_function_takes_a_field_with_its_derived_data():
+    pairs = [f"{info.name}.{qual}" for info in pkgutil.iter_modules(evpoly.__path__)
+             for qual, fn in _callables(importlib.import_module(f"evpoly.{info.name}"))
+             if takes_matched_pair(fn)]
+    assert pairs == [], "take the field or one datum alone and read the rest from it"
+
+
+def test_matched_pairs_are_caught():
+    def classify(df: "DarbouxField", fd: "FocalSetData"): ...
+
+    def focal(df: invariants.DarbouxField, gauge: float = 0.0): ...
+
+    assert takes_matched_pair(classify) and not takes_matched_pair(focal)
 
 
 def test_every_defaulted_parameter_has_a_caller():

@@ -271,30 +271,23 @@ class TestLift:
                 lift_representative(poly, LiftNormalization(a1, 1.0, 1.0, "test-seed"))
 
 
-def raw_volumes(pts):
-    """Reference: ``det3`` of the consecutive (x, y, 1) rows."""
-    raw = np.column_stack([pts, np.ones(len(pts))])
-    return det3(raw[:-2], raw[1:-1], raw[2:])
-
-
 class TestDefaultNormalization:
     @pytest.mark.parametrize("build, n", [(ellipse_arc_poly, 10), (ellipse_arc_poly, 10**4),
                                           (spiral_poly, 100), (spiral_poly, 10**5)])
-    def test_c_is_that_of_det3_of_the_unit_plane_rows(self, build, n):
+    def test_c_is_the_geometric_mean_of_b(self, build, n):
         poly = build(n)
-        vols = raw_volumes(poly.vertices.values)
-        assert default_normalization(poly).c == float(np.exp(np.mean(np.log(vols))))
+        assert default_normalization(poly).c == float(np.exp(np.mean(np.log(poly.b.values))))
 
     @pytest.mark.parametrize("scale", [1e-100, 1e-10, 1.0, 1e10, 1e100])
-    def test_inflection_is_that_of_det3_of_the_unit_plane_rows(self, rng, scale):
+    def test_inflection_is_refused_where_b_is_built(self, rng, scale):
+        # default_normalization reads b alone, so the polygon must refuse a b <= 0
         pts = rng.normal(size=(1000, 2)) * scale
-        vols = raw_volumes(pts)
-        # b is not read: the volumes are taken from the vertices alone
-        poly = PlanarProjectivePolygon(GridSeq(pts, Grid.VERTEX),
-                                       GridSeq(np.ones(998), Grid.VERTEX, Topology.OPEN, 1))
+        e = np.diff(pts, axis=0)
+        b = e[:-1, 0] * e[1:, 1] - e[:-1, 1] * e[1:, 0]
+        j = int(np.argmax(b <= 0.0))
         with pytest.raises(InflectionError) as exc:
-            default_normalization(poly)
-        assert (exc.value.index, exc.value.value) == (int(np.argmin(vols)) + 1, float(vols.min()))
+            PlanarProjectivePolygon.from_vertices(pts)
+        assert (exc.value.index, exc.value.value) == (j + 1, float(b[j]))
 
 
 # The projective chain at N = 10^5, up to the volume gate.  The planar
