@@ -150,8 +150,6 @@ def cmd_analyze(args) -> int:
             "rho2": _seq_payload(fr.rho2),
             "tau": _seq_payload(fr.tau),
             "mu": _seq_payload(fd.mu),
-            "compatibility_residual_max": float(fr.compatibility_residual(df.sigma).max()),
-            "tau_agreement_gap_max": float(fr.tau_gap.values.max()),
             "focal": fc.kind.value,
             "focal_sigma_spread": fc.sigma_spread,
             "focal_mu_spread": fc.mu_spread,

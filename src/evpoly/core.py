@@ -29,7 +29,6 @@ __all__ = [
     "Polygon3",
     "GeometryError",
     "DegenerateVertexError",
-    "agreed",
     "cross3",
     "det2",
     "det3",
@@ -131,10 +130,14 @@ class GridSeq:
     def window(self, start: int, count: int) -> np.ndarray:
         """Values at slots ``start .. start+count-1`` (mod N when closed).
 
-        Open sequences return a read-only view of ``values``.
+        A read-only view of ``values``, except for a closed window that
+        wraps past the last slot, which is a new array.
         """
         j = start - self.base
         if self.topology is Topology.CLOSED:
+            j %= len(self.values)
+            if j + count <= len(self.values):
+                return self.values[j:j + count]
             return np.roll(self.values, -j, axis=0)[:count]
         if not 0 <= j <= j + count <= len(self.values):
             raise IndexError(f"slots [{start}, {start + count}) outside "
@@ -254,41 +257,29 @@ def face_solve(v, a, b, n) -> tuple[np.ndarray, np.ndarray]:
         return det3(v, b, n) / nn, det3(a, v, n) / nn
 
 
-def agreed(a, b, scale, tol, what: str, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint and gap of two evaluations of one quantity per side.
-
-    The gap is |a - b|, the row length for points.  Row k must have a gap
-    of at most ``tol * scale[k]``; the first that does not raises a
-    GeometryError naming side ``first + k``.  A row whose gap or scale is
-    NaN is not compared.
-    """
-    gap = np.abs(a - b) if a.ndim == 1 else norm3(a - b)
-    bad = gap > tol * scale
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise GeometryError(
-            f"side {first + k}: the two {what} evaluations disagree by {gap[k]:.3e}")
-    return 0.5 * (a + b), gap
-
-
 def meeting_points(p0, p1, v0, v1, s, tol, what: str, first: int, diameter: float) -> np.ndarray:
     """The point p0 + v0/s = p1 + v1/s of each side, from both of its ends.
 
-    The two evaluations a and b go through ``agreed`` against
-    max(|a - p0|, |b - p1|, diameter), and their midpoint is returned.
-    Where 1/s is not finite the lines are parallel: that row is a point
-    at infinity, comes back NaN and is not compared.
+    The gap |a - b| between the two evaluations must be at most ``tol``
+    times max(|a - p0|, |b - p1|, diameter); the first row whose gap is
+    larger raises a GeometryError naming side ``first + k``.  The
+    midpoint of the two is returned.  Where 1/s is not finite the lines
+    are parallel: that row is a point at infinity, comes back NaN and is
+    not compared, and neither is a row whose gap is NaN.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         finite = np.isfinite(1.0 / s)
         a = p0 + v0 / s[:, None]
         b = p1 + v1 / s[:, None]
+        gap = norm3(a - b)
         scale = np.maximum(np.maximum(norm3(a - p0), norm3(b - p1)), diameter)
-        at_infinity = not finite.all()
-        if at_infinity:
-            scale[~finite] = np.nan
-        out, _ = agreed(a, b, scale, tol, what, first)
-    if at_infinity:
+        bad = (gap > tol * scale) & finite
+        out = 0.5 * (a + b)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise GeometryError(
+            f"side {first + k}: the two {what} evaluations disagree by {gap[k]:.3e}")
+    if not finite.all():
         out[~finite] = np.nan
     return out
 

@@ -24,7 +24,6 @@ from .core import (
     cross3,
     face_solve,
     median,
-    meeting_points,
     norm3,
     require_finite,
     row_mean,
@@ -49,8 +48,6 @@ __all__ = [
 TOL_FACE = 1e-8
 # relative sigma spread below which the surface is a cone (or cylinder)
 CLASSIFY_TOL = 1e-6
-# relative gap allowed between the two evaluations of an osculating point
-OSCULATING_AGREEMENT_TOL = 1e-10
 
 
 class DegenerateFrameError(GeometryError):
@@ -128,6 +125,16 @@ class FramedPolygon:
 @dataclass(frozen=True)
 class DarbouxField:
     """Parallel Darboux vectors per vertex and sigma per side of ``frame``.
+
+    The field is parallel: on every side k,
+
+        xi(k+1) - xi(k) = -sigma(k) * e(k),
+
+    with e(k) the side vector, up to the face residual of side k.
+    ``parallel_darboux`` guarantees this, since its recursion decomposes
+    each side in its face, and its frame has passed ``validate_frame``.
+    A field built by hand is not checked; the Frenet data and the
+    osculating points take the invariant for granted.
 
     The frame holds no reference back to the field, so the pair forms
     no reference cycle (``cli.main`` runs with the collector paused).
@@ -254,17 +261,22 @@ def parallel_darboux(f: FramedPolygon) -> DarbouxField:
 def osculating_points(df: DarbouxField) -> GridSeq:
     """Intersections of consecutive Darboux support lines, one per side.
 
-    Each point evaluates as ``phi(k) + xi(k)/sigma(k)`` and equivalently
-    from the far vertex (``core.meeting_points``); the midpoint of the two
-    evaluations is returned.  Sides with ``sigma = 0`` have no finite
-    intersection (parallel support lines) and come back as NaN rows.  The
-    points are evaluated once per field.
+    Each point is taken from the side's near end, ``phi(k) +
+    xi(k)/sigma(k)``.  The far end gives the same point, because the
+    field is parallel (``DarbouxField``); the two differ only by the face
+    residual, which ``validate_frame`` has bounded.  Sides where
+    1/sigma is not finite (parallel support lines) have no finite
+    intersection and come back as NaN rows.  The points are evaluated
+    once per field.
     """
     f = df.frame
-    _, (p0, p1) = f.polygon.vertices.stencil(0, 1)
-    _, (x0, x1) = df.xi.stencil(0, 1)
-    out = meeting_points(p0, p1, x0, x1, df.sigma.values, OSCULATING_AGREEMENT_TOL,
-                         "support-line", 0, f.polygon.diameter())
+    s = df.sigma.values
+    m = len(s)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        finite = np.isfinite(1.0 / s)
+        out = f.polygon.points[:m] + df.xi.values[:m] / s[:, None]
+    if not finite.all():
+        out[~finite] = np.nan
     return GridSeq(out, Grid.SIDE, f.polygon.topology)
 
 

@@ -7,8 +7,12 @@ side vector and either end's Darboux vector:
     phi'''(k) = -rho2(k)   * side(k) + tau(k) * xi(k+1)
     phi'''(k) = -rho1(k+1) * side(k) + tau(k) * xi(k)
 
-(0-based side slots; side k joins vertices k and k+1).  The scalar
-sequences satisfy  -tau*sigma = rho2(k) - rho1(k+1)  on every side.
+(0-based side slots; side k joins vertices k and k+1).  The field is
+parallel, xi(k+1) - xi(k) = -sigma(k) * side(k), so both give one tau:
+one face solve, against xi(k+1), gives rho2 and tau, and rho1 is derived
+from them through the compatibility identity
+
+    -tau(k) * sigma(k) = rho2(k) - rho1(k+1).
 
 Open-topology windows (N vertices):
     third differences / tau / mu / Q : sides   1 .. N-3
@@ -34,7 +38,6 @@ from .core import (
     GridSeq,
     Polygon3,
     Topology,
-    agreed,
     cross3,
     det3,
     face_solve,
@@ -61,8 +64,7 @@ __all__ = [
     "classify_focal",
 ]
 
-TAU_AGREEMENT_TOL = 1e-9
-# relative gap allowed between the two evaluations of mu and of Q
+# relative gap allowed between the two evaluations of Q
 FOCAL_AGREEMENT_TOL = 1e-9
 # |sum tau| relative to max(1, sum |tau|) above which a closed gauge is obstructed
 GAUGE_CLOSURE_TOL = 1e-9
@@ -84,17 +86,9 @@ class FrenetData:
     rho2: GridSeq
     tau: GridSeq
     c: float
-    tau_gap: GridSeq
-
-    def compatibility_residual(self, sigma: GridSeq) -> np.ndarray:
-        """|  -tau*sigma - (rho2(k) - rho1(k+1)) | per side."""
-        k0, m = self.tau.base, len(self.tau)
-        return np.abs(-self.tau.values * sigma.window(k0, m)
-                      - (self.rho2.values - self.rho1.window(k0 + 1, m)))
 
 
-def _frenet_data(topo: Topology, first: int, c: float, rho1, rho2, tau,
-                 gap) -> FrenetData:
+def _frenet_data(topo: Topology, first: int, c: float, rho1, rho2, tau) -> FrenetData:
     """FrenetData from per-side arrays that start at side ``first``.
 
     The rho1 of side k belongs to vertex k+1, so on a closed polygon its
@@ -107,7 +101,6 @@ def _frenet_data(topo: Topology, first: int, c: float, rho1, rho2, tau,
         rho2=GridSeq(rho2, Grid.VERTEX, topo, first),
         tau=GridSeq(tau, Grid.SIDE, topo, first),
         c=c,
-        tau_gap=GridSeq(gap, Grid.SIDE, topo, first),
     )
 
 
@@ -117,10 +110,10 @@ def frenet(df: DarbouxField) -> FrenetData:
 
     The volume gate (``equal_volume.volume_constant``) comes first, so a
     polygon whose volumes vary raises NotEqualVolumeError at any size.
-    Both decompositions of each third difference go through
-    ``core.face_solve``; the two tau values they give must agree
-    (``core.agreed``) to ``TAU_AGREEMENT_TOL`` times max(1, |tau_a|).
-    The data are solved once per field.
+    Each third difference is decomposed once, against the side and
+    xi(k+1), by ``core.face_solve``; that gives rho2(k) and tau(k), and
+    rho1(k+1) = rho2(k) + tau(k) * sigma(k).  The data are solved once
+    per field.
     """
     f = df.frame
     c = volume_constant(darboux_volumes(df))
@@ -135,15 +128,14 @@ def frenet(df: DarbouxField) -> FrenetData:
     d3 = (e1 - e0) - (e0 - em)
     m = len(d3)
     back = -e0  # the side, reversed
-    xi_near, xi_far = df.xi.window(k0, m), df.xi.window(k0 + 1, m)
-    rho2, tau_a = face_solve(d3, back, xi_far, cross3(back, xi_far))     # rho2 at vertex k
-    rho1, tau_b = face_solve(d3, back, xi_near, cross3(back, xi_near))   # rho1 at vertex k+1
-    finite = np.isfinite(rho1 + rho2 + tau_a + tau_b)
+    xi_far = df.xi.window(k0 + 1, m)
+    rho2, tau = face_solve(d3, back, xi_far, cross3(back, xi_far))  # rho2 at vertex k
+    rho1 = rho2 + tau * df.sigma.window(k0, m)                      # rho1 at vertex k+1
+    finite = np.isfinite(rho1 + tau)
     if not finite.all():
         k = k0 + int(np.argmin(finite))
         raise GeometryError(f"side {k}: degenerate face basis in Frenet solve")
-    tau, gap = agreed(tau_a, tau_b, np.maximum(1.0, np.abs(tau_a)), TAU_AGREEMENT_TOL, "tau", k0)
-    return _frenet_data(f.polygon.topology, k0, c, rho1, rho2, tau, gap)
+    return _frenet_data(f.polygon.topology, k0, c, rho1, rho2, tau)
 
 
 def centroaffine_frenet(p: Polygon3) -> FrenetData:
@@ -156,8 +148,7 @@ def centroaffine_frenet(p: Polygon3) -> FrenetData:
     k0, (qm, q0, q1, q2) = p.vertices.stencil(-1, 0, 1, 2)
     d_a = det3(qm, q0, q2)
     d_b = det3(q2, q1, qm)
-    return _frenet_data(p.topology, k0, c, 3.0 - d_a / c, 3.0 + d_b / c,
-                        (d_a + d_b) / c, np.zeros(len(d_a)))
+    return _frenet_data(p.topology, k0, c, 3.0 - d_a / c, 3.0 + d_b / c, (d_a + d_b) / c)
 
 
 def lambda_from_tau(tau: GridSeq, value: float) -> GridSeq:
@@ -207,9 +198,12 @@ def focal_data(df: DarbouxField, gauge: float = 0.0) -> FocalSetData:
     one constant that the anti-difference leaves free.  Per side the
     focal line joins the support-line intersection O with the point Q
     where the parallel normal vectors through the two end vertices meet.
-    mu and Q are each evaluated from both ends of a side and gated by
-    ``core.agreed`` to ``FOCAL_AGREEMENT_TOL``: mu against max(1,
-    |mu_a|), Q through ``core.meeting_points``.
+    mu(k) = rho2(k) + sigma(k) * lambda(k) is taken from the near end;
+    the far end, rho1(k+1) + sigma(k) * lambda(k+1), is the same number
+    because rho1 is derived from rho2 and lambda(k) - lambda(k+1) =
+    tau(k).  Q is evaluated from both ends of a side and gated by
+    ``core.meeting_points`` to ``FOCAL_AGREEMENT_TOL``: its gap measures
+    how far the polygon is from equal volumes.
     """
     fr = frenet(df)
     f = df.frame
@@ -222,15 +216,12 @@ def focal_data(df: DarbouxField, gauge: float = 0.0) -> FocalSetData:
     eta = GridSeq((e0 - em) + lam.values[:, None] * df.xi.window(lo, len(lam)),
                   Grid.VERTEX, lam.topology, lo)
 
-    # mu per side, from both end expansions
+    # mu per side, from the near end; rho2 shares tau's window
     k0, m = fr.tau.base, len(fr.tau)
-    sg = df.sigma.window(k0, m)
-    m_a = fr.rho1.window(k0 + 1, m) + sg * lam.window(k0 + 1, m)
-    m_b = fr.rho2.window(k0, m) + sg * lam.window(k0, m)
-    mu_v, _ = agreed(m_a, m_b, np.maximum(1.0, np.abs(m_a)), FOCAL_AGREEMENT_TOL, "mu", k0)
+    mu_v = fr.rho2.values + df.sigma.window(k0, m) * lam.window(k0, m)
     mu = GridSeq(mu_v, Grid.SIDE, fr.tau.topology, k0)
 
-    O = osculating_points(df)  # its gate first, then Q's
+    O = osculating_points(df)
     q_pts = meeting_points(P.window(k0, m), P.window(k0 + 1, m), eta.window(k0, m),
                            eta.window(k0 + 1, m), mu_v, FOCAL_AGREEMENT_TOL, "Q", k0,
                            f.polygon.diameter())

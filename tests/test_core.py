@@ -14,7 +14,6 @@ from evpoly.core import (
     GridSeq,
     Polygon3,
     Topology,
-    agreed,
     cross3,
     det2,
     det3,
@@ -153,32 +152,6 @@ def test_det2():
     assert det2([2, 1], [4, 2]) == 0.0
 
 
-class TestAgreed:
-    def test_gap_at_the_bound_passes(self):
-        mid, gap = agreed(np.zeros(3), np.array([0.5, -0.25, 0.0]), np.ones(3), 0.5, "tau", 7)
-        assert mid.tolist() == [0.25, -0.125, 0.0]
-        assert gap.tolist() == [0.5, 0.25, 0.0]
-
-    def test_gap_above_the_bound_names_its_side(self):
-        b = np.array([0.5, np.nextafter(0.5, 1.0), 0.0])
-        with pytest.raises(GeometryError,
-                           match=r"^side 8: the two tau evaluations disagree by 5\.000e-01$"):
-            agreed(np.zeros(3), b, np.ones(3), 0.5, "tau", 7)
-
-    def test_nan_gap_or_scale_is_not_compared(self):
-        b = np.array([9.0, np.nan, 0.0])
-        mid, gap = agreed(np.zeros(3), b, np.array([np.nan, 1.0, 1.0]), 0.5, "mu", 0)
-        assert mid[0] == 4.5 and np.isnan(gap[1])
-
-    def test_point_gap_is_the_row_length(self):
-        b = np.array([[0.0, 3.0, 4.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(GeometryError,
-                           match=r"^side 3: the two Q evaluations disagree by 1\.000e\+00$"):
-            agreed(np.zeros((2, 3)), b, np.array([10.0, 1.0]), 0.5, "Q", 2)
-        _, gap = agreed(np.zeros((2, 3)), b, np.array([10.0, 2.0]), 0.5, "Q", 2)
-        assert gap.tolist() == [5.0, 1.0]
-
-
 def meeting_rows(b0):
     """Five sides from p0 = 0 to p1 = (1, 0, 0).  Side 0 meets at (0, 1, 0)
     from its near end and at ``b0`` from its far end, with s = 2.  The
@@ -202,6 +175,16 @@ class TestMeetingPoints:
         with pytest.raises(GeometryError,
                            match=r"^side 5: the two Q evaluations disagree by 5\.000e-01$"):
             meeting_points(*meeting_rows([0.0, 1.5, 0.0]), np.nextafter(0.125, 0.0), "Q", 5, 4.0)
+
+    def test_point_gap_is_the_row_length(self):
+        # a = (10, 0, 0) from the near end and b = a + (0, 3, 4) from the far
+        # end: the gap is 5, not the largest coordinate 4 nor the sum 7
+        rows = (np.zeros((1, 3)), np.array([[10.0, 3.0, 4.0]]),
+                np.array([[10.0, 0.0, 0.0]]), np.zeros((1, 3)), np.ones(1))
+        assert meeting_points(*rows, 0.5, "Q", 2, 0.0).tolist() == [[10.0, 1.5, 2.0]]
+        with pytest.raises(GeometryError,
+                           match=r"^side 2: the two Q evaluations disagree by 5\.000e\+00$"):
+            meeting_points(*rows, np.nextafter(0.5, 0.0), "Q", 2, 0.0)
 
     @pytest.mark.parametrize("tol, passes", [(0.28, True), (0.27, False)])
     def test_reference_includes_the_far_end(self, tol, passes):
@@ -238,6 +221,15 @@ class TestGridSeq:
         assert list(w) == [1.0, 2.0, 3.0, 4.0]
         with pytest.raises(ValueError):
             w[0] = 5.0
+
+    def test_closed_window_is_a_read_only_view_unless_it_wraps(self):
+        s = GridSeq(np.arange(6.0), Grid.VERTEX, Topology.CLOSED)
+        w = s.window(0, 6)
+        assert np.shares_memory(w, s.values) and not w.flags.writeable
+        # a start past the end counts mod N
+        assert np.shares_memory(s.window(8, 3), s.values)
+        assert list(s.window(8, 3)) == [2.0, 3.0, 4.0]
+        assert list(s.window(-2, 3)) == [4.0, 5.0, 0.0]
 
     def test_stencil_open_with_base(self):
         v = np.arange(10.0) ** 2

@@ -12,6 +12,7 @@ vertex and check that the error names it.
 import argparse
 import dataclasses
 import functools
+import json
 import sys
 import warnings
 from fractions import Fraction
@@ -700,48 +701,43 @@ def test_degenerate_frenet_face_names_side(pipeline):
     assert info.value.vertex == 5
 
 
-def test_tau_gap_names_side(pipeline):
-    # moving xi(5) along side 5 keeps every volume but tilts the face of side 4
-    df, _ = pipeline
-    p = df.frame.polygon.points
-    xi = df.xi.values.copy()
-    xi[5] += 1e-3 * (p[6] - p[5])
-    with pytest.raises(GeometryError, match=r"^side 4: the two tau evaluations"):
-        frenet(with_xi(df, xi))
-
-
-def test_support_line_gap_names_side(pipeline):
-    df, _ = pipeline
-    sigma = df.sigma.values.copy()
-    sigma[6] *= 1.001
-    bad = dataclasses.replace(df, sigma=df.sigma.with_values(sigma))
-    with pytest.raises(GeometryError, match=r"^side 6: the two support-line evaluations"):
-        osculating_points(bad)
-
-
-def test_mu_gap_names_side(pipeline, monkeypatch):
-    df, fr = pipeline
-    rho2 = fr.rho2.values.copy()
-    rho2[fr.rho2.slots == 4] += 1e-3
-    moved = dataclasses.replace(fr, rho2=fr.rho2.with_values(rho2))
-    monkeypatch.setattr(invariants, "frenet", lambda _: moved)
-    with pytest.raises(GeometryError, match=r"^side 4: the two mu evaluations"):
-        focal_data(df)
-
-
 def test_q_gap_names_side(pipeline, monkeypatch):
-    # shifting rho2(k) and rho1(k+1) together moves mu(k) without a mu gap
+    # shifting rho2(k) and rho1(k+1) together moves mu(k) as one rho2 shift
+    # does; either way the two ends of side k no longer see one Q
     df, fr = pipeline
     mu = focal_data(df).mu
     shift = 0.1 * abs(mu.at(3))
     rho1, rho2 = fr.rho1.values.copy(), fr.rho2.values.copy()
     rho1[fr.rho1.slots == 4] += shift
     rho2[fr.rho2.slots == 3] += shift
-    moved = dataclasses.replace(fr, rho1=fr.rho1.with_values(rho1),
-                                rho2=fr.rho2.with_values(rho2))
-    monkeypatch.setattr(invariants, "frenet", lambda _: moved)
-    with pytest.raises(GeometryError, match=r"^side 3: the two Q evaluations"):
-        focal_data(df)
+    both = dataclasses.replace(fr, rho1=fr.rho1.with_values(rho1),
+                               rho2=fr.rho2.with_values(rho2))
+    rho2 = fr.rho2.values.copy()
+    rho2[fr.rho2.slots == 4] += 1e-3
+    near = dataclasses.replace(fr, rho2=fr.rho2.with_values(rho2))
+    for moved, side in ((both, 3), (near, 4)):
+        monkeypatch.setattr(invariants, "frenet", lambda _: moved)
+        with pytest.raises(GeometryError, match=rf"^side {side}: the two Q evaluations"):
+            focal_data(df)
+
+
+@pytest.mark.parametrize("seed", [0, 2, 3])
+def test_cone_frame_off_its_lines_by_roundoff_is_a_cone(seed, tmp_path):
+    # each direction of the n = 46 spiral silhouette turned off its cone line,
+    # perpendicular to it, by 1e-10 relative: the faces stay planar within
+    # TOL_FACE, so analyze takes O for the apex and reports the cone
+    phi = sample_curve(ExampleSpiralRepresentative(), 0.0, 2 * np.pi, 46).points
+    rng = np.random.default_rng(seed)
+    u = phi / np.linalg.norm(phi, axis=1)[:, None]
+    r = rng.normal(size=phi.shape)
+    perp = r - np.einsum("ij,ij->i", r, u)[:, None] * u
+    perp /= np.linalg.norm(perp, axis=1)[:, None]
+    f = FramedPolygon.build(phi, phi + 1e-10 * np.linalg.norm(phi, axis=1)[:, None] * perp)
+    assert validate_frame(f).ok
+    doc, out = tmp_path / "tilted.json", tmp_path / "report.json"
+    write_document(PolygonDocument.from_framed(f), doc)
+    assert cli.main(["analyze", str(doc), "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["classification"] == "cone"
 
 
 # ---------------------------------------------------------------- loop guard
@@ -843,11 +839,11 @@ def test_analyze_computes_each_derived_quantity_once(rng, tmp_path, monkeypatch)
     assert len(parses) == 1
     assert len(diffs) == 1
     # the face normals once, read by validate_frame and parallel_darboux;
-    # then the two margins and the two Frenet face normals, all distinct
+    # then the two margins and the one Frenet face normal, all distinct
     assert len(normals) == 1
-    assert len(crosses) == 5 and len({c.tobytes() for c in crosses}) == 5
+    assert len(crosses) == 4 and len({c.tobytes() for c in crosses}) == 4
     assert numpy_calls == []
-    assert len(gridseqs) == 16
+    assert len(gridseqs) == 15
     # evaluations, not calls: a repeated call must hand back the same result
     assert volumes and len({id(r) for r in volumes}) == 1
     assert points and len({id(seq) for seq in points}) == 1

@@ -21,6 +21,11 @@ only through ``SHARED_MEMBERS``, which names the reader of each class's
 member.  Every census fails in both directions: on a new unread name and
 on a pin that is no longer needed.
 
+The tolerances, the module-level ``*_TOL`` and ``TOL_*`` names, are
+listed in ``CONSTANTS`` with their values.  That census fails in both
+directions too: on a tolerance it does not list, on a listed one that is
+gone, and on one that no module reads.
+
 No public function or method takes more than one parameter annotated
 ``DarbouxField``, ``FrenetData`` or ``FocalSetData``: a stage takes the
 field or one datum derived from it and reads the rest from there.
@@ -118,7 +123,7 @@ SHARED_MEMBERS = {
     "core.Polygon3.topology": "darboux.parallel_darboux, invariants.frenet",
     "core.GridSeq.values": "core.forward_diff, cli._seq_payload",
     "equal_volume.VolumeReport.values": "equal_volume.volume_constant",
-    "core.Polygon3.vertices": "Polygon3.points, darboux.osculating_points, invariants.focal_data",
+    "core.Polygon3.vertices": "Polygon3.points, invariants.focal_data",
     "documents.PolygonDocument.vertices":
         "PolygonDocument.to_framed, documents.write_document, cli.cmd_plength",
     "meshes.Mesh.vertices":
@@ -130,10 +135,8 @@ SHARED_MEMBERS = {
 # tolerances that were keyword options, kept as module constants
 CONSTANTS = [
     (darboux, "TOL_FACE", 1e-8),
-    (darboux, "OSCULATING_AGREEMENT_TOL", 1e-10),
     (darboux, "CLASSIFY_TOL", 1e-6),
     (equal_volume, "EQUAL_VOLUME_TOL", 1e-8),
-    (invariants, "TAU_AGREEMENT_TOL", 1e-9),
     (invariants, "FOCAL_AGREEMENT_TOL", 1e-9),
     (invariants, "GAUGE_CLOSURE_TOL", 1e-9),
     (invariants, "FOCAL_CLASSIFY_TOL", 1e-6),
@@ -426,6 +429,45 @@ def test_every_defaulted_parameter_has_a_caller():
                          ids=[f"{m.__name__}.{n}" for m, n, _ in CONSTANTS])
 def test_tolerance_constants(module, name, value):
     assert getattr(module, name) == value
+
+
+TOLERANCE = re.compile(r"\w+_TOL|TOL_\w+")
+
+
+def tolerance_census(sources: dict) -> tuple[set, set]:
+    """The module-level tolerances ``module.NAME`` that ``sources`` (module
+    name -> source text) define, and those of them that no module reads,
+    as a name or an attribute, outside the assignment that defines it."""
+    defined, read = set(), set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        defined |= {f"{module}.{target.id}" for top in tree.body if isinstance(top, ast.Assign)
+                    for target in top.targets
+                    if isinstance(target, ast.Name) and TOLERANCE.fullmatch(target.id)}
+        read |= {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return defined, {name for name in defined if name.split(".")[1] not in read}
+
+
+def test_every_tolerance_is_listed_and_read():
+    sources = {path.stem: path.read_text()
+               for path in Path(evpoly.__file__).parent.glob("*.py") if path.name != "__init__.py"}
+    defined, dead = tolerance_census(sources)
+    listed = {f"{module.__name__.rpartition('.')[2]}.{name}" for module, name, _ in CONSTANTS}
+    assert sorted(defined - listed) == [], "new tolerances: list them in CONSTANTS"
+    assert sorted(listed - defined) == [], "tolerances gone: drop them from CONSTANTS"
+    assert sorted(dead) == [], "tolerances nothing reads: delete them"
+
+
+def test_tolerance_census_catches_unread_constants():
+    sources = {
+        "a": '"""Mentions ``DEAD_TOL``."""\nDEAD_TOL = 1.0\nTOL_NEAR = 2.0\nFAR_TOL = 3.0\n'
+             "def f(x):\n    return x < TOL_NEAR\n",
+        "b": "from . import a\nLIMIT = 4.0\ndef g(x):\n    return x < a.FAR_TOL\n",
+    }
+    assert tolerance_census(sources) == ({"a.DEAD_TOL", "a.TOL_NEAR", "a.FAR_TOL"}, {"a.DEAD_TOL"})
 
 
 def test_analyze_has_no_tol_flag(capsys):
