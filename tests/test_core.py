@@ -186,6 +186,14 @@ class TestMeetingPoints:
                            match=r"^side 2: the two Q evaluations disagree by 5\.000e\+00$"):
             meeting_points(*rows, np.nextafter(0.5, 0.0), "Q", 2, 0.0)
 
+    def test_nan_gap_or_scale_is_not_compared(self):
+        # a NaN from either end makes the gap and the scale NaN: the row
+        # comes back NaN and no gate compares it, however small tol is
+        rows = (np.zeros((2, 3)), np.tile([1.0, 0.0, 0.0], (2, 1)),
+                np.array([[np.nan, 2.0, 0.0], [0.0, 2.0, 0.0]]),
+                np.array([[-2.0, 2.0, 0.0], [-2.0, np.nan, 0.0]]), np.full(2, 2.0))
+        assert np.isnan(meeting_points(*rows, 0.0, "Q", 0, 1.0)).any(axis=1).all()
+
     @pytest.mark.parametrize("tol, passes", [(0.28, True), (0.27, False)])
     def test_reference_includes_the_far_end(self, tol, passes):
         # |a - p0| = 1 but |b - p1| = sqrt(3.25), so only the far end admits tol = 0.28

@@ -155,6 +155,17 @@ class TestOsculatingPoints:
         err = np.abs(pts.values - apex).max()
         assert err <= 1e-9 * f.polygon.diameter()
 
+    def test_far_end_gives_the_same_point(self, rng):
+        # O(k) is phi(k) + xi(k)/sigma(k); the field is parallel, so the
+        # support line through phi(k+1) meets it at the same point
+        f = random_generic_framed(rng, 20)
+        df = parallel_darboux(f)
+        near = osculating_points(df).values
+        p, xi, s = f.polygon.points, df.xi.values, df.sigma.values
+        far = p[1:] + xi[1:] / s[:, None]
+        scale = np.maximum(np.linalg.norm(near - p[:-1], axis=1), f.polygon.diameter())
+        assert (np.linalg.norm(near - far, axis=1) <= 1e-10 * scale).all()
+
     def test_prism_all_at_infinity(self):
         pts = helix_points(8)
         d = np.tile([0.0, 0.1, 1.0], (8, 1))

@@ -11,7 +11,7 @@ from conftest import (
 )
 
 from evpoly import invariants
-from evpoly.core import Grid, GridSeq, Polygon3, Topology
+from evpoly.core import Grid, GridSeq, Polygon3, Topology, cross3, face_solve
 from evpoly.constructions import ExampleSpiralRepresentative, sample_curve
 from evpoly.darboux import FramedPolygon, parallel_darboux
 from evpoly.equal_volume import EQUAL_VOLUME_TOL, NotEqualVolumeError, centroaffine_volumes
@@ -51,6 +51,19 @@ class TestFrenet:
         for _ in range(25):
             fr = centroaffine_frenet(random_equal_volume_polygon(rng, 12))
             assert np.abs(fr.tau.values - (fr.rho2.values - fr.rho1.values)).max() <= 1e-9
+
+    def test_tau_evaluations_agree(self, rng):
+        # frenet solves each face against xi(k+1) alone; the solve against
+        # xi(k) gives rho1(k+1) and tau(k) again, and must agree with the
+        # rho1 derived through the compatibility identity
+        df, fr = silhouette_pipeline(random_equal_volume_polygon(rng, 12).points)
+        k0, (em, e0, e1) = df.frame.polygon.sides().stencil(-1, 0, 1)
+        d3, back = (e1 - e0) - (e0 - em), -e0
+        xi_near = df.xi.window(k0, len(d3))
+        rho1, tau = face_solve(d3, back, xi_near, cross3(back, xi_near))
+        assert fr.tau.base == k0 and fr.rho1.base == k0 + 1
+        assert np.abs(fr.tau.values - tau).max() <= 1e-9 * max(1.0, np.abs(tau).max())
+        assert np.abs(fr.rho1.values - rho1).max() <= 1e-9 * max(1.0, np.abs(rho1).max())
 
     def test_windows_open(self, rng):
         p = random_equal_volume_polygon(rng, 9)
@@ -190,6 +203,17 @@ class TestFocalSet:
             # same line: both anchor points and both directions colinear
             assert np.linalg.norm(np.cross(d0, d1)) <= 1e-9
             assert np.linalg.norm(np.cross(o1 - o0, d0)) <= 1e-8
+
+    @pytest.mark.parametrize("gauge", [0.0, 3.7])
+    def test_mu_is_the_same_from_either_end(self, rng, gauge):
+        # focal_data takes mu(k) = rho2(k) + sigma(k) lambda(k) from the near
+        # end; the far end rho1(k+1) + sigma(k) lambda(k+1) is the same number
+        df, fr = silhouette_pipeline(random_equal_volume_polygon(rng, 14).points)
+        mu = focal_data(df, gauge=gauge).mu
+        lam = lambda_from_tau(fr.tau, gauge)
+        k0, m = mu.base, len(mu)
+        far = fr.rho1.window(k0 + 1, m) + df.sigma.window(k0, m) * lam.window(k0 + 1, m)
+        assert np.abs(mu.values - far).max() <= 1e-9 * max(1.0, np.abs(mu.values).max())
 
     def test_mu_prime_identity(self, rng):
         G = random_equal_area(14, rng)
