@@ -35,7 +35,6 @@ __all__ = [
     "face_solve",
     "forward_diff",
     "median",
-    "meeting_points",
     "norm3",
     "require_finite",
     "row_mean",
@@ -255,33 +254,6 @@ def face_solve(v, a, b, n) -> tuple[np.ndarray, np.ndarray]:
     nn = np.einsum("...i,...i->...", n, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         return det3(v, b, n) / nn, det3(a, v, n) / nn
-
-
-def meeting_points(p0, p1, v0, v1, s, tol, what: str, first: int, diameter: float) -> np.ndarray:
-    """The point p0 + v0/s = p1 + v1/s of each side, from both of its ends.
-
-    The gap |a - b| between the two evaluations must be at most ``tol``
-    times max(|a - p0|, |b - p1|, diameter); the first row whose gap is
-    larger raises a GeometryError naming side ``first + k``.  The
-    midpoint of the two is returned.  Where 1/s is not finite the lines
-    are parallel: that row is a point at infinity, comes back NaN and is
-    not compared, and neither is a row whose gap is NaN.
-    """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        finite = np.isfinite(1.0 / s)
-        a = p0 + v0 / s[:, None]
-        b = p1 + v1 / s[:, None]
-        gap = norm3(a - b)
-        scale = np.maximum(np.maximum(norm3(a - p0), norm3(b - p1)), diameter)
-        bad = (gap > tol * scale) & finite
-        out = 0.5 * (a + b)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise GeometryError(
-            f"side {first + k}: the two {what} evaluations disagree by {gap[k]:.3e}")
-    if not finite.all():
-        out[~finite] = np.nan
-    return out
 
 
 def det2(u, v) -> float | np.ndarray:

@@ -134,7 +134,9 @@ class DarbouxField:
     ``parallel_darboux`` guarantees this, since its recursion decomposes
     each side in its face, and its frame has passed ``validate_frame``.
     A field built by hand is not checked; the Frenet data and the
-    osculating points take the invariant for granted.
+    osculating points take the invariant for granted.  One gate per
+    hypothesis: ``validate_frame`` is the one check of the planar faces,
+    so O, mu and Q are taken from the near end of each side.
 
     The frame holds no reference back to the field, so the pair forms
     no reference cycle (``cli.main`` runs with the collector paused).

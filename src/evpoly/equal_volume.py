@@ -67,6 +67,8 @@ def darboux_volumes(df: DarbouxField) -> VolumeReport:
     Evaluated once per field; later calls share the report.
     """
     p = df.frame.polygon
+    if len(p) < 3:
+        raise GeometryError("need at least 3 vertices")
     first, (e_left, e_right) = p.sides().stencil(-1, 0)
     xi = df.xi.window(first, len(e_left))
     return _report(det3(e_left, e_right, xi), p.topology, first)

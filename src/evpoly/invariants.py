@@ -14,6 +14,11 @@ from them through the compatibility identity
 
     -tau(k) * sigma(k) = rho2(k) - rho1(k+1).
 
+One gate per hypothesis: ``validate_frame`` checks the planar faces and
+``equal_volume.volume_constant`` the equal volumes.  O, mu and Q are
+each taken from the near end of a side; the far end gives the same
+value on a polygon that passes both gates.
+
 Open-topology windows (N vertices):
     third differences / tau / mu / Q : sides   1 .. N-3
     rho2                             : vertices 1 .. N-3
@@ -42,7 +47,6 @@ from .core import (
     det3,
     face_solve,
     median,
-    meeting_points,
     norm3,
 )
 from .darboux import DarbouxField, once_per_field, osculating_points
@@ -64,8 +68,6 @@ __all__ = [
     "classify_focal",
 ]
 
-# relative gap allowed between the two evaluations of Q
-FOCAL_AGREEMENT_TOL = 1e-9
 # |sum tau| relative to max(1, sum |tau|) above which a closed gauge is obstructed
 GAUGE_CLOSURE_TOL = 1e-9
 # relative spread of sigma and mu below which the focal set is one line
@@ -201,13 +203,14 @@ def focal_data(df: DarbouxField, gauge: float = 0.0) -> FocalSetData:
     mu(k) = rho2(k) + sigma(k) * lambda(k) is taken from the near end;
     the far end, rho1(k+1) + sigma(k) * lambda(k+1), is the same number
     because rho1 is derived from rho2 and lambda(k) - lambda(k+1) =
-    tau(k).  Q is evaluated from both ends of a side and gated by
-    ``core.meeting_points`` to ``FOCAL_AGREEMENT_TOL``: its gap measures
-    how far the polygon is from equal volumes.
+    tau(k).  Q(k) = P(k) + eta(k)/mu(k) is taken from the near end too;
+    the far end, P(k+1) + eta(k+1)/mu(k), gives the same point on an
+    equal-volume polygon, which ``frenet``'s volume gate has checked.
+    Sides where 1/mu is not finite (parallel normals) come back as NaN
+    rows of Q, points at infinity.
     """
     fr = frenet(df)
     f = df.frame
-    P = f.polygon.vertices
     lam = lambda_from_tau(fr.tau, gauge)
 
     # eta(i) = phi''(i) + lambda(i) xi(i) on the gauge window, the interior
@@ -221,12 +224,14 @@ def focal_data(df: DarbouxField, gauge: float = 0.0) -> FocalSetData:
     mu_v = fr.rho2.values + df.sigma.window(k0, m) * lam.window(k0, m)
     mu = GridSeq(mu_v, Grid.SIDE, fr.tau.topology, k0)
 
-    O = osculating_points(df)
-    q_pts = meeting_points(P.window(k0, m), P.window(k0 + 1, m), eta.window(k0, m),
-                           eta.window(k0 + 1, m), mu_v, FOCAL_AGREEMENT_TOL, "Q", k0,
-                           f.polygon.diameter())
+    # Q per side, from the near end
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        finite = np.isfinite(1.0 / mu_v)
+        q_pts = f.polygon.vertices.window(k0, m) + eta.window(k0, m) / mu_v[:, None]
+    if not finite.all():
+        q_pts[~finite] = np.nan
     Q = GridSeq(q_pts, Grid.SIDE, fr.tau.topology, k0)
-    return FocalSetData(df, mu, Q, O, eta)
+    return FocalSetData(df, mu, Q, osculating_points(df), eta)
 
 
 def focal_lines(fd: FocalSetData) -> tuple[np.ndarray, np.ndarray]:

@@ -253,6 +253,13 @@ class TestAnalyze:
         assert report["classification"] == "planar"
         assert np.abs(report["apex"]).max() < 1e-12
 
+    @pytest.mark.parametrize("command, out_flag", [("analyze", "--json"), ("focal", "--obj")])
+    def test_two_vertex_polygon_exits_2(self, tmp_path, capsys, command, out_flag):
+        f = FramedPolygon.build([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[0.0, 0.0, 1.0]] * 2)
+        path = write_framed(f, tmp_path / "two.json")
+        assert main([command, path, out_flag, str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "evpoly: need at least 3 vertices\n"
+
     def test_json_output_file(self, spiral_doc, tmp_path):
         out = tmp_path / "report.json"
         assert main(["analyze", spiral_doc, "--json", str(out)]) == 0

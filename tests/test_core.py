@@ -19,7 +19,6 @@ from evpoly.core import (
     det3,
     forward_diff,
     median,
-    meeting_points,
     norm3,
 )
 from evpoly import core, darboux, invariants, projective
@@ -150,59 +149,6 @@ def test_direction_lengths_are_taken_once_and_give_the_unit_directions(rng):
 def test_det2():
     assert det2([1, 0], [0, 1]) == 1.0
     assert det2([2, 1], [4, 2]) == 0.0
-
-
-def meeting_rows(b0):
-    """Five sides from p0 = 0 to p1 = (1, 0, 0).  Side 0 meets at (0, 1, 0)
-    from its near end and at ``b0`` from its far end, with s = 2.  The
-    other four have 1/s infinite; on the last, s and v are so small that
-    both evaluations are finite and 1 apart, which no gate may compare."""
-    p0, p1 = np.zeros((5, 3)), np.tile([1.0, 0.0, 0.0], (5, 1))
-    v0 = np.tile([0.0, 2.0, 0.0], (5, 1))
-    v1 = np.tile(2.0 * (np.asarray(b0) - p1[0]), (5, 1))
-    v0[4], v1[4] = [0.0, 1e-320, 0.0], 0.0
-    return p0, p1, v0, v1, np.array([2.0, 0.0, -0.0, 5e-324, 1e-310])
-
-
-class TestMeetingPoints:
-    def test_gap_at_the_bound_passes_and_infinity_is_nan(self):
-        # gap 0.5 against 0.125 * diameter 4
-        out = meeting_points(*meeting_rows([0.0, 1.5, 0.0]), 0.125, "Q", 5, 4.0)
-        assert out[0].tolist() == [0.0, 1.25, 0.0]
-        assert np.isnan(out[1:]).all()
-
-    def test_gap_above_the_bound_names_its_side(self):
-        with pytest.raises(GeometryError,
-                           match=r"^side 5: the two Q evaluations disagree by 5\.000e-01$"):
-            meeting_points(*meeting_rows([0.0, 1.5, 0.0]), np.nextafter(0.125, 0.0), "Q", 5, 4.0)
-
-    def test_point_gap_is_the_row_length(self):
-        # a = (10, 0, 0) from the near end and b = a + (0, 3, 4) from the far
-        # end: the gap is 5, not the largest coordinate 4 nor the sum 7
-        rows = (np.zeros((1, 3)), np.array([[10.0, 3.0, 4.0]]),
-                np.array([[10.0, 0.0, 0.0]]), np.zeros((1, 3)), np.ones(1))
-        assert meeting_points(*rows, 0.5, "Q", 2, 0.0).tolist() == [[10.0, 1.5, 2.0]]
-        with pytest.raises(GeometryError,
-                           match=r"^side 2: the two Q evaluations disagree by 5\.000e\+00$"):
-            meeting_points(*rows, np.nextafter(0.5, 0.0), "Q", 2, 0.0)
-
-    def test_nan_gap_or_scale_is_not_compared(self):
-        # a NaN from either end makes the gap and the scale NaN: the row
-        # comes back NaN and no gate compares it, however small tol is
-        rows = (np.zeros((2, 3)), np.tile([1.0, 0.0, 0.0], (2, 1)),
-                np.array([[np.nan, 2.0, 0.0], [0.0, 2.0, 0.0]]),
-                np.array([[-2.0, 2.0, 0.0], [-2.0, np.nan, 0.0]]), np.full(2, 2.0))
-        assert np.isnan(meeting_points(*rows, 0.0, "Q", 0, 1.0)).any(axis=1).all()
-
-    @pytest.mark.parametrize("tol, passes", [(0.28, True), (0.27, False)])
-    def test_reference_includes_the_far_end(self, tol, passes):
-        # |a - p0| = 1 but |b - p1| = sqrt(3.25), so only the far end admits tol = 0.28
-        args = (*meeting_rows([0.0, 1.5, 0.0]), tol, "O", 0, 0.0)
-        if passes:
-            meeting_points(*args)
-        else:
-            with pytest.raises(GeometryError, match=r"^side 0: the two O evaluations"):
-                meeting_points(*args)
 
 
 class TestGridSeq:

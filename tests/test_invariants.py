@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -207,13 +209,40 @@ class TestFocalSet:
     @pytest.mark.parametrize("gauge", [0.0, 3.7])
     def test_mu_is_the_same_from_either_end(self, rng, gauge):
         # focal_data takes mu(k) = rho2(k) + sigma(k) lambda(k) from the near
-        # end; the far end rho1(k+1) + sigma(k) lambda(k+1) is the same number
-        df, fr = silhouette_pipeline(random_equal_volume_polygon(rng, 14).points)
-        mu = focal_data(df, gauge=gauge).mu
-        lam = lambda_from_tau(fr.tau, gauge)
-        k0, m = mu.base, len(mu)
-        far = fr.rho1.window(k0 + 1, m) + df.sigma.window(k0, m) * lam.window(k0 + 1, m)
-        assert np.abs(mu.values - far).max() <= 1e-9 * max(1.0, np.abs(mu.values).max())
+        # end; the far end rho1(k+1) + sigma(k) lambda(k+1) is the same number.
+        # So is Q(k) = P(k) + eta(k)/mu(k) against P(k+1) + eta(k+1)/mu(k), up
+        # to a floor that grows with n with the roundoff of eta: the spiral
+        # silhouette reads 8.2e-15 at n = 200 and 2.9e-11 at n = 10^4
+        spiral = ExampleSpiralRepresentative()
+        for pts, q_floor in [(random_equal_volume_polygon(rng, 14).points, 1e-12),
+                             (sample_curve(spiral, 0.0, 2 * np.pi, 200).points, 1e-13),
+                             (sample_curve(spiral, 0.0, 2 * np.pi, 10**4).points, 1e-10)]:
+            df, fr = silhouette_pipeline(pts)
+            fd = focal_data(df, gauge=gauge)
+            mu = fd.mu
+            lam = lambda_from_tau(fr.tau, gauge)
+            k0, m = mu.base, len(mu)
+            far = fr.rho1.window(k0 + 1, m) + df.sigma.window(k0, m) * lam.window(k0 + 1, m)
+            assert np.abs(mu.values - far).max() <= 1e-9 * max(1.0, np.abs(mu.values).max())
+            # the gap relative to max(|Q(k) - P(k)|, the polygon's diameter)
+            P = df.frame.polygon.vertices
+            far_q = P.window(k0 + 1, m) + fd.eta.window(k0 + 1, m) / mu.values[:, None]
+            scale = np.maximum(np.linalg.norm(fd.Q.values - P.window(k0, m), axis=1),
+                               df.frame.polygon.diameter())
+            assert (np.linalg.norm(far_q - fd.Q.values, axis=1) / scale).max() <= q_floor
+
+    @pytest.mark.parametrize("tiny", [0.0, -0.0, 5e-324, 1e-310])
+    def test_q_is_at_infinity_where_one_over_mu_is_not_finite(self, rng, monkeypatch, tiny):
+        # with tau = 0 lambda is the gauge 0 everywhere, so mu is rho2 bit for bit
+        df, fr = silhouette_pipeline(random_equal_volume_polygon(rng, 12).points)
+        rho2 = np.ones(len(fr.rho2))
+        rho2[3] = tiny
+        moved = dataclasses.replace(fr, rho2=fr.rho2.with_values(rho2),
+                                    tau=fr.tau.with_values(np.zeros(len(fr.tau))))
+        monkeypatch.setattr(invariants, "frenet", lambda _: moved)
+        fd = focal_data(df)
+        assert fd.mu.values[3] == tiny and np.signbit(fd.mu.values[3]) == np.signbit(tiny)
+        assert np.isnan(fd.Q.values).all(axis=1).tolist() == [k == 3 for k in range(len(fd.Q))]
 
     def test_mu_prime_identity(self, rng):
         G = random_equal_area(14, rng)

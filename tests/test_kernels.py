@@ -20,7 +20,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -59,7 +59,13 @@ from evpoly.darboux import (
     validate_frame,
 )
 from evpoly.documents import PolygonDocument, write_document
-from evpoly.equal_volume import NotEqualVolumeError, centroaffine_volumes, darboux_volumes
+from evpoly.equal_volume import (
+    EQUAL_VOLUME_TOL,
+    NotEqualVolumeError,
+    centroaffine_volumes,
+    darboux_volumes,
+    is_equal_volume,
+)
 from evpoly.invariants import (
     centroaffine_frenet,
     focal_data,
@@ -701,24 +707,43 @@ def test_degenerate_frenet_face_names_side(pipeline):
     assert info.value.vertex == 5
 
 
-def test_q_gap_names_side(pipeline, monkeypatch):
-    # shifting rho2(k) and rho1(k+1) together moves mu(k) as one rho2 shift
-    # does; either way the two ends of side k no longer see one Q
-    df, fr = pipeline
-    mu = focal_data(df).mu
-    shift = 0.1 * abs(mu.at(3))
-    rho1, rho2 = fr.rho1.values.copy(), fr.rho2.values.copy()
-    rho1[fr.rho1.slots == 4] += shift
-    rho2[fr.rho2.slots == 3] += shift
-    both = dataclasses.replace(fr, rho1=fr.rho1.with_values(rho1),
-                               rho2=fr.rho2.with_values(rho2))
-    rho2 = fr.rho2.values.copy()
-    rho2[fr.rho2.slots == 4] += 1e-3
-    near = dataclasses.replace(fr, rho2=fr.rho2.with_values(rho2))
-    for moved, side in ((both, 3), (near, 4)):
-        monkeypatch.setattr(invariants, "frenet", lambda _: moved)
-        with pytest.raises(GeometryError, match=rf"^side {side}: the two Q evaluations"):
-            focal_data(df)
+def test_cone_line_moves_within_the_volume_gate_get_a_focal_set(tmp_path):
+    # each vertex of an n = 12 corpus polygon moved along its cone line by
+    # 1e-9 N(0, 1), relative: the faces stay planar and the volume spread stays
+    # within EQUAL_VOLUME_TOL, so analyze and focal take Q and exit 0, though
+    # the two ends of side 6 see Q 2.1e-8 apart: the volume gate alone decides
+    rng = np.random.default_rng(24)
+    p = random_equal_volume_polygon(rng, 12).points
+    moved = p * (1.0 + 1e-9 * rng.normal(size=(12, 1)))
+    spread = darboux_volumes(parallel_darboux(FramedPolygon.silhouette(moved))).spread
+    assert 1e-9 < spread <= EQUAL_VOLUME_TOL
+    doc = tmp_path / "moved.json"
+    write_document(PolygonDocument.from_polygon(Polygon3.from_points(moved)), doc)
+    assert cli.main(["analyze", str(doc), "--origin", "0,0,0"]) == 0
+    assert cli.main(["focal", str(doc), "--origin", "0,0,0", "--obj", str(tmp_path / "f.obj")]) == 0
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(12, 40), along=st.booleans(),
+       size=st.sampled_from([1e-10, 1e-9, 3e-9]))
+@settings(max_examples=30, deadline=None)
+def test_focal_data_needs_only_the_frame_and_volume_gates(seed, n, along, size):
+    """An open silhouette polygon that passes ``validate_frame`` and the
+    volume gate gets its focal data: no later check refuses it.
+
+    A corpus polygon is moved by ``size`` N(0, 1), relative, either along
+    its cone lines or in any direction.
+    """
+    rng = np.random.default_rng(seed)
+    p = random_equal_volume_polygon(rng, n).points
+    if along:
+        moved = p * (1.0 + size * rng.normal(size=(n, 1)))
+    else:
+        moved = p + size * np.abs(p).max() * rng.normal(size=p.shape)
+    f = FramedPolygon.silhouette(moved)
+    assume(validate_frame(f).ok)
+    df = parallel_darboux(f)
+    assume(is_equal_volume(darboux_volumes(df)))
+    focal_data(df)
 
 
 @pytest.mark.parametrize("seed", [0, 2, 3])

@@ -137,7 +137,6 @@ CONSTANTS = [
     (darboux, "TOL_FACE", 1e-8),
     (darboux, "CLASSIFY_TOL", 1e-6),
     (equal_volume, "EQUAL_VOLUME_TOL", 1e-8),
-    (invariants, "FOCAL_AGREEMENT_TOL", 1e-9),
     (invariants, "GAUGE_CLOSURE_TOL", 1e-9),
     (invariants, "FOCAL_CLASSIFY_TOL", 1e-6),
 ]
