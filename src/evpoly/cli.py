@@ -39,7 +39,7 @@ from .darboux import (
 )
 from .documents import DocumentError, PolygonDocument, read_document, write_document
 from .equal_volume import NotEqualVolumeError, darboux_volumes, resample_equal_volume
-from .invariants import classify_focal, focal_data, focal_set_mesh, frenet
+from .invariants import ShortPolygonError, classify_focal, focal_data, focal_set_mesh, frenet
 from .projective import (
     InflectionError,
     PlanarProjectivePolygon,
@@ -142,6 +142,8 @@ def cmd_analyze(args) -> int:
         print(f"evpoly: volumes vary by {exc.spread:.3e} relative, above "
               f"EQUAL_VOLUME_TOL = {exc.threshold:.0e}; Frenet data skipped "
               f"({remedy})", file=sys.stderr)
+    except ShortPolygonError as exc:
+        print(f"evpoly: {exc}; Frenet data skipped", file=sys.stderr)
     else:
         fd = focal_data(df)
         fc = classify_focal(fd)

@@ -1,5 +1,9 @@
 """Curve samplers: the logarithmic spiral, its centro-affine representative
 in 3-space and the ellipse, sampled on a uniform parameter grid.
+
+Each curve writes its coordinate columns into one array instead of
+stacking them; the points are bit for bit those of ``np.stack`` of the
+column expressions, which tests/test_fixed_cost.py writes out.
 """
 
 from __future__ import annotations
@@ -23,8 +27,12 @@ class ExampleSpiral:
     dim = 2
 
     def __call__(self, t):
+        out = np.empty(np.shape(t) + (2,))
+        x, y = out[..., 0], out[..., 1]
         e = np.exp(-t)
-        return np.stack([e * np.cos(t), e * np.sin(t)], axis=-1)
+        np.multiply(e, np.cos(t, out=x), out=x)
+        np.multiply(e, np.sin(t, out=y), out=y)
+        return out
 
 
 class ExampleSpiralRepresentative:
@@ -38,9 +46,13 @@ class ExampleSpiralRepresentative:
     dim = 3
 
     def __call__(self, t):
-        a = 2.0 ** (-1.0 / 3.0) * np.exp(2.0 * t / 3.0)
-        e = np.exp(-t)
-        return np.stack([a * e * np.cos(t), a * e * np.sin(t), a], axis=-1)
+        out = np.empty(np.shape(t) + (3,))
+        x, y, a = out[..., 0], out[..., 1], out[..., 2]
+        np.multiply(2.0 ** (-1.0 / 3.0), np.exp(2.0 * t / 3.0), out=a)
+        ae = np.multiply(a, np.exp(-t))
+        np.multiply(ae, np.cos(t, out=x), out=x)
+        np.multiply(ae, np.sin(t, out=y), out=y)
+        return out
 
 
 class Ellipse:
@@ -53,7 +65,11 @@ class Ellipse:
         self.b = float(b)
 
     def __call__(self, t):
-        return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
+        out = np.empty(np.shape(t) + (2,))
+        x, y = out[..., 0], out[..., 1]
+        np.multiply(self.a, np.cos(t, out=x), out=x)
+        np.multiply(self.b, np.sin(t, out=y), out=y)
+        return out
 
 
 class GridScheme:

@@ -66,6 +66,16 @@ class Topology(enum.Enum):
     CLOSED = "closed"
 
 
+_FLOAT = np.dtype(float)
+
+
+def _floats(x) -> np.ndarray:
+    """``x`` itself when it is a float64 ndarray, else ``np.asarray(x, dtype=float)``."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT:
+        return x
+    return np.asarray(x, dtype=float)
+
+
 def require_finite(rows: np.ndarray, what: str) -> None:
     """Raise a GeometryError naming the first vertex whose row is not finite.
 
@@ -78,7 +88,7 @@ def require_finite(rows: np.ndarray, what: str) -> None:
         raise GeometryError(f"vertex {k}: non-finite {what}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GridSeq:
     """Immutable sequence of scalars or small vectors on a half-integer grid.
 
@@ -98,16 +108,16 @@ class GridSeq:
     topology: Topology = Topology.OPEN
     base: int = 0
 
-    def __post_init__(self):
-        a = self.values
-        if type(a) is not np.ndarray or a.dtype != float:
-            a = np.asarray(a, dtype=float)
+    def __init__(self, values, grid: Grid, topology: Topology = Topology.OPEN, base: int = 0):
+        a = _floats(values)
         if a.flags.writeable:  # freeze a view, never the caller's array itself
             a = a.view()
-            a.setflags(write=False)
-        object.__setattr__(self, "values", a)
-        if self.topology is Topology.CLOSED and self.base != 0:
+            a.flags.writeable = False
+        if topology is Topology.CLOSED and base != 0:
             raise GeometryError("closed sequences must have base 0")
+        # the fields in one write, past the frozen __setattr__
+        object.__setattr__(self, "__dict__",
+                           {"values": a, "grid": grid, "topology": topology, "base": base})
 
     def __len__(self) -> int:
         return len(self.values)
@@ -165,15 +175,35 @@ class GridSeq:
 def det3(u, v, w) -> float | np.ndarray:
     """Signed volume of the parallelepiped spanned by three 3-vectors.
 
-    Accepts stacked arrays of shape (..., 3) and broadcasts.
+    Accepts stacked arrays of shape (..., 3) and broadcasts.  It rounds as
+
+        u0 (v1 w2 - v2 w1) - u1 (v0 w2 - v2 w0) + u2 (v0 w1 - v1 w0)
+
+    evaluated left to right, with the steps written into three buffers
+    instead of a new array each.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    r = (u[..., 0] * (v[..., 1] * w[..., 2] - v[..., 2] * w[..., 1])
-         - u[..., 1] * (v[..., 0] * w[..., 2] - v[..., 2] * w[..., 0])
-         + u[..., 2] * (v[..., 0] * w[..., 1] - v[..., 1] * w[..., 0]))
-    return float(r) if r.ndim == 0 else r
+    u, v, w = _floats(u), _floats(v), _floats(w)
+    if not u.shape == v.shape == w.shape:
+        u, v, w = np.broadcast_arrays(u, v, w)  # every step then has the result's shape
+    if u.ndim == 1:  # one triple: the same steps on one row
+        return float(det3(u[None], v[None], w[None])[0])
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    w0, w1, w2 = w[..., 0], w[..., 1], w[..., 2]
+    mul, sub = np.multiply, np.subtract  # the third argument of each is its output
+    r, t = mul(v1, w2), mul(v2, w1)
+    sub(r, t, r)
+    mul(u0, r, r)
+    mul(v0, w2, t)
+    s = mul(v2, w0)
+    sub(t, s, t)
+    mul(u1, t, t)
+    sub(r, t, r)
+    mul(v0, w1, t)
+    mul(v1, w0, s)
+    sub(t, s, t)
+    mul(u2, t, t)
+    return np.add(r, t, r)
 
 
 def cross3(u, v) -> np.ndarray:
@@ -183,8 +213,7 @@ def cross3(u, v) -> np.ndarray:
     as ``np.cross`` does, so the two agree bit for bit, without
     ``np.cross``'s fixed cost of moving axes and allocating.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
+    u, v = _floats(u), _floats(v)
     u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
     v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
     out = np.empty(np.broadcast(u, v).shape)
@@ -208,7 +237,7 @@ def norm3(x) -> np.ndarray:
 
 
 def row_mean(x) -> np.ndarray:
-    """Mean of the rows of a 2-D array.
+    """Mean of the rows of a 2-D array, or of the entries of a 1-D one.
 
     Equal to ``x.mean(axis=0)`` bit for bit: numpy's mean is this same
     ``np.add.reduce`` divided by the row count, behind a fixed cost of
@@ -257,11 +286,17 @@ def face_solve(v, a, b, n) -> tuple[np.ndarray, np.ndarray]:
 
 
 def det2(u, v) -> float | np.ndarray:
-    """Signed area of the parallelogram spanned by two 2-vectors."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    r = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
-    return float(r) if r.ndim == 0 else r
+    """Signed area of the parallelogram spanned by two 2-vectors, u0 v1 - u1 v0.
+
+    Accepts stacked arrays of shape (..., 2) and broadcasts, like ``det3``.
+    """
+    u, v = _floats(u), _floats(v)
+    if u.shape != v.shape:
+        u, v = np.broadcast_arrays(u, v)
+    if u.ndim == 1:
+        return float(det2(u[None], v[None])[0])
+    r = np.multiply(u[..., 0], v[..., 1])
+    return np.subtract(r, u[..., 1] * v[..., 0], out=r)
 
 
 def _require_two(n: int) -> None:
@@ -293,12 +328,14 @@ def _side_lengths(v: GridSeq) -> np.ndarray:
     squares; an open stencil is a pair of views.
     """
     _, (p0, p1) = v.stencil(0, 1)
-    s, d = np.empty(len(p0)), np.empty(len(p0))
-    for c, buf in ((0, s), (1, d), (2, d)):
-        np.subtract(p1[:, c], p0[:, c], out=buf)
-        np.multiply(buf, buf, out=buf)
-        if c:
-            np.add(s, buf, out=s)
+    s = np.subtract(p1[:, 0], p0[:, 0])
+    np.multiply(s, s, out=s)
+    d = np.subtract(p1[:, 1], p0[:, 1])
+    np.multiply(d, d, out=d)
+    np.add(s, d, out=s)
+    np.subtract(p1[:, 2], p0[:, 2], out=d)
+    np.multiply(d, d, out=d)
+    np.add(s, d, out=s)
     return np.sqrt(s, out=s)
 
 
@@ -323,9 +360,8 @@ class Polygon3:
         require_finite(a, "coordinate")
         _require_two(len(a))
         lengths = _side_lengths(v)
-        bad = lengths == 0.0
-        if bad.any():
-            raise DegenerateVertexError(v.base + int(np.argmax(bad)))
+        if not lengths.all():  # the first zero is the first minimum of lengths >= 0
+            raise DegenerateVertexError(v.base + int(np.argmin(lengths)))
         lengths.setflags(write=False)
         object.__setattr__(self, "side_lengths", lengths)
 

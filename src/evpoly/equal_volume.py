@@ -56,7 +56,11 @@ class VolumeReport:
 def _report(vols: np.ndarray, topology: Topology, base: int) -> VolumeReport:
     c_hat = median(vols)
     denom = abs(c_hat)
-    spread = float(np.abs(vols - c_hat).max() / denom) if denom > 0 else np.inf
+    if denom > 0:
+        dev = np.subtract(vols, c_hat)
+        spread = float(np.maximum.reduce(np.abs(dev, out=dev)) / denom)  # .max() bit for bit
+    else:
+        spread = np.inf
     return VolumeReport(GridSeq(vols, Grid.VERTEX, topology, base), c_hat, spread)
 
 

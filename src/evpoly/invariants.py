@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,7 @@ __all__ = [
     "FocalKind",
     "FocalClass",
     "GaugeObstructionError",
+    "ShortPolygonError",
     "frenet",
     "centroaffine_frenet",
     "lambda_from_tau",
@@ -72,6 +74,13 @@ __all__ = [
 GAUGE_CLOSURE_TOL = 1e-9
 # relative spread of sigma and mu below which the focal set is one line
 FOCAL_CLASSIFY_TOL = 1e-6
+
+
+class ShortPolygonError(GeometryError):
+    """An open polygon with fewer vertices than its Frenet data need."""
+
+    def __init__(self, minimum: int):
+        super().__init__(f"need at least {minimum} vertices for open Frenet data")
 
 
 class GaugeObstructionError(GeometryError):
@@ -120,7 +129,7 @@ def frenet(df: DarbouxField) -> FrenetData:
     f = df.frame
     c = volume_constant(darboux_volumes(df))
     if len(f.polygon) < 5 and not f.closed:
-        raise GeometryError("need at least 5 vertices for open Frenet data")
+        raise ShortPolygonError(5)
 
     # Each third difference is nested on the sides, (e(k+1) - e(k)) -
     # (e(k) - e(k-1)), so that each subtraction acts on neighbouring,
@@ -150,7 +159,12 @@ def centroaffine_frenet(p: Polygon3) -> FrenetData:
     k0, (qm, q0, q1, q2) = p.vertices.stencil(-1, 0, 1, 2)
     d_a = det3(qm, q0, q2)
     d_b = det3(q2, q1, qm)
-    return _frenet_data(p.topology, k0, c, 3.0 - d_a / c, 3.0 + d_b / c, (d_a + d_b) / c)
+    # tau = (d_a + d_b) / c, rho1 = 3 - d_a / c and rho2 = 3 + d_b / c, in place
+    tau = np.add(d_a, d_b)
+    np.divide(tau, c, out=tau)
+    rho1 = np.subtract(3.0, np.divide(d_a, c, out=d_a), out=d_a)
+    rho2 = np.add(3.0, np.divide(d_b, c, out=d_b), out=d_b)
+    return _frenet_data(p.topology, k0, c, rho1, rho2, tau)
 
 
 def lambda_from_tau(tau: GridSeq, value: float) -> GridSeq:
@@ -175,17 +189,45 @@ def lambda_from_tau(tau: GridSeq, value: float) -> GridSeq:
 
 @dataclass(frozen=True)
 class FocalSetData:
-    """mu, Q and O of a Darboux field's sides, and the normals eta behind Q.
+    """mu and O of a Darboux field's sides, with the gauge field lam (lambda) behind mu.
 
-    NaN rows of O and Q mark points at infinity.  The focal lines that
-    join O and Q are built on demand, by ``focal_lines``.
+    The points Q and the normals eta behind them are built on first read:
+    ``analyze`` reads mu alone, the focal mesh reads Q and eta.  NaN rows
+    of O and Q mark points at infinity.  The focal lines that join O and
+    Q are built on demand, by ``focal_lines``.
     """
 
     field: DarbouxField
     mu: GridSeq
-    Q: GridSeq
     O: GridSeq
-    eta: GridSeq
+    lam: GridSeq
+
+    @cached_property
+    def eta(self) -> GridSeq:
+        """eta(i) = phi''(i) + lambda(i) xi(i) on the gauge window, the interior vertices.
+
+        phi'' differences the sides that ``frenet``'s d3 is nested on.
+        """
+        df, lam = self.field, self.lam
+        lo, (em, e0) = df.frame.polygon.sides().stencil(-1, 0)
+        return GridSeq((e0 - em) + lam.values[:, None] * df.xi.window(lo, len(lam)),
+                       Grid.VERTEX, lam.topology, lo)
+
+    @cached_property
+    def Q(self) -> GridSeq:
+        """Q(k) = P(k) + eta(k)/mu(k) per side, from the near end.
+
+        Sides where 1/mu is not finite (parallel normals) are NaN rows,
+        points at infinity.
+        """
+        k0, m, mu = self.mu.base, len(self.mu), self.mu.values
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            finite = np.isfinite(1.0 / mu)
+            q_pts = (self.field.frame.polygon.vertices.window(k0, m)
+                     + self.eta.window(k0, m) / mu[:, None])
+        if not finite.all():
+            q_pts[~finite] = np.nan
+        return GridSeq(q_pts, Grid.SIDE, self.mu.topology, k0)
 
     def lineless(self) -> np.ndarray:
         """Mask over Q's window of the sides with no focal line: O and Q both at infinity."""
@@ -194,7 +236,7 @@ class FocalSetData:
 
 
 def focal_data(df: DarbouxField, gauge: float = 0.0) -> FocalSetData:
-    """mu per side and the points O and Q, from ``frenet(df)``, the gauge field and the normals.
+    """mu per side and the points O, from ``frenet(df)`` and the gauge field; Q on first read.
 
     ``gauge`` is lambda's value at the first vertex of tau's window, the
     one constant that the anti-difference leaves free.  Per side the
@@ -206,32 +248,14 @@ def focal_data(df: DarbouxField, gauge: float = 0.0) -> FocalSetData:
     tau(k).  Q(k) = P(k) + eta(k)/mu(k) is taken from the near end too;
     the far end, P(k+1) + eta(k+1)/mu(k), gives the same point on an
     equal-volume polygon, which ``frenet``'s volume gate has checked.
-    Sides where 1/mu is not finite (parallel normals) come back as NaN
-    rows of Q, points at infinity.
     """
     fr = frenet(df)
-    f = df.frame
     lam = lambda_from_tau(fr.tau, gauge)
-
-    # eta(i) = phi''(i) + lambda(i) xi(i) on the gauge window, the interior
-    # vertices; phi'' differences the sides that frenet's d3 is nested on
-    lo, (em, e0) = f.polygon.sides().stencil(-1, 0)
-    eta = GridSeq((e0 - em) + lam.values[:, None] * df.xi.window(lo, len(lam)),
-                  Grid.VERTEX, lam.topology, lo)
-
     # mu per side, from the near end; rho2 shares tau's window
     k0, m = fr.tau.base, len(fr.tau)
     mu_v = fr.rho2.values + df.sigma.window(k0, m) * lam.window(k0, m)
     mu = GridSeq(mu_v, Grid.SIDE, fr.tau.topology, k0)
-
-    # Q per side, from the near end
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        finite = np.isfinite(1.0 / mu_v)
-        q_pts = f.polygon.vertices.window(k0, m) + eta.window(k0, m) / mu_v[:, None]
-    if not finite.all():
-        q_pts[~finite] = np.nan
-    Q = GridSeq(q_pts, Grid.SIDE, fr.tau.topology, k0)
-    return FocalSetData(df, mu, Q, osculating_points(df), eta)
+    return FocalSetData(df, mu, osculating_points(df), lam)
 
 
 def focal_lines(fd: FocalSetData) -> tuple[np.ndarray, np.ndarray]:

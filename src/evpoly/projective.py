@@ -25,10 +25,8 @@ from .core import (
     GridSeq,
     Polygon3,
     Topology,
-    det2,
-    det3,
-    forward_diff,
     require_finite,
+    row_mean,
 )
 from .invariants import centroaffine_frenet
 
@@ -88,8 +86,16 @@ def b_sequence(poly: GridSeq) -> GridSeq:
     """
     if len(poly) < 3:
         raise GeometryError("need at least 3 vertices")
-    first, (e_left, e_right) = forward_diff(poly).stencil(-1, 0)
-    b = det2(e_left, e_right)
+    # det2(e_left, e_right) of the sides e_left = p - pm and e_right = pn - p
+    # of each vertex, one column at a time: three buffers of one entry per
+    # vertex instead of the (n-1, 2) sides of forward_diff(poly)
+    first, (pm, p, pn) = poly.stencil(-1, 0, 1)
+    b = np.subtract(p[:, 0], pm[:, 0])
+    t = np.subtract(pn[:, 1], p[:, 1])
+    np.multiply(b, t, out=b)
+    np.subtract(p[:, 1], pm[:, 1], out=t)
+    np.multiply(t, np.subtract(pn[:, 0], p[:, 0]), out=t)
+    np.subtract(b, t, out=b)
     bad = b <= 0.0
     if bad.any():
         j = int(np.argmax(bad))
@@ -112,16 +118,18 @@ def default_normalization(poly: PlanarProjectivePolygon) -> LiftNormalization:
 
     ``b_sequence`` has already refused any b <= 0, so every logarithm is finite.
     """
-    c = float(np.exp(np.mean(np.log(poly.b.values))))
+    c = float(np.exp(row_mean(np.log(poly.b.values))))  # row_mean is np.mean bit for bit
     return LiftNormalization(1.0, 1.0, c, "unit-seed")
 
 
 def spiral_analytic_normalization(t0: float, h: float) -> LiftNormalization:
     """Seeds and c from the spiral's analytic equal-volume representative."""
-    p = ExampleSpiralRepresentative()(t0 + h * np.arange(3))
+    u, v, w = ExampleSpiralRepresentative()(t0 + h * np.arange(3)).tolist()
+    # det3 of the three points, in its order, in Python floats, which round as float64 does
+    c = (u[0] * (v[1] * w[2] - v[2] * w[1]) - u[1] * (v[0] * w[2] - v[2] * w[0])
+         + u[2] * (v[0] * w[1] - v[1] * w[0]))
     # the z column is each vertex's scale 2^(-1/3) exp(2t/3)
-    return LiftNormalization(float(p[0, 2]), float(p[1, 2]),
-                             float(det3(p[0], p[1], p[2])), "analytic-seed")
+    return LiftNormalization(u[2], v[2], c, "analytic-seed")
 
 
 # det3 sums six triple products, so with every coordinate at most this
@@ -146,10 +154,15 @@ def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) 
     pts = poly.vertices.values
     n = len(pts)
     b = poly.b.window(1, n - 2)
-    # column s of ``chain`` is residue class s: row 0 holds its lead and
-    # row k >= 1 the step b(s+3k-2) / b(s+3k-1) from a(s+3k-3) to a(s+3k),
-    # so below row 0 the ratios lie in vertex order, padded with 1.0
-    chain = np.ones((-(-n // 3), 3))
+    # The scales are the z column of ``lifted``, which has rows to a
+    # multiple of 3.  Its view ``chain`` holds residue class s in column
+    # s: row 0 holds its lead and row k >= 1 the step b(s+3k-2) / b(s+3k-1)
+    # from a(s+3k-3) to a(s+3k), so below row 0 the ratios lie in vertex
+    # order, padded with 1.0 in the rows past the last vertex.
+    rows = -(-n // 3)
+    lifted = np.empty((3 * rows, 3))
+    chain = lifted.reshape(rows, 3, 3)[:, :, 2]
+    a = lifted[:n, 2]
     with np.errstate(all="ignore"):
         seeds = np.array([norm.a1, norm.a2, norm.c / (norm.a1 * norm.a2 * b[0])])
         # Lead each product with the power of two at or below its seed a(s),
@@ -160,26 +173,25 @@ def lift_representative(poly: PlanarProjectivePolygon, norm: LiftNormalization) 
         # homogeneous in its seeds to a few roundings at any N.
         lead = np.ldexp(0.5, np.frexp(seeds)[1])
         chain[0] = lead
-        np.divide(b[:-1], b[1:], out=chain[1:].reshape(-1)[:n - 3])
-        np.cumprod(chain, axis=0, out=chain)
+        np.divide(b[:-1], b[1:], out=a[3:])
+        lifted[n:, 2] = 1.0
+        np.multiply.accumulate(chain, axis=0, out=chain)  # np.cumprod without its wrapper
         np.multiply(seeds / lead, chain, out=chain)
-        lifted = np.empty((n, 3))
-        a = lifted[:, 2]
-        a[:] = chain.reshape(-1)[:n]
-        np.multiply(a[:, None], pts, out=lifted[:, :2])
-    ok = np.isfinite(a) & (a > 0.0)
-    if not ok.all():
-        raise GeometryError(f"vertex {int(np.argmin(ok))}: lift recursion overflowed")
-    # the chain's buffer is free now; the largest coordinate of each row goes there
-    size = np.abs(lifted[:, 0], out=chain.reshape(-1)[:n])
-    np.maximum(size, np.abs(lifted[:, 1]), out=size)
-    np.maximum(size, a, out=size)
-    big = size > LIFT_COORD_MAX
-    if big.any():
-        k = int(np.argmax(big))
+        lifted = lifted[:n]
+        np.multiply(a, pts[:, 0], out=lifted[:, 0])
+        np.multiply(a, pts[:, 1], out=lifted[:, 1])
+    # Three reductions pass every lift with finite positive scales and no
+    # coordinate beyond LIFT_COORD_MAX; any other is refused at its first
+    # such vertex.
+    top = max(np.maximum.reduce(lifted, axis=None), -np.minimum.reduce(lifted, axis=None))
+    if not (np.minimum.reduce(a) > 0.0 and top <= LIFT_COORD_MAX):
+        ok = np.isfinite(a) & (a > 0.0)
+        if not ok.all():
+            raise GeometryError(f"vertex {int(np.argmin(ok))}: lift recursion overflowed")
+        size = np.maximum(np.maximum(np.abs(lifted[:, 0]), np.abs(lifted[:, 1])), a)
+        k = int(np.argmax(size > LIFT_COORD_MAX))
         raise GeometryError(f"vertex {k}: lifted coordinate {size[k]:.3e} exceeds "
                             f"{LIFT_COORD_MAX:.3e}, beyond what det3 can evaluate")
-    del chain, size  # free before the polygon's side check allocates
     return Polygon3(GridSeq(lifted, Grid.VERTEX))  # no copy: nothing else holds ``lifted``
 
 
@@ -204,17 +216,24 @@ def projective_lengths(phi: Polygon3) -> ProjectiveLengthReport:
     if len(phi) < 6:
         raise GeometryError("need at least 6 vertices for projective lengths")
     fr = centroaffine_frenet(phi)
-    tau = fr.tau
-    d1, d2 = forward_diff(fr.rho1), forward_diff(fr.rho2)
-    start = max(d1.base, d2.base, tau.base)
-    stop1, stop2 = (min(d.base + len(d), tau.base + len(tau)) - 1 for d in (d1, d2))
+    tau, topo = fr.tau, phi.topology
+    # rho' of side s is rho(s+1) - rho(s), on the slots of forward_diff(rho):
+    # an open difference is one entry shorter than rho, a closed one wraps
+    short = topo is Topology.OPEN
+    start = max(fr.rho1.base, fr.rho2.base, tau.base)
+    stop1, stop2 = (min(r.base + len(r) - short, tau.base + len(tau)) - 1
+                    for r in (fr.rho1, fr.rho2))
     if stop1 < start or stop2 < start:
         raise GeometryError("polygon too short for a nonempty summation window")
     m1, m2 = stop1 + 1 - start, stop2 + 1 - start
-    t1 = np.cbrt(d1.window(start, m1) + 2.0 * tau.window(start, m1))
-    t2 = np.cbrt(d2.window(start, m2) + 2.0 * tau.window(start, m2))
-    topo = phi.topology
-    return ProjectiveLengthReport(float(t1.sum()), float(t2.sum()),
+    two_tau = 2.0 * tau.window(start, max(m1, m2))
+    terms = []
+    for r, m in ((fr.rho1, m1), (fr.rho2, m2)):
+        t = np.subtract(r.window(start + 1, m), r.window(start, m))
+        np.add(t, two_tau[:m], out=t)
+        terms.append(np.cbrt(t, out=t))
+    t1, t2 = terms
+    return ProjectiveLengthReport(float(np.add.reduce(t1)), float(np.add.reduce(t2)),
                                   GridSeq(t1, Grid.SIDE, topo, start),
                                   GridSeq(t2, Grid.SIDE, topo, start),
                                   (start, stop1))

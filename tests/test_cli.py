@@ -260,6 +260,29 @@ class TestAnalyze:
         assert main([command, path, out_flag, str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "evpoly: need at least 3 vertices\n"
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_short_open_polygon_skips_the_frenet_data(self, rng, tmp_path, capsys, n):
+        path = tmp_path / "short.json"
+        write_document(PolygonDocument.from_polygon(random_equal_volume_polygon(rng, n)), path)
+        assert main(["analyze", str(path), "--origin", "0,0,0"]) == 0
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        frenet_keys = {"rho1", "rho2", "tau", "mu", "focal"}
+        assert report["n_vertices"] == n
+        if n < 5:
+            assert captured.err == ("evpoly: need at least 5 vertices for open Frenet data; "
+                                    "Frenet data skipped\n")
+            assert not frenet_keys & set(report)
+        else:
+            assert captured.err == "" and frenet_keys <= set(report)
+
+    def test_short_polygon_whose_volumes_vary_gets_the_volume_notice(self, rng, tmp_path, capsys):
+        path = tmp_path / "short.json"
+        write_document(PolygonDocument.from_polygon(random_equal_volume_polygon(rng, 4)), path)
+        assert main(["analyze", str(path), "--origin", "0.1,0,0"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "above EQUAL_VOLUME_TOL = 1e-08; Frenet data skipped" in err
+
     def test_json_output_file(self, spiral_doc, tmp_path):
         out = tmp_path / "report.json"
         assert main(["analyze", spiral_doc, "--json", str(out)]) == 0

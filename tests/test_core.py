@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,33 @@ class TestGridSeq:
         # a read-only view: the caller's array is neither frozen nor copied
         a[0] = 5.0
         assert np.shares_memory(s.values, a)
+
+    def test_values_view_the_callers_array_which_stays_writeable(self):
+        a = np.arange(6.0).reshape(3, 2)
+        s = GridSeq(a, Grid.VERTEX, Topology.OPEN, 2)
+        assert s.values is not a and np.shares_memory(s.values, a) and s.values.shape == a.shape
+        assert not s.values.flags.writeable and a.flags.writeable
+        # an array that is read-only already is kept as it is
+        assert GridSeq(s.values, Grid.SIDE).values is s.values
+
+    @pytest.mark.parametrize("given", [[1, 2, 3], [[1, 2], [3, 4]], [0.5, 2, -3],
+                                       np.arange(3), np.arange(3, dtype=np.float32),
+                                       np.arange(3.0).astype(">f8")],
+                             ids=["ints", "int-rows", "mixed", "int64", "float32", "big-endian"])
+    def test_lists_and_ints_become_float64(self, given):
+        s = GridSeq(given, Grid.VERTEX)
+        assert s.values.dtype == np.dtype(float) and s.values.dtype.isnative
+        assert s.values.tobytes() == np.asarray(given, dtype=float).tobytes()
+        assert not s.values.flags.writeable
+
+    def test_fields_cannot_be_assigned(self):
+        s = GridSeq(values=np.arange(3.0), grid=Grid.SIDE, topology=Topology.OPEN, base=1)
+        assert (s.grid, s.topology, s.base) == (Grid.SIDE, Topology.OPEN, 1)
+        for name, value in (("values", np.zeros(3)), ("grid", Grid.VERTEX),
+                            ("topology", Topology.CLOSED), ("base", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, value)
+        assert (s.grid, s.topology, s.base) == (Grid.SIDE, Topology.OPEN, 1)
 
 
 class TestDifferencing:

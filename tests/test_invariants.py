@@ -206,6 +206,23 @@ class TestFocalSet:
             assert np.linalg.norm(np.cross(d0, d1)) <= 1e-9
             assert np.linalg.norm(np.cross(o1 - o0, d0)) <= 1e-8
 
+    def test_eta_and_q_are_built_on_first_read(self, rng):
+        df, fr = silhouette_pipeline(random_equal_volume_polygon(rng, 12).points)
+        fd = focal_data(df, gauge=0.4)
+        assert "eta" not in vars(fd) and "Q" not in vars(fd)
+        assert fd.lam.values.tobytes() == lambda_from_tau(fr.tau, 0.4).values.tobytes()
+        q = fd.Q
+        assert "eta" in vars(fd) and fd.Q is q
+        # eta = phi'' + lambda xi on lambda's window; Q = P + eta / mu on mu's
+        lo, (em, e0) = df.frame.polygon.sides().stencil(-1, 0)
+        eta = (e0 - em) + fd.lam.values[:, None] * df.xi.window(lo, len(fd.lam))
+        assert fd.eta.base == lo and fd.eta.values.tobytes() == eta.tobytes()
+        k0, m = fd.mu.base, len(fd.mu)
+        want = (df.frame.polygon.vertices.window(k0, m)
+                + eta[k0 - lo:k0 - lo + m] / fd.mu.values[:, None])
+        assert q.base == k0 and q.topology is fd.mu.topology
+        assert q.values.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("gauge", [0.0, 3.7])
     def test_mu_is_the_same_from_either_end(self, rng, gauge):
         # focal_data takes mu(k) = rho2(k) + sigma(k) lambda(k) from the near

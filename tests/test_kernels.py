@@ -856,7 +856,7 @@ def test_analyze_computes_each_derived_quantity_once(rng, tmp_path, monkeypatch)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
                         recording(argparse.ArgumentParser.parse_known_args, parses))
     gridseqs = []
-    monkeypatch.setattr(GridSeq, "__post_init__", recording(GridSeq.__post_init__, gridseqs))
+    monkeypatch.setattr(GridSeq, "__init__", recording(GridSeq.__init__, gridseqs))
 
     assert cli.main(["analyze", str(src), "--origin", "0,0,0", "--json", str(out)]) == 0
     assert '"rho1"' in out.read_text()
@@ -868,7 +868,8 @@ def test_analyze_computes_each_derived_quantity_once(rng, tmp_path, monkeypatch)
     assert len(normals) == 1
     assert len(crosses) == 4 and len({c.tobytes() for c in crosses}) == 4
     assert numpy_calls == []
-    assert len(gridseqs) == 15
+    # eta and Q are built on first read, and the report reads neither
+    assert len(gridseqs) == 13
     # evaluations, not calls: a repeated call must hand back the same result
     assert volumes and len({id(r) for r in volumes}) == 1
     assert points and len({id(seq) for seq in points}) == 1

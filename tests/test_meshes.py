@@ -138,8 +138,11 @@ def test_focal_set_obj_matches_per_record_formatting(tmp_path, rng, closed):
     fd = focal_data(parallel_darboux(FramedPolygon.silhouette(p.points)))
     if closed:
         # a closed polygon whose focal set exists needs sum tau = 0; the
-        # same lines on the closed topology add the face that wraps around
-        fd = dataclasses.replace(fd, mu=GridSeq(fd.mu.values, Grid.SIDE, Topology.CLOSED))
+        # same lines on the closed topology add the face that wraps around.
+        # Q, built on first read from mu, is kept from the open polygon.
+        closed_fd = dataclasses.replace(fd, mu=GridSeq(fd.mu.values, Grid.SIDE, Topology.CLOSED))
+        vars(closed_fd)["Q"] = fd.Q
+        fd = closed_fd
     mesh = focal_set_mesh(fd)
     assert len(mesh.faces) == len(mesh.lines) - 1 + closed
     path = tmp_path / "f.obj"

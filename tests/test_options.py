@@ -74,8 +74,8 @@ KEPT = {
     "documents.PolygonDocument.from_framed(metadata)": "cli.cmd_resample",
     "cli.main(argv)": "tests/test_cli.py and the benchmark; None reads sys.argv",
     # defaulted dataclass fields
-    "core.GridSeq(topology)": "core.forward_diff, like every sequence derived from a polygon",
-    "core.GridSeq(base)": "open interior windows: core.forward_diff, invariants._frenet_data",
+    "core.GridSeq.__init__(topology)": "core.forward_diff, like every sequence derived from a polygon",
+    "core.GridSeq.__init__(base)": "open interior windows: core.forward_diff, invariants._frenet_data",
     "darboux.DarbouxField(holonomy)": "darboux.parallel_darboux for a closed polygon",
     "darboux.OsculatingClass(apex)": "darboux.classify_osculating for a cone",
     "documents.PolygonDocument(directions)": "documents.read_document and "
@@ -88,6 +88,8 @@ KEPT = {
 # public names that nothing in the package calls, each kept by its reader
 PINNED = {
     "constructions.Ellipse": "the projective-sweep arcs, perfbench/workloads.py",
+    "core.det2": "planar areas in tests/conftest.py and tests/test_acceptance.py; "
+                 "projective.b_sequence writes it out column by column",
 }
 
 # members of public classes that nothing in the package reads, each kept by its reader
@@ -123,7 +125,7 @@ SHARED_MEMBERS = {
     "core.Polygon3.topology": "darboux.parallel_darboux, invariants.frenet",
     "core.GridSeq.values": "core.forward_diff, cli._seq_payload",
     "equal_volume.VolumeReport.values": "equal_volume.volume_constant",
-    "core.Polygon3.vertices": "Polygon3.points, invariants.focal_data",
+    "core.Polygon3.vertices": "Polygon3.points, invariants.FocalSetData.Q",
     "documents.PolygonDocument.vertices":
         "PolygonDocument.to_framed, documents.write_document, cli.cmd_plength",
     "meshes.Mesh.vertices":
