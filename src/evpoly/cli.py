@@ -26,11 +26,12 @@ import argparse
 import functools
 import gc
 import json
+import math
 import sys
 
 import numpy as np
 
-from .core import GeometryError, row_mean
+from .core import GeometryError, row_mean, write_text
 from .darboux import (
     FramedPolygon,
     classify_osculating,
@@ -61,31 +62,54 @@ def _planar(pts: np.ndarray) -> bool:
     """True when the centred vertices' smallest singular value is at most
     1e-10 of the largest, at any scale.
 
+    A screen decides most polygons without the SVD.  With q the centred
+    vertices and G = q^T q, whose eigenvalues are the squared singular
+    values s1 >= s2 >= s3,
+
+        s3^2 / s1^2 >= det G / (tr G)^3,
+
+    since det G = s1^2 s2^2 s3^2 <= s1^4 s3^2 and tr G >= s1^2.  So
+    det G > 1e-8 (tr G)^3 proves s3/s1 > 1e-4, far above the threshold.
+    Each entry of G is a sum of n products, rounded to within about
+    n eps tr G, which moves det G by about n eps (tr G)^3: far below the
+    1e-8 margin for any n below 1e6.  The screen runs only while
+    1e-100 < tr G < 1e100, where (tr G)^3 is a normal float and what a
+    product loses to underflow is negligible against tr G, so neither
+    overflow nor underflow can fake the certificate.  Otherwise, and on
+    every planar or nearly planar polygon, the singular values decide.
+
     Only the singular values are computed.  With or without U and V,
     LAPACK gives them to about eps * sv[0], so the two paths can classify
     apart only within about 1e-6 relative of the threshold.
     """
-    sv = np.linalg.svd(pts - row_mean(pts), compute_uv=False)
+    q = pts - row_mean(pts)
+    (g00, g01, g02), (_, g11, g12), (_, _, g22) = (q.T @ q).tolist()
+    tr = g00 + g11 + g22
+    if 1e-100 < tr < 1e100:
+        det = (g00 * (g11 * g22 - g12 * g12) - g01 * (g01 * g22 - g12 * g02)
+               + g02 * (g01 * g12 - g11 * g02))
+        if det > 1e-8 * tr * tr * tr:
+            return False
+    sv = np.linalg.svd(q, compute_uv=False)
     return bool(sv[-1] <= 1e-10 * sv[0])
 
 
 def _emit(text: str, path) -> None:
-    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    """Write ``text`` to the file at ``path`` (``core.write_text``), or to stdout without one."""
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        write_text(path, text)
     else:
         sys.stdout.write(text)
 
 
 def _parse_origin(text: str) -> np.ndarray:
     try:
-        origin = np.array([float(x) for x in text.split(",")])
+        origin = [float(x) for x in text.split(",")]
     except ValueError:
-        origin = np.empty(0)
-    if origin.shape != (3,) or not np.all(np.isfinite(origin)):
+        origin = []
+    if len(origin) != 3 or not all(map(math.isfinite, origin)):
         raise DocumentError(f"--origin expects three finite numbers x,y,z, got {text!r}")
-    return origin
+    return np.array(origin)
 
 
 def _load_framed(args) -> tuple:

@@ -16,7 +16,10 @@ Index conventions (0-based everywhere):
 from __future__ import annotations
 
 import enum
+import errno
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,8 +39,10 @@ __all__ = [
     "forward_diff",
     "median",
     "norm3",
+    "read_text",
     "require_finite",
     "row_mean",
+    "write_text",
 ]
 
 
@@ -76,6 +81,65 @@ def _floats(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+# os.open's descriptors are already non-inheritable; on Windows, O_BINARY
+# keeps the C runtime from translating newlines
+_BINARY = getattr(os, "O_BINARY", 0)
+
+
+def read_text(path) -> str:
+    """The file at ``path`` as UTF-8 text, as ``open(path, encoding="utf-8").read()`` gives it.
+
+    The bytes come through a bare file descriptor: open, one ``fstat``
+    for the size, one read of one byte more than that, close.  A regular
+    file read whole comes back one byte short, and only a file that
+    changed size or reports none reads on to its end.  That is three
+    system calls fewer than an unbuffered file object's read, and none
+    of the text-mode stack's buffer and decoder objects.  A directory is
+    refused as ``open`` refuses it, with the path in the message.  The
+    bytes are decoded in one piece, so a ``UnicodeDecodeError`` names the
+    absolute byte offset, and ``\\r\\n`` and a lone ``\\r`` become
+    ``\\n`` as text mode's universal newlines turn them.
+    """
+    fd = os.open(path, os.O_RDONLY | _BINARY)
+    try:
+        st = os.fstat(fd)
+        if stat.S_ISDIR(st.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        data = os.read(fd, st.st_size + 1)
+        if len(data) != st.st_size:  # it changed size, or has none (a pipe): read to the end
+            chunks = [data]
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+            data = b"".join(chunks)
+    finally:
+        os.close(fd)
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def write_text(path, *parts: str) -> None:
+    """Write ``parts`` in turn to the file at ``path`` as UTF-8, replacing it.
+
+    Every part is encoded before the file is opened, so a part that
+    cannot be encoded raises with the path untouched.  The bytes go
+    through a bare file descriptor, opened as ``open(path, "w")`` opens
+    one (created with mode 0o666 less the umask, or truncated), each
+    part until all of it is written, never joined into one copy.  A
+    newline is written as ``\\n`` on every platform.
+    """
+    data = [part.encode("utf-8") for part in parts]
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY, 0o666)
+    try:
+        for chunk in data:
+            view = memoryview(chunk)
+            while view:
+                view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
 def require_finite(rows: np.ndarray, what: str) -> None:
     """Raise a GeometryError naming the first vertex whose row is not finite.
 
@@ -83,7 +147,7 @@ def require_finite(rows: np.ndarray, what: str) -> None:
     sequences derived from them are not scanned again.
     """
     finite = np.isfinite(rows)
-    if not finite.all():
+    if not np.logical_and.reduce(finite, axis=None):
         k = int(np.argmin(finite.all(axis=-1)))
         raise GeometryError(f"vertex {k}: non-finite {what}")
 
@@ -112,7 +176,7 @@ class GridSeq:
         a = _floats(values)
         if a.flags.writeable:  # freeze a view, never the caller's array itself
             a = a.view()
-            a.flags.writeable = False
+            a.setflags(write=False)
         if topology is Topology.CLOSED and base != 0:
             raise GeometryError("closed sequences must have base 0")
         # the fields in one write, past the frozen __setattr__
@@ -360,7 +424,7 @@ class Polygon3:
         require_finite(a, "coordinate")
         _require_two(len(a))
         lengths = _side_lengths(v)
-        if not lengths.all():  # the first zero is the first minimum of lengths >= 0
+        if not np.logical_and.reduce(lengths):  # lengths >= 0: the first zero is the first minimum
             raise DegenerateVertexError(v.base + int(np.argmin(lengths)))
         lengths.setflags(write=False)
         object.__setattr__(self, "side_lengths", lengths)

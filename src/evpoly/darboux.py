@@ -79,7 +79,7 @@ class FramedPolygon:
             raise GeometryError("directions must be 3-vectors")
         require_finite(d.values, "direction")
         lengths = norm3(d.values)
-        if (lengths == 0.0).any():
+        if np.logical_or.reduce(lengths == 0.0):
             raise GeometryError("zero direction vector")
         lengths.setflags(write=False)
         object.__setattr__(self, "direction_lengths", lengths)
@@ -97,7 +97,7 @@ class FramedPolygon:
         apex = np.asarray(apex, dtype=float)
         if apex.shape != (3,):
             raise GeometryError(f"apex must be one 3-vector, got shape {apex.shape}")
-        if not np.isfinite(apex).all():
+        if not np.logical_and.reduce(np.isfinite(apex)):
             raise GeometryError("non-finite apex")
         # the difference is a fresh array, so unlike the points it is not copied
         directions = pts - apex
@@ -237,19 +237,23 @@ def parallel_darboux(f: FramedPolygon) -> DarbouxField:
     # parallel end directions: prism-like face, xi is constant along it
     # and sigma vanishes
     parallel = norm3(nf) <= 1e-12
-    any_parallel = parallel.any()
+    any_parallel = np.logical_or.reduce(parallel)
 
+    # s(0), then the scale at the far end of each side: the ratios, then
+    # their cumulative product in the same buffer
+    scales = np.empty(nsides + 1)
+    scales[0] = 1.0
+    ratio = scales[1:]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratio = -q / p
+        np.divide(np.negative(q), p, out=ratio)
         if any_parallel:
             ratio[parallel] = np.sign(np.einsum("ij,ij->i", d0[parallel], d1[parallel]))
-        # s(0), then the scale at the far end of each side
-        scales = np.cumprod(np.concatenate([[1.0], ratio]))
+        np.multiply.accumulate(scales, out=scales)  # np.cumprod without its wrapper
         sigma = scales[:nsides] / p
     if any_parallel:
         sigma[parallel] = 0.0
     finite = np.isfinite(scales[1:]) & np.isfinite(sigma)
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         raise DegenerateFrameError(int(np.argmin(finite)),
                                    "the Darboux recursion overflows (scale or sigma not finite)")
 
@@ -277,7 +281,7 @@ def osculating_points(df: DarbouxField) -> GridSeq:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         finite = np.isfinite(1.0 / s)
         out = f.polygon.points[:m] + df.xi.values[:m] / s[:, None]
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         out[~finite] = np.nan
     return GridSeq(out, Grid.SIDE, f.polygon.topology)
 
@@ -327,7 +331,7 @@ def classify_osculating(df: DarbouxField) -> OsculatingClass:
     sigma = df.sigma.values
     size = np.abs(sigma)
     med = median(size)
-    spread = float(sigma.max() - sigma.min())
+    spread = float(np.maximum.reduce(sigma) - np.minimum.reduce(sigma))
 
     if med > 0 and spread / med <= CLASSIFY_TOL:
         apex = row_mean(osculating_points(df).values)
@@ -335,6 +339,6 @@ def classify_osculating(df: DarbouxField) -> OsculatingClass:
 
     xi_scale = median(norm3(df.xi.values))
     edge_scale = median(df.frame.polygon.side_lengths)
-    if size.max() <= CLASSIFY_TOL * (xi_scale / edge_scale):
+    if np.maximum.reduce(size) <= CLASSIFY_TOL * (xi_scale / edge_scale):
         return OsculatingClass(SurfaceKind.CYLINDER)
     return OsculatingClass(SurfaceKind.GENERAL)

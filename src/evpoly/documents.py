@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import GeometryError, Polygon3
+from .core import GeometryError, Polygon3, read_text, write_text
 from .darboux import FramedPolygon
 
 __all__ = ["PolygonDocument", "DocumentError", "read_document", "write_document"]
@@ -90,11 +90,11 @@ class PolygonDocument:
             self.directions = _coordinates(self.directions, "directions")
             if self.directions.shape != self.vertices.shape:
                 raise DocumentError("directions must match vertices in shape")
-            if not np.isfinite(self.directions).all():
+            if not np.logical_and.reduce(np.isfinite(self.directions), axis=None):
                 raise DocumentError("non-finite direction coordinate")
         elif self.directions is not None:
             raise DocumentError(f"{self.kind} does not carry directions")
-        if not np.isfinite(self.vertices).all():
+        if not np.logical_and.reduce(np.isfinite(self.vertices), axis=None):
             raise DocumentError("non-finite vertex coordinate")
 
     def to_framed(self) -> FramedPolygon:
@@ -121,8 +121,8 @@ def write_document(doc: PolygonDocument, path) -> None:
     }
     if doc.directions is not None:
         payload["directions"] = doc.directions.tolist()
-    with open(path, "w") as fh:
-        fh.write(json.dumps(payload) + "\n")
+    # the text is made before the file is opened, so a refused payload leaves it as it was
+    write_text(path, json.dumps(payload) + "\n")
 
 
 def _csv_error(text: str) -> DocumentError:
@@ -171,8 +171,7 @@ def _read_csv(text: str) -> PolygonDocument:
 
 def read_document(path) -> PolygonDocument:
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        text = read_text(path)
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     stripped = text.lstrip()

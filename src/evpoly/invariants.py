@@ -143,7 +143,7 @@ def frenet(df: DarbouxField) -> FrenetData:
     rho2, tau = face_solve(d3, back, xi_far, cross3(back, xi_far))  # rho2 at vertex k
     rho1 = rho2 + tau * df.sigma.window(k0, m)                      # rho1 at vertex k+1
     finite = np.isfinite(rho1 + tau)
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         k = k0 + int(np.argmin(finite))
         raise GeometryError(f"side {k}: degenerate face basis in Frenet solve")
     return _frenet_data(f.polygon.topology, k0, c, rho1, rho2, tau)
@@ -178,12 +178,16 @@ def lambda_from_tau(tau: GridSeq, value: float) -> GridSeq:
     if not np.isfinite(value):
         raise GeometryError("non-finite gauge value")
     t = tau.values
-    closed = tau.topology is Topology.CLOSED
-    if closed:
-        total = float(t.sum())
-        if abs(total) > GAUGE_CLOSURE_TOL * max(1.0, float(np.abs(t).sum())):
+    if tau.topology is Topology.CLOSED:
+        total = float(np.add.reduce(t))
+        if abs(total) > GAUGE_CLOSURE_TOL * max(1.0, float(np.add.reduce(np.abs(t)))):
             raise GaugeObstructionError(total)
-    lam = np.cumsum(np.concatenate([[value], -(t[:-1] if closed else t)]))
+        t = t[:-1]
+    # lambda at the first vertex, then its differences -tau, summed in place
+    lam = np.empty(len(t) + 1)
+    lam[0] = value
+    np.negative(t, out=lam[1:])
+    np.add.accumulate(lam, out=lam)  # np.cumsum without its wrapper
     return GridSeq(lam, Grid.VERTEX, tau.topology, tau.base)
 
 
@@ -225,7 +229,7 @@ class FocalSetData:
             finite = np.isfinite(1.0 / mu)
             q_pts = (self.field.frame.polygon.vertices.window(k0, m)
                      + self.eta.window(k0, m) / mu[:, None])
-        if not finite.all():
+        if not np.logical_and.reduce(finite):
             q_pts[~finite] = np.nan
         return GridSeq(q_pts, Grid.SIDE, self.mu.topology, k0)
 
@@ -332,7 +336,7 @@ def _rel_spread(x: np.ndarray) -> float:
     med = median(np.abs(x))
     if med == 0.0:
         return 0.0 if np.allclose(x, 0.0) else np.inf
-    return float((x.max() - x.min()) / med)
+    return float((np.maximum.reduce(x) - np.minimum.reduce(x)) / med)
 
 
 def classify_focal(fd: FocalSetData) -> FocalClass:

@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GeometryError
+from .core import GeometryError, write_text
 
 __all__ = ["Mesh"]
 
@@ -76,14 +76,14 @@ class Mesh:
 
         The distinct rows are formatted in one block, the ``v`` records
         are its lines taken by index, and each record array is one template.
+        The header, the ``v`` records, the faces and the lines are written
+        in turn (``core.write_text``), without joining them into one text.
         """
         rows = self.rows
         text = ("v %.17g %.17g %.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
         if self.v_rows is not None:
             text = "".join(map(text.splitlines(True).__getitem__, self.v_rows.tolist()))
-        with open(path, "w") as fh:
-            fh.write("# evpoly mesh\n")
-            fh.write(text)
-            for tag, recs in (("f", self.faces), ("l", self.lines)):
-                m, k = recs.shape
-                fh.write((tag + " %d" * k + "\n") * m % tuple((recs + 1).ravel().tolist()))
+        records = [(tag + " %d" * recs.shape[1] + "\n") * len(recs)
+                   % tuple((recs + 1).ravel().tolist())
+                   for tag, recs in (("f", self.faces), ("l", self.lines))]
+        write_text(path, "# evpoly mesh\n", text, *records)

@@ -1,9 +1,11 @@
+import os
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from evpoly import core
 from evpoly.core import Grid, GridSeq, Polygon3, Topology, det2, forward_diff, median
 from evpoly.darboux import DarbouxField, FramedPolygon
 from evpoly.invariants import frenet
@@ -26,6 +28,43 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class FakeOs:
+    """``os`` as ``core.read_text`` and ``core.write_text`` see it, with the calls given replaced."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+
+def short_writes(monkeypatch) -> list:
+    """Make every ``os.write`` of ``core`` take at most 7 bytes; returns the calls' sizes."""
+    sizes = []
+
+    def write(fd, data):
+        sizes.append(os.write(fd, data[:7]))
+        return sizes[-1]
+
+    monkeypatch.setattr(core, "os", FakeOs(write=write))
+    return sizes
+
+
+def refuse_opening(monkeypatch, path) -> None:
+    """Make ``core``'s ``os.open`` of ``path`` fail as a file the user may not open does."""
+    def refuse(name, *args, **kwargs):
+        if os.fspath(name) == os.fspath(path):
+            raise PermissionError(13, "Permission denied", name)
+        return os.open(name, *args, **kwargs)
+
+    monkeypatch.setattr(core, "os", FakeOs(open=refuse))
+
+
+def open_fds() -> int:
+    """Descriptors this process holds open."""
+    return len(os.listdir("/proc/self/fd"))
 
 
 def random_equal_volume_polygon(rng, n=12, c=1.0, closed=False):

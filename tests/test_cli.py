@@ -3,13 +3,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
+    open_fds,
     parabola_prism,
     random_cone_fixture,
     random_equal_area,
     random_equal_volume_polygon,
     random_generic_framed,
+    refuse_opening,
+    short_writes,
     silhouette_lift,
 )
 
@@ -21,7 +27,7 @@ from evpoly.constructions import (
     GridScheme,
     sample_curve,
 )
-from evpoly import cli, documents
+from evpoly import cli
 from evpoly.core import Polygon3
 from evpoly.darboux import FramedPolygon
 from evpoly.documents import PolygonDocument, read_document, write_document
@@ -204,14 +210,51 @@ class TestAnalyze:
         assert main(["analyze", spiral_doc + "/x.json"]) == 1
         assert main(["analyze", spiral_doc, "--json", spiral_doc + "/r.json"]) == 1
 
-        def refuse(*args, **kwargs):
-            raise PermissionError(13, "Permission denied", args[0])
-
-        monkeypatch.setattr(documents, "open", refuse, raising=False)
+        # refused where the one reader, core.read_text, opens the file
+        refuse_opening(monkeypatch, spiral_doc)
         assert main(["analyze", spiral_doc]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 3 and all(x.startswith("evpoly: ") for x in lines)
         assert "Permission denied" in lines[2]
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "output-under-a-file",
+                                      "output-directory", "read-permission",
+                                      "write-permission", "non-utf8"])
+    def test_io_errors_keep_their_exit_code_and_message(self, spiral_doc, tmp_path,
+                                                        monkeypatch, capsys, case):
+        missing, under, bad = str(tmp_path / "none.json"), spiral_doc + "/r.json", tmp_path / "b"
+        out = str(tmp_path / "out.json")
+        bad.write_bytes(b'{"kind": "polygon3",\r\n "metadata": {"note": "\xe9"}}')
+        argv, message = {
+            "missing": (["analyze", missing],
+                        f"[Errno 2] No such file or directory: {missing!r}"),
+            "directory": (["analyze", str(tmp_path)],
+                          f"[Errno 21] Is a directory: {str(tmp_path)!r}"),
+            "output-under-a-file": (["analyze", spiral_doc, "--json", under],
+                                    f"[Errno 20] Not a directory: {under!r}"),
+            "output-directory": (["analyze", spiral_doc, "--json", str(tmp_path)],
+                                 f"[Errno 21] Is a directory: {str(tmp_path)!r}"),
+            "read-permission": (["analyze", spiral_doc],
+                                f"[Errno 13] Permission denied: {spiral_doc!r}"),
+            "write-permission": (["analyze", spiral_doc, "--json", out],
+                                 f"[Errno 13] Permission denied: {out!r}"),
+            "non-utf8": (["analyze", str(bad), "--origin", "0,0,0"],
+                         f"{bad}: not UTF-8 text (byte 45)"),
+        }[case]
+        if case.endswith("permission"):  # a root user passes every permission check
+            refuse_opening(monkeypatch, spiral_doc if case == "read-permission" else out)
+        before = open_fds()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"evpoly: {message}\n"
+        assert open_fds() == before
+
+    def test_short_writes_still_write_the_whole_report(self, spiral_doc, tmp_path, monkeypatch):
+        whole, short = tmp_path / "whole.json", tmp_path / "short.json"
+        assert main(["analyze", spiral_doc, "--json", str(whole)]) == 0
+        sizes = short_writes(monkeypatch)
+        assert main(["analyze", spiral_doc, "--json", str(short)]) == 0
+        assert short.read_bytes() == whole.read_bytes()
+        assert sum(sizes) == len(whole.read_bytes()) and max(sizes) == 7
 
     def test_skip_notice_suggests_resample_for_framed_input(self, rng, tmp_path, capsys):
         path = write_framed(random_generic_framed(rng, 15), tmp_path / "generic.json")
@@ -533,3 +576,70 @@ def test_planarity_from_singular_values_alone(rng):
             for pts, planar in ((spatial, False), (flat, True), (tilted, True), (lifted, False)):
                 assert _planar(pts) is planar
                 assert full_svd(pts) is planar
+
+
+def svd_alone(pts) -> bool:
+    """``_planar`` without its screen: the singular values decide every polygon."""
+    sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    return bool(sv[-1] <= 1e-10 * sv[0])
+
+
+def with_ratio(rng, n, ratio, scale, offset):
+    """n vertices whose centred singular values are (1, 0.5, ratio) * scale, about offset."""
+    u = np.linalg.qr(rng.normal(size=(n, 3)) - rng.normal(size=(n, 3)).mean(axis=0))[0]
+    u -= u.mean(axis=0)  # centred columns, still orthogonal to rounding
+    rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    return (u * [1.0, 0.5, ratio]) @ rot.T * scale + offset
+
+
+def svd_runs(monkeypatch) -> list:
+    runs = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return runs
+
+
+# sigma3/sigma1 at or near the SVD's threshold; 1e-10 (1 +- 1e-6) is the
+# SVD's own resolution there, where either answer may come back
+NEAR_THRESHOLD = (0.0, 1e-9, 1e-10 * (1 + 1e-6), 1e-10, 1e-10 * (1 - 1e-6), 1e-11)
+
+
+@pytest.mark.parametrize("ratio", NEAR_THRESHOLD)
+def test_planar_screen_leaves_the_threshold_band_to_the_svd(rng, monkeypatch, ratio):
+    runs = svd_runs(monkeypatch)
+    cases = 0
+    for n in (12, 46, 80, 1000):
+        for scale in (1e-30, 1e-3, 1.0, 1e3, 1e30):
+            for offset in (0.0, 10.0 * scale):
+                pts = with_ratio(rng, n, ratio, scale, offset)
+                # the screen can only prove sigma3/sigma1 > 1e-4, so the SVD decides
+                assert _planar(pts) is svd_alone(pts)
+                cases += 1
+    assert len(runs) == 2 * cases  # _planar's and svd_alone's
+
+
+@pytest.mark.parametrize("ratio", [1e-4, 1e-3, 0.1, 1.0])
+def test_planar_screen_proves_spatial_polygons(rng, monkeypatch, ratio):
+    runs = svd_runs(monkeypatch)
+    for n in (12, 46, 80, 1000):
+        # tr G = 1.25 scale^2: the screen runs inside (1e-100, 1e100)
+        for scale in (1e-60, 1e-30, 1e-3, 1.0, 1e3, 1e30, 1e60):
+            pts = with_ratio(rng, n, ratio, scale, 10.0 * scale)
+            before = len(runs)
+            assert _planar(pts) is svd_alone(pts) is False
+            # det G / (tr G)^3 = 0.25 ratio^2 / (1.25 + ratio^2)^3 exceeds 1e-8
+            # from ratio = 1e-3 on; at 1e-4 the SVD decides
+            screened = ratio >= 1e-3 and 1e-100 < 1.25 * scale**2 < 1e100
+            assert len(runs) - before == 1 + (not screened)
+
+
+@given(pts=arrays(np.float64, st.tuples(st.integers(3, 40), st.just(3)),
+                  elements=st.floats(-1e6, 1e6)))
+@settings(max_examples=300, deadline=None)
+def test_planar_screen_classifies_like_the_svd_alone(pts):
+    assert _planar(pts) is svd_alone(pts)

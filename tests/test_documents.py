@@ -1,10 +1,15 @@
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_generic_framed
+from conftest import FakeOs, open_fds, random_generic_framed, short_writes
 
+from evpoly import core
+from evpoly.core import read_text, write_text
 from evpoly.documents import (
     DocumentError,
     PolygonDocument,
@@ -271,3 +276,145 @@ class TestReaderArrays:
         write_document(PolygonDocument("framed3", False, rng.normal(size=(n, 3)) * 1e3,
                                        directions=rng.normal(size=(n, 3))), path)
         _assert_read_as_numpy_would(path, ["vertices", "directions"])
+
+
+# whole-file reads and writes: core.read_text and core.write_text
+
+def text_mode_read(path) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+PIECES = ["a", "1.5", "\u00e9", "\U0001d11e", "\ufeff", "\n", "\r", "\r\n", "\n\r", " ", "\t"]
+
+
+@given(pieces=st.lists(st.sampled_from(PIECES), max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_read_text_is_the_text_mode_read(tmp_path_factory, pieces):
+    path = tmp_path_factory.mktemp("text") / "t.txt"
+    path.write_bytes("".join(pieces).encode("utf-8"))
+    assert read_text(path) == text_mode_read(path)
+
+
+@pytest.mark.parametrize("head", [0, 8191, 8192, 20_000])
+def test_read_text_translates_newlines_past_the_text_buffer(tmp_path, head):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"x" * head + b"\r\n\r\r\n\n\r" + b"y" * 9000 + b"\r")
+    assert read_text(path) == text_mode_read(path)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/cmdline"), reason="needs procfs")
+def test_read_text_reads_on_where_the_size_is_not_known():
+    # procfs reports no size; the reader reads on to the end, as for a pipe
+    assert os.stat("/proc/self/cmdline").st_size == 0
+    assert read_text("/proc/self/cmdline") == text_mode_read("/proc/self/cmdline") != ""
+
+
+@pytest.mark.parametrize("before", [b"", b"{", b"{\r\n" * 3, b" " * 8191,
+                                    "\u00e9".encode("utf-8") * 6000])
+def test_non_utf8_names_the_text_mode_byte_offset(tmp_path, before):
+    path = tmp_path / "bad.json"
+    path.write_bytes(before + b"\xe9}")
+    with pytest.raises(UnicodeDecodeError) as want:
+        text_mode_read(path)
+    assert want.value.start == len(before)
+    with pytest.raises(DocumentError) as got:
+        read_document(path)
+    assert str(got.value) == f"{path}: not UTF-8 text (byte {len(before)})"
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_documents_read_as_their_lf_form(rng, tmp_path, newline):
+    f = random_generic_framed(rng, 9)
+    lf, other = tmp_path / "lf.json", tmp_path / "other.json"
+    payload = {"kind": "framed3", "closed": False, "vertices": f.polygon.points.tolist(),
+               "directions": f.directions.values.tolist(), "metadata": {"note": "a"}}
+    lf.write_text(json.dumps(payload, indent=1) + "\n")
+    other.write_bytes(lf.read_bytes().replace(b"\n", newline.encode()))
+    rows = [" # comment", "", *(f"{x!r}, {y!r} {z!r}" for x, y, z in f.polygon.points.tolist())]
+    lf_csv, other_csv = tmp_path / "lf.csv", tmp_path / "other.csv"
+    lf_csv.write_text("\n".join(rows) + "\n")
+    other_csv.write_bytes(newline.join(rows).encode() + newline.encode())
+    for a, b in ((lf, other), (lf_csv, other_csv)):
+        want, got = read_document(a), read_document(b)
+        assert (got.kind, got.closed, got.metadata) == (want.kind, want.closed, want.metadata)
+        for key in ("vertices", "directions"):
+            assert getattr(got, key) is None or (
+                getattr(got, key).tobytes() == getattr(want, key).tobytes())
+
+
+def test_malformed_crlf_documents_keep_the_text_mode_positions(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{\r\n "kind": "polygon3",\r\n "vertices": [[0, 0, 1],\r\n oops]\r\n}\r\n')
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text_mode_read(path))
+    with pytest.raises(DocumentError) as got:
+        read_document(path)
+    assert str(got.value) == f"invalid JSON: {want.value}"
+    # char 49 counts each CRLF as one character, as text mode reads it
+    assert str(got.value).endswith("line 4 column 2 (char 49)")
+    csv = tmp_path / "bad.csv"
+    csv.write_bytes(b"# head\r\n\r\n1 2 3\r\n4 five 6\r\n")
+    with pytest.raises(DocumentError, match="^line 4: not a coordinate row$"):
+        read_document(csv)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-path", "existing-document"])
+def test_unencodable_metadata_leaves_the_path_untouched(tmp_path, existing):
+    path = tmp_path / "doc.json"
+    if existing:
+        write_document(PolygonDocument("polygon3", False, np.eye(3)), path)
+    before = path.read_bytes() if existing else None
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_document(PolygonDocument("polygon3", False, np.eye(3) + 1, None, {"x": object()}),
+                       path)
+    assert (path.read_bytes() if path.exists() else None) == before
+
+
+def test_short_writes_are_resumed(tmp_path, monkeypatch):
+    parts = ["evpoly \u00e9\n" * 5, "", "x", "\U0001d11e" * 4]
+    sizes = short_writes(monkeypatch)
+    write_text(tmp_path / "t.txt", *parts)
+    assert (tmp_path / "t.txt").read_bytes() == "".join(parts).encode("utf-8")
+    assert sizes == [min(7, len(p.encode()) - k) for p in parts for k in range(0, len(p.encode()), 7)]
+
+
+def failing(error):
+    def fail(*args):
+        raise error
+    return fail
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_no_descriptor_outlives_a_read_or_a_write(tmp_path, monkeypatch):
+    good, bad, out = tmp_path / "good.json", tmp_path / "bad.json", tmp_path / "out.json"
+    write_document(PolygonDocument("polygon3", False, np.eye(3) + 1), good)
+    bad.write_bytes(b"{\xe9}")
+    refused = PolygonDocument("polygon3", False, np.eye(3) + 1, None, {"x": object()})
+    cases = [
+        (lambda: read_document(good), None),
+        (lambda: write_document(read_document(good), out), None),
+        (lambda: read_document(tmp_path / "none.json"), FileNotFoundError),
+        (lambda: read_document(tmp_path), IsADirectoryError),
+        (lambda: read_document(bad), DocumentError),
+        (lambda: write_document(read_document(good), tmp_path), IsADirectoryError),
+        (lambda: write_document(read_document(good), good / "x"), NotADirectoryError),
+        (lambda: write_document(refused, out), TypeError),
+    ]
+    for fn, error in cases:
+        before = open_fds()
+        if error is None:
+            fn()
+        else:
+            with pytest.raises(error):
+                fn()
+        assert open_fds() == before, error
+    # a read or a write that fails once the file is open
+    doc = read_document(good)
+    for name, error in (("read", OSError(5, "Input/output error")),
+                        ("write", OSError(28, "No space left on device"))):
+        monkeypatch.setattr(core, "os", FakeOs(**{name: failing(error)}))
+        before = open_fds()
+        with pytest.raises(OSError, match=error.strerror):
+            read_document(good) if name == "read" else write_document(doc, out)
+        assert open_fds() == before, name

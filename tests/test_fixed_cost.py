@@ -3,10 +3,14 @@
 Each kernel that writes a numpy expression out, into buffers or Python
 floats, is compared bit for bit with the generic form it replaces,
 written out here.  The counts of ``GridSeq`` constructions and ``det3``
-calls per command call are capped, so that the fixed cost per call
+calls, of the files opened and of the calls into numpy's Python-level
+functions per command call are capped, so that the fixed cost per call
 cannot creep back unseen; they are counts, not timings.
 """
 
+import builtins
+import collections
+import os
 import sys
 
 import numpy as np
@@ -288,3 +292,61 @@ def test_gridseq_and_det3_counts_per_call(command, rng, tmp_path, monkeypatch):
     assert cli.main(argv) == 0
     most_gridseqs, most_det3 = COUNT_LIMITS[command]
     assert counts["GridSeq"] <= most_gridseqs and counts["det3"] <= most_det3, counts
+
+
+# the files each command opens, each as one bare descriptor: its input
+# to read and its output to write; no file object, so no text-mode stack
+OPENS = {"table1": ["write"], "plength": ["read", "write"], "analyze": ["read", "write"]}
+
+
+@pytest.mark.parametrize("command", sorted(OPENS))
+def test_files_opened_per_call(command, rng, tmp_path, monkeypatch):
+    argv = command_argv(command, rng, tmp_path)
+    descriptors, file_objects = [], []
+    open_fd, open_file = os.open, builtins.open
+
+    def fd_recording(path, flags, *args, **kwargs):
+        descriptors.append("write" if flags & os.O_WRONLY else "read")
+        return open_fd(path, flags, *args, **kwargs)
+
+    def file_recording(*args, **kwargs):
+        file_objects.append(args)
+        return open_file(*args, **kwargs)
+
+    monkeypatch.setattr(os, "open", fd_recording)
+    monkeypatch.setattr(builtins, "open", file_recording)
+    assert cli.main(argv) == 0
+    assert descriptors == OPENS[command] and file_objects == []
+
+
+# calls into functions defined in numpy's Python files during one
+# ``analyze --origin`` call on a non-planar polygon.  np.errstate's
+# methods (four blocks) and einsum, the one wrapper kept (two calls, with
+# its dispatcher's steps), are all there is: no ndarray.all/any/max/min
+# wrapper, np.concatenate, np.cumprod, np.cumsum or np.linalg.svd
+NUMPY_PYTHON_CALLS = 24
+NUMPY_PYTHON_FUNCTIONS = {"einsumfunc.py:einsum", "einsumfunc.py:_einsum_dispatcher",
+                          "_ufunc_config.py:__init__", "_ufunc_config.py:__enter__",
+                          "_ufunc_config.py:__exit__"}
+
+
+def test_numpy_python_calls_per_analyze_call(rng, tmp_path):
+    argv = command_argv("analyze", rng, tmp_path)
+    assert cli.main(argv) == 0  # imports and caches
+    numpy_dir = os.path.dirname(np.__file__) + os.sep
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(numpy_dir):
+            code = frame.f_code
+            calls[f"{os.path.basename(code.co_filename)}:{code.co_name}"] += 1
+
+    kept = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        assert cli.main(argv) == 0
+    finally:
+        sys.setprofile(kept)
+    assert set(calls) <= NUMPY_PYTHON_FUNCTIONS, calls
+    assert calls["einsumfunc.py:einsum"] == 2
+    assert sum(calls.values()) <= NUMPY_PYTHON_CALLS, calls
