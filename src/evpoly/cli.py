@@ -15,9 +15,16 @@ lowers the collector's young-generation count again, so no collection is
 pushed past the command.
 
 Arguments are parsed at one level: when ``argv[0]`` names a command,
-that command's sub-parser reads the rest, and the full parser, which
+the rest is read for that command alone, and the full parser, which
 would only pass them on, runs just for ``--help``, for no command and
-for an unknown one.  The messages and exit codes are the full parser's.
+for an unknown one.  A command line in the plain form that every
+documented call uses (exact option strings, each at most once, values
+that do not start with ``-``, the right number of positionals, every
+required option given) is read without argparse, from the grammar that
+``_grammars`` takes once from the command's sub-parser; the sub-parser
+would build the same Namespace.  Every other command line goes to the
+sub-parser, so every help and usage text and every exit code is
+argparse's, with the messages of the full parser.
 """
 
 from __future__ import annotations
@@ -320,8 +327,80 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
     return ap, sub.choices
 
 
+def _grammar(sub) -> tuple | None:
+    """A command's grammar, read from its sub-parser's actions.
+
+    A grammar is (the positionals' dests in order, each option string's
+    (dest, takes a value), the required options' dests, the Namespace
+    defaults: the actions' first, then ``set_defaults``' as argparse adds
+    them).  A sub-parser with an action that is neither a plain
+    ``store`` (no nargs, type, choices or suppressed default) nor a
+    ``store_true`` flag, or with a mutually exclusive group, has None:
+    argparse reads all of its command lines.
+    """
+    if sub._mutually_exclusive_groups:
+        return None
+    positionals, options, required, defaults = [], {}, set(), {}
+    for a in sub._actions:
+        kind = type(a)
+        if kind is argparse._HelpAction:
+            continue
+        takes = kind is argparse._StoreAction
+        if not ((takes and a.nargs is None or kind is argparse._StoreTrueAction)
+                and a.type is None and a.choices is None and a.default is not argparse.SUPPRESS):
+            return None
+        defaults[a.dest] = a.default
+        options.update(dict.fromkeys(a.option_strings, (a.dest, takes)))
+        if not a.option_strings:
+            positionals.append(a.dest)
+        elif a.required:
+            required.add(a.dest)
+    for dest, value in sub._defaults.items():
+        defaults.setdefault(dest, value)
+    return positionals, options, required, defaults
+
+
+@functools.cache
+def _grammars() -> dict:
+    """Each command's grammar (``_grammar``), read once."""
+    return {name: _grammar(sub) for name, sub in _parsers()[1].items()}
+
+
+def _read_plain(grammar, tokens) -> argparse.Namespace | None:
+    """The Namespace of a command line in the plain form, else None.
+
+    The plain form: every token that starts with ``-`` is one of the
+    command's exact option strings (so no abbreviation, ``=``, ``-h`` or
+    ``--``) and appears at most once, an option's value does not start
+    with ``-``, the positionals are as many as the command takes and
+    every required option is given.
+    """
+    if grammar is None:
+        return None
+    positionals, options, required, defaults = grammar
+    args, given, values = dict(defaults), set(), []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token[:1] != "-":
+            values.append(token)
+            continue
+        dest, takes = options.get(token, (None, False))
+        if dest is None or dest in given:
+            return None
+        given.add(dest)
+        if takes:
+            token = next(tokens, "-")  # a missing value fails as one that starts with "-"
+            if token[:1] == "-":
+                return None
+        args[dest] = token if takes else True
+    if len(values) != len(positionals) or not required <= given:
+        return None
+    args.update(zip(positionals, values))
+    return argparse.Namespace(**args)
+
+
 def _parse(argv) -> argparse.Namespace:
-    """The arguments of one command, read by its sub-parser alone.
+    """The arguments of one command, read by its grammar or its sub-parser alone.
 
     Arguments it does not take are reported as the full parser reports
     them, pointing at ``evpoly --help``.
@@ -331,9 +410,11 @@ def _parse(argv) -> argparse.Namespace:
     sub = commands.get(argv[0]) if argv else None
     if sub is None:
         return ap.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:])
-    if extra:
-        ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = _read_plain(_grammars()[argv[0]], argv[1:])
+    if args is None:
+        args, extra = sub.parse_known_args(argv[1:])
+        if extra:
+            ap.error(f"unrecognized arguments: {' '.join(extra)}")
     return args
 
 
@@ -345,6 +426,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (DocumentError, OSError) as exc:
         return _fail(str(exc), 1)
+    except MemoryError as exc:  # an input too large to hold, such as a huge table1 N
+        return _fail(f"out of memory: {exc}" if str(exc) else "out of memory", 1)
     except InflectionError as exc:
         return _fail(f"{exc} (the positivity hypothesis b(i) > 0 fails)", 2)
     except GeometryError as exc:

@@ -29,6 +29,7 @@ __all__ = [
     "Grid",
     "Topology",
     "GridSeq",
+    "COORD_MAX",
     "Polygon3",
     "GeometryError",
     "DegenerateVertexError",
@@ -40,7 +41,7 @@ __all__ = [
     "median",
     "norm3",
     "read_text",
-    "require_finite",
+    "require_coordinates",
     "row_mean",
     "write_text",
 ]
@@ -140,16 +141,30 @@ def write_text(path, *parts: str) -> None:
         os.close(fd)
 
 
-def require_finite(rows: np.ndarray, what: str) -> None:
-    """Raise a GeometryError naming the first vertex whose row is not finite.
+# A side or direction length is the root of three squares, each of a
+# coordinate or of a difference of two; with every coordinate at most
+# this large in size, their sum is at most 12 COORD_MAX^2, three quarters
+# of the float maximum, so no length overflows
+COORD_MAX = float(np.sqrt(np.finfo(float).max / 16.0))
+
+
+def require_coordinates(rows: np.ndarray, what: str) -> None:
+    """Raise a GeometryError naming the first vertex whose row is not finite,
+    else the first with a coordinate beyond ``COORD_MAX`` in size.
 
     Coordinates are checked once, where they enter a polygon; the
-    sequences derived from them are not scanned again.
+    sequences derived from them are not scanned again.  Two reductions
+    pass every other array, an empty one included: a NaN fails both.
     """
-    finite = np.isfinite(rows)
-    if not np.logical_and.reduce(finite, axis=None):
-        k = int(np.argmin(finite.all(axis=-1)))
-        raise GeometryError(f"vertex {k}: non-finite {what}")
+    if not (np.maximum.reduce(rows, axis=None, initial=-math.inf) <= COORD_MAX
+            and np.minimum.reduce(rows, axis=None, initial=math.inf) >= -COORD_MAX):
+        finite = np.isfinite(rows).all(axis=-1)
+        if not finite.all():
+            raise GeometryError(f"vertex {int(np.argmin(finite))}: non-finite {what}")
+        size = np.abs(rows).max(axis=-1)
+        k = int(np.argmax(size > COORD_MAX))
+        raise GeometryError(f"vertex {k}: {what} {size[k]:.3e} exceeds COORD_MAX = "
+                            f"{COORD_MAX:.3e}, beyond which a length can overflow")
 
 
 @dataclass(frozen=True, init=False)
@@ -421,11 +436,16 @@ class Polygon3:
         a = v.values
         if a.ndim != 2 or a.shape[1] != 3:
             raise GeometryError("polygon vertices must be 3-vectors")
-        require_finite(a, "coordinate")
+        require_coordinates(a, "coordinate")
         _require_two(len(a))
         lengths = _side_lengths(v)
         if not np.logical_and.reduce(lengths):  # lengths >= 0: the first zero is the first minimum
-            raise DegenerateVertexError(v.base + int(np.argmin(lengths)))
+            k = int(np.argmin(lengths))
+            _, (p0, p1) = v.stencil(0, 1)
+            if np.array_equal(p0[k], p1[k]):
+                raise DegenerateVertexError(v.base + k)
+            raise GeometryError(f"side {v.base + k}: its length underflows to 0, though "
+                                f"vertices {v.base + k} and {v.base + (k + 1) % len(a)} differ")
         lengths.setflags(write=False)
         object.__setattr__(self, "side_lengths", lengths)
 

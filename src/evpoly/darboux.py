@@ -25,7 +25,7 @@ from .core import (
     face_solve,
     median,
     norm3,
-    require_finite,
+    require_coordinates,
     row_mean,
 )
 from .meshes import Mesh
@@ -77,7 +77,7 @@ class FramedPolygon:
             raise GeometryError("directions and polygon topology disagree")
         if d.values.shape != self.polygon.points.shape:
             raise GeometryError("directions must be 3-vectors")
-        require_finite(d.values, "direction")
+        require_coordinates(d.values, "direction")
         lengths = norm3(d.values)
         if np.logical_or.reduce(lengths == 0.0):
             raise GeometryError("zero direction vector")
@@ -99,9 +99,11 @@ class FramedPolygon:
             raise GeometryError(f"apex must be one 3-vector, got shape {apex.shape}")
         if not np.logical_and.reduce(np.isfinite(apex)):
             raise GeometryError("non-finite apex")
-        # the difference is a fresh array, so unlike the points it is not copied
-        directions = pts - apex
+        # the points are checked first: within COORD_MAX, their difference
+        # with a finite apex cannot overflow.  It is a fresh array, so
+        # unlike the points it is not copied
         polygon = Polygon3.from_points(pts, closed)
+        directions = pts - apex
         return cls(polygon, GridSeq(directions, Grid.VERTEX, polygon.topology))
 
     @cached_property

@@ -181,7 +181,7 @@ def read_document(path) -> PolygonDocument:
         return _read_csv(text)
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise DocumentError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object")

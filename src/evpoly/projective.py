@@ -25,7 +25,7 @@ from .core import (
     GridSeq,
     Polygon3,
     Topology,
-    require_finite,
+    require_coordinates,
     row_mean,
 )
 from .invariants import centroaffine_frenet
@@ -74,7 +74,7 @@ class PlanarProjectivePolygon:
         pts = np.array(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise GeometryError("planar polygon vertices must be 2-vectors")
-        require_finite(pts, "coordinate")
+        require_coordinates(pts, "coordinate")
         v = GridSeq(pts, Grid.VERTEX)
         return cls(v, b_sequence(v))
 

@@ -1,5 +1,7 @@
+import argparse
 import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -47,7 +49,8 @@ def spiral_doc(tmp_path):
 
 # Exit code, stdout and stderr of usage errors and help, as printed when the
 # full parser read every command line (Python 3.11's argparse, 80 columns).
-# A command's sub-parser now reads its arguments alone; the texts stay.
+# A command's grammar or its sub-parser now reads its arguments alone; the
+# texts stay.
 USAGE_TEXTS = [
     ([], 1, "", "evpoly: the following arguments are required: command (see evpoly --help)\n"),
     (["bogus"], 1, "",
@@ -126,6 +129,52 @@ class TestUsage:
         assert main(["analyze", str(path)]) == 1
         assert "--origin" in capsys.readouterr().err
         assert build_parser() is build_parser()
+
+
+COMMANDS = cli._parsers()[1]  # each command's sub-parser
+
+
+@st.composite
+def command_lines(draw):
+    """A command line in the plain form, shuffled option by option, at times with
+    one option or the positional left out, and with up to two odd tokens put in:
+    an option string again, a prefix of one, ``--opt=value``, ``-``, ``--``,
+    ``-h``, an empty string, or a value with or without a leading ``-``."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    actions = [a for a in COMMANDS[command]._actions if not isinstance(a, argparse._HelpAction)]
+    value = st.text(alphabet="ab0.,", max_size=4)
+    chunks = []
+    for a in actions:
+        if not a.option_strings:
+            chunks.append([draw(value)])
+        elif a.required or draw(st.booleans()):
+            chunks.append([a.option_strings[0]] + ([draw(value)] if a.nargs is None else []))
+    chunks = draw(st.permutations(chunks))
+    if chunks and draw(st.booleans()):  # leave one out: maybe the positional or a required option
+        chunks.pop()
+    option = st.sampled_from(sorted(COMMANDS[command]._option_string_actions))
+    odd = st.one_of(
+        option,
+        st.builds(lambda o, k: o[:k], option, st.integers(1, 8)),
+        st.builds("{}={}".format, option, value),
+        st.sampled_from(["-", "--", "-h", ""]),
+        st.builds("-{}".format, value),
+        value,
+    )
+    for _ in range(draw(st.integers(0, 2))):
+        chunks.insert(draw(st.integers(0, len(chunks))), [draw(odd)])
+    return command, [t for chunk in chunks for t in chunk]
+
+
+@given(line=command_lines())
+@settings(max_examples=400, deadline=None)
+def test_plain_reader_builds_the_sub_parsers_namespace(line):
+    """The direct reader declines, or builds the Namespace the sub-parser builds."""
+    command, tokens = line
+    got = cli._read_plain(cli._grammars()[command], tokens)
+    if got is not None:
+        want, extra = COMMANDS[command].parse_known_args(tokens)
+        assert extra == [] and got == want
 
 
 class TestAnalyze:
@@ -556,6 +605,51 @@ class TestTable1:
     def test_malformed_sizes_exit_1(self, capsys, sizes):
         assert main(["table1", "--sizes", sizes]) == 1
         assert capsys.readouterr().err.startswith("evpoly: --sizes")
+
+
+def extreme_command_line(case, rng, tmp_path) -> list:
+    """A command line whose finite input has side or direction lengths beyond the float range."""
+    if case == "polygon3-1e308":
+        src = tmp_path / "big.json"
+        src.write_text(json.dumps({"kind": "polygon3", "vertices": [
+            [1e308, 0, 0], [-1e308, 0, 0], [1e308, 0, 1], [-1e308, 1, 0]]}))
+        return ["analyze", str(src), "--origin", "0,0,0"]
+    if case == "origin-1e200":
+        src = tmp_path / "ev.json"
+        write_document(PolygonDocument.from_polygon(random_equal_volume_polygon(rng, 20)), src)
+        return ["analyze", str(src), "--origin", "1e200,0,0"]
+    src = tmp_path / "arc.csv"
+    pts = sample_curve(Ellipse(1.5, 0.9), 0.3, 1.7, 50, GridScheme.INCLUDE_BOTH_ENDS) * 1e200
+    src.write_text("".join(f"{x!r},{y!r}\n" for x, y in pts.tolist()))
+    return ["plength", str(src)]
+
+
+@pytest.mark.parametrize("case, what", [("polygon3-1e308", "coordinate 1.000e+308"),
+                                        ("origin-1e200", "direction 1.000e+200"),
+                                        ("plength-1e200", "coordinate 1.433e+200")])
+def test_overflowing_lengths_are_refused_where_coordinates_enter(case, what, rng, tmp_path,
+                                                                  capsys):
+    argv = extreme_command_line(case, rng, tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would escape as an exception
+        assert main(argv) == 2
+    assert capsys.readouterr().err == (f"evpoly: vertex 0: {what} exceeds COORD_MAX = "
+                                       "3.352e+153, beyond which a length can overflow\n")
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type int64",
+     "evpoly: out of memory: Unable to allocate 72.8 TiB for an array with shape "
+     "(10000000000000,) and data type int64\n"),
+    ("", "evpoly: out of memory\n"),
+])
+def test_memory_error_exits_1_with_one_line(message, line, monkeypatch, capsys):
+    def too_large(sizes):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "table1_experiment", too_large)  # so the test allocates nothing
+    assert main(["table1", "--sizes", "10000000000000"]) == 1
+    assert capsys.readouterr() == ("", line)
 
 
 def test_planarity_from_singular_values_alone(rng):

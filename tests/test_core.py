@@ -306,9 +306,22 @@ class TestPolygon3:
         # vertices 1e-170 apart: the side is nonzero, its squared length is 0
         pts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float)
         pts[(k + 1) % 4] = pts[k] + [0.0, 0.0, 1e-170]
-        with pytest.raises(DegenerateVertexError) as exc:
+        message = (f"^side {k}: its length underflows to 0, though vertices {k} and "
+                   f"{(k + 1) % 4} differ$")
+        with pytest.raises(GeometryError, match=message) as exc:
             Polygon3.from_points(pts, closed=closed)
-        assert exc.value.index == k
+        assert not isinstance(exc.value, DegenerateVertexError)
+
+    def test_polygon_scaled_to_1e_300_is_refused_for_its_underflow(self, rng):
+        pts = rng.normal(size=(8, 3)) * 1e-300
+        assert not (pts[1:] == pts[:-1]).all(axis=1).any()
+        with pytest.raises(GeometryError, match="^side 0: its length underflows to 0, "
+                                                "though vertices 0 and 1 differ$"):
+            Polygon3.from_points(pts)
+        pts[3] = pts[2]  # vertices that are equal are still coinciding vertices
+        pts[:2] *= 1e300
+        with pytest.raises(DegenerateVertexError, match="^vertices 2 and 3 coincide$"):
+            Polygon3.from_points(pts)
 
     @pytest.mark.parametrize("closed", [False, True])
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
@@ -344,6 +357,34 @@ def test_entry_points_refuse_non_finite_coordinates(entry, bad):
     pts[3, 1] = bad
     with pytest.raises(GeometryError, match=f"^vertex 3: non-finite {what}$"):
         build(pts)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_refuse_coordinates_beyond_the_bound(entry, sign):
+    build, what = ENTRY_POINTS[entry]
+    pts = ARC.copy()
+    pts[3, 1] = sign * 1e200
+    pts[4, 0] = sign * 1e250
+    message = (f"^vertex 3: {what} 1\\.000e\\+200 exceeds COORD_MAX = 3\\.352e\\+153, "
+               "beyond which a length can overflow$")
+    with pytest.raises(GeometryError, match=message):
+        build(pts)
+    pts[2, 0] = np.nan  # a NaN or infinity is named first, as before
+    with pytest.raises(GeometryError, match=f"^vertex 2: non-finite {what}$"):
+        build(pts)
+
+
+def test_coordinates_at_the_bound_give_finite_lengths():
+    # a side of the largest size, 2 COORD_MAX in each coordinate, and a
+    # convex planar turn at each vertex
+    pts = core.COORD_MAX * np.array([[1, 1, 1], [-1, -1, -1], [1, -1, 1], [-1, 1, -1]], float)
+    with np.errstate(all="raise"):
+        p = Polygon3.from_points(pts)
+        f = FramedPolygon.build(ARC[:4], pts)
+        planar = PlanarProjectivePolygon.from_vertices(pts[:, :2])
+    assert np.isfinite(p.side_lengths).all() and np.isfinite(f.direction_lengths).all()
+    assert np.isfinite(planar.b.values).all() and (planar.b.values > 0).all()
 
 
 # each entry point that keeps a caller's coordinates, and the array it keeps

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import FakeOs, open_fds, random_generic_framed, short_writes
 
 from evpoly import core
+from evpoly.cli import main
 from evpoly.core import read_text, write_text
 from evpoly.documents import (
     DocumentError,
@@ -357,6 +358,16 @@ def test_malformed_crlf_documents_keep_the_text_mode_positions(tmp_path):
     csv.write_bytes(b"# head\r\n\r\n1 2 3\r\n4 five 6\r\n")
     with pytest.raises(DocumentError, match="^line 4: not a coordinate row$"):
         read_document(csv)
+
+
+def test_json_nested_too_deep_is_invalid_json(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    depth = 10**5
+    path.write_text('{"kind": ' + "[" * depth + "]" * depth + "}")
+    assert main(["analyze", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("evpoly: invalid JSON: maximum recursion depth exceeded")
 
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new-path", "existing-document"])

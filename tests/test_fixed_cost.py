@@ -3,11 +3,13 @@
 Each kernel that writes a numpy expression out, into buffers or Python
 floats, is compared bit for bit with the generic form it replaces,
 written out here.  The counts of ``GridSeq`` constructions and ``det3``
-calls, of the files opened and of the calls into numpy's Python-level
-functions per command call are capped, so that the fixed cost per call
-cannot creep back unseen; they are counts, not timings.
+calls, of the files opened, of argparse passes and of the calls into
+numpy's Python-level functions per command call are capped, so that the
+fixed cost per call cannot creep back unseen; they are counts, not
+timings.
 """
 
+import argparse
 import builtins
 import collections
 import os
@@ -30,6 +32,7 @@ from evpoly.constructions import (
     sample_curve,
 )
 from evpoly.core import Grid, GridSeq, Polygon3, Topology, det2, det3, forward_diff
+from evpoly.darboux import FramedPolygon
 from evpoly.documents import PolygonDocument, write_document
 from evpoly.invariants import _frenet_data
 from evpoly.projective import (
@@ -350,3 +353,35 @@ def test_numpy_python_calls_per_analyze_call(rng, tmp_path):
     assert set(calls) <= NUMPY_PYTHON_FUNCTIONS, calls
     assert calls["einsumfunc.py:einsum"] == 2
     assert sum(calls.values()) <= NUMPY_PYTHON_CALLS, calls
+
+
+# argparse passes per successful call: a command line in the plain form
+# is read from the command's grammar, without argparse
+
+def framed_command_argv(command, tmp_path) -> list:
+    """A successful ``resample``, ``developable`` or ``focal`` command line."""
+    poly = sample_curve(ExampleSpiralRepresentative(), 0.0, 2 * np.pi, 60)
+    src = tmp_path / "spiral.json"
+    write_document(PolygonDocument.from_framed(FramedPolygon.silhouette(poly.points)), src)
+    flag, out = {"resample": ("--out", "o.json"), "developable": ("--obj", "d.obj"),
+                 "focal": ("--obj", "f.obj")}[command]
+    return [command, str(src), flag, str(tmp_path / out)]
+
+
+@pytest.mark.parametrize("command", ["analyze", "developable", "focal", "plength", "resample",
+                                     "table1"])
+def test_no_argparse_pass_per_successful_call(command, rng, tmp_path, monkeypatch):
+    if command in ("resample", "developable", "focal"):
+        argv = framed_command_argv(command, tmp_path)
+    else:
+        argv = command_argv(command, rng, tmp_path)
+    passes = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        passes.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert cli.main(argv) == 0
+    assert passes == []

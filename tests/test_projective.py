@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology, det3
 from evpoly.constructions import Ellipse, ExampleSpiral, GridScheme, sample_curve
-from evpoly import projective
+from evpoly import core, projective
 from evpoly.equal_volume import NotEqualVolumeError, centroaffine_volumes
 from evpoly.projective import (
     LIFT_COORD_MAX,
@@ -185,10 +185,12 @@ class TestLift:
     @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
     def test_one_cumulative_product_is_the_three_products_bit_for_bit(
             self, monkeypatch, rng, n, scale):
-        # seeds near 1e150 lift beyond LIFT_COORD_MAX, which refuses them;
-        # lift them anyway, so that the products themselves are compared
-        # (Polygon3's side lengths may then overflow to inf)
+        # seeds near 1e150 lift beyond LIFT_COORD_MAX and core.COORD_MAX,
+        # which refuse them; lift them anyway, so that the products
+        # themselves are compared (Polygon3 still refuses a non-finite
+        # coordinate, and its side lengths may overflow to inf)
         monkeypatch.setattr(projective, "LIFT_COORD_MAX", np.inf)
+        monkeypatch.setattr(core, "COORD_MAX", np.finfo(float).max)
         t = np.sort(rng.uniform(0.2, 1.8, n))
         pts = np.column_stack([2.0 * np.cos(t), np.sin(t)])
         poly = PlanarProjectivePolygon.from_vertices(pts)
