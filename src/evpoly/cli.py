@@ -14,27 +14,27 @@ row lists that JSON reading and writing create.  A freed container also
 lowers the collector's young-generation count again, so no collection is
 pushed past the command.
 
-Arguments are parsed at one level: when ``argv[0]`` names a command,
-the rest is read for that command alone, and the full parser, which
-would only pass them on, runs just for ``--help``, for no command and
-for an unknown one.  A command line in the plain form that every
-documented call uses (exact option strings, each at most once, values
-that do not start with ``-``, the right number of positionals, every
-required option given) is read without argparse, from the grammar that
-``_grammars`` takes once from the command's sub-parser; the sub-parser
-would build the same Namespace.  Every other command line goes to the
-sub-parser, so every help and usage text and every exit code is
-argparse's, with the messages of the full parser.
+Each command is declared once, in ``_COMMANDS``: its function, its help
+text and its arguments in order.  A command line in the plain form that
+every documented call uses (exact option strings, each at most once, the
+right number of positionals, every required option given, and values
+that do not start with ``-`` unless a digit or ``.`` follows, as in
+``--origin -1,0,0``) is read from that table alone by ``_read_plain``.
+``argparse`` is imported, and the parsers are built from the same table,
+only for ``--help``, usage errors and other command-line forms, so every
+help and usage text and every exit code is argparse's.  A command's
+arguments then go to its sub-parser alone, with ``--opt -1,0,0`` joined
+as ``--opt=-1,0,0`` so that both readers read the same values.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -270,151 +270,122 @@ def cmd_table1(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as input errors (exit 1) instead of exiting 2."""
+# Each command once: its function, its help text and its arguments in order, each a name
+# with the keywords ``argparse`` takes for it, of the kinds ``_grammar`` reads: a positional,
+# a value option (``help``, ``default``, ``required``) or a ``store_true`` flag.
+_COMMANDS = {
+    "analyze": (cmd_analyze, "volumes, Frenet data and classification", [
+        ("input", {}), ("--origin", {"help": "x,y,z base point for a bare space polygon"}),
+        ("--json", {"help": "write the report to this path"})]),
+    "resample": (cmd_resample, "equal-volume resampling of a framed polyline", [
+        ("input", {}), ("--out", {"required": True})]),
+    "plength": (cmd_plength, "discrete projective lengths of a planar polygon", [
+        ("input", {}), ("--auto-seed", {"action": "store_true",
+                                        "help": "seed the lift from the polygon (the default)"}),
+        ("--report", {"help": "write the JSON report to this path"})]),
+    "developable": (cmd_developable, "export the osculating developable as OBJ", [
+        ("input", {}), ("--origin", {}), ("--obj", {"required": True})]),
+    "focal": (cmd_focal, "export the affine focal set as OBJ", [
+        ("input", {}), ("--origin", {}), ("--obj", {"required": True})]),
+    "table1": (cmd_table1, "projective-length convergence table", [
+        ("--sizes", {"default": "10,100,1000"}),
+        ("--csv", {"help": "write the table to this path"})]),
+}
 
-    def error(self, message):
-        raise DocumentError(f"{message} (see {self.prog} --help)")
+
+def _grammar(fn, arguments) -> tuple:
+    """(positional dests, option string -> (dest, takes a value), required dests, defaults)."""
+    positionals, options, required, defaults = [], {}, set(), {"fn": fn}
+    for name, kw in arguments:
+        dest, takes = name.lstrip("-").replace("-", "_"), "action" not in kw
+        defaults[dest] = kw.get("default", None if takes else False)
+        if name[0] != "-":
+            positionals.append(dest)
+        else:
+            options[name] = dest, takes
+            if kw.get("required"):
+                required.add(dest)
+    return positionals, options, required, defaults
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GRAMMARS = {name: _grammar(fn, arguments) for name, (fn, _, arguments) in _COMMANDS.items()}
+
+
+def _is_value(token: str) -> bool:
+    """An option's value: no leading ``-``, or ``-`` and a digit or ``.``, as in ``-1,0,0``."""
+    return token[:1] != "-" or token[1:2].isdecimal() or token[1:2] == "."
+
+
+def build_parser():
     return _parsers()[0]
 
 
 @functools.cache
-def _parsers() -> tuple[argparse.ArgumentParser, dict]:
-    """The full parser and each command's sub-parser by name, built once."""
-    ap = _Parser(
-        prog="evpoly",
-        description="Discrete affine invariants of polygons in 3-space")
+def _parsers() -> tuple:
+    """The full parser and each command's sub-parser by name, built once from ``_COMMANDS``."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """Reports usage errors as input errors (exit 1) instead of exiting 2."""
+
+        def error(self, message):
+            raise DocumentError(f"{message} (see {self.prog} --help)")
+
+    ap = _Parser(prog="evpoly", description="Discrete affine invariants of polygons in 3-space")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    pa = sub.add_parser("analyze", help="volumes, Frenet data and classification")
-    pa.add_argument("input")
-    pa.add_argument("--origin", help="x,y,z base point for a bare space polygon")
-    pa.add_argument("--json", help="write the report to this path")
-    pa.set_defaults(fn=cmd_analyze)
-
-    pr = sub.add_parser("resample", help="equal-volume resampling of a framed polyline")
-    pr.add_argument("input")
-    pr.add_argument("--out", required=True)
-    pr.set_defaults(fn=cmd_resample)
-
-    pp = sub.add_parser("plength", help="discrete projective lengths of a planar polygon")
-    pp.add_argument("input")
-    pp.add_argument("--auto-seed", action="store_true",
-                    help="seed the lift from the polygon (the default)")
-    pp.add_argument("--report", help="write the JSON report to this path")
-    pp.set_defaults(fn=cmd_plength)
-
-    pd = sub.add_parser("developable", help="export the osculating developable as OBJ")
-    pd.add_argument("input")
-    pd.add_argument("--origin")
-    pd.add_argument("--obj", required=True)
-    pd.set_defaults(fn=cmd_developable)
-
-    pf = sub.add_parser("focal", help="export the affine focal set as OBJ")
-    pf.add_argument("input")
-    pf.add_argument("--origin")
-    pf.add_argument("--obj", required=True)
-    pf.set_defaults(fn=cmd_focal)
-
-    pt = sub.add_parser("table1", help="projective-length convergence table")
-    pt.add_argument("--sizes", default="10,100,1000")
-    pt.add_argument("--csv", help="write the table to this path")
-    pt.set_defaults(fn=cmd_table1)
-
+    for command, (fn, help_text, arguments) in _COMMANDS.items():
+        parser = sub.add_parser(command, help=help_text)
+        for name, kw in arguments:
+            parser.add_argument(name, **kw)
+        parser.set_defaults(fn=fn)
     return ap, sub.choices
 
 
-def _grammar(sub) -> tuple | None:
-    """A command's grammar, read from its sub-parser's actions.
-
-    A grammar is (the positionals' dests in order, each option string's
-    (dest, takes a value), the required options' dests, the Namespace
-    defaults: the actions' first, then ``set_defaults``' as argparse adds
-    them).  A sub-parser with an action that is neither a plain
-    ``store`` (no nargs, type, choices or suppressed default) nor a
-    ``store_true`` flag, or with a mutually exclusive group, has None:
-    argparse reads all of its command lines.
-    """
-    if sub._mutually_exclusive_groups:
-        return None
-    positionals, options, required, defaults = [], {}, set(), {}
-    for a in sub._actions:
-        kind = type(a)
-        if kind is argparse._HelpAction:
-            continue
-        takes = kind is argparse._StoreAction
-        if not ((takes and a.nargs is None or kind is argparse._StoreTrueAction)
-                and a.type is None and a.choices is None and a.default is not argparse.SUPPRESS):
-            return None
-        defaults[a.dest] = a.default
-        options.update(dict.fromkeys(a.option_strings, (a.dest, takes)))
-        if not a.option_strings:
-            positionals.append(a.dest)
-        elif a.required:
-            required.add(a.dest)
-    for dest, value in sub._defaults.items():
-        defaults.setdefault(dest, value)
-    return positionals, options, required, defaults
-
-
-@functools.cache
-def _grammars() -> dict:
-    """Each command's grammar (``_grammar``), read once."""
-    return {name: _grammar(sub) for name, sub in _parsers()[1].items()}
-
-
-def _read_plain(grammar, tokens) -> argparse.Namespace | None:
-    """The Namespace of a command line in the plain form, else None.
-
-    The plain form: every token that starts with ``-`` is one of the
-    command's exact option strings (so no abbreviation, ``=``, ``-h`` or
-    ``--``) and appears at most once, an option's value does not start
-    with ``-``, the positionals are as many as the command takes and
-    every required option is given.
-    """
-    if grammar is None:
-        return None
+def _read_plain(grammar, tokens) -> SimpleNamespace | None:
+    """The arguments of a command line in the plain form, else None: each token
+    that starts with ``-`` is an option's value (``_is_value``) or one of the
+    command's exact option strings (so no abbreviation, ``=``, ``-h`` or ``--``),
+    given at most once, and every positional and required option is there."""
     positionals, options, required, defaults = grammar
-    args, given, values = dict(defaults), set(), []
-    tokens = iter(tokens)
+    args, values, tokens = {}, [], iter(tokens)
     for token in tokens:
+        dest, takes = options.get(token, (None, False))
         if token[:1] != "-":
             values.append(token)
-            continue
-        dest, takes = options.get(token, (None, False))
-        if dest is None or dest in given:
+        elif dest is None or dest in args:
             return None
-        given.add(dest)
-        if takes:
-            token = next(tokens, "-")  # a missing value fails as one that starts with "-"
-            if token[:1] == "-":
+        else:
+            args[dest] = next(tokens, "-") if takes else True  # no value fails as "-" does
+            if takes and not _is_value(args[dest]):
                 return None
-        args[dest] = token if takes else True
-    if len(values) != len(positionals) or not required <= given:
+    if len(values) != len(positionals) or not required <= args.keys():
         return None
-    args.update(zip(positionals, values))
-    return argparse.Namespace(**args)
+    return SimpleNamespace(**defaults | args | dict(zip(positionals, values)))
 
 
-def _parse(argv) -> argparse.Namespace:
-    """The arguments of one command, read by its grammar or its sub-parser alone.
-
-    Arguments it does not take are reported as the full parser reports
-    them, pointing at ``evpoly --help``.
-    """
-    ap, commands = _parsers()
+def _parse(argv):
+    """The arguments of one command: ``_read_plain``'s, else argparse's.  The
+    sub-parser reads them alone, with each value option and a value that starts
+    with ``-`` joined as ``--opt=value`` before any ``--``, as ``_read_plain``
+    reads them; what it does not take is reported as the full parser would."""
     argv = sys.argv[1:] if argv is None else argv
-    sub = commands.get(argv[0]) if argv else None
-    if sub is None:
+    grammar = _GRAMMARS.get(argv[0]) if argv else None
+    args = None if grammar is None else _read_plain(grammar, argv[1:])
+    if args is not None:
+        return args
+    ap, commands = _parsers()
+    if grammar is None:
         return ap.parse_args(argv)
-    args = _read_plain(_grammars()[argv[0]], argv[1:])
-    if args is None:
-        args, extra = sub.parse_known_args(argv[1:])
-        if extra:
-            ap.error(f"unrecognized arguments: {' '.join(extra)}")
+    tokens = []
+    for token in argv[1:]:
+        if (tokens and token[:1] == "-" and _is_value(token) and "--" not in tokens
+                and grammar[1].get(tokens[-1], (None, False))[1]):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    args, extra = commands[argv[0]].parse_known_args(tokens)
+    if extra:
+        ap.error(f"unrecognized arguments: {' '.join(extra)}")
     return args
 
 

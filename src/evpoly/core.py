@@ -354,13 +354,13 @@ def face_solve(v, a, b, n) -> tuple[np.ndarray, np.ndarray]:
 
     so ``x*a + y*b`` is the orthogonal projection of ``v`` onto the plane
     of ``a`` and ``b``: the exact solution when ``v`` lies in that plane
-    and the least-squares one otherwise.  Rows with ``a`` parallel to ``b``
-    come back non-finite.
+    and the least-squares one otherwise.  Rows with ``a`` parallel to ``b``,
+    or whose products overflow, come back non-finite, without a warning.
     """
     # einsum's summation order follows the memory layout; fix it to C order
     n = np.ascontiguousarray(n)
-    nn = np.einsum("...i,...i->...", n, n)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nn = np.einsum("...i,...i->...", n, n)
         return det3(v, b, n) / nn, det3(a, v, n) / nn
 
 

@@ -79,8 +79,12 @@ class FramedPolygon:
             raise GeometryError("directions must be 3-vectors")
         require_coordinates(d.values, "direction")
         lengths = norm3(d.values)
-        if np.logical_or.reduce(lengths == 0.0):
-            raise GeometryError("zero direction vector")
+        if not np.logical_and.reduce(lengths):  # lengths >= 0: the first zero is the first minimum
+            k = int(np.argmin(lengths))
+            if not np.logical_or.reduce(d.values[k]):
+                raise GeometryError("zero direction vector")
+            raise GeometryError(f"vertex {d.base + k}: its direction's length underflows to 0, "
+                                "though the direction is not zero")
         lengths.setflags(write=False)
         object.__setattr__(self, "direction_lengths", lengths)
 

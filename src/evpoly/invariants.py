@@ -33,6 +33,7 @@ difference is nested on.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,7 +125,9 @@ def frenet(df: DarbouxField) -> FrenetData:
     Each third difference is decomposed once, against the side and
     xi(k+1), by ``core.face_solve``; that gives rho2(k) and tau(k), and
     rho1(k+1) = rho2(k) + tau(k) * sigma(k).  The data are solved once
-    per field.
+    per field.  A side whose solve is not finite is refused as a
+    degenerate face basis, or as an overflow when the solve's products or
+    rho1 overflow, as the products do for coordinates far above 1e100.
     """
     f = df.frame
     c = volume_constant(darboux_volumes(df))
@@ -140,12 +143,20 @@ def frenet(df: DarbouxField) -> FrenetData:
     m = len(d3)
     back = -e0  # the side, reversed
     xi_far = df.xi.window(k0 + 1, m)
-    rho2, tau = face_solve(d3, back, xi_far, cross3(back, xi_far))  # rho2 at vertex k
-    rho1 = rho2 + tau * df.sigma.window(k0, m)                      # rho1 at vertex k+1
-    finite = np.isfinite(rho1 + tau)
+    n = cross3(back, xi_far)
+    rho2, tau = face_solve(d3, back, xi_far, n)  # rho2 at vertex k
+    finite = solved = np.isfinite(rho2) & np.isfinite(tau)
+    if np.logical_and.reduce(solved):
+        rho1 = rho2 + tau * df.sigma.window(k0, m)  # rho1 at vertex k+1
+        finite = np.isfinite(rho1)
     if not np.logical_and.reduce(finite):
-        k = k0 + int(np.argmin(finite))
-        raise GeometryError(f"side {k}: degenerate face basis in Frenet solve")
+        k = int(np.argmin(finite))
+        with np.errstate(over="ignore", invalid="ignore"):  # the solve's products on side k
+            products = (n[k] @ n[k], det3(d3[k], xi_far[k], n[k]), det3(back[k], d3[k], n[k]))
+        if not solved[k] and all(map(math.isfinite, products)):
+            raise GeometryError(f"side {k0 + k}: degenerate face basis in Frenet solve")
+        raise GeometryError(f"side {k0 + k}: the Frenet face solve overflows float64 at this "
+                            "polygon's scale")
     return _frenet_data(f.polygon.topology, k0, c, rho1, rho2, tau)
 
 

@@ -1,11 +1,11 @@
-import argparse
 import gc
 import json
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -88,6 +88,62 @@ options:
   --origin ORIGIN  x,y,z base point for a bare space polygon
   --json JSON      write the report to this path
 """, ""),
+    (["resample", "--help"], 0, """\
+usage: evpoly resample [-h] --out OUT input
+
+positional arguments:
+  input
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT
+""", ""),
+    (["plength", "--help"], 0, """\
+usage: evpoly plength [-h] [--auto-seed] [--report REPORT] input
+
+positional arguments:
+  input
+
+options:
+  -h, --help       show this help message and exit
+  --auto-seed      seed the lift from the polygon (the default)
+  --report REPORT  write the JSON report to this path
+""", ""),
+    (["developable", "--help"], 0, """\
+usage: evpoly developable [-h] [--origin ORIGIN] --obj OBJ input
+
+positional arguments:
+  input
+
+options:
+  -h, --help       show this help message and exit
+  --origin ORIGIN
+  --obj OBJ
+""", ""),
+    (["focal", "--help"], 0, """\
+usage: evpoly focal [-h] [--origin ORIGIN] --obj OBJ input
+
+positional arguments:
+  input
+
+options:
+  -h, --help       show this help message and exit
+  --origin ORIGIN
+  --obj OBJ
+""", ""),
+    (["table1", "--help"], 0, """\
+usage: evpoly table1 [-h] [--sizes SIZES] [--csv CSV]
+
+options:
+  -h, --help     show this help message and exit
+  --sizes SIZES
+  --csv CSV      write the table to this path
+""", ""),
+    # a value that starts with "-" and a letter is an option to argparse
+    (["analyze", "x.json", "--json", "-x.json"], 1, "",
+     "evpoly: argument --json: expected one argument (see evpoly analyze --help)\n"),
+    (["focal", "x.json", "--obj", "-f.obj"], 1, "",
+     "evpoly: argument --obj: expected one argument (see evpoly focal --help)\n"),
 ]
 
 
@@ -131,7 +187,12 @@ class TestUsage:
         assert build_parser() is build_parser()
 
 
-COMMANDS = cli._parsers()[1]  # each command's sub-parser
+def test_command_table_declares_only_what_the_plain_reader_reads():
+    for fn, help_text, arguments in cli._COMMANDS.values():
+        for name, kw in arguments:
+            assert set(kw) <= {"help", "default", "required", "action"}, name
+            assert kw.get("action", "store_true") == "store_true", name
+            assert name[0] == "-" or not kw, name  # a positional is plain and required
 
 
 @st.composite
@@ -139,20 +200,23 @@ def command_lines(draw):
     """A command line in the plain form, shuffled option by option, at times with
     one option or the positional left out, and with up to two odd tokens put in:
     an option string again, a prefix of one, ``--opt=value``, ``-``, ``--``,
-    ``-h``, an empty string, or a value with or without a leading ``-``."""
-    command = draw(st.sampled_from(sorted(COMMANDS)))
-    actions = [a for a in COMMANDS[command]._actions if not isinstance(a, argparse._HelpAction)]
+    ``-h``, an empty string, or a value with or without a leading ``-``.  An
+    option's value may start with ``-`` too, as ``-0,.`` or ``-a`` do."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    arguments = cli._COMMANDS[command][2]
     value = st.text(alphabet="ab0.,", max_size=4)
+    signed = st.one_of(value, st.builds("-{}".format, value))
     chunks = []
-    for a in actions:
-        if not a.option_strings:
+    for name, kw in arguments:
+        if name[0] != "-":
             chunks.append([draw(value)])
-        elif a.required or draw(st.booleans()):
-            chunks.append([a.option_strings[0]] + ([draw(value)] if a.nargs is None else []))
+        elif kw.get("required") or draw(st.booleans()):
+            chunks.append([name] + ([draw(signed)] if "action" not in kw else []))
     chunks = draw(st.permutations(chunks))
     if chunks and draw(st.booleans()):  # leave one out: maybe the positional or a required option
         chunks.pop()
-    option = st.sampled_from(sorted(COMMANDS[command]._option_string_actions))
+    option = st.sampled_from(sorted([name for name, _ in arguments if name[0] == "-"]
+                                    + ["-h", "--help"]))
     odd = st.one_of(
         option,
         st.builds(lambda o, k: o[:k], option, st.integers(1, 8)),
@@ -167,14 +231,18 @@ def command_lines(draw):
 
 
 @given(line=command_lines())
+@example(line=("analyze", ["x.json", "--origin", "-1,0,0", "--json", "-.5"]))
+@example(line=("table1", ["--sizes", "-1,2"]))
 @settings(max_examples=400, deadline=None)
 def test_plain_reader_builds_the_sub_parsers_namespace(line):
-    """The direct reader declines, or builds the Namespace the sub-parser builds."""
+    """The direct reader declines, or reads the arguments argparse reads: its
+    namespace holds what the sub-parser's Namespace holds."""
     command, tokens = line
-    got = cli._read_plain(cli._grammars()[command], tokens)
+    got = cli._read_plain(cli._GRAMMARS[command], tokens)
     if got is not None:
-        want, extra = COMMANDS[command].parse_known_args(tokens)
-        assert extra == [] and got == want
+        with mock.patch.object(cli, "_read_plain", return_value=None):  # argparse reads the line
+            want = cli._parse([command, *tokens])
+        assert vars(got) == vars(want)
 
 
 class TestAnalyze:
@@ -221,6 +289,24 @@ class TestAnalyze:
         assert err == ("evpoly: a framed3 document carries its own directions; "
                        "--origin only frames a bare polygon3\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, out_flag", [
+        ("analyze", "--json"), ("developable", "--obj"), ("focal", "--obj")])
+    def test_negative_origin_in_both_forms(self, rng, tmp_path, command, out_flag):
+        """``--origin -1,0,0`` reads as ``--origin=-1,0,0``, by the plain reader
+        and by argparse alike."""
+        G = random_equal_area(12, rng)
+        path = tmp_path / "p.json"
+        shifted = silhouette_lift(G, [0.2, -0.1]).points - [1.0, 0.0, 0.0]
+        write_document(PolygonDocument("polygon3", False, shifted), path)
+        outputs = []
+        for origin, flag in [(["--origin", "-1,0,0"], out_flag),
+                             (["--origin", "-1,0,0"], out_flag[:-1]),  # abbreviated: argparse
+                             (["--origin=-1,0,0"], out_flag)]:
+            out = tmp_path / f"out{len(outputs)}"
+            assert main([command, str(path), *origin, flag, str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["analyze", str(tmp_path / "nope.json")]) == 1
@@ -635,6 +721,21 @@ def test_overflowing_lengths_are_refused_where_coordinates_enter(case, what, rng
         assert main(argv) == 2
     assert capsys.readouterr().err == (f"evpoly: vertex 0: {what} exceeds COORD_MAX = "
                                        "3.352e+153, beyond which a length can overflow\n")
+
+
+@pytest.mark.parametrize("exponent", [400, 450, 500])
+def test_frenet_overflow_below_coord_max_is_named(exponent, rng, tmp_path, capsys):
+    """An equal-volume polygon scaled by 2^exponent (exactly, below COORD_MAX)
+    passes the frame and volume gates, but the Frenet face solve's triple
+    products overflow: analyze names that, with no numpy warning."""
+    src = tmp_path / "big.json"
+    points = random_equal_volume_polygon(rng, 20).points * 2.0 ** exponent
+    write_document(PolygonDocument("polygon3", False, points), src)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would escape as an exception
+        assert main(["analyze", str(src), "--origin", "0,0,0"]) == 2
+    assert capsys.readouterr() == ("", "evpoly: side 1: the Frenet face solve overflows float64 "
+                                       "at this polygon's scale\n")
 
 
 @pytest.mark.parametrize("message, line", [

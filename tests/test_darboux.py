@@ -29,7 +29,10 @@ def helix_points(n=20):
 @pytest.mark.parametrize("directions, message", [
     (lambda p: p[:, :2], "directions must be 3-vectors"),
     (lambda p: np.zeros_like(p), "zero direction vector"),
-], ids=["planar", "zero"])
+    # |d|^2 of the first direction, (1e-300, 0, 0), underflows to 0
+    (lambda p: p * 1e-300,
+     "vertex 0: its direction's length underflows to 0, though the direction is not zero"),
+], ids=["planar", "zero", "underflow"])
 def test_framed_polygon_refuses_directions(directions, message):
     pts = helix_points(6)
     with pytest.raises(GeometryError, match=f"^{message}$"):
