@@ -24,14 +24,14 @@ that do not start with ``-`` unless a digit or ``.`` follows, as in
 only for ``--help``, usage errors and other command-line forms, so every
 help and usage text and every exit code is argparse's.  A command's
 arguments then go to its sub-parser alone, with ``--opt -1,0,0`` joined
-as ``--opt=-1,0,0`` so that both readers read the same values.
+as ``--opt=-1,0,0`` (``--opt`` exact or, as argparse reads it, a unique
+prefix) so that both readers read the same values.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
-import json
 import math
 import sys
 from types import SimpleNamespace
@@ -45,7 +45,7 @@ from .darboux import (
     osculating_developable,
     parallel_darboux,
 )
-from .documents import DocumentError, PolygonDocument, read_document, write_document
+from .documents import DocumentError, PolygonDocument, json_text, read_document, write_document
 from .equal_volume import NotEqualVolumeError, darboux_volumes, resample_equal_volume
 from .invariants import ShortPolygonError, classify_focal, focal_data, focal_set_mesh, frenet
 from .projective import (
@@ -193,7 +193,7 @@ def cmd_analyze(args) -> int:
     if osc.apex is not None:
         report["apex"] = np.asarray(osc.apex).tolist()
 
-    _emit(json.dumps(report) + "\n", args.json)
+    _emit(json_text(report), args.json)
     return 0
 
 
@@ -230,7 +230,7 @@ def cmd_plength(args) -> int:
         "normalization": {"a1": norm.a1, "a2": norm.a2, "c": norm.c,
                           "label": norm.label},
     }
-    _emit(json.dumps(payload) + "\n", args.report)
+    _emit(json_text(payload), args.report)
     return 0
 
 
@@ -311,6 +311,12 @@ def _grammar(fn, arguments) -> tuple:
 _GRAMMARS = {name: _grammar(fn, arguments) for name, (fn, _, arguments) in _COMMANDS.items()}
 
 
+def _takes_value(options, token: str) -> bool:
+    """Whether ``token`` names a value option, exactly or by a unique prefix as argparse does."""
+    names = [name for name in options if name.startswith(token)] if token[:2] == "--" else []
+    return options[token][1] if token in options else len(names) == 1 and options[names[0]][1]
+
+
 def _is_value(token: str) -> bool:
     """An option's value: no leading ``-``, or ``-`` and a digit or ``.``, as in ``-1,0,0``."""
     return token[:1] != "-" or token[1:2].isdecimal() or token[1:2] == "."
@@ -379,7 +385,7 @@ def _parse(argv):
     tokens = []
     for token in argv[1:]:
         if (tokens and token[:1] == "-" and _is_value(token) and "--" not in tokens
-                and grammar[1].get(tokens[-1], (None, False))[1]):
+                and _takes_value(grammar[1], tokens[-1])):
             tokens[-1] += "=" + token
         else:
             tokens.append(token)

@@ -48,6 +48,7 @@ __all__ = [
 TOL_FACE = 1e-8
 # relative sigma spread below which the surface is a cone (or cylinder)
 CLASSIFY_TOL = 1e-6
+_TINY = np.finfo(float).tiny  # 2^-1022, the smallest normal float64
 
 
 class DegenerateFrameError(GeometryError):
@@ -136,13 +137,12 @@ class DarbouxField:
 
         xi(k+1) - xi(k) = -sigma(k) * e(k),
 
-    with e(k) the side vector, up to the face residual of side k.
-    ``parallel_darboux`` guarantees this, since its recursion decomposes
-    each side in its face, and its frame has passed ``validate_frame``.
-    A field built by hand is not checked; the Frenet data and the
-    osculating points take the invariant for granted.  One gate per
-    hypothesis: ``validate_frame`` is the one check of the planar faces,
-    so O, mu and Q are taken from the near end of each side.
+    with e(k) the side vector, up to the face residual of side k, which
+    ``validate_frame`` bounds (the one check of the planar faces, so O,
+    mu and Q are taken from the near end of each side); a field built by
+    hand is not checked.  The field is fixed up to one constant: what does
+    not depend on its size reads the frame and ``p``, each side's p in
+    side = p d(k) + q d(k+1) (unit d; read-only, NaN on parallel faces).
 
     The frame holds no reference back to the field, so the pair forms
     no reference cycle (``cli.main`` runs with the collector paused).
@@ -155,6 +155,7 @@ class DarbouxField:
     frame: FramedPolygon
     xi: GridSeq
     sigma: GridSeq
+    p: np.ndarray
     holonomy: float | None = None
 
 
@@ -226,8 +227,8 @@ def parallel_darboux(f: FramedPolygon) -> DarbouxField:
 
         s_next = -q * s / p,   sigma = s / p,
 
-    so the scales are a cumulative product.  A side whose step leaves a
-    scale or sigma non-finite raises ``DegenerateFrameError``.
+    so the scales are a cumulative product.  A scale outside float64's
+    normal range, or a sigma not finite, raises ``DegenerateFrameError``.
     """
     report = validate_frame(f)
     if not report.ok:
@@ -256,39 +257,35 @@ def parallel_darboux(f: FramedPolygon) -> DarbouxField:
             ratio[parallel] = np.sign(np.einsum("ij,ij->i", d0[parallel], d1[parallel]))
         np.multiply.accumulate(scales, out=scales)  # np.cumprod without its wrapper
         sigma = scales[:nsides] / p
-    if any_parallel:
-        sigma[parallel] = 0.0
-    finite = np.isfinite(scales[1:]) & np.isfinite(sigma)
-    if not np.logical_and.reduce(finite):
-        raise DegenerateFrameError(int(np.argmin(finite)),
-                                   "the Darboux recursion overflows (scale or sigma not finite)")
+        if any_parallel:
+            sigma[parallel], p[parallel] = 0.0, np.nan
+        size = np.abs(scales[1:])
+        normal = (size >= _TINY) & (size < np.inf) & np.isfinite(sigma)
+    if not np.logical_and.reduce(normal):
+        k = int(np.argmin(normal))
+        raise DegenerateFrameError(k, "the Darboux recursion " + (
+            "underflows (scale below 2^-1022)" if size[k] < _TINY
+            else "overflows (scale or sigma not finite)"))
+    p.setflags(write=False)
 
     topo = f.polygon.topology
     xi = GridSeq(scales[:n, None] * dh.values, Grid.VERTEX, topo)
     holonomy = float(scales[-1]) if f.closed else None
-    return DarbouxField(f, xi, GridSeq(sigma, Grid.SIDE, topo), holonomy)
+    return DarbouxField(f, xi, GridSeq(sigma, Grid.SIDE, topo), p, holonomy)
 
 
 @once_per_field
 def osculating_points(df: DarbouxField) -> GridSeq:
     """Intersections of consecutive Darboux support lines, one per side.
 
-    Each point is taken from the side's near end, ``phi(k) +
-    xi(k)/sigma(k)``.  The far end gives the same point, because the
-    field is parallel (``DarbouxField``); the two differ only by the face
-    residual, which ``validate_frame`` has bounded.  Sides where
-    1/sigma is not finite (parallel support lines) have no finite
-    intersection and come back as NaN rows.  The points are evaluated
-    once per field.
+    Each point is taken from the side's near end, O(k) = P(k) + p(k) d(k)
+    (``DarbouxField.p``): P(k) + xi(k)/sigma(k) without the field's size.
+    The far end gives the same point up to the face residual, which
+    ``validate_frame`` bounds.  Parallel faces (p is NaN) come back as NaN
+    rows, points at infinity.  The points are evaluated once per field.
     """
-    f = df.frame
-    s = df.sigma.values
-    m = len(s)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        finite = np.isfinite(1.0 / s)
-        out = f.polygon.points[:m] + df.xi.values[:m] / s[:, None]
-    if not np.logical_and.reduce(finite):
-        out[~finite] = np.nan
+    f, m = df.frame, len(df.p)
+    out = f.polygon.points[:m] + df.p[:, None] * f.unit_directions.values[:m]
     return GridSeq(out, Grid.SIDE, f.polygon.topology)
 
 
@@ -296,18 +293,18 @@ def osculating_developable(df: DarbouxField) -> Mesh:
     """Ruled mesh of the faces between consecutive Darboux support lines.
 
     One planar quad per side, bounded by the support lines through the
-    two end vertices, truncated to parameter |u| <= extent along the
-    unit Darboux directions, where extent is twice the polygon's
-    diameter.  The mesh holds the rows P(k) - X(k) and P(k) + X(k) of
-    each vertex once; quad k has the corners 2k, 2k+1, 2k+3, 2k+2 (mod
-    2m on a closed polygon of m vertices), and each quad keeps its own
-    four OBJ ``v`` records.
+    two end vertices, truncated to |u| <= extent, twice the polygon's
+    diameter, along the rulings sign(xi . d) d of the unit directions d
+    (the dot taken like ``norm3``, so xi is not squared).  The mesh holds
+    the rows P(k) - X(k) and P(k) + X(k) of each vertex once; quad k has
+    the corners 2k, 2k+1, 2k+3, 2k+2 (mod 2m on a closed polygon of m
+    vertices), and each quad keeps its own four OBJ ``v`` records.
     """
     f = df.frame
     extent = 2.0 * f.polygon.diameter()
     p = f.polygon.points
-    xi = df.xi.values
-    x = extent * (xi / norm3(xi)[:, None])
+    xi, d = df.xi.values, f.unit_directions.values
+    x = extent * np.sign(xi[:, 0] * d[:, 0] + xi[:, 1] * d[:, 1] + xi[:, 2] * d[:, 2])[:, None] * d
     rows = np.stack([p - x, p + x], axis=1).reshape(-1, 3)
     nsides = len(f.polygon.sides())
     k2 = 2 * np.arange(nsides)
@@ -332,7 +329,8 @@ def classify_osculating(df: DarbouxField) -> OsculatingClass:
 
     The surface is a cone when the relative spread of sigma,
     (max-min)/median|sigma|, is within ``CLASSIFY_TOL``; the cone branch
-    reports the apex (mean of the support-line intersections).
+    reports the apex (mean of the support-line intersections).  A cylinder
+    has every |sigma| within ``CLASSIFY_TOL`` of median |xi . d| per side length.
     """
     sigma = df.sigma.values
     size = np.abs(sigma)
@@ -343,7 +341,8 @@ def classify_osculating(df: DarbouxField) -> OsculatingClass:
         apex = row_mean(osculating_points(df).values)
         return OsculatingClass(SurfaceKind.CONE, apex)
 
-    xi_scale = median(norm3(df.xi.values))
+    xi, d = df.xi.values, df.frame.unit_directions.values
+    xi_scale = median(np.abs(xi[:, 0] * d[:, 0] + xi[:, 1] * d[:, 1] + xi[:, 2] * d[:, 2]))
     edge_scale = median(df.frame.polygon.side_lengths)
     if np.maximum.reduce(size) <= CLASSIFY_TOL * (xi_scale / edge_scale):
         return OsculatingClass(SurfaceKind.CYLINDER)

@@ -19,7 +19,7 @@ import numpy as np
 from .core import GeometryError, Polygon3, read_text, write_text
 from .darboux import FramedPolygon
 
-__all__ = ["PolygonDocument", "DocumentError", "read_document", "write_document"]
+__all__ = ["PolygonDocument", "DocumentError", "read_document", "write_document", "json_text"]
 
 KINDS = ("polygon3", "polygon2", "framed3")
 ARITY = {"polygon3": 3, "polygon2": 2, "framed3": 3}
@@ -112,6 +112,26 @@ class PolygonDocument:
                    f.directions.values, metadata=dict(metadata or {}))
 
 
+_STRICT = json.JSONEncoder(allow_nan=False)  # json.dumps's encoder, without NaN and Infinity
+
+
+def json_text(payload: dict) -> str:
+    """``payload`` as one line of JSON.  JSON has no infinity or NaN, so a value
+    that is not finite raises a GeometryError naming its key, dotted through maps."""
+    try:
+        return _STRICT.encode(payload) + "\n"
+    except ValueError:
+        for key, value in payload.items():
+            try:
+                json_text(value) if isinstance(value, dict) else _STRICT.encode(value)
+            except GeometryError as exc:  # named in a nested map
+                raise GeometryError(f"{key}.{exc}") from None
+            except ValueError:
+                raise GeometryError(f"{key}: not finite, and JSON has no "
+                                    "infinity or NaN") from None
+        raise
+
+
 def write_document(doc: PolygonDocument, path) -> None:
     payload = {
         "kind": doc.kind,
@@ -122,7 +142,7 @@ def write_document(doc: PolygonDocument, path) -> None:
     if doc.directions is not None:
         payload["directions"] = doc.directions.tolist()
     # the text is made before the file is opened, so a refused payload leaves it as it was
-    write_text(path, json.dumps(payload) + "\n")
+    write_text(path, json_text(payload))
 
 
 def _csv_error(text: str) -> DocumentError:

@@ -277,7 +277,7 @@ def focal_lines(fd: FocalSetData) -> tuple[np.ndarray, np.ndarray]:
     """A point and a unit direction of each side's focal line, one row per side of Q.
 
     The focal line joins O and Q.  With O at infinity it runs through Q
-    along xi; with Q at infinity, or Q = O, it runs through O along eta.
+    along the unit direction; with Q at infinity, or Q = O, through O along eta.
     Both rows are NaN on the sides ``FocalSetData.lineless`` names.
     """
     k0, m = fd.Q.base, len(fd.Q)
@@ -287,7 +287,7 @@ def focal_lines(fd: FocalSetData) -> tuple[np.ndarray, np.ndarray]:
         origin = O.copy()
         origin[o_inf] = q_pts[o_inf]
         d = q_pts - O
-        d[o_inf] = fd.field.xi.window(k0, m)[o_inf]
+        d[o_inf] = fd.field.frame.unit_directions.window(k0, m)[o_inf]
         use_eta = ~o_inf & (q_inf | (norm3(d) == 0.0))
         d[use_eta] = fd.eta.window(k0, m)[use_eta]
         d /= norm3(d)[:, None]

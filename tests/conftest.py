@@ -1,3 +1,4 @@
+import json
 import os
 import tracemalloc
 from dataclasses import dataclass
@@ -100,15 +101,18 @@ def silhouette_frenet(p, origin=(0.0, 0.0, 0.0)):
     """Frenet data of ``p`` by the framed face solve, for cross-checks.
 
     The centro-affine framing: directions through the base point, with
-    xi = phi - origin and sigma = -1, the data that
+    xi = phi - origin, sigma = -1 and p = -|phi - origin| (each side is
+    |d(k+1)| d(k+1) - |d(k)| d(k) in unit directions), the data that
     ``invariants.centroaffine_frenet`` evaluates in closed form.
     """
     o = np.asarray(origin, dtype=float)
     topo = p.vertices.topology
     f = FramedPolygon.silhouette(p.points, o, closed=p.closed)
     xi = GridSeq(p.points - o, Grid.VERTEX, topo)
-    sigma = GridSeq(np.full(len(p.sides()), -1.0), Grid.SIDE, topo)
-    return frenet(DarbouxField(f, xi, sigma, 1.0 if p.closed else None))
+    nsides = len(p.sides())
+    sigma = GridSeq(np.full(nsides, -1.0), Grid.SIDE, topo)
+    return frenet(DarbouxField(f, xi, sigma, -f.direction_lengths[:nsides],
+                               1.0 if p.closed else None))
 
 
 def random_cone_fixture(rng, n=30):
@@ -125,24 +129,56 @@ def random_cone_fixture(rng, n=30):
 def random_generic_framed(rng, n=15, closed=False):
     """Framed polygon with valid coplanar faces but non-constant sigma.
 
-    Direction i+1 is a transversal combination of side i and direction i,
-    so every face is planar by construction.  When closed, the last vertex
-    is placed on a line through vertex 0 that keeps the closing face,
+    Direction i+1 is a transversal combination a side(i) + b d(i), with
+    |a| in [0.2, 1] and |b| in [0.4, 1.5] and each sign drawn, so every
+    face is planar by construction.  When closed, the last vertex is
+    placed on a line through vertex 0 that keeps the closing face,
     spanned by directions N-1 and 0, planar as well.
+
+    The recursion runs on Python floats, and each sign is drawn as
+    ``rng.integers(0, 2)``, which consumes the stream as
+    ``rng.choice([-1.0, 1.0])`` does: the frames are bit for bit those of
+    the same recursion on numpy rows, at a third of its time.
     """
-    pts = np.cumsum(rng.normal(size=(n, 3)), axis=0)
-    d = np.empty((n, 3))
-    d[0] = rng.normal(size=3)
+    pts = np.cumsum(rng.normal(size=(n, 3)), axis=0).tolist()
+    d = [rng.normal(size=3).tolist()]
+    uniform, integers, signs = rng.uniform, rng.integers, (-1.0, 1.0)
     for i in range(n - 1):
-        edge = pts[i + 1] - pts[i]
-        a = rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
-        b = rng.uniform(0.4, 1.5) * rng.choice([-1.0, 1.0])
+        a = uniform(0.2, 1.0) * signs[integers(0, 2)]
+        b = uniform(0.4, 1.5) * signs[integers(0, 2)]
         if closed and i == n - 2:
-            w = a * (pts[0] - pts[i]) + b * d[i] + rng.uniform(-1.0, 1.0) * d[0]
-            pts[i + 1] = pts[0] + rng.uniform(0.2, 0.6) * w
-            edge = pts[i + 1] - pts[i]
-        d[i + 1] = a * edge + b * d[i]
+            c = uniform(-1.0, 1.0)
+            w = [a * (x0 - x) + b * y + c * y0
+                 for x0, x, y, y0 in zip(pts[0], pts[i], d[i], d[0])]
+            t = uniform(0.2, 0.6)
+            pts[i + 1] = [x0 + t * wj for x0, wj in zip(pts[0], w)]
+        d.append([a * (x1 - x) + b * y for x1, x, y in zip(pts[i + 1], pts[i], d[i])])
     return FramedPolygon.build(pts, d, closed=closed)
+
+
+def reversed_frame(f):
+    """``f`` walked from its last vertex to its first: side k is f's side n-2-k."""
+    return FramedPolygon.build(f.polygon.points[::-1], f.directions.values[::-1], f.closed)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(source):
+    """A report or document as strict JSON reads it, from a path or from its
+    text: ``NaN``, ``Infinity`` and ``-Infinity``, which ``json.loads``
+    otherwise accepts, raise ValueError."""
+    text = source.read_text() if isinstance(source, os.PathLike) else source
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+def zero_width_quads(path) -> tuple:
+    """How many quads an OBJ file of quads with four ``v`` records each holds,
+    and how many of them have their first two records equal: the developable's
+    P(k) - X(k) and P(k) + X(k) with a ruling X(k) that is zero or NaN."""
+    v = [line for line in path.read_text().splitlines() if line[:2] == "v "]
+    return len(v) // 4, sum(map(str.__eq__, v[0::4], v[1::4]))
 
 
 def parabola_prism(turns):

@@ -16,9 +16,12 @@ from conftest import (
     random_equal_area,
     random_equal_volume_polygon,
     random_generic_framed,
+    reversed_frame,
     refuse_opening,
     short_writes,
     silhouette_lift,
+    strict_json,
+    zero_width_quads,
 )
 
 from evpoly.cli import _planar, build_parser, main
@@ -250,7 +253,7 @@ class TestAnalyze:
         f, apex = random_cone_fixture(rng, 40)
         path = write_framed(f, tmp_path / "cone.json")
         assert main(["analyze", path]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert report["classification"] == "cone"
         assert np.abs(np.array(report["apex"]) - apex).max() < 1e-8
 
@@ -260,7 +263,7 @@ class TestAnalyze:
         f, apex = random_cone_fixture(rng, 40)
         small = FramedPolygon.silhouette((f.polygon.points - apex) * scale)
         assert main(["analyze", write_framed(small, tmp_path / "cone.json")]) == 0
-        assert json.loads(capsys.readouterr().out)["classification"] == "cone"
+        assert strict_json(capsys.readouterr().out)["classification"] == "cone"
 
     def test_silhouette_lift_single_line(self, rng, tmp_path, capsys):
         G = random_equal_area(12, rng)
@@ -268,7 +271,7 @@ class TestAnalyze:
         path = tmp_path / "lift.json"
         write_document(PolygonDocument.from_polygon(phi), path)
         assert main(["analyze", str(path), "--origin", "0,0,0"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert report["focal"] == "single_line"
 
     def test_bare_polygon_without_origin_exits_1(self, rng, tmp_path, capsys):
@@ -407,10 +410,28 @@ class TestAnalyze:
         assert "the polygon is not equal-volume about --origin 0.1,0,0" in err
         assert "resample" not in err
 
+    @pytest.mark.parametrize("command, out_flag", [
+        ("analyze", "--json"), ("developable", "--obj"), ("focal", "--obj")])
+    def test_negative_origin_after_a_prefix(self, rng, tmp_path, capsys, command, out_flag):
+        """``--orig -1,0,0`` reads as ``--origin=-1,0,0``, as argparse reads ``--orig``."""
+        path = tmp_path / "p.json"
+        shifted = silhouette_lift(random_equal_area(12, rng), [0.2, -0.1]).points - [1, 0, 0]
+        write_document(PolygonDocument("polygon3", False, shifted), path)
+        outputs = []
+        for origin in (["--origin=-1,0,0"], ["--orig", "-1,0,0"], ["--orig=-1,0,0"],
+                       ["--origin", "-1,0,0"]):
+            out = tmp_path / f"out{len(outputs)}"
+            assert main([command, str(path), *origin, out_flag, str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1:] == outputs[:1] * 3
+        if command == "developable":  # --o names --origin and --obj alike
+            assert main([command, str(path), "--o", "-1,0,0", "--obj", str(out)]) == 1
+            assert "ambiguous option: --o could match --origin, --obj" in capsys.readouterr().err
+
     def test_report_keys_and_health_scalars(self, spiral_doc, capsys):
         # an open cone silhouette: no holonomy, and an apex
         assert main(["analyze", spiral_doc]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert set(report) == {
             "n_vertices", "closed", "volume_c", "volume_spread", "sigma",
             "rho1", "rho2", "tau", "mu",
@@ -427,7 +448,7 @@ class TestAnalyze:
         path = tmp_path / "arc.json"
         write_document(PolygonDocument.from_polygon(Polygon3.from_points(arc)), path)
         assert main(["analyze", str(path), "--origin", "0,0,0"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert report["classification"] == "planar"
         assert np.abs(report["apex"]).max() < 1e-12
 
@@ -444,7 +465,7 @@ class TestAnalyze:
         write_document(PolygonDocument.from_polygon(random_equal_volume_polygon(rng, n)), path)
         assert main(["analyze", str(path), "--origin", "0,0,0"]) == 0
         captured = capsys.readouterr()
-        report = json.loads(captured.out)
+        report = strict_json(captured.out)
         frenet_keys = {"rho1", "rho2", "tau", "mu", "focal"}
         assert report["n_vertices"] == n
         if n < 5:
@@ -464,7 +485,7 @@ class TestAnalyze:
     def test_json_output_file(self, spiral_doc, tmp_path):
         out = tmp_path / "report.json"
         assert main(["analyze", spiral_doc, "--json", str(out)]) == 0
-        report = json.loads(out.read_text())
+        report = strict_json(out)
         assert report["volume_spread"] < 1e-9
         assert "tau" in report
 
@@ -476,7 +497,7 @@ class TestResample:
         src = read_document(spiral_doc)
         dst = read_document(out)
         assert np.allclose(src.vertices, dst.vertices, atol=1e-12)
-        assert dst.metadata["volume_spread"] <= 1e-9
+        assert strict_json(out)["metadata"]["volume_spread"] <= 1e-9
 
     def test_short_input_exits(self, rng, tmp_path):
         pts = rng.normal(size=(3, 3))
@@ -492,7 +513,7 @@ class TestPlength:
         path = tmp_path / "spiral2.csv"
         np.savetxt(path, pts, delimiter=",")
         assert main(["plength", str(path), "--auto-seed"]) == 0
-        report = json.loads(capsys.readouterr().out)
+        report = strict_json(capsys.readouterr().out)
         assert "pl1" in report and "pl2" in report
 
     def test_seeds_come_from_the_polygon_with_or_without_auto_seed(self, tmp_path, capsys):
@@ -503,7 +524,7 @@ class TestPlength:
         plain = capsys.readouterr().out
         assert main(["plength", str(path), "--auto-seed"]) == 0
         assert capsys.readouterr().out == plain
-        assert json.loads(plain)["normalization"]["label"] == "unit-seed"
+        assert strict_json(plain)["normalization"]["label"] == "unit-seed"
 
     @pytest.mark.parametrize("flag", ["--a1", "--a2", "--c"])
     def test_user_seed_flags_are_gone(self, tmp_path, capsys, flag):
@@ -838,3 +859,70 @@ def test_planar_screen_proves_spatial_polygons(rng, monkeypatch, ratio):
 @settings(max_examples=300, deadline=None)
 def test_planar_screen_classifies_like_the_svd_alone(pts):
     assert _planar(pts) is svd_alone(pts)
+
+
+# ---------------------------------------------------------------- the Darboux scale
+
+# Generic frames whose Darboux scale grows by about 2^0.16 per side: past
+# 2^511 from N = 3000 on, where |xi| squared overflows, and, walked the
+# other way, down towards 2^-1022
+SCALE_FRAMES = [(seed, n) for n in (3000, 4000, 6000) for seed in (1, 5, 9)]
+
+
+@pytest.mark.parametrize("seed, n", SCALE_FRAMES)
+def test_frames_past_the_squared_range_give_whole_outputs(seed, n, tmp_path):
+    f = random_generic_framed(np.random.default_rng(seed), n)
+    for frame in (f, reversed_frame(f)):
+        path = write_framed(frame, tmp_path / "f.json")
+        report, obj = tmp_path / "a.json", tmp_path / "d.obj"
+        assert main(["analyze", path, "--json", str(report)]) == 0  # RuntimeWarnings are errors
+        assert strict_json(report)["n_vertices"] == n
+        assert main(["developable", path, "--obj", str(obj)]) == 0
+        assert zero_width_quads(obj) == (n - 1, 0)
+
+
+def first_scale_below(f, tiny) -> int:
+    """The first side whose Darboux scale falls below ``tiny``, from a solve of
+    side = p d(k) + q d(k+1) in each face's Gram matrix of the unit directions."""
+    e, d = f.polygon.sides().values, f.unit_directions.values
+    d0, d1 = d[:-1], d[1:]
+    g, b0, b1 = (np.einsum("ij,ij->i", u, v) for u, v in ((d0, d1), (d0, e), (d1, e)))
+    scales = np.abs(np.cumprod((g * b0 - b1) / (b0 - g * b1)))  # -q/p, as det cancels
+    assert (scales < tiny).any()
+    return int(np.argmax(scales < tiny))
+
+
+@pytest.mark.parametrize("seed", [1, 5, 9])
+def test_scales_below_the_normal_range_are_refused_by_side(seed, tmp_path, capsys):
+    f = reversed_frame(random_generic_framed(np.random.default_rng(seed), 10_000))
+    side = first_scale_below(f, 2.0 ** -1022)
+    path = write_framed(f, tmp_path / "f.json")
+    for command, flag in [("analyze", "--json"), ("developable", "--obj"), ("resample", "--out")]:
+        out = tmp_path / "out"
+        assert main([command, path, flag, str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"evpoly: side {side}: the Darboux recursion underflows (scale below 2^-1022)\n")
+        assert not out.exists()
+
+
+def flat_frame(rng):
+    """A frame in the plane z = 0 with directions in that plane: every Darboux
+    volume is 0, so the volumes' relative spread is infinite."""
+    pts = np.cumsum(rng.uniform(0.5, 1.5, size=(12, 3)) * [1, 1, 0], axis=0)
+    return FramedPolygon.build(pts, rng.normal(size=(12, 3)) * [1, 1, 0])
+
+
+@pytest.mark.parametrize("frame, key", [
+    (flat_frame, "volume_spread"),
+    # mu is 0 on most sides, so its relative spread about the median is infinite
+    (lambda rng: parabola_prism([2, 2, 2, 3, 2, 2, 1, 2, 2, 2]), "focal_mu_spread"),
+], ids=["volumes", "mu"])
+def test_a_report_value_that_is_not_finite_is_refused_by_name(frame, key, rng, tmp_path, capsys):
+    path = write_framed(frame(rng), tmp_path / "f.json")
+    for out in ([], ["--json", str(tmp_path / "a.json")]):
+        assert main(["analyze", path, *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"evpoly: {key}: not finite, and JSON has no infinity or NaN")
+    assert not (tmp_path / "a.json").exists()

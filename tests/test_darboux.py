@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     face_planarity,
     random_cone_fixture,
     random_equal_volume_polygon,
     random_generic_framed,
+    reversed_frame,
 )
 
 from evpoly.core import GeometryError
@@ -168,6 +171,29 @@ class TestOsculatingPoints:
         far = p[1:] + xi[1:] / s[:, None]
         scale = np.maximum(np.linalg.norm(near - p[:-1], axis=1), f.polygon.diameter())
         assert (np.linalg.norm(near - far, axis=1) <= 1e-10 * scale).all()
+
+    @given(n=st.integers(12, 80), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_reversed_frame_gives_the_same_points_and_rulings(self, n, seed):
+        # O and the rulings come from the frame and p, not from the field's
+        # size, which the reversed frame's recursion fixes at the other end:
+        # its side n-2-k is side k, taken from its far end, and its rulings
+        # are the same unit directions, up to sign
+        f = random_generic_framed(np.random.default_rng(seed), n)
+        assume(validate_frame(f).ok)
+        df, dg = parallel_darboux(f), parallel_darboux(reversed_frame(f))
+        near, back = osculating_points(df).values, osculating_points(dg).values[::-1]
+        scale = np.maximum(np.linalg.norm(near - f.polygon.points[:-1], axis=1),
+                           f.polygon.diameter())
+        assert (np.linalg.norm(near - back, axis=1) <= 1e-10 * scale).all()
+
+        def rulings(field):
+            rows = osculating_developable(field).rows
+            x = rows[1::2] - rows[0::2]
+            return x / np.linalg.norm(x, axis=1)[:, None]
+
+        cosines = np.einsum("ij,ij->i", rulings(df), rulings(dg)[::-1])
+        assert np.allclose(np.abs(cosines), 1.0, rtol=0.0, atol=1e-12)
 
     def test_prism_all_at_infinity(self):
         pts = helix_points(8)

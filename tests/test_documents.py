@@ -10,10 +10,11 @@ from conftest import FakeOs, open_fds, random_generic_framed, short_writes
 
 from evpoly import core
 from evpoly.cli import main
-from evpoly.core import read_text, write_text
+from evpoly.core import GeometryError, read_text, write_text
 from evpoly.documents import (
     DocumentError,
     PolygonDocument,
+    json_text,
     read_document,
     write_document,
 )
@@ -429,3 +430,30 @@ def test_no_descriptor_outlives_a_read_or_a_write(tmp_path, monkeypatch):
         with pytest.raises(OSError, match=error.strerror):
             read_document(good) if name == "read" else write_document(doc, out)
         assert open_fds() == before, name
+
+
+# ---------------------------------------------------------------- strict JSON
+
+BAD_VALUES = pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+
+
+@BAD_VALUES
+def test_json_text_names_the_key_of_a_value_that_is_not_finite(bad):
+    report = {"n_vertices": 3, "volume_c": 1.5, "volume_spread": float(bad)}
+    with pytest.raises(GeometryError, match=r"^volume_spread: not finite, and JSON has no "):
+        json_text(report)
+    nested = {"volume_c": 1.5, "sigma": {"base": 0, "grid": "side", "values": [1.0, bad]}}
+    with pytest.raises(GeometryError, match=r"^sigma\.values: not finite"):
+        json_text(nested)
+    finite = dict(nested, sigma={"base": 0, "values": [1.0, 2.0]})
+    assert json_text(finite) == json.dumps(finite) + "\n"
+
+
+@BAD_VALUES
+def test_write_document_refuses_metadata_that_is_not_finite(bad, tmp_path):
+    doc = PolygonDocument("polygon3", False, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                          metadata={"volume_c": 1.0, "volume_spread": bad, "truncated": False})
+    path = tmp_path / "d.json"
+    with pytest.raises(GeometryError, match=r"^metadata\.volume_spread: not finite"):
+        write_document(doc, path)
+    assert not path.exists()

@@ -324,10 +324,11 @@ def test_files_opened_per_call(command, rng, tmp_path, monkeypatch):
 
 # calls into functions defined in numpy's Python files during one
 # ``analyze --origin`` call on a non-planar polygon.  np.errstate's
-# methods (four blocks) and einsum, the one wrapper kept (two calls, with
-# its dispatcher's steps), are all there is: no ndarray.all/any/max/min
-# wrapper, np.concatenate, np.cumprod, np.cumsum or np.linalg.svd
-NUMPY_PYTHON_CALLS = 24
+# methods (three blocks: the osculating points take none) and einsum, the
+# one wrapper kept (two calls, with its dispatcher's steps), are all there
+# is: no ndarray.all/any/max/min wrapper, np.concatenate, np.cumprod,
+# np.cumsum or np.linalg.svd
+NUMPY_PYTHON_CALLS = 21
 NUMPY_PYTHON_FUNCTIONS = {"einsumfunc.py:einsum", "einsumfunc.py:_einsum_dispatcher",
                           "_ufunc_config.py:__init__", "_ufunc_config.py:__enter__",
                           "_ufunc_config.py:__exit__"}

@@ -12,7 +12,6 @@ vertex and check that the error names it.
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 import warnings
 from fractions import Fraction
@@ -33,6 +32,7 @@ from conftest import (
     random_generic_framed,
     regular_equal_area,
     silhouette_lift,
+    strict_json,
     support_function,
 )
 
@@ -359,11 +359,12 @@ def test_closed_equals_open_padded_with_wrap_around(k, seed):
 
     pts, xi = rng.normal(size=(2, n, 3))
     closed = FramedPolygon.silhouette(pts, closed=True)
+    # sigma 0 on every side: parallel faces, where p is NaN
     df = DarbouxField(closed, GridSeq(xi, Grid.VERTEX, Topology.CLOSED),
-                      GridSeq(np.zeros(n), Grid.SIDE, Topology.CLOSED))
+                      GridSeq(np.zeros(n), Grid.SIDE, Topology.CLOSED), np.full(n, np.nan))
     open_ = FramedPolygon.silhouette(pad(pts, 1, 1))
     df_open = DarbouxField(open_, GridSeq(pad(xi, 1, 1), Grid.VERTEX),
-                           GridSeq(np.zeros(n + 1), Grid.SIDE))
+                           GridSeq(np.zeros(n + 1), Grid.SIDE), np.full(n + 1, np.nan))
     assert_same_slots(darboux_volumes(df).volumes,
                       darboux_volumes(df_open).volumes, 1)
     e = np.roll(pts, -1, axis=0) - pts
@@ -649,6 +650,28 @@ def test_overflow_names_side():
     assert info.value.side == 44
 
 
+def test_underflow_names_side():
+    # each side whose near direction is turned towards it by 2e-8, above the
+    # 1e-8 frame gate, divides the scale by about 1e7
+    rng = np.random.default_rng(7)
+    pts, d = planar_framed(rng, 50)
+    for k in range(43):
+        d[k] = turn_into_side(pts, k, 2e-8)
+    inside = FramedPolygon.build(pts, d)
+    for k in (43, 44):
+        d[k] = turn_into_side(pts, k, 2e-8)
+    outside = FramedPolygon.build(pts, d)
+    assert validate_frame(inside).ok and validate_frame(outside).ok
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        df = parallel_darboux(inside)
+        assert np.abs(df.xi.values).max(axis=1).min() < 1e-300  # just inside the normal range
+        with pytest.raises(DegenerateFrameError,
+                           match=r"^side 44: the Darboux recursion underflows") as info:
+            parallel_darboux(outside)
+    assert info.value.side == 44
+
+
 def test_overflow_on_long_generic_polygon(tmp_path, capsys):
     # the benchmark's generic input: drawn after a cone fixture of the same size
     rng = np.random.default_rng(1)
@@ -762,7 +785,7 @@ def test_cone_frame_off_its_lines_by_roundoff_is_a_cone(seed, tmp_path):
     doc, out = tmp_path / "tilted.json", tmp_path / "report.json"
     write_document(PolygonDocument.from_framed(f), doc)
     assert cli.main(["analyze", str(doc), "--json", str(out)]) == 0
-    assert json.loads(out.read_text())["classification"] == "cone"
+    assert strict_json(out)["classification"] == "cone"
 
 
 # ---------------------------------------------------------------- loop guard
@@ -809,6 +832,8 @@ def test_analyze_makes_no_per_vertex_lookups(command, n, code, expect, tmp_path,
     assert cli.main(argv) == code
     if expect is not None:
         assert expect in out.read_text()
+        if out.suffix == ".json":
+            strict_json(out)
     assert calls == []
 
 
@@ -859,7 +884,7 @@ def test_analyze_computes_each_derived_quantity_once(rng, tmp_path, monkeypatch)
     monkeypatch.setattr(GridSeq, "__init__", recording(GridSeq.__init__, gridseqs))
 
     assert cli.main(["analyze", str(src), "--origin", "0,0,0", "--json", str(out)]) == 0
-    assert '"rho1"' in out.read_text()
+    assert "rho1" in strict_json(out)
     # a command line in the plain form is read without argparse
     assert parses == []
     assert len(diffs) == 1
@@ -914,6 +939,6 @@ def test_analyze_evaluates_each_field_memo_once(rng, tmp_path, monkeypatch):
     replace_everywhere(monkeypatch, frenet, counted(frenet.__wrapped__))
 
     assert cli.main(["analyze", str(src), "--origin", "0,0,0", "--json", str(out)]) == 0
-    report = out.read_text()
-    assert '"rho1"' in report and '"classification": "cone"' in report
+    report = strict_json(out)
+    assert "rho1" in report and report["classification"] == "cone"
     assert sorted(evaluated) == ["darboux_volumes", "frenet", "osculating_points"]

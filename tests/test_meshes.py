@@ -121,7 +121,10 @@ def test_developable_obj_matches_per_record_formatting(tmp_path, rng, closed):
     mesh = osculating_developable(df)
     # each quad keeps its own four v records, P(k) -+ X(k) and P(k+1) +- X(k+1);
     # neighbours share two rows
-    x = 2.0 * f.polygon.diameter() * (df.xi.values / np.linalg.norm(df.xi.values, axis=1)[:, None])
+    # along the rulings sign(xi . d) d of the unit directions d
+    dh = f.unit_directions.values
+    ruling = np.sign(np.einsum("ij,ij->i", df.xi.values, dh))[:, None] * dh
+    x = 2.0 * f.polygon.diameter() * ruling
     p, k = f.polygon.points, np.arange(len(f.polygon.sides()))
     k1 = (k + 1) % len(p)
     quads = np.stack([p[k] - x[k], p[k] + x[k], p[k1] + x[k1], p[k1] - x[k1]], axis=1)
