@@ -36,6 +36,7 @@ __all__ = [
     "cross3",
     "det2",
     "det3",
+    "dot3",
     "face_solve",
     "forward_diff",
     "median",
@@ -302,17 +303,23 @@ def cross3(u, v) -> np.ndarray:
     return out
 
 
-def norm3(x) -> np.ndarray:
-    """Euclidean length of each 3-vector, sqrt(x0*x0 + x1*x1 + x2*x2).
+def dot3(a, b) -> np.ndarray:
+    """Dot product of 3-vectors over the last axis, (a0*b0 + a1*b1) + a2*b2, broadcasting.
 
-    Accepts stacked arrays of shape (..., 3).  ``np.linalg.norm(x,
-    axis=-1)`` squares the same way and adds each row's three squares
-    left to right, so the two agree bit for bit (overflow, inf and NaN
-    included), without its fixed cost and its slow reduction over a
-    short axis.
+    The package's sums of products all round here, in this one order, where
+    ``np.einsum``'s and ``np.dot``'s follow the memory layout and the BLAS build.
     """
-    s = x * x
-    return np.sqrt(s[..., 0] + s[..., 1] + s[..., 2])
+    a, b = _floats(a), _floats(b)
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+
+
+def norm3(x) -> np.ndarray:
+    """Euclidean length of each 3-vector, ``np.sqrt(dot3(x, x))``.
+
+    Bit for bit ``np.linalg.norm(x, axis=-1)`` (overflow, inf and NaN included),
+    which sums the squares in the same order, without its fixed cost.
+    """
+    return np.sqrt(dot3(x, x))
 
 
 def row_mean(x) -> np.ndarray:
@@ -352,30 +359,21 @@ def face_solve(v, a, b, n) -> tuple[np.ndarray, np.ndarray]:
 
         x = ((v x b) . n) / |n|^2,   y = ((a x v) . n) / |n|^2
 
-    so ``x*a + y*b`` is the orthogonal projection of ``v`` onto the plane
-    of ``a`` and ``b``: the exact solution when ``v`` lies in that plane
-    and the least-squares one otherwise.  Rows with ``a`` parallel to ``b``,
-    or whose products overflow, come back non-finite, without a warning.
+    with |n|^2 from ``dot3``, so ``x*a + y*b`` is the orthogonal projection
+    of ``v`` onto the plane of ``a`` and ``b``: the exact solution when ``v``
+    lies in that plane and the least-squares one otherwise.  Rows with ``a``
+    parallel to ``b``, or whose products overflow, come back non-finite, without a warning.
     """
-    # einsum's summation order follows the memory layout; fix it to C order
-    n = np.ascontiguousarray(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nn = np.einsum("...i,...i->...", n, n)
+        nn = dot3(n, n)
         return det3(v, b, n) / nn, det3(a, v, n) / nn
 
 
 def det2(u, v) -> float | np.ndarray:
-    """Signed area of the parallelogram spanned by two 2-vectors, u0 v1 - u1 v0.
-
-    Accepts stacked arrays of shape (..., 2) and broadcasts, like ``det3``.
-    """
+    """Signed area u0 v1 - u1 v0 of two 2-vectors, or of stacked (..., 2) arrays, broadcast."""
     u, v = _floats(u), _floats(v)
-    if u.shape != v.shape:
-        u, v = np.broadcast_arrays(u, v)
-    if u.ndim == 1:
-        return float(det2(u[None], v[None])[0])
-    r = np.multiply(u[..., 0], v[..., 1])
-    return np.subtract(r, u[..., 1] * v[..., 0], out=r)
+    r = u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+    return float(r) if r.ndim == 0 else r
 
 
 def _require_two(n: int) -> None:
@@ -402,7 +400,7 @@ def _side_lengths(v: GridSeq) -> np.ndarray:
     """``norm3`` of the sides of the vertices ``v``, bit for bit, one column at a time.
 
     The sides are ``forward_diff``'s, from the stencil ``v.stencil(0, 1)``.
-    Squares are summed in ``norm3``'s order, (s0 + s1) + s2, in two
+    Squares are summed in ``dot3``'s order, (s0 + s1) + s2, in two
     buffers of one entry per side instead of the (m, 3) sides and their
     squares; an open stencil is a pair of views.
     """
@@ -484,4 +482,4 @@ class Polygon3:
     @cached_property
     def _diameter(self) -> float:
         p = self.points
-        return float(np.linalg.norm(p.max(axis=0) - p.min(axis=0)))
+        return float(norm3(np.maximum.reduce(p) - np.minimum.reduce(p)))

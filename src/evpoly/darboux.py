@@ -22,6 +22,7 @@ from .core import (
     Polygon3,
     Topology,
     cross3,
+    dot3,
     face_solve,
     median,
     norm3,
@@ -193,9 +194,9 @@ def validate_frame(f: FramedPolygon) -> FrameReport:
 
     The face residual per side is |det(side, d_left, d_right)|
     normalized by the product of the three norms: the unit side dotted
-    with the face normal, summed in ``det3``'s order; the margin per vertex
-    is the smallest sine of the angle between the direction and its
-    adjacent sides.  The report lists the sides whose residual exceeds
+    with the face normal by ``core.dot3``, in ``det3``'s order; the margin
+    per vertex is the smallest sine of the angle between the direction and
+    its adjacent sides.  The report lists the sides whose residual exceeds
     ``TOL_FACE`` and the vertices whose margin does not.
     """
     e = f.polygon.sides().values
@@ -203,7 +204,7 @@ def validate_frame(f: FramedPolygon) -> FrameReport:
     nf = f.face_normals
     n, nsides = len(f.polygon), len(e)
     _, (dl, dr) = f.unit_directions.stencil(0, 1)
-    cop = np.abs((eh[:, 0] * nf[:, 0] + eh[:, 1] * nf[:, 1]) + eh[:, 2] * nf[:, 2])
+    cop = np.abs(dot3(eh, nf))
 
     # side k meets direction k at its near end and direction k+1 at its far end,
     # so vertex k has margins near(k) and far(k-1); an open end vertex has one
@@ -254,7 +255,7 @@ def parallel_darboux(f: FramedPolygon) -> DarbouxField:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         np.divide(np.negative(q), p, out=ratio)
         if any_parallel:
-            ratio[parallel] = np.sign(np.einsum("ij,ij->i", d0[parallel], d1[parallel]))
+            ratio[parallel] = np.sign(dot3(d0[parallel], d1[parallel]))
         np.multiply.accumulate(scales, out=scales)  # np.cumprod without its wrapper
         sigma = scales[:nsides] / p
         if any_parallel:
@@ -295,7 +296,7 @@ def osculating_developable(df: DarbouxField) -> Mesh:
     One planar quad per side, bounded by the support lines through the
     two end vertices, truncated to |u| <= extent, twice the polygon's
     diameter, along the rulings sign(xi . d) d of the unit directions d
-    (the dot taken like ``norm3``, so xi is not squared).  The mesh holds
+    (``core.dot3``).  The mesh holds
     the rows P(k) - X(k) and P(k) + X(k) of each vertex once; quad k has
     the corners 2k, 2k+1, 2k+3, 2k+2 (mod 2m on a closed polygon of m
     vertices), and each quad keeps its own four OBJ ``v`` records.
@@ -304,7 +305,7 @@ def osculating_developable(df: DarbouxField) -> Mesh:
     extent = 2.0 * f.polygon.diameter()
     p = f.polygon.points
     xi, d = df.xi.values, f.unit_directions.values
-    x = extent * np.sign(xi[:, 0] * d[:, 0] + xi[:, 1] * d[:, 1] + xi[:, 2] * d[:, 2])[:, None] * d
+    x = extent * np.sign(dot3(xi, d))[:, None] * d
     rows = np.stack([p - x, p + x], axis=1).reshape(-1, 3)
     nsides = len(f.polygon.sides())
     k2 = 2 * np.arange(nsides)
@@ -342,7 +343,7 @@ def classify_osculating(df: DarbouxField) -> OsculatingClass:
         return OsculatingClass(SurfaceKind.CONE, apex)
 
     xi, d = df.xi.values, df.frame.unit_directions.values
-    xi_scale = median(np.abs(xi[:, 0] * d[:, 0] + xi[:, 1] * d[:, 1] + xi[:, 2] * d[:, 2]))
+    xi_scale = median(np.abs(dot3(xi, d)))
     edge_scale = median(df.frame.polygon.side_lengths)
     if np.maximum.reduce(size) <= CLASSIFY_TOL * (xi_scale / edge_scale):
         return OsculatingClass(SurfaceKind.CYLINDER)

@@ -21,6 +21,7 @@ from .core import (
     Polygon3,
     Topology,
     det3,
+    dot3,
     median,
 )
 from .darboux import DarbouxField, FramedPolygon, once_per_field
@@ -164,7 +165,7 @@ def resample_equal_volume(df: DarbouxField) -> ResampleResult:
     new_dir = dh[:3]
     (bx, by, bz), (mx, my, mz), (cx, cy, cz) = new_p
     _, (ux, uy, uz), (vx, vy, vz) = new_dir
-    s_mid, s_cur = (float(np.dot(df.xi.values[i], dh_arr[i])) for i in (1, 2))
+    s_mid, s_cur = dot3(df.xi.values[1:3], dh_arr[1:3]).tolist()
     # position (side, parameter) of the last vertex on the input polyline
     seg, t = 2, 0.0
 

@@ -47,6 +47,7 @@ from .core import (
     Topology,
     cross3,
     det3,
+    dot3,
     face_solve,
     median,
     norm3,
@@ -152,7 +153,7 @@ def frenet(df: DarbouxField) -> FrenetData:
     if not np.logical_and.reduce(finite):
         k = int(np.argmin(finite))
         with np.errstate(over="ignore", invalid="ignore"):  # the solve's products on side k
-            products = (n[k] @ n[k], det3(d3[k], xi_far[k], n[k]), det3(back[k], d3[k], n[k]))
+            products = (dot3(n[k], n[k]), det3(d3[k], xi_far[k], n[k]), det3(back[k], d3[k], n[k]))
         if not solved[k] and all(map(math.isfinite, products)):
             raise GeometryError(f"side {k0 + k}: degenerate face basis in Frenet solve")
         raise GeometryError(f"side {k0 + k}: the Frenet face solve overflows float64 at this "
@@ -308,12 +309,12 @@ def focal_set_mesh(fd: FocalSetData) -> Mesh:
     usable = ~np.isnan(origins[:, 0])
     idx = np.flatnonzero(usable)
     origin, d = origins[idx], directions[idx]
-    span = float(np.linalg.norm(np.ptp(origin, axis=0))) if len(idx) else 0.0
+    span = float(norm3(np.ptp(origin, axis=0))) if len(idx) else 0.0
     extent = 2.0 * max(span, fd.field.frame.polygon.diameter())
 
     q = fd.Q.values[idx]
     with np.errstate(invalid="ignore"):
-        t_q = np.where(np.isfinite(q).all(axis=1), np.einsum("ij,ij->i", q - origin, d), 0.0)
+        t_q = np.where(np.isfinite(q).all(axis=1), dot3(q - origin, d), 0.0)
     lo = (np.minimum(0.0, t_q) - extent)[:, None]
     hi = (np.maximum(0.0, t_q) + extent)[:, None]
     verts = np.stack([origin + lo * d, origin + hi * d], axis=1).reshape(-1, 3)

@@ -223,8 +223,6 @@ def projective_lengths(phi: Polygon3) -> ProjectiveLengthReport:
     start = max(fr.rho1.base, fr.rho2.base, tau.base)
     stop1, stop2 = (min(r.base + len(r) - short, tau.base + len(tau)) - 1
                     for r in (fr.rho1, fr.rho2))
-    if stop1 < start or stop2 < start:
-        raise GeometryError("polygon too short for a nonempty summation window")
     m1, m2 = stop1 + 1 - start, stop2 + 1 - start
     two_tau = 2.0 * tau.window(start, max(m1, m2))
     terms = []

@@ -18,11 +18,13 @@ from evpoly.core import (
     cross3,
     det2,
     det3,
+    dot3,
+    face_solve,
     forward_diff,
     median,
     norm3,
 )
-from evpoly import core, darboux, invariants, projective
+from evpoly import core
 from evpoly.darboux import FramedPolygon, osculating_developable, parallel_darboux, validate_frame
 from evpoly.invariants import focal_data, focal_set_mesh, lambda_from_tau
 from evpoly.projective import PlanarProjectivePolygon
@@ -100,16 +102,55 @@ def test_norm3_on_strided_rows(rng):
         assert norm3(rows).tobytes() == np.linalg.norm(rows, axis=1).tobytes()
 
 
-def test_no_row_norm_through_np_linalg_norm():
-    """``norm3`` is the row norm of 3-vectors; ``np.linalg.norm(..., axis=)`` does not come back."""
+def test_dot3_sums_left_to_right():
+    """(a0 b0 + a1 b1) + a2 b2: the 1 is lost to 2^70 before -2^70 cancels it."""
+    assert dot3([[2**70, 1, -2**70]], [[1, 1, 1]]).tolist() == [0.0]
+    assert dot3([2**70, 1, -2**70], [1, 1, 1]) == 0.0
+    assert dot3(np.ones((4, 1, 3)), np.arange(6.0).reshape(2, 3)).shape == (4, 2)
+
+
+def test_face_solve_sums_the_normal_left_to_right(rng):
+    """|n|^2 in ``dot3``'s order on every row, bit for bit."""
+    for _ in range(20):
+        v, a, b = (rng.normal(size=(50, 3)) * rng.uniform(0.1, 10, size=(50, 1)) for _ in range(3))
+        n = cross3(a, b)
+        nn = (n[:, 0] * n[:, 0] + n[:, 1] * n[:, 1]) + n[:, 2] * n[:, 2]
+        x, y = face_solve(v, a, b, n)
+        assert x.tobytes() == (det3(v, b, n) / nn).tobytes()
+        assert y.tobytes() == (det3(a, v, n) / nn).tobytes()
+
+
+# numpy's sums of products, each rounding in an order of its own; the
+# package takes every one through core.dot3, except the Gram matrix of
+# cli._planar, whose screen allows for any summation order
+OTHER_DOTS = {"np.einsum", "np.dot", "np.linalg.norm"}
+
+
+def other_dots(source: str, exempt: str | None = None) -> list:
+    """Lines of ``source`` that take a sum of products past ``dot3``, outside function ``exempt``."""
+    tree = ast.parse(source)
+    skip = {id(node) for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == exempt for node in ast.walk(fn)}
+    return [node.lineno for node in ast.walk(tree) if id(node) not in skip and (
+        isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and (node.attr == "dot"
+                                                or ast.unparse(node) in OTHER_DOTS))]
+
+
+def test_sums_of_products_go_through_dot3():
     found = []
-    for module in (core, darboux, invariants, projective):
-        path = Path(module.__file__)
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.norm"
-                    and any(k.arg == "axis" for k in node.keywords)):
-                found.append(f"{path.name}:{node.lineno}")
-    assert found == [], "row norms of 3-vectors go through core.norm3"
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        exempt = "_planar" if path.name == "cli.py" else None
+        found += [f"{path.name}:{line}" for line in other_dots(path.read_text(), exempt)]
+    assert found == [], "sums of products go through core.dot3 or core.norm3"
+
+
+@pytest.mark.parametrize("source", ["x = np.einsum('ij,ij->i', a, b)", "x = np.dot(a, b)",
+                                    "x = a.dot(b)", "x = np.linalg.norm(a, axis=1)",
+                                    "x = a @ b", "a @= b"])
+def test_other_dots_are_caught(source):
+    assert other_dots(source, exempt="_planar") == [1]
+    assert other_dots(f"def _planar(q):\n    {source}", exempt="_planar") == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 45, 46])

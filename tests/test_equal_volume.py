@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_equal_volume_polygon, random_generic_framed
 
-from evpoly.core import GeometryError, Polygon3
+from evpoly.core import GeometryError, Polygon3, dot3
 from evpoly.constructions import ExampleSpiralRepresentative, sample_curve
 from evpoly.darboux import DarbouxField, FramedPolygon, parallel_darboux
 from evpoly.equal_volume import (
@@ -83,7 +83,7 @@ def resample_numpy(f: FramedPolygon, df: DarbouxField) -> ResampleResult:
 
     new_p = [pts[0], pts[1], pts[2]]
     new_dir = [dh[0], dh[1], dh[2]]
-    new_s = [float(np.dot(df.xi.values[i], dh[i])) for i in range(3)]
+    new_s = [float(dot3(df.xi.values[i], dh[i])) for i in range(3)]
     pos = (2, 0.0)
     truncated = False
 
@@ -219,7 +219,7 @@ def resample_helpers(df: DarbouxField) -> ResampleResult:
 
     new_p = pts[:3]
     new_dir = dh[:3]
-    new_s = [float(np.dot(df.xi.values[i], dh_arr[i])) for i in range(3)]
+    new_s = [float(dot3(df.xi.values[i], dh_arr[i])) for i in range(3)]
     seg, t = 2, 0.0
 
     while True:

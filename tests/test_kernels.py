@@ -46,8 +46,10 @@ from evpoly.core import (
     Topology,
     cross3,
     det3,
+    dot3,
     face_solve,
     forward_diff,
+    norm3,
 )
 from evpoly.darboux import (
     DarbouxField,
@@ -192,10 +194,10 @@ def test_face_solve_matches_exact_least_squares(kind, closed, seed, n):
 def test_face_solve_ignores_the_memory_layout_of_the_normal(rng):
     """C-ordered, F-ordered and strided copies of one normal give the same bits.
 
-    ``np.einsum`` sums |n|^2 in an order that follows the layout of n:
-    without the contiguous copy, the F-ordered and the column-strided
-    normals each moved the last bits of about one row in four here (the
-    row-strided one moved none).
+    ``core.dot3`` sums |n|^2 column by column, in one order for every
+    layout; ``np.einsum``'s order follows the layout of n, and moved the
+    last bits of about one row in four of the F-ordered and column-strided
+    normals.
     """
     for _ in range(20):
         v, a, b = (rng.normal(size=(50, 3)) * rng.uniform(0.1, 10, size=(50, 1)) for _ in range(3))
@@ -525,10 +527,10 @@ def reference_focal_mesh(fd, lines, diameter):
     origin = np.array([lines[j][0] for j in idx]).reshape(-1, 3)
     d = np.array([lines[j][1] for j in idx]).reshape(-1, 3)
     span = np.ptp(origin, axis=0) if len(idx) else np.zeros(3)
-    extent = 2.0 * max(float(np.linalg.norm(span)), diameter)
+    extent = 2.0 * max(float(norm3(span)), diameter)
     q = fd.Q.values[idx]
     with np.errstate(invalid="ignore"):
-        t_q = np.where(np.isfinite(q).all(axis=1), np.einsum("ij,ij->i", q - origin, d), 0.0)
+        t_q = np.where(np.isfinite(q).all(axis=1), dot3(q - origin, d), 0.0)
     lo = (np.minimum(0.0, t_q) - extent)[:, None]
     hi = (np.maximum(0.0, t_q) + extent)[:, None]
     verts = np.stack([origin + lo * d, origin + hi * d], axis=1).reshape(-1, 3)

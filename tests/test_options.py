@@ -38,12 +38,14 @@ option, or load the pinned name.
 """
 
 import ast
+import contextlib
 import dataclasses
 from collections import defaultdict
 import functools
 import importlib
 import importlib.util
 import inspect
+import io
 import json
 import pkgutil
 import re
@@ -392,6 +394,49 @@ def test_benchmark_tracer_names_resolve():
                 if owner is None or attr not in vars(owner):
                     missing.append(f"{mod}.{qual}")
     assert missing == []
+
+
+def test_benchmark_tracer_runs_every_op(tmp_path, monkeypatch):
+    """Every op of each workload, at a tiny scale, under the benchmark's tracer.
+
+    The tracer reads more than the names it wraps: each span's input
+    vertex count comes from the first argument's attributes
+    (``spans._vertices``), so a renamed attribute fails here.  Every
+    wrapped function runs, every op ends as it does in the benchmark, and
+    the spans form one tree per op, each child within its parent.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # as running perfbench/run.py does
+    from spans import PER_VERTEX, Tracer, counter_names, span_names
+    from workloads import WORKLOADS, Mismatch
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for name in BENCH_WORKLOADS:
+            (tmp_path / name).mkdir()
+            for op in WORKLOADS[name](1, tmp_path / name, scale=0.01):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()), tracer.op(op.name):
+                    code = main(op.argv)
+                assert code == 0 or f"exit {code}" == op.known, op.name
+                try:
+                    if code == 0:
+                        op.check()
+                except Mismatch as exc:  # as perfbench/run.py tells a known failure
+                    assert f"check:{exc.key}" == op.known, op.name
+    finally:
+        tracer.uninstall()
+    spans = tracer.spans
+    assert {s["name"] for s in spans} == set(span_names()) | {"cli"}
+    assert set(tracer.counts) <= {f"{c}.calls" for c in counter_names()}
+    for s in spans:
+        if s["parent"] is None:
+            assert s["name"] == "cli"
+            continue
+        parent = spans[s["parent"]]
+        assert parent["op"] == s["op"]
+        assert parent["start"] <= s["start"] <= s["end"] <= parent["end"]
+        assert (s["vertices"] > 0) == (s["name"].split(".")[0] in PER_VERTEX), s["name"]
 
 
 # a Darboux field and the data derived from it; taking one of them alone,
