@@ -49,7 +49,6 @@ from .documents import DocumentError, PolygonDocument, json_text, read_document,
 from .equal_volume import NotEqualVolumeError, darboux_volumes, resample_equal_volume
 from .invariants import ShortPolygonError, classify_focal, focal_data, focal_set_mesh, frenet
 from .projective import (
-    InflectionError,
     PlanarProjectivePolygon,
     default_normalization,
     lift_representative,
@@ -405,8 +404,6 @@ def main(argv=None) -> int:
         return _fail(str(exc), 1)
     except MemoryError as exc:  # an input too large to hold, such as a huge table1 N
         return _fail(f"out of memory: {exc}" if str(exc) else "out of memory", 1)
-    except InflectionError as exc:
-        return _fail(f"{exc} (the positivity hypothesis b(i) > 0 fails)", 2)
     except GeometryError as exc:
         return _fail(str(exc), 2)
     finally:

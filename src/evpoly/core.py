@@ -32,7 +32,6 @@ __all__ = [
     "COORD_MAX",
     "Polygon3",
     "GeometryError",
-    "DegenerateVertexError",
     "cross3",
     "det2",
     "det3",
@@ -50,14 +49,6 @@ __all__ = [
 
 class GeometryError(ValueError):
     """Base class for geometric/numeric failures in this package."""
-
-
-class DegenerateVertexError(GeometryError):
-    """Consecutive polygon vertices coincide."""
-
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"vertices {index} and {index + 1} coincide")
 
 
 class Grid(enum.Enum):
@@ -441,7 +432,7 @@ class Polygon3:
             k = int(np.argmin(lengths))
             _, (p0, p1) = v.stencil(0, 1)
             if np.array_equal(p0[k], p1[k]):
-                raise DegenerateVertexError(v.base + k)
+                raise GeometryError(f"vertices {v.base + k} and {v.base + k + 1} coincide")
             raise GeometryError(f"side {v.base + k}: its length underflows to 0, though "
                                 f"vertices {v.base + k} and {v.base + (k + 1) % len(a)} differ")
         lengths.setflags(write=False)

@@ -35,7 +35,6 @@ __all__ = [
     "FramedPolygon",
     "DarbouxField",
     "FrameReport",
-    "DegenerateFrameError",
     "SurfaceKind",
     "OsculatingClass",
     "validate_frame",
@@ -50,14 +49,6 @@ TOL_FACE = 1e-8
 # relative sigma spread below which the surface is a cone (or cylinder)
 CLASSIFY_TOL = 1e-6
 _TINY = np.finfo(float).tiny  # 2^-1022, the smallest normal float64
-
-
-class DegenerateFrameError(GeometryError):
-    """The Darboux recursion is singular at some side."""
-
-    def __init__(self, side: int, reason: str):
-        self.side = side
-        super().__init__(f"side {side}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -229,7 +220,7 @@ def parallel_darboux(f: FramedPolygon) -> DarbouxField:
         s_next = -q * s / p,   sigma = s / p,
 
     so the scales are a cumulative product.  A scale outside float64's
-    normal range, or a sigma not finite, raises ``DegenerateFrameError``.
+    normal range, or a sigma not finite, raises ``GeometryError``.
     """
     report = validate_frame(f)
     if not report.ok:
@@ -264,7 +255,7 @@ def parallel_darboux(f: FramedPolygon) -> DarbouxField:
         normal = (size >= _TINY) & (size < np.inf) & np.isfinite(sigma)
     if not np.logical_and.reduce(normal):
         k = int(np.argmin(normal))
-        raise DegenerateFrameError(k, "the Darboux recursion " + (
+        raise GeometryError(f"side {k}: the Darboux recursion " + (
             "underflows (scale below 2^-1022)" if size[k] < _TINY
             else "overflows (scale or sigma not finite)"))
     p.setflags(write=False)

@@ -26,7 +26,7 @@ ARITY = {"polygon3": 3, "polygon2": 2, "framed3": 3}
 
 
 class DocumentError(GeometryError):
-    """Malformed polygon document."""
+    """An input or usage error: a malformed document, option or command line (exit 1)."""
 
 
 def _rows_error(name: str) -> DocumentError:

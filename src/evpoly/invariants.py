@@ -61,7 +61,6 @@ __all__ = [
     "FocalSetData",
     "FocalKind",
     "FocalClass",
-    "GaugeObstructionError",
     "ShortPolygonError",
     "frenet",
     "centroaffine_frenet",
@@ -80,17 +79,6 @@ FOCAL_CLASSIFY_TOL = 1e-6
 
 class ShortPolygonError(GeometryError):
     """An open polygon with fewer vertices than its Frenet data need."""
-
-    def __init__(self, minimum: int):
-        super().__init__(f"need at least {minimum} vertices for open Frenet data")
-
-
-class GaugeObstructionError(GeometryError):
-    """No closed gauge field exists because the tau sum is nonzero."""
-
-    def __init__(self, total: float):
-        self.total = total
-        super().__init__(f"closed polygon with sum(tau) = {total:.3e}: no periodic gauge exists")
 
 
 @dataclass(frozen=True)
@@ -133,7 +121,7 @@ def frenet(df: DarbouxField) -> FrenetData:
     f = df.frame
     c = volume_constant(darboux_volumes(df))
     if len(f.polygon) < 5 and not f.closed:
-        raise ShortPolygonError(5)
+        raise ShortPolygonError("need at least 5 vertices for open Frenet data")
 
     # Each third difference is nested on the sides, (e(k+1) - e(k)) -
     # (e(k) - e(k-1)), so that each subtraction acts on neighbouring,
@@ -193,7 +181,8 @@ def lambda_from_tau(tau: GridSeq, value: float) -> GridSeq:
     if tau.topology is Topology.CLOSED:
         total = float(np.add.reduce(t))
         if abs(total) > GAUGE_CLOSURE_TOL * max(1.0, float(np.add.reduce(np.abs(t)))):
-            raise GaugeObstructionError(total)
+            raise GeometryError(f"closed polygon with sum(tau) = {total:.3e}: "
+                                "no periodic gauge exists")
         t = t[:-1]
     # lambda at the first vertex, then its differences -tau, summed in place
     lam = np.empty(len(t) + 1)

@@ -33,7 +33,6 @@ from .invariants import centroaffine_frenet
 __all__ = [
     "PlanarProjectivePolygon",
     "ProjectiveLengthReport",
-    "InflectionError",
     "LiftNormalization",
     "b_sequence",
     "default_normalization",
@@ -42,15 +41,6 @@ __all__ = [
     "table1_experiment",
     "spiral_analytic_normalization",
 ]
-
-
-class InflectionError(GeometryError):
-    """A vertex determinant b(i) is nonpositive (convexity hypothesis fails)."""
-
-    def __init__(self, index: int, value: float):
-        self.index = index
-        self.value = value
-        super().__init__(f"vertex {index}: b = {value:.3e} <= 0, polygon has an inflection")
 
 
 @dataclass(frozen=True)
@@ -99,7 +89,8 @@ def b_sequence(poly: GridSeq) -> GridSeq:
     bad = b <= 0.0
     if bad.any():
         j = int(np.argmax(bad))
-        raise InflectionError(first + j, float(b[j]))
+        raise GeometryError(f"vertex {first + j}: b = {b[j]:.3e} <= 0, polygon has an "
+                            "inflection (the positivity hypothesis b(i) > 0 fails)")
     return GridSeq(b, Grid.VERTEX, poly.topology, first)
 
 

@@ -34,7 +34,7 @@ from evpoly.constructions import (
 )
 from evpoly import cli
 from evpoly.core import Polygon3
-from evpoly.darboux import FramedPolygon
+from evpoly.darboux import FramedPolygon, classify_osculating, parallel_darboux
 from evpoly.documents import PolygonDocument, read_document, write_document
 
 
@@ -274,6 +274,34 @@ class TestAnalyze:
         report = strict_json(capsys.readouterr().out)
         assert report["focal"] == "single_line"
 
+    def test_general_frame_with_a_single_line_focal_set(self, tmp_path, capsys):
+        # the lift framed through the origin, with d(0) turned within face 0:
+        # sigma, up to the scale of xi, changes on side 0 alone
+        rng = np.random.default_rng(3)
+        G = random_equal_area(12, rng)
+        phi = silhouette_lift(G, 0.3 * rng.normal(size=2)).points
+        d = phi.copy()
+        d[0] = d[1] + 0.5 * (phi[1] - phi[0])
+        f = FramedPolygon.build(phi, d)
+        df = parallel_darboux(f)
+        sigma = df.sigma.values
+        assert np.ptp(sigma[1:]) < 1e-12 * np.abs(sigma[1]) < abs(sigma[0] - sigma[1])
+        assert classify_osculating(df).kind.value == "general"
+        assert main(["analyze", write_framed(f, tmp_path / "f.json")]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert (report["focal"], report["classification"]) == ("single_line", "single_line")
+
+    def test_closed_polygon_reports_its_holonomy(self, tmp_path, capsys):
+        # a closed 12-gon on the unit circle at z = 1, framed through the origin
+        t = 2 * np.pi * np.arange(12) / 12
+        path = tmp_path / "circle.json"
+        write_document(PolygonDocument("polygon3", True, np.column_stack(
+            [np.cos(t), np.sin(t), np.ones(12)])), path)
+        assert main(["analyze", str(path), "--origin", "0,0,0"]) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert report["holonomy"] == 1.0000000000000002
+        assert (report["classification"], report["focal"]) == ("planar", "single_line")
+
     def test_bare_polygon_without_origin_exits_1(self, rng, tmp_path, capsys):
         pts = rng.normal(size=(8, 3))
         path = tmp_path / "p.json"
@@ -322,19 +350,23 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("evpoly: --origin")
 
-    @pytest.mark.parametrize("fields", [
-        '"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0]], '
-        '"directions": [[0, 0, 1], [0, 0, 1], [NaN, 0, 1]]',
-        '"kind": "polygon3", "closed": "false", "vertices": [[0, 0, 1], [1, 0, 1], [1, 1, 1]]',
-        '"kind": "polygon3", "vertices": [[1, 0, 1], [0, 1]]',
-        '"kind": "polygon3", "vertices": [[1%s, 0, 1], [1, 0, 1], [1, 1, 1]]' % ("0" * 400),
-    ], ids=["nan-direction", "closed-string", "ragged-vertices", "huge-integer"])
-    def test_malformed_document_exits_1(self, tmp_path, capsys, fields):
+    @pytest.mark.parametrize("fields, message", [
+        ('"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0]], '
+         '"directions": [[0, 0, 1], [0, 0, 1], [NaN, 0, 1]]', "non-finite direction coordinate"),
+        ('"kind": "polygon3", "closed": "false", "vertices": [[0, 0, 1], [1, 0, 1], [1, 1, 1]]',
+         "closed must be true or false, got 'false'"),
+        ('"kind": "polygon3", "vertices": [[1, 0, 1], [0, 1]]',
+         "vertices must be a list of numeric coordinate rows of equal length"),
+        ('"kind": "polygon3", "vertices": [[1%s, 0, 1], [1, 0, 1], [1, 1, 1]]' % ("0" * 400),
+         "vertices: a coordinate is too large for a float"),
+        ('"kind": "polygon2", "vertices": [[0, 0], [1, 0], [1, 1]]',
+         "cannot frame a polygon2 document"),
+    ], ids=["nan-direction", "closed-string", "ragged-vertices", "huge-integer", "polygon2"])
+    def test_malformed_document_exits_1(self, tmp_path, capsys, fields, message):
         path = tmp_path / "bad.json"
         path.write_text("{%s}" % fields)
         assert main(["analyze", str(path), "--origin", "0,0,0"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("evpoly: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == f"evpoly: {message}\n"
 
     def test_non_utf8_document_exits_1(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
@@ -505,6 +537,17 @@ class TestResample:
         path = write_framed(f, tmp_path / "short.json")
         assert main(["resample", path, "--out", str(tmp_path / "o.json")]) == 2
 
+    def test_left_over_input_is_truncated_with_a_warning(self, tmp_path, capsys):
+        # a last side half as long as the one before it, lifted off its line
+        p = random_equal_volume_polygon(np.random.default_rng(2), 40).points
+        p = np.vstack([p, p[-1] - 0.5 * (p[-1] - p[-2]) + [0.0, 0.0, 0.01]])
+        path = write_framed(FramedPolygon.silhouette(p), tmp_path / "s.json")
+        out = tmp_path / "out.json"
+        assert main(["resample", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ("evpoly: warning: input polyline left over, "
+                                           "output truncated\n")
+        assert strict_json(out)["metadata"]["truncated"] is True
+
 
 class TestPlength:
     def test_spiral_auto_seed_runs(self, tmp_path, capsys):
@@ -548,7 +591,20 @@ class TestPlength:
         path = tmp_path / "cc.csv"
         np.savetxt(path, pts, delimiter=",")
         assert main(["plength", str(path)]) == 2
-        assert "b(i) > 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "evpoly: vertex 3: b = -6.200e-01 <= 0, polygon has an inflection "
+            "(the positivity hypothesis b(i) > 0 fails)\n")
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("p3.json", '{"kind": "polygon3", "vertices": [[0, 0, 1], [1, 0, 1], [1, 1, 1]]}',
+         "plength expects a planar (polygon2) document"),
+        ("nan.csv", "0,0\n1,nan\n2,1\n", "non-finite vertex coordinate"),
+    ], ids=["polygon3", "nan-csv"])
+    def test_refused_input_exits_1(self, tmp_path, capsys, name, text, message):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["plength", str(path)]) == 1
+        assert capsys.readouterr().err == f"evpoly: {message}\n"
 
 
 class TestMeshExports:

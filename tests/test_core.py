@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evpoly.core import (
-    DegenerateVertexError,
     GeometryError,
     Grid,
     GridSeq,
@@ -218,6 +217,13 @@ class TestGridSeq:
         with pytest.raises(ValueError):
             w[0] = 5.0
 
+    @pytest.mark.parametrize("start, count", [(1, 2), (5, 4), (2, 7)])
+    def test_open_window_outside_its_slots_is_refused(self, start, count):
+        s = GridSeq(np.arange(6.0), Grid.VERTEX, base=2)
+        message = rf"^slots \[{start}, {start + count}\) outside \[2, 8\)$"
+        with pytest.raises(IndexError, match=message):
+            s.window(start, count)
+
     def test_closed_window_is_a_read_only_view_unless_it_wraps(self):
         s = GridSeq(np.arange(6.0), Grid.VERTEX, Topology.CLOSED)
         w = s.window(0, 6)
@@ -323,24 +329,29 @@ class TestDifferencing:
 
 
 class TestPolygon3:
+    @pytest.mark.parametrize("vertices, message", [
+        (GridSeq(np.eye(3), Grid.SIDE), "polygon vertices must live on the vertex grid"),
+        (GridSeq(np.eye(3)[:, :2], Grid.VERTEX), "polygon vertices must be 3-vectors"),
+    ], ids=["side-grid", "2-vectors"])
+    def test_rejects_vertices_off_the_vertex_grid_or_not_in_space(self, vertices, message):
+        with pytest.raises(GeometryError, match=f"^{message}$"):
+            Polygon3(vertices)
+
     def test_rejects_repeated_vertex(self):
         pts = [[0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 1, 0]]
-        with pytest.raises(DegenerateVertexError) as exc:
+        with pytest.raises(GeometryError, match="^vertices 1 and 2 coincide$"):
             Polygon3.from_points(pts)
-        assert exc.value.index == 1
 
     def test_closed_checks_wraparound_edge(self):
         pts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 0]]
-        with pytest.raises(DegenerateVertexError) as exc:
+        with pytest.raises(GeometryError, match="^vertices 3 and 4 coincide$"):
             Polygon3.from_points(pts, closed=True)
-        assert exc.value.index == 3
 
     def test_degenerate_index_counts_from_the_base(self):
         # an open run of vertices from slot 5: the repeated vertex is slot 7
         pts = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 0], [0, 1, 0]], float)
-        with pytest.raises(DegenerateVertexError) as exc:
+        with pytest.raises(GeometryError, match="^vertices 7 and 8 coincide$"):
             Polygon3(GridSeq(pts, Grid.VERTEX, Topology.OPEN, 5))
-        assert exc.value.index == 7
 
     @pytest.mark.parametrize("closed, k", [(False, 1), (True, 1), (True, 3)])
     def test_side_whose_square_underflows_is_degenerate(self, closed, k):
@@ -349,9 +360,8 @@ class TestPolygon3:
         pts[(k + 1) % 4] = pts[k] + [0.0, 0.0, 1e-170]
         message = (f"^side {k}: its length underflows to 0, though vertices {k} and "
                    f"{(k + 1) % 4} differ$")
-        with pytest.raises(GeometryError, match=message) as exc:
+        with pytest.raises(GeometryError, match=message):
             Polygon3.from_points(pts, closed=closed)
-        assert not isinstance(exc.value, DegenerateVertexError)
 
     def test_polygon_scaled_to_1e_300_is_refused_for_its_underflow(self, rng):
         pts = rng.normal(size=(8, 3)) * 1e-300
@@ -361,7 +371,7 @@ class TestPolygon3:
             Polygon3.from_points(pts)
         pts[3] = pts[2]  # vertices that are equal are still coinciding vertices
         pts[:2] *= 1e300
-        with pytest.raises(DegenerateVertexError, match="^vertices 2 and 3 coincide$"):
+        with pytest.raises(GeometryError, match="^vertices 2 and 3 coincide$"):
             Polygon3.from_points(pts)
 
     @pytest.mark.parametrize("closed", [False, True])

@@ -11,9 +11,8 @@ from conftest import (
     reversed_frame,
 )
 
-from evpoly.core import GeometryError
+from evpoly.core import GeometryError, Grid, GridSeq, Polygon3, Topology
 from evpoly.darboux import (
-    DegenerateFrameError,
     FramedPolygon,
     SurfaceKind,
     classify_osculating,
@@ -40,6 +39,17 @@ def test_framed_polygon_refuses_directions(directions, message):
     pts = helix_points(6)
     with pytest.raises(GeometryError, match=f"^{message}$"):
         FramedPolygon.build(pts, directions(pts))
+
+
+@pytest.mark.parametrize("directions, message", [
+    (lambda p: GridSeq(p[:-1], Grid.VERTEX), "directions must sit on the polygon's vertex grid"),
+    (lambda p: GridSeq(p, Grid.SIDE), "directions must sit on the polygon's vertex grid"),
+    (lambda p: GridSeq(p, Grid.VERTEX, Topology.CLOSED), "directions and polygon topology disagree"),
+], ids=["short", "side-grid", "closed"])
+def test_framed_polygon_refuses_directions_off_its_vertex_grid(directions, message):
+    pts = helix_points(6)
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        FramedPolygon(Polygon3.from_points(pts), directions(pts))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -148,7 +158,7 @@ class TestParallelDarboux:
         d = np.array([[0, 0, 1], [1, 1, 0], [0, 1, 1], [1, 0, 0]], float)
         # face 1: side (1,1,0) = p*d1 + q*d2 forces a solve; make d2 the side
         d[2] = pts[2] - pts[1]
-        with pytest.raises((DegenerateFrameError, GeometryError)):
+        with pytest.raises(GeometryError):
             parallel_darboux(FramedPolygon.build(pts, d))
 
 

@@ -30,6 +30,11 @@ No public function or method takes more than one parameter annotated
 ``DarbouxField``, ``FrenetData`` or ``FocalSetData``: a stage takes the
 field or one datum derived from it and reads the rest from there.
 
+A subclass of ``GeometryError`` exists only where a caller branches on
+it: each one is named in some ``except`` clause of the package.  Any
+other refusal raises ``GeometryError`` with a message that says what
+failed.
+
 The texts are checked too.  Each dotted name in them that starts with an
 evpoly module or public class must resolve; in a member entry, each such
 function must read the member.  Each test or benchmark file a text names
@@ -519,3 +524,40 @@ def test_tolerance_census_catches_unread_constants():
 def test_analyze_has_no_tol_flag(capsys):
     assert main(["analyze", "in.json", "--tol", "1e-6"]) == 1
     assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
+def uncaught_refusals(sources: dict) -> set:
+    """The classes derived from ``GeometryError`` in ``sources`` (module
+    name -> source text) that no ``except`` clause there names."""
+    trees = [ast.parse(text) for text in sources.values()]
+    bases = {node.name: {ast.unparse(base).rpartition(".")[2] for base in node.bases}
+             for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    derived = set()
+    while new := {name for name, parents in bases.items()
+                  if parents & (derived | {"GeometryError"})} - derived:
+        derived |= new
+    caught = set()
+    for tree in trees:
+        for handler in ast.walk(tree):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                named = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                caught |= {ast.unparse(node).rpartition(".")[2] for node in named}
+    return derived - caught
+
+
+def test_every_refusal_class_has_a_catcher():
+    sources = {path.stem: path.read_text() for path in Path(evpoly.__file__).parent.glob("*.py")}
+    assert sorted(uncaught_refusals(sources)) == [], \
+        "raise GeometryError: a refusal gets its own class only where a caller catches it"
+
+
+@pytest.mark.parametrize("handler", ["except Short:", "except (OSError, Short) as exc:",
+                                     "except m.Short:"])
+def test_uncaught_refusal_classes_are_caught(handler):
+    classes = ("class GeometryError(ValueError):\n    pass\n"
+               "class Document(GeometryError):\n    pass\n"
+               "class Short(m.Document):\n    pass\n")
+    calls = "try:\n    f()\nexcept Document:\n    pass\n"
+    assert uncaught_refusals({"a": classes, "b": calls}) == {"Short"}
+    calls += f"try:\n    f()\n{handler}\n    pass\n"
+    assert uncaught_refusals({"a": classes, "b": calls}) == set()
