@@ -139,7 +139,7 @@ def _load_framed(args) -> tuple:
 
 def _seq_payload(seq) -> dict:
     return {"base": int(seq.base), "grid": seq.grid.value,
-            "values": np.asarray(seq.values).tolist()}
+            "values": seq.values}
 
 
 def cmd_analyze(args) -> int:

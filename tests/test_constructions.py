@@ -153,3 +153,5 @@ class TestSampleCurve:
             sample_curve(ExampleSpiral(), 0.0, 1.0, 3)
         with pytest.raises(GeometryError):
             sample_curve(ExampleSpiral(), 1.0, 0.0, 10)
+        with pytest.raises(GeometryError, match="^unknown grid scheme 'midpoint'$"):
+            sample_curve(ExampleSpiral(), 0.0, 1.0, 10, "midpoint")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import FakeOs, open_fds, random_generic_framed, short_writes
 
-from evpoly import core
+from evpoly import core, documents
 from evpoly.cli import main
 from evpoly.core import GeometryError, read_text, write_text
 from evpoly.documents import (
@@ -184,6 +184,33 @@ class TestValidation:
         with pytest.raises(DocumentError, match=f"^{field}: a coordinate is too large"):
             PolygonDocument(kind, False, vertices, directions)
 
+    @pytest.mark.parametrize("kind, vertices, directions, message", [
+        ("polygon3", [[0.0, 0.0, "x"]], None,
+         "vertices must be a list of numeric coordinate rows of equal length"),
+        ("polygon3", [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]] * 2,
+         "polygon3 does not carry directions"),
+    ], ids=["string-coordinate", "directions-on-polygon3"])
+    def test_constructor_refusals(self, kind, vertices, directions, message):
+        with pytest.raises(DocumentError, match=f"^{message}$"):
+            PolygonDocument(kind, False, vertices, directions)
+
+    def test_polygon3_has_no_frame(self):
+        doc = PolygonDocument("polygon3", False, np.eye(3) + 1)
+        with pytest.raises(DocumentError, match="^document carries no frame directions$"):
+            doc.to_framed()
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "^document must be a JSON object$"),
+        ('  \n["kind", "polygon3"]', "^document must be a JSON object$"),
+        ("[1, 2", r"^invalid JSON: Expecting ',' delimiter: line 1 column 6 \(char 5\)$"),
+    ], ids=["list", "list-after-blank", "broken-list"])
+    def test_json_that_is_not_an_object(self, tmp_path, text, message):
+        # a document starting with "[" is JSON, never a CSV row
+        path = tmp_path / "x.json"
+        path.write_text(text)
+        with pytest.raises(DocumentError, match=message):
+            read_document(path)
+
     def test_directions_shape(self):
         with pytest.raises(DocumentError):
             PolygonDocument("framed3", False, np.zeros((3, 3)),
@@ -220,6 +247,8 @@ class TestValidation:
          '"directions": [[0, 0, 1], [false, 0, 1]]', "directions must be a list"),
         ('"kind": "polygon3", "vertices": [[0, 0, 0], [1, 0, 0]], "metadata": [1]',
          "metadata must be a JSON object"),
+        ('"kind": "polygon3", "vertices": [[0, 0, 0], [1, 0, 0]], '
+         '"directions": [[0, 0, 1], [0, 0, 1]]', "^polygon3 does not carry directions$"),
         ('"kind": "polygon3", "vertices": [[1%s, 0, 0], [1, 0, 0]]' % ("0" * 400),
          "vertices: a coordinate is too large for a float"),
         ('"kind": "framed3", "vertices": [[0, 0, 0], [1, 0, 0]], '
@@ -228,7 +257,7 @@ class TestValidation:
     ], ids=["nan-direction", "infinite-direction", "closed-string", "closed-number",
             "ragged-vertices", "string-vertices", "object-vertices", "string-entries",
             "boolean-entry", "null-entry", "string-rows", "ragged-directions",
-            "string-directions", "boolean-direction", "metadata-list",
+            "string-directions", "boolean-direction", "metadata-list", "polygon3-directions",
             "huge-integer-vertex", "huge-integer-direction"])
     def test_malformed_field(self, tmp_path, fields, message):
         path = tmp_path / "x.json"
@@ -457,3 +486,67 @@ def test_write_document_refuses_metadata_that_is_not_finite(bad, tmp_path):
     with pytest.raises(GeometryError, match=r"^metadata\.volume_spread: not finite"):
         write_document(doc, path)
     assert not path.exists()
+
+
+# ------------------------------------------------ large arrays, array-at-a-time
+
+def _repr_cases(rng) -> dict:
+    """Doubles whose JSON text must be ``float.__repr__``'s, by family."""
+    bits = rng.integers(0, 2**64, 2 * 10**5, dtype=np.uint64, endpoint=False).view(float)
+    decimals = rng.standard_normal(10**4) * 10.0 ** rng.integers(-6, 18, 10**4)
+    places = rng.integers(0, 8, 10**4).tolist()
+
+    def neighbours(values):
+        values = np.array(values)
+        return np.concatenate([values, np.nextafter(values, 0), np.nextafter(values, np.inf)])
+
+    return {
+        "random-bits": bits[np.isfinite(bits)],
+        "integers": rng.integers(-2**53, 2**53, 10**4).astype(float),
+        "powers": neighbours([10.0**e for e in range(-323, 309)]
+                             + [2.0**e for e in range(-1074, 1024)]),
+        "rounded-decimals": np.array([round(v, d) for v, d in zip(decimals.tolist(), places)]),
+        # repr switches to the exponent form below 1e-4 and from 1e16
+        "exponent-edges": neighbours([1e-4, 1e-5, 1e16, 1e17, 9999999999999998.0, 123.0, 0.001]),
+        "zeros-and-subnormals": np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                                          -1e-310, 2.2250738585072014e-308]),
+    }
+
+
+def test_array_text_is_float_repr(rng):
+    for family, x in _repr_cases(rng).items():
+        if family != "random-bits":
+            x = np.concatenate([x, -x])
+        assert documents._array_text(x) == json.dumps(x.tolist()), family
+
+
+@pytest.mark.parametrize("size", [documents.ARRAY_TEXT_MIN - 1, documents.ARRAY_TEXT_MIN])
+def test_json_text_is_json_dumps_on_both_sides_of_the_switch(rng, size):
+    line = rng.standard_normal(size) * 1e3
+    rows = rng.standard_normal((size, 3))
+    payload = {"sigma": {"base": 1, "values": line}, "vertices": rows, "wide": rows.T,
+               "strided": line[::-1], "ints": np.arange(size), "cube": rows.reshape(-1, 3, 1),
+               "note": "\0array\0", "none": None}  # the note reads as a deferred array's hole
+    listed = {"sigma": {"base": 1, "values": line.tolist()}, "vertices": rows.tolist(),
+              "wide": rows.T.tolist(), "strided": line[::-1].tolist(),
+              "ints": list(range(size)), "cube": rows.reshape(-1, 3, 1).tolist(),
+              "note": "\0array\0", "none": None}
+    assert json_text(payload) == json.dumps(listed) + "\n"
+    del payload["note"], listed["note"]
+    assert json_text(payload) == json.dumps(listed) + "\n"
+
+
+@BAD_VALUES
+@pytest.mark.parametrize("size", [3, documents.ARRAY_TEXT_MIN])
+def test_arrays_that_are_not_finite_are_refused_by_key(bad, size, tmp_path):
+    values = np.ones(size)
+    values[-1] = bad
+    with pytest.raises(GeometryError, match=r"^sigma\.values: not finite, and JSON has no "):
+        json_text({"n_vertices": size, "sigma": {"base": 0, "values": values}})
+    path = tmp_path / "d.json"
+    path.write_text("before")
+    doc = PolygonDocument("polygon3", False, np.eye(3) + 1,
+                          metadata={"terms": values.reshape(-1, 1)})
+    with pytest.raises(GeometryError, match=r"^metadata\.terms: not finite"):
+        write_document(doc, path)
+    assert path.read_text() == "before"

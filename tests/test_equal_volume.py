@@ -360,6 +360,11 @@ class TestVolumeReports:
         assert rep.volumes.base == 1
         assert len(rep.volumes) == 6
 
+    def test_two_vertices_have_no_triple(self):
+        p = Polygon3.from_points(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        with pytest.raises(GeometryError, match="^need at least 3 vertices$"):
+            centroaffine_volumes(p)
+
     def test_sign_change_rejected(self):
         pts = np.array([[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, -1], [1, 1, -1]], float)
         rep = centroaffine_volumes(Polygon3.from_points(pts))

@@ -41,3 +41,14 @@ def test_plain_command_line_loads_no_argparse(tmp_path):
     assert csv.read_text().startswith("N,h,pl1,pl2\n10,")
     out = fresh("import evpoly.cli as cli; cli.main(['--help'])")
     assert out.startswith("usage: evpoly [-h] {analyze,")
+
+
+def test_cli_import_builds_no_float_text_table():
+    """The float writer's tables (Schubfach's powers of ten among them) are built
+    on first use by an array of at least ``ARRAY_TEXT_MIN`` floats, not at import."""
+    out = fresh("import numpy as np, evpoly.cli, evpoly.documents as d; "
+                "built = d._tables.cache_info().currsize; "
+                "d.json_text({'v': np.ones(3)}); print(built, d._tables.cache_info().currsize); "
+                "d.json_text({'v': np.ones(d.ARRAY_TEXT_MIN)}); "
+                "print(d._tables.cache_info().currsize)")
+    assert out == "0 0\n1\n"

@@ -30,6 +30,9 @@ No public function or method takes more than one parameter annotated
 ``DarbouxField``, ``FrenetData`` or ``FocalSetData``: a stage takes the
 field or one datum derived from it and reads the rest from there.
 
+JSON text has one owner: ``documents`` alone imports ``json``, so every
+report and document is written by ``documents.json_text``.
+
 A subclass of ``GeometryError`` exists only where a caller branches on
 it: each one is named in some ``except`` clause of the package.  Any
 other refusal raises ``GeometryError`` with a message that says what
@@ -561,3 +564,28 @@ def test_uncaught_refusal_classes_are_caught(handler):
     assert uncaught_refusals({"a": classes, "b": calls}) == {"Short"}
     calls += f"try:\n    f()\n{handler}\n    pass\n"
     assert uncaught_refusals({"a": classes, "b": calls}) == set()
+
+
+def json_importers(sources: dict) -> set:
+    """The modules of ``sources`` (module name -> source text) that import ``json``."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom) and not node.level
+                     else [])
+            if any(name.partition(".")[0] == "json" for name in names):
+                found.add(module)
+    return found
+
+
+def test_only_documents_imports_json():
+    sources = {path.stem: path.read_text() for path in Path(evpoly.__file__).parent.glob("*.py")}
+    assert json_importers(sources) == {"documents"}, "write JSON through documents.json_text"
+
+
+def test_json_importers_are_caught():
+    sources = {"a": "import json\n", "b": "from json import dumps\n",
+               "c": "def f():\n    import json.decoder as d\n", "d": "import os, json\n",
+               "e": "from . import json_text\nimport jsonschema\nfrom .json import x\n"}
+    assert json_importers(sources) == {"a", "b", "c", "d"}

@@ -372,6 +372,19 @@ class TestProjectiveLengths:
             projective_lengths(Polygon3.from_points(phi.points[:5]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: PlanarProjectivePolygon.from_vertices(np.ones((4, 3))),
+     "planar polygon vertices must be 2-vectors"),
+    (lambda: b_sequence(GridSeq(SQUARE[:2], Grid.VERTEX)), "need at least 3 vertices"),
+    (lambda: lift_representative(spiral_poly(10), LiftNormalization(1.0, 0.0, 1.0, "x")),
+     "lift seeds and volume constant must be positive"),
+    (lambda: table1_experiment([5]), "N = 5: need at least 6 samples"),
+], ids=["space-vertices", "two-vertices", "zero-seed", "table1-too-few"])
+def test_refusals(call, message):
+    with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_spiral_smooth_length_closed_form():
     # the spiral's rho' + 2 tau is the constant 40/27 over [0, 2 pi]
     assert SPIRAL_SMOOTH_LENGTH == pytest.approx(2 * np.pi * (40.0 / 27.0) ** (1 / 3), rel=1e-15)
