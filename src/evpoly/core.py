@@ -112,17 +112,17 @@ def read_text(path) -> str:
     return text
 
 
-def write_text(path, *parts: str) -> None:
+def write_text(path, *parts: str | bytes) -> None:
     """Write ``parts`` in turn to the file at ``path`` as UTF-8, replacing it.
 
-    Every part is encoded before the file is opened, so a part that
-    cannot be encoded raises with the path untouched.  The bytes go
+    A ``bytes`` part is written as it is; every ``str`` part is encoded before the file is
+    opened, so a part that cannot be encoded raises with the path untouched.  The bytes go
     through a bare file descriptor, opened as ``open(path, "w")`` opens
     one (created with mode 0o666 less the umask, or truncated), each
     part until all of it is written, never joined into one copy.  A
     newline is written as ``\\n`` on every platform.
     """
-    data = [part.encode("utf-8") for part in parts]
+    data = [part if isinstance(part, bytes) else part.encode("utf-8") for part in parts]
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | _BINARY, 0o666)
     try:
         for chunk in data:

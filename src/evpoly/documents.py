@@ -115,34 +115,60 @@ class PolygonDocument:
 
 ARRAY_TEXT_MIN = 2000  # floats from which json_text writes an array by _array_text
 _CHUNK = 4096  # floats per pass of _float_rows: its uint64 temporaries stay in cache
-_U = np.uint64
+_U, _LE = np.uint64, np.dtype("<u8")  # _LE: a word whose byte j is its bits 8j .. 8j + 7
 _LOW32, _LOW63 = _U(2**32 - 1), _U(2**63 - 1)
 _HOLE = "\0array\0"  # stands for a deferred array in the encoder's text
 _HOLE_JSON = json.dumps(_HOLE)
+# g(k) for k from _K0, Schubfach's least k less one for _rounded, to 292; which rows are built
+_K0, _G, _MADE = -325, np.zeros((4, 618), _U), np.zeros(618, bool)
+
+
+def _g(k: np.ndarray) -> list:
+    """Schubfach's g(k) = floor(10^-k 2^(125 - floor(-k log2 10))) + 1 for each k, as
+    32-bit limbs (a1, a0, b1, b0) of its 63-bit halves g1 = a1 2^32 + a0 and
+    g0 = b1 2^32 + b0.  A row is built from Python ints when a k first needs it."""
+    i = k - _K0
+    if not _MADE.take(i).all():
+        new = np.bincount(i, minlength=len(_MADE)) > 0
+        for k in (np.flatnonzero(new > _MADE) + _K0).tolist():
+            r = 125 - (-k * 913124641741 >> 38) - k  # g = 10^-k 2^(r + k), 10^-k = 5^-k 2^-k
+            g = (5 ** max(-k, 0) << max(r, 0)) // (5 ** max(k, 0) << max(-r, 0)) + 1
+            _G[:, k - _K0] = g >> 95, g >> 63 & 2**32 - 1, g >> 32 & 2**31 - 1, g & 2**32 - 1
+        _MADE[new] = True
+    return [limb.take(i) for limb in _G]  # a take per limb: no temporary of two axes
 
 
 @functools.cache
 def _tables() -> tuple:
-    """Schubfach's g(k) = floor(10^-k 2^(125 - floor(-k log2 10))) + 1, k in [-324, 292],
-    as 32-bit limbs (a1, a0, b1, b0) of its 63-bit halves g1 = a1 2^32 + a0 and
-    g0 = b1 2^32 + b0; then the bytes of every 4-digit group, the masks of 0..17
-    digits, "0." with 0..3 zeros (or none) and "e-324" .. "e+308", NUL-padded."""
-    g = [(5 ** max(-k, 0) << max(r, 0)) // (5 ** max(k, 0) << max(-r, 0)) + 1  # 10^-k = 5^-k 2^-k
-         for k in range(-324, 293) for r in [125 - (-k * 913124641741 >> 38) - k]]
-    g1, g0 = np.array([divmod(x, 2**63) for x in g], _U).T
-    limbs = np.stack([g1 >> 32, g1 & _LOW32, g0 >> 32, g0 & _LOW32])
-    groups = (np.indices((10,) * 4).reshape(4, -1).T + 48).astype(np.uint8, order="C")
-    groups = groups.view(np.uint32).ravel()
-    masks = (np.arange(17) < np.arange(18)[:, None]) * np.uint8(255)
-    zeros = np.array([b"0.", b"0.0", b"0.00", b"0.000", b""], "S5").view(np.uint8).reshape(5, 5)
-    exps = np.array([b"e%+03d" % e for e in range(-324, 309)], "S5").view(np.uint8).reshape(-1, 5)
-    return limbs, groups, masks, zeros, exps
+    """Words (byte j in bits 8j .. 8j + 7) for the 24-byte body of ``_float_rows``: each
+    4-digit group, plain and with its trailing zeros NUL; by slot (a point put in at byte
+    0..16, none, a "0" put in at byte 0) the bytes kept below it; by slot and count, the
+    byte put in over 0..17 leading "0"s; the bytes from 0..17 on; "e-324" .. "e+308".
+    For ``_index_records``, as 4-byte words: each group plain, without its leading
+    zeros, and that with a space in byte 2."""
+    d = np.indices((10,) * 4, np.uint32).reshape(4, -1)
+    digits = d[0] | d[1] << 8 | d[2] << 16 | d[3] << 24 | 0x30303030
+    zero, byte, ff = d == 0, np.uint32(255) << np.arange(0, 32, 8, dtype=np.uint32), np.uint8(255)
+    trailing = sum(np.logical_and.reduce(zero[k:]) * byte[k] for k in range(4))  # zeros from k on
+    leading = sum(np.logical_and.reduce(zero[:k + 1]) * byte[k] for k in range(4))  # and up to k
+    j, n = np.arange(24), np.arange(18)[:, None]
+    at = np.r_[np.arange(17), 24, 0][:, None, None]  # the byte a slot puts in, 24 for none
+    put = np.r_[np.full(17, 46), 0, 48][:, None, None].astype(np.uint8)
+    fill = np.where(j < at, n > j, np.where(j > at, n >= j, False)) * np.uint8(48) | (j == at) * put
+    words = [w.reshape(-1, 24).view(_LE).T.copy() for w in ((j < at) * ff, fill, (j >= n) * ff)]
+    e = np.arange(-324, 309)
+    exps = (digits[abs(e)] >> 8 & ~(np.uint32(255) * (abs(e) < 100))).astype(np.uint64) << _U(16)
+    exps |= np.where(e < 0, ord("-"), ord("+")).astype(np.uint64) << _U(8) | _U(ord("e"))
+    lead = digits & ~leading
+    return (np.concatenate([digits, digits & ~trailing]).astype(np.uint64),
+            *words, exps,
+            np.concatenate([digits, lead, lead | 32 << 16]).astype("<u4"))
 
 
-def _rop(g, cp: np.ndarray) -> np.ndarray:
-    """Schubfach's rop(g, cp): g cp / 2^127 rounded to odd, as the reference takes
-    it from the 64-bit halves y1, y0 of g1 cp and x1 of g0 cp, for g in limbs
-    (``_tables``) and cp < 2^59.  ``cp`` is overwritten."""
+def _product(g, cp: np.ndarray) -> tuple:
+    """g cp / 2^127 for g in limbs (``_g``) and cp < 2^61, as its integer part and the 63
+    bits below the point, short by less than 1.5 units of 2^-63: Schubfach's rop(g, cp) before
+    its rounding to odd, from the 64-bit halves y1, y0 of g1 cp and x1 of g0 cp.  Overwrites cp."""
     a1, a0, b1, b0 = g
     c1 = cp >> 32
     c0 = np.bitwise_and(cp, _LOW32, out=cp)
@@ -164,9 +190,8 @@ def _rop(g, cp: np.ndarray) -> np.ndarray:
     z += x1
     y1 += np.multiply(a1, c1, out=c1)
     y1 += np.right_shift(z, 63, out=x1)
-    z <<= 1
-    y1 |= z != 0  # the sticky bit: z below bit 63
-    return y1
+    z &= _LOW63
+    return y1, z
 
 
 def _decimal(mag: np.ndarray) -> tuple:
@@ -182,7 +207,8 @@ def _decimal(mag: np.ndarray) -> tuple:
     h = (-k * 913124641741 >> 38) + q + 2
     cb = c << 2
     cp = np.stack([cb, cb - (_U(2) - irregular), cb + 2]) << h.view(_U)
-    vb, vbl, vbr = _rop(_tables()[0].take(k + 324, axis=1), cp)
+    v, z = _product(_g(k), cp)
+    vb, vbl, vbr = v | (z != 0)  # rop: rounded to odd
     vbl += c & 1  # the rounding interval is closed when c is even
     vbr -= c & 1
     s = vb >> 2
@@ -197,59 +223,120 @@ def _decimal(mag: np.ndarray) -> tuple:
     return f, k + 17 - short
 
 
-def _float_rows(x: np.ndarray, width: int) -> np.ndarray:
-    """Finite doubles as rows of a byte matrix: ", ", "[" before each run of
-    ``width`` if one is given, ``repr(v)`` spread over the row with NUL bytes
-    between its characters, "]" after each run.  Deleting the NULs leaves the text."""
-    _, groups, masks, zeros, exps = _tables()
+def _rounded(mag: np.ndarray) -> tuple:
+    """Each positive normal double v (given by its bits) rounded to 17 significant digits
+    as 0.f x 10^p, ties to even, as ``'%.17g'`` rounds it.  One product gives X = v 10^-k
+    in [4.5e16, 9.1e17), k one below Schubfach's, to within 2^-62: f rounds X, or X / 10
+    from 10^17 on.  f = 0 where the part that rounding drops is within that bound of a
+    half, every exact tie among them."""
+    q = (mag >> 52).view(np.int64) - 1075
+    c = (mag & _U(2**52 - 1)) | _U(2**52)
+    k = (q * 661971961083 >> 41) - 1
+    x, z = _product(_g(k), c << ((-k * 913124641741 >> 38) + q + 2).view(_U))
+    top, f = x >= 10**17, x // 10
+    r = np.where(top, (x - f * 10).view(np.int64) - 5 << 60, -2**59)
+    r += (z >> 3).view(np.int64)  # the part rounding drops, less a half, in units of 2^-60
+    f = np.where(top, f, x) + (r > 0)
+    f[(r + 2).view(_U) <= 4] = 0
+    carry = f == 10**17
+    f -= carry * _U(9 * 10**16)
+    return f, k + 17 + top + carry
+
+
+def _float_rows(x: np.ndarray, width: int, mode: tuple, rows: np.ndarray) -> np.ndarray:
+    """Doubles written into ``rows``, a (len(x), 32) byte matrix, in the framing of ``mode``
+    (``_REPR``, ``_G17``): a head (a run's first row has its own), the float's text with NUL
+    bytes in it, the close after each run of ``width`` if given; deleting the NULs leaves the
+    text.  Word 0 holds the head, the sign and "0.000" up to its last "0"; the body the digits,
+    trailing zeros NUL but those an integral value keeps, from the slot on one byte up to let
+    the point (or that "0") in, the exponent from byte 18 and the close in byte 23."""
+    decimal, fmt, fixed, tail, heads, close = mode
+    groups, below, fill, tails, exps = _tables()[:5]
     mag = x.view(_U) & _LOW63
-    normal, zero = mag >= 2**52, mag == 0
-    f, p = _decimal(np.where(normal, mag, _U(0x3FF0000000000000)))  # 1.0 where not normal
+    normal, zero = mag - _U(2**52) < _U(0x7FF0000000000000 - 2**52), mag == 0
+    f, p = decimal(np.where(normal, mag, _U(0x3FF0000000000000)))  # 1.0 where not normal
     q = [f // 10**i for i in (16, 12, 8, 4)] + [f]  # numpy divides by a constant fast, not %
-    digits = groups.take(np.stack([q[0]] + [b - a * 10**4 for a, b in zip(q, q[1:])], 1))
-    digits = digits.view(np.uint8)[:, 3:]  # f's 17 digits
-    n = 17 - np.argmax(digits[:, ::-1] != 48, axis=1)  # significant digits
-    digits[zero, 0] = 48  # 0.0 where 1.0 stood in
-    expo = (p <= -4) | (p > 16)  # repr's exponent form
+    g = [q[0]] + [b - a * 10**4 for a, b in zip(q, q[1:])]
+    g[4] += _U(10**4)  # NUL trailing zeros, from the last group on while the groups are 0
+    for j in (3, 2, 1, 0):
+        np.add(g[j], _U(10**4), out=g[j], where=g[j + 1] == 10**4)
+    g = [groups.take(a.view(np.int64)) for a in g]  # a take per group: no temporary of two axes
+    body = [g[0] >> 24 | g[1] << 8 | g[2] << 40, g[2] >> 24 | g[3] << 8 | g[4] << 40, g[4] >> 24]
+    body[0] -= zero  # "0" where "1" stood in
+    expo = (p <= -4) | (p > fixed)  # the exponent form
     lead = ~expo & (p <= 0)  # 0.000ddd
-    rows = np.zeros((len(x), 49), np.uint8)
-    rows[:, :2] = 44, 32
-    rows[:, 3] = np.signbit(x) * np.uint8(45)
-    rows[:, 4:9] = zeros.take(np.where(lead, -p, 4), axis=0)
-    cells = rows[:, 9:43].reshape(-1, 17, 2)  # a point, then a digit
-    point = np.where(expo, np.where(n > 1, 1, 17), np.where(lead, 17, p))
-    i = np.flatnonzero(point < 17)
-    cells[i, point[i], 0] = 46
-    np.bitwise_and(digits, masks.take(np.where(expo | lead, n, np.maximum(n, p + 1)), axis=0),
-                   out=cells[:, :, 1])
-    i = np.flatnonzero(expo)
-    rows[i, 43:48] = exps.take(p[i] + 323, axis=0)
-    for i in np.flatnonzero(~normal & ~zero).tolist():  # subnormal
-        text = repr(float(x[i])).encode()
-        rows[i, 3:] = 0
-        rows[i, 3:3 + len(text)] = np.frombuffer(text, np.uint8)
+    point = np.where(expo, 1, p)
+    t = [w.take(point) for w in tails]
+    after = (body[0] & t[0] | body[1] & t[1] | body[2] & t[2] != 0) | ~expo & bool(tail)  # a point
+    i = np.where(lead, 17 + (p == -3), np.where(after, point, 17))
+    keep = [w.take(i) for w in below]
+    i = i * 18 + np.where(expo | lead, 0, p + tail)  # and the zeros of an integral value
+    words, moved = rows.view(_LE), 0
+    for j, (b, k, z) in enumerate(zip(body, keep, fill)):  # the bytes from the slot on move up
+        b ^= np.bitwise_and(k, b, out=k)  # k: the bytes kept, b: those moved
+        words[:, j + 1] = k | b << 8 | moved | z.take(i)
+        moved = b >> 56
+    head = np.signbit(x) * 5 + np.where(lead, -p, 4)
+    words[:, 0] = heads[1].take(head)
     if width:
-        runs = rows.reshape(-1, width, 49)
-        runs[:, 0, 2], runs[:, -1, 48] = 91, 93
+        words[::width, 0], rows[width - 1::width, 31] = heads[0].take(head[::width]), close
+    i = np.flatnonzero(expo)
+    words[i, 3] |= exps.take(p[i] + 323) << 16
+    for i in np.flatnonzero(~normal & ~zero | (f == 0)).tolist():  # left to Python
+        rows[i, 3:31] = np.frombuffer(fmt(float(x[i])).encode().ljust(28, b"\0"), np.uint8)
     return rows
 
 
-def _array_text(a: np.ndarray) -> str:
-    """``json.dumps(a.tolist())`` for a finite float64 array of one or two axes.
+def _heads(first: bytes, head: bytes) -> np.ndarray:
+    """The first word of a run's first row and of any row, by sign and "0.000" prefix."""
+    words = (h + s + z.ljust(4, b"\0") for h in (first, head) for s in (b"\0", b"-")
+             for z in (b"0.", b"0.0", b"0.00", b"0.00", b""))
+    return np.frombuffer(b"".join(words), _LE).reshape(2, 10)
 
-    Each ``_CHUNK`` floats are one pass: digits by ``_decimal``, the layout
-    of ``float.__repr__`` by ``_float_rows``, then the NUL bytes deleted.
-    Against ``.tolist()`` and json's encoder (one process, 2-vCPU VM) it takes
-    1.2 times their time at 400 floats, 1.0 at 500, 0.57 at 2,000 and about
-    0.5 from 3,000 up.  A process's first call also builds ``_tables`` (1-2 ms,
-    about 1 % of starting the command); hence ``ARRAY_TEXT_MIN`` at 2,000.
-    """
+
+# the framings: digits, fallback, the largest p written without an exponent, the
+# digits an integral value keeps past the point, first words, close
+_REPR = (_decimal, repr, 16, 1, _heads(b", [", b", \0"), ord("]"))  # json.dumps of a list
+_G17 = (_rounded, "%.17g".__mod__, 17, 0, _heads(b"v \0", b" \0\0"), ord("\n"))  # OBJ v records
+
+
+def _array_text(a: np.ndarray) -> str:
+    """``json.dumps(a.tolist())`` for a finite float64 array of one or two axes, in passes
+    of ``_CHUNK`` floats through ``_float_rows``, the NUL bytes deleted.  ``ARRAY_TEXT_MIN``
+    rests on the fixed cost of a pass alone: the g(k) rows a pass needs are built once."""
     width = a.shape[1] if a.ndim == 2 else 0
     run = max(width, 1)  # a pass ends on a row's end
     step, x = max(_CHUNK // run, 1) * run, a.ravel()
-    parts = [_float_rows(x[i:i + step], width).tobytes().translate(None, b"\0")
-             for i in range(0, x.size, step)]
+    parts = [_float_rows(x[i:i + step], width, _REPR, np.empty((len(x[i:i + step]), 32), np.uint8))
+             .tobytes().translate(None, b"\0") for i in range(0, x.size, step)]
     return "[" + b"".join(parts)[2:].decode() + "]"
+
+
+def obj_records(rows: np.ndarray, v_rows, faces: np.ndarray, lines: np.ndarray) -> list:
+    """The OBJ ``v``, ``f`` and ``l`` records, as bytes: ``'v %.17g %.17g %.17g'`` of
+    the (n, 3) rows, in ``_CHUNK``-float passes, each record v_rows names (if given)
+    taken from the rows' bytes; then ``f`` and ``l`` of the 1-based indices."""
+    x, text, step = rows.ravel(), np.empty((len(rows), 96), np.uint8), _CHUNK // 3
+    for i in range(0, len(rows), step):
+        _float_rows(x[3 * i:3 * i + 3 * step], 3, _G17, text[i:i + step].reshape(-1, 32))
+    text = text if v_rows is None else text.take(v_rows, axis=0)
+    return [text.tobytes().translate(None, b"\0")] + [
+        _index_records(tag, recs) for tag, recs in ((b"f", faces), (b"l", lines))]
+
+
+def _index_records(tag: bytes, recs: np.ndarray) -> bytes:
+    """A line of ``tag`` and the 1-based indices of each row of ``recs``: each index as the
+    4-digit groups of the widest, with three bytes to spare for a newline and ``tag`` (if first
+    in its row) and a space, its leading zeros NUL; the first newline moves to the end."""
+    index, i = _tables()[5], recs.ravel() + 1
+    m = (len(str(i.max() if i.size else 1)) + 6) // 4
+    q = [i // 10**(4 * j) for j in range(m - 1, -1, -1)]
+    words = np.empty((i.size, m), "<u4")
+    for j, (a, b) in enumerate(zip([0] + q, q)):  # a is 0 while the groups before are
+        words[:, j] = index.take(b - a * 10**4 + ((a == 0) + (j == 0)) * 10**4)
+    words[::recs.shape[1], 0] |= np.frombuffer(b"\n" + tag + b"\0\0", "<u4")
+    text = words.tobytes().translate(None, b"\0")
+    return text[1:] + text[:1]
 
 
 def json_text(payload: dict) -> str:

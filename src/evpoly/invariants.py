@@ -329,14 +329,16 @@ class FocalKind(enum.Enum):
 @dataclass(frozen=True)
 class FocalClass:
     kind: FocalKind
-    sigma_spread: float
-    mu_spread: float
+    sigma_spread: float | None
+    mu_spread: float | None
 
 
-def _rel_spread(x: np.ndarray) -> float:
+def _rel_spread(x: np.ndarray) -> float | None:
+    """(max - min) / median |x|; None, a spread with no finite value, where the median
+    |x| is 0 but not every x is about 0."""
     med = median(np.abs(x))
     if med == 0.0:
-        return 0.0 if np.allclose(x, 0.0) else np.inf
+        return 0.0 if np.allclose(x, 0.0) else None
     return float((np.maximum.reduce(x) - np.minimum.reduce(x)) / med)
 
 
@@ -344,5 +346,5 @@ def classify_focal(fd: FocalSetData) -> FocalClass:
     """Single-line focal set iff both sigma and mu have constant sign pattern."""
     s_spread = _rel_spread(fd.field.sigma.window(fd.mu.base, len(fd.mu)))
     m_spread = _rel_spread(fd.mu.values)
-    single = s_spread <= FOCAL_CLASSIFY_TOL and m_spread <= FOCAL_CLASSIFY_TOL
+    single = all(s is not None and s <= FOCAL_CLASSIFY_TOL for s in (s_spread, m_spread))
     return FocalClass(FocalKind.SINGLE_LINE if single else FocalKind.GENERAL, s_spread, m_spread)

@@ -72,18 +72,9 @@ class Mesh:
         return self.rows if self.v_rows is None else self.rows[self.v_rows]
 
     def write_obj(self, path) -> None:
-        """Write the mesh as OBJ text, each coordinate as ``%.17g``.
-
-        The distinct rows are formatted in one block, the ``v`` records
-        are its lines taken by index, and each record array is one template.
-        The header, the ``v`` records, the faces and the lines are written
-        in turn (``core.write_text``), without joining them into one text.
-        """
-        rows = self.rows
-        text = ("v %.17g %.17g %.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
-        if self.v_rows is not None:
-            text = "".join(map(text.splitlines(True).__getitem__, self.v_rows.tolist()))
-        records = [(tag + " %d" * recs.shape[1] + "\n") * len(recs)
-                   % tuple((recs + 1).ravel().tolist())
-                   for tag, recs in (("f", self.faces), ("l", self.lines))]
-        write_text(path, "# evpoly mesh\n", text, *records)
+        """Write the mesh as OBJ text, each coordinate as ``%.17g``: the records of
+        ``documents.obj_records``, each distinct row formatted once and array-at-a-time,
+        after the header, in turn (``core.write_text``), never joined."""
+        from .documents import obj_records  # documents imports darboux, which imports this
+        write_text(path, "# evpoly mesh\n",
+                   *obj_records(self.rows, self.v_rows, self.faces, self.lines))

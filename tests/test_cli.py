@@ -968,11 +968,7 @@ def flat_frame(rng):
     return FramedPolygon.build(pts, rng.normal(size=(12, 3)) * [1, 1, 0])
 
 
-@pytest.mark.parametrize("frame, key", [
-    (flat_frame, "volume_spread"),
-    # mu is 0 on most sides, so its relative spread about the median is infinite
-    (lambda rng: parabola_prism([2, 2, 2, 3, 2, 2, 1, 2, 2, 2]), "focal_mu_spread"),
-], ids=["volumes", "mu"])
+@pytest.mark.parametrize("frame, key", [(flat_frame, "volume_spread")], ids=["volumes"])
 def test_a_report_value_that_is_not_finite_is_refused_by_name(frame, key, rng, tmp_path, capsys):
     path = write_framed(frame(rng), tmp_path / "f.json")
     for out in ([], ["--json", str(tmp_path / "a.json")]):
@@ -982,3 +978,15 @@ def test_a_report_value_that_is_not_finite_is_refused_by_name(frame, key, rng, t
         assert captured.err.splitlines()[-1] == (
             f"evpoly: {key}: not finite, and JSON has no infinity or NaN")
     assert not (tmp_path / "a.json").exists()
+
+
+def test_a_spread_with_no_finite_value_is_reported_as_null(tmp_path, capsys):
+    """mu is 0 on 8 of the 10 sides, so its spread about the median |mu| of 0 has no
+    finite value: the report gives null, which is not within FOCAL_CLASSIFY_TOL."""
+    path = write_framed(parabola_prism([2, 2, 2, 3, 2, 2, 1, 2, 2, 2]), tmp_path / "f.json")
+    assert main(["analyze", path, "--json", str(tmp_path / "a.json")]) == 0
+    report = json.loads((tmp_path / "a.json").read_text())
+    assert (report["focal"], report["focal_sigma_spread"], report["focal_mu_spread"]) == (
+        "general", 0.0, None)
+    assert main(["analyze", path]) == 0
+    assert json.loads(capsys.readouterr().out)["focal_mu_spread"] is None

@@ -1,11 +1,14 @@
 import json
+import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pin_float_writers
 from conftest import FakeOs, open_fds, random_generic_framed, short_writes
 
 from evpoly import core, documents
@@ -420,6 +423,15 @@ def test_short_writes_are_resumed(tmp_path, monkeypatch):
     assert sizes == [min(7, len(p.encode()) - k) for p in parts for k in range(0, len(p.encode()), 7)]
 
 
+def test_bytes_parts_are_written_as_they_are(tmp_path, monkeypatch):
+    parts = ["evpoly \u00e9\n", b"v 1 2 3\n" * 3, b"", "x", b"\xff"]
+    sizes = short_writes(monkeypatch)
+    write_text(tmp_path / "t.txt", *parts)
+    data = [p if isinstance(p, bytes) else p.encode("utf-8") for p in parts]
+    assert (tmp_path / "t.txt").read_bytes() == b"".join(data)
+    assert sizes == [min(7, len(d) - k) for d in data for k in range(0, len(d), 7)]
+
+
 def failing(error):
     def fail(*args):
         raise error
@@ -511,6 +523,30 @@ def _repr_cases(rng) -> dict:
         "zeros-and-subnormals": np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
                                           -1e-310, 2.2250738585072014e-308]),
     }
+
+
+def test_float_writers_are_pinned_on_random_bit_patterns():
+    """``tests/pin_float_writers.py`` at a tier-1 size: 10^5 patterns and the
+    16,384 doubles of every biased exponent, through both writers."""
+    assert pin_float_writers.main(["100000", "3"]) == 0
+
+
+def eager_g(k: int) -> int:
+    """Schubfach's g(k) from its definition, floor(10^-k 2^(125 - floor(-k log2 10))) + 1."""
+    e = (10**-k).bit_length() - 1 if k <= 0 else -(10**k).bit_length()  # floor(-k log2 10)
+    scaled = Fraction(10) ** -k * Fraction(2) ** (125 - e)
+    assert 2**125 <= scaled < 2**126
+    return math.floor(scaled) + 1
+
+
+def test_every_g_row_built_on_demand_is_schubfachs(monkeypatch):
+    monkeypatch.setattr(documents, "_G", np.zeros_like(documents._G))
+    monkeypatch.setattr(documents, "_MADE", np.zeros_like(documents._MADE))
+    k = np.arange(-325, 293)  # Schubfach's [-324, 292], and one below for the 17-digit mode
+    a1, a0, b1, b0 = (limb.tolist() for limb in documents._g(k[::-1]))
+    assert documents._MADE.all()
+    built = [((a1 << 32 | a0) << 63) | b1 << 32 | b0 for a1, a0, b1, b0 in zip(a1, a0, b1, b0)]
+    assert built == [eager_g(k) for k in k[::-1].tolist()]
 
 
 def test_array_text_is_float_repr(rng):

@@ -1,10 +1,14 @@
 import dataclasses
+import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
 from conftest import face_planarity, random_equal_volume_polygon, random_generic_framed
+from test_documents import _repr_cases
 
+from evpoly import documents
 from evpoly.core import GeometryError, Grid, GridSeq, Topology
 from evpoly.darboux import FramedPolygon, osculating_developable, parallel_darboux
 from evpoly.invariants import focal_data, focal_set_mesh
@@ -151,3 +155,59 @@ def test_focal_set_obj_matches_per_record_formatting(tmp_path, rng, closed):
     path = tmp_path / "f.obj"
     mesh.write_obj(path)
     assert path.read_text() == per_record_obj(mesh)
+
+
+def exact_ties(rng) -> np.ndarray:
+    """Doubles of exactly 18 significant digits, the last a 5: each is N 2^-j for an odd N,
+    whose digits are those of N 5^j, so '%.17g' rounds each half to even."""
+    cases = [1 + k * 2.0**-17 for k in range(1, 2**12, 2)]
+    for j in range(2, 26):
+        lo, hi = -(-10**17 // 5**j), min((10**18 - 1) // 5**j, 2**53 - 1)
+        cases += [n * 2.0**-j for n in rng.integers(lo, hi + 1, 40) | 1 if n <= hi]
+    ties = np.array(cases)
+    assert all(len(Decimal(x).as_tuple().digits) == 18 for x in ties.tolist())
+    return ties
+
+
+def obj_cases(rng) -> dict:
+    """Doubles whose OBJ text must be ``'%.17g'``'s, by family."""
+    powers = 10.0 ** np.arange(-307, 309)
+    edges = np.array([1e-4, 1e-5, 1e16, 1e17, 99999999999999984.0, 1e-4 * (1 - 2**-53)])
+    edges = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    return {**_repr_cases(rng), "ties": exact_ties(rng),
+            "round-ups": np.concatenate([powers, np.nextafter(powers, 0)]), "switch-edges": edges,
+            "specials": np.array([0.0, -0.0, 5e-324, 2.225073858507201e-308, 1e-310, np.inf,
+                                  -np.inf, np.nan])}
+
+
+def test_obj_writer_is_percent_17g(tmp_path, rng):
+    """Every family of the JSON writer's pins, exact ties, round-ups to a power of ten
+    and the edges of the exponent form, both signs, with faces and lines of every
+    index width, and the same rows through ``v_rows``."""
+    path = tmp_path / "m.obj"
+    for family, x in obj_cases(rng).items():
+        x = x[:3 * 10**4]  # pin_float_writers.py takes random bit patterns at any size
+        x = np.concatenate([x, -x, np.zeros(-2 * x.size % 3)]).reshape(-1, 3)
+        n = len(x)
+        faces, lines = rng.integers(0, n, (n // 2, 4)), rng.integers(0, n, (n // 3, 2))
+        for mesh in (Mesh(x, faces, lines), Mesh(x, faces[:, :3], v_rows=rng.permutation(n))):
+            mesh.write_obj(path)
+            assert path.read_text() == per_record_obj(mesh), family
+
+
+def test_obj_of_no_rows(tmp_path):
+    path = tmp_path / "m.obj"
+    Mesh(np.empty((0, 3)), faces=[], lines=[]).write_obj(path)
+    assert path.read_text() == "# evpoly mesh\n"
+
+
+def test_a_small_mesh_builds_only_the_g_rows_it_needs(tmp_path, monkeypatch):
+    """Schubfach's g(k) rows are built on demand: the OBJ writer takes one for each
+    float's k, one below Schubfach's own, floor(q log10 2) for v = c 2^q."""
+    monkeypatch.setattr(documents, "_G", np.zeros_like(documents._G))
+    monkeypatch.setattr(documents, "_MADE", np.zeros_like(documents._MADE))
+    rows = np.array([[1.0, -2.5, 3e-7], [0.0, 1e300, 12345.678], [5e-324, np.inf, 0.1]])
+    Mesh(rows, faces=[[0, 1, 2]]).write_obj(tmp_path / "m.obj")
+    normal = [v for v in rows.ravel().tolist() if math.isfinite(v) and abs(v) >= 2.0**-1022]
+    want = {math.floor((math.frexp(v)[1] - 53) * math.log10(2)) - 1 for v in normal}
+    assert set((np.flatnonzero(documents._MADE) + documents._K0).tolist()) == want
