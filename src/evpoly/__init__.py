@@ -32,7 +32,6 @@ from .equal_volume import (
     VolumeReport,
     centroaffine_volumes,
     darboux_volumes,
-    is_equal_volume,
     resample_equal_volume,
 )
 from .invariants import (

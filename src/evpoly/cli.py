@@ -22,9 +22,9 @@ that do not start with ``-`` unless a digit or ``.`` follows, as in
 ``--origin -1,0,0``) is read from that table alone by ``_read_plain``.
 ``argparse`` is imported, and the parsers are built from the same table,
 only for ``--help``, usage errors and other command-line forms, so every
-help and usage text and every exit code is argparse's.  A command's
-arguments then go to its sub-parser alone, with ``--opt -1,0,0`` joined
-as ``--opt=-1,0,0`` (``--opt`` exact or, as argparse reads it, a unique
+help and usage text and every exit code is argparse's.  The command line
+then goes to the full parser with ``--opt -1,0,0`` joined as
+``--opt=-1,0,0`` (``--opt`` exact or, as argparse reads it, a unique
 prefix) so that both readers read the same values.
 """
 
@@ -292,9 +292,9 @@ _COMMANDS = {
 }
 
 
-def _grammar(fn, arguments) -> tuple:
+def _grammar(command, fn, arguments) -> tuple:
     """(positional dests, option string -> (dest, takes a value), required dests, defaults)."""
-    positionals, options, required, defaults = [], {}, set(), {"fn": fn}
+    positionals, options, required, defaults = [], {}, set(), {"command": command, "fn": fn}
     for name, kw in arguments:
         dest, takes = name.lstrip("-").replace("-", "_"), "action" not in kw
         defaults[dest] = kw.get("default", None if takes else False)
@@ -307,7 +307,7 @@ def _grammar(fn, arguments) -> tuple:
     return positionals, options, required, defaults
 
 
-_GRAMMARS = {name: _grammar(fn, arguments) for name, (fn, _, arguments) in _COMMANDS.items()}
+_GRAMMARS = {name: _grammar(name, fn, arguments) for name, (fn, _, arguments) in _COMMANDS.items()}
 
 
 def _takes_value(options, token: str) -> bool:
@@ -321,13 +321,9 @@ def _is_value(token: str) -> bool:
     return token[:1] != "-" or token[1:2].isdecimal() or token[1:2] == "."
 
 
-def build_parser():
-    return _parsers()[0]
-
-
 @functools.cache
-def _parsers() -> tuple:
-    """The full parser and each command's sub-parser by name, built once from ``_COMMANDS``."""
+def build_parser():
+    """The full parser with each command's sub-parser, built once from ``_COMMANDS``."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -343,7 +339,7 @@ def _parsers() -> tuple:
         for name, kw in arguments:
             parser.add_argument(name, **kw)
         parser.set_defaults(fn=fn)
-    return ap, sub.choices
+    return ap
 
 
 def _read_plain(grammar, tokens) -> SimpleNamespace | None:
@@ -369,18 +365,16 @@ def _read_plain(grammar, tokens) -> SimpleNamespace | None:
 
 
 def _parse(argv):
-    """The arguments of one command: ``_read_plain``'s, else argparse's.  The
-    sub-parser reads them alone, with each value option and a value that starts
-    with ``-`` joined as ``--opt=value`` before any ``--``, as ``_read_plain``
-    reads them; what it does not take is reported as the full parser would."""
+    """The arguments of one command: ``_read_plain``'s, else argparse's, with
+    each value option and a value that starts with ``-`` joined as
+    ``--opt=value`` before any ``--``, as ``_read_plain`` reads them."""
     argv = sys.argv[1:] if argv is None else argv
     grammar = _GRAMMARS.get(argv[0]) if argv else None
     args = None if grammar is None else _read_plain(grammar, argv[1:])
     if args is not None:
         return args
-    ap, commands = _parsers()
     if grammar is None:
-        return ap.parse_args(argv)
+        return build_parser().parse_args(argv)
     tokens = []
     for token in argv[1:]:
         if (tokens and token[:1] == "-" and _is_value(token) and "--" not in tokens
@@ -388,10 +382,7 @@ def _parse(argv):
             tokens[-1] += "=" + token
         else:
             tokens.append(token)
-    args, extra = commands[argv[0]].parse_known_args(tokens)
-    if extra:
-        ap.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    return build_parser().parse_args(argv[:1] + tokens)
 
 
 def main(argv=None) -> int:

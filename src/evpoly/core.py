@@ -208,13 +208,16 @@ class GridSeq:
         return self.values[j]
 
     def window(self, start: int, count: int) -> np.ndarray:
-        """Values at slots ``start .. start+count-1`` (mod N when closed).
+        """Values at slots ``start .. start+count-1`` (mod N and at most N when closed).
 
         A read-only view of ``values``, except for a closed window that
         wraps past the last slot, which is a new array.
         """
         j = start - self.base
         if self.topology is Topology.CLOSED:
+            if count > len(self.values):
+                raise IndexError(f"{count} slots from {start}, more than the "
+                                 f"{len(self.values)} of a closed sequence")
             j %= len(self.values)
             if j + count <= len(self.values):
                 return self.values[j:j + count]

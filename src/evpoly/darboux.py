@@ -34,7 +34,6 @@ from .meshes import Mesh
 __all__ = [
     "FramedPolygon",
     "DarbouxField",
-    "FrameReport",
     "SurfaceKind",
     "OsculatingClass",
     "validate_frame",
@@ -130,11 +129,12 @@ class DarbouxField:
         xi(k+1) - xi(k) = -sigma(k) * e(k),
 
     with e(k) the side vector, up to the face residual of side k, which
-    ``validate_frame`` bounds (the one check of the planar faces, so O,
-    mu and Q are taken from the near end of each side); a field built by
-    hand is not checked.  The field is fixed up to one constant: what does
-    not depend on its size reads the frame and ``p``, each side's p in
-    side = p d(k) + q d(k+1) (unit d; read-only, NaN on parallel faces).
+    ``validate_frame`` bounds or refuses (the one check of the planar
+    faces, so O, mu and Q are taken from the near end of each side); a
+    field built by hand is not checked.  The field is fixed up to one
+    constant: what does not depend on its size reads the frame and ``p``,
+    each side's p in side = p d(k) + q d(k+1) (unit d; read-only, NaN on
+    parallel faces).
 
     The frame holds no reference back to the field, so the pair forms
     no reference cycle (``cli.main`` runs with the collector paused).
@@ -168,27 +168,16 @@ def once_per_field(evaluate):
     return memo
 
 
-@dataclass(frozen=True)
-class FrameReport:
-    """Sides off the planar-face hypothesis and vertices off a transversal direction."""
-
-    bad_sides: list
-    bad_vertices: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.bad_sides and not self.bad_vertices
-
-
-def validate_frame(f: FramedPolygon) -> FrameReport:
+def validate_frame(f: FramedPolygon) -> None:
     """Check the planar-quadrilateral-face hypothesis and transversal directions.
 
     The face residual per side is |det(side, d_left, d_right)|
     normalized by the product of the three norms: the unit side dotted
     with the face normal by ``core.dot3``, in ``det3``'s order; the margin
     per vertex is the smallest sine of the angle between the direction and
-    its adjacent sides.  The report lists the sides whose residual exceeds
-    ``TOL_FACE`` and the vertices whose margin does not.
+    its adjacent sides.  The frame is refused, by one ``GeometryError``
+    naming them all, if a side's residual exceeds ``TOL_FACE`` or a
+    vertex's margin does not.
     """
     e = f.polygon.sides().values
     eh = e / f.polygon.side_lengths[:, None]
@@ -205,8 +194,10 @@ def validate_frame(f: FramedPolygon) -> FrameReport:
     np.minimum(near[1:], far[:-1], out=margins[1:nsides])
     if f.closed:
         np.minimum(near[:1], far[-1:], out=margins[:1])
-    return FrameReport((cop > TOL_FACE).nonzero()[0].tolist(),
-                       (margins <= TOL_FACE).nonzero()[0].tolist())
+    sides = (cop > TOL_FACE).nonzero()[0].tolist()
+    vertices = (margins <= TOL_FACE).nonzero()[0].tolist()
+    if sides or vertices:
+        raise GeometryError(f"frame validation failed (sides {sides}, vertices {vertices})")
 
 
 def parallel_darboux(f: FramedPolygon) -> DarbouxField:
@@ -219,13 +210,11 @@ def parallel_darboux(f: FramedPolygon) -> DarbouxField:
 
         s_next = -q * s / p,   sigma = s / p,
 
-    so the scales are a cumulative product.  A scale outside float64's
-    normal range, or a sigma not finite, raises ``GeometryError``.
+    so the scales are a cumulative product.  ``validate_frame`` refuses
+    the frame first; then a scale outside float64's normal range, or a
+    sigma not finite, raises ``GeometryError``.
     """
-    report = validate_frame(f)
-    if not report.ok:
-        raise GeometryError(
-            f"frame validation failed (sides {report.bad_sides}, vertices {report.bad_vertices})")
+    validate_frame(f)
 
     e = f.polygon.sides().values
     dh = f.unit_directions

@@ -342,7 +342,8 @@ def _index_records(tag: bytes, recs: np.ndarray) -> bytes:
 def json_text(payload: dict) -> str:
     """``payload`` as one line of JSON, byte for byte ``json.dumps`` of it with
     each numpy array as its list.  JSON has no infinity or NaN, so a value
-    that is not finite raises a GeometryError naming its key, dotted through maps."""
+    that is not finite raises a GeometryError naming its key, dotted through
+    maps; any other ValueError, such as a circular reference, is json.dumps's."""
     deferred = []
 
     def default(value):  # the encoder's hook for what JSON has no type for
@@ -358,8 +359,9 @@ def json_text(payload: dict) -> str:
     encoder = json.JSONEncoder(allow_nan=False, default=default)  # json.dumps's, strict
     try:
         text = encoder.encode(payload)
-    except ValueError:
-        for key, value in payload.items():
+    except ValueError as error:  # a float out of range names its key; a cycle, say, does not
+        named = payload.items() if str(error).startswith("Out of range float") else ()
+        for key, value in named:
             try:
                 json_text(value) if isinstance(value, dict) else encoder.encode(value)
             except GeometryError as exc:  # named in a nested map

@@ -31,7 +31,6 @@ __all__ = [
     "ResampleResult",
     "darboux_volumes",
     "centroaffine_volumes",
-    "is_equal_volume",
     "NotEqualVolumeError",
     "volume_constant",
     "resample_equal_volume",
@@ -87,15 +86,6 @@ def centroaffine_volumes(p: Polygon3) -> VolumeReport:
     return _report(det3(q0, q1, q2), p.topology, first)
 
 
-def is_equal_volume(r: VolumeReport) -> bool:
-    """True when the spread is within ``EQUAL_VOLUME_TOL``.
-
-    A spread below 1 already puts every volume on the side of c_hat, so
-    no separate sign check is needed.
-    """
-    return bool(r.spread <= EQUAL_VOLUME_TOL)
-
-
 class NotEqualVolumeError(GeometryError):
     """Frenet data requested on a polygon whose volumes vary.
 
@@ -115,8 +105,10 @@ class NotEqualVolumeError(GeometryError):
 
 
 def volume_constant(rep: VolumeReport) -> float:
-    """The volume constant c of an equal-volume report, else NotEqualVolumeError."""
-    if not is_equal_volume(rep):
+    """The volume constant c of a report whose spread is within ``EQUAL_VOLUME_TOL``,
+    else NotEqualVolumeError.  A spread below 1 already gives every volume
+    c_hat's sign, so no separate sign check is needed."""
+    if not rep.spread <= EQUAL_VOLUME_TOL:
         j = int(np.argmax(np.abs(rep.values - rep.c_hat)))
         raise NotEqualVolumeError(rep.volumes.base + j, rep.spread, EQUAL_VOLUME_TOL)
     return rep.c_hat

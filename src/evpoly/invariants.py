@@ -14,10 +14,10 @@ from them through the compatibility identity
 
     -tau(k) * sigma(k) = rho2(k) - rho1(k+1).
 
-One gate per hypothesis: ``validate_frame`` checks the planar faces and
-``equal_volume.volume_constant`` the equal volumes.  O, mu and Q are
-each taken from the near end of a side; the far end gives the same
-value on a polygon that passes both gates.
+One gate per hypothesis, each deciding and refusing in one function:
+``validate_frame`` the planar faces, ``equal_volume.volume_constant``
+the equal volumes.  O, mu and Q are each taken from the near end of a
+side; the far end gives the same value on a polygon that passes both.
 
 Open-topology windows (N vertices):
     third differences / tau / mu / Q : sides   1 .. N-3

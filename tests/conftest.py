@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tracemalloc
 from dataclasses import dataclass
 
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from evpoly import core
-from evpoly.core import Grid, GridSeq, Polygon3, Topology, det2, forward_diff, median
-from evpoly.darboux import DarbouxField, FramedPolygon
+from evpoly.core import (GeometryError, Grid, GridSeq, Polygon3, Topology, det2, forward_diff,
+                         median)
+from evpoly.darboux import DarbouxField, FramedPolygon, validate_frame
 from evpoly.invariants import frenet
 
 
@@ -159,6 +161,22 @@ def random_generic_framed(rng, n=15, closed=False):
 def reversed_frame(f):
     """``f`` walked from its last vertex to its first: side k is f's side n-2-k."""
     return FramedPolygon.build(f.polygon.points[::-1], f.directions.values[::-1], f.closed)
+
+
+FRAME_REFUSAL = re.compile(
+    r"frame validation failed \(sides (\[[\d, ]*\]), vertices (\[[\d, ]*\])\)")
+
+
+def frame_flags(f) -> tuple:
+    """The sides and the vertices that ``validate_frame`` names in refusing ``f``,
+    read back from its whole message; two empty lists when it accepts ``f``."""
+    try:
+        assert validate_frame(f) is None
+    except GeometryError as exc:
+        sides, vertices = map(json.loads, FRAME_REFUSAL.fullmatch(str(exc)).groups())
+        assert sides or vertices, str(exc)
+        return sides, vertices
+    return [], []
 
 
 def _refuse_constant(name):

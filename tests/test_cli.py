@@ -52,8 +52,8 @@ def spiral_doc(tmp_path):
 
 # Exit code, stdout and stderr of usage errors and help, as printed when the
 # full parser read every command line (Python 3.11's argparse, 80 columns).
-# A command's grammar or its sub-parser now reads its arguments alone; the
-# texts stay.
+# A command's grammar now reads a plain line alone, and the full parser the
+# others; the texts stay.
 USAGE_TEXTS = [
     ([], 1, "", "evpoly: the following arguments are required: command (see evpoly --help)\n"),
     (["bogus"], 1, "",

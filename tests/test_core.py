@@ -233,6 +233,15 @@ class TestGridSeq:
         assert list(s.window(8, 3)) == [2.0, 3.0, 4.0]
         assert list(s.window(-2, 3)) == [4.0, 5.0, 0.0]
 
+    @pytest.mark.parametrize("start", [0, 3, 7])
+    def test_closed_window_of_more_than_its_slots_is_refused(self, start):
+        # a run past N slots would repeat one; N itself wraps once
+        s = GridSeq(np.arange(5.0), Grid.VERTEX, Topology.CLOSED)
+        assert list(s.window(start, 5)) == [float((start + k) % 5) for k in range(5)]
+        message = rf"^6 slots from {start}, more than the 5 of a closed sequence$"
+        with pytest.raises(IndexError, match=message):
+            s.window(start, 6)
+
     def test_stencil_open_with_base(self):
         v = np.arange(10.0) ** 2
         s = GridSeq(v, Grid.SIDE, base=3)

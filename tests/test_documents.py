@@ -490,6 +490,35 @@ def test_json_text_names_the_key_of_a_value_that_is_not_finite(bad):
     assert json_text(finite) == json.dumps(finite) + "\n"
 
 
+def circular_payloads():
+    loop, own = [], {}
+    loop.append(loop)
+    own["self"] = own
+    return {"list": {"a": loop}, "map": {"m": own}, "nested": {"x": 1.5, "m": {"a": [loop]}}}
+
+
+@pytest.mark.parametrize("name", ["list", "map", "nested"])
+def test_json_text_raises_a_circular_reference_as_json_dumps_does(name):
+    # only a value that is not finite names its key: a cycle is no such value,
+    # and no map is searched for it a second time
+    payload = circular_payloads()[name]
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        json.dumps(payload)
+    with pytest.raises(ValueError, match="^Circular reference detected$") as info:
+        json_text(payload)
+    assert type(info.value) is ValueError
+
+
+def test_write_document_leaves_circular_metadata_to_json(tmp_path):
+    doc = PolygonDocument("polygon3", False, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                          metadata=circular_payloads()["map"])
+    path = tmp_path / "d.json"
+    with pytest.raises(ValueError, match="^Circular reference detected$") as info:
+        write_document(doc, path)
+    assert type(info.value) is ValueError
+    assert not path.exists()
+
+
 @BAD_VALUES
 def test_write_document_refuses_metadata_that_is_not_finite(bad, tmp_path):
     doc = PolygonDocument("polygon3", False, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],

@@ -5,17 +5,18 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_equal_volume_polygon, random_generic_framed
+from conftest import parabola_prism, random_equal_volume_polygon, random_generic_framed
 
 from evpoly.core import GeometryError, Polygon3, dot3
 from evpoly.constructions import ExampleSpiralRepresentative, sample_curve
 from evpoly.darboux import DarbouxField, FramedPolygon, parallel_darboux
 from evpoly.equal_volume import (
+    NotEqualVolumeError,
     ResampleResult,
     centroaffine_volumes,
     darboux_volumes,
-    is_equal_volume,
     resample_equal_volume,
+    volume_constant,
 )
 
 
@@ -335,7 +336,7 @@ class TestVolumeReports:
         rep = centroaffine_volumes(p)
         assert rep.c_hat == pytest.approx(0.7, rel=1e-10)
         assert rep.spread < 1e-10
-        assert is_equal_volume(rep)
+        assert volume_constant(rep) == rep.c_hat
 
     def test_analytic_spiral_representative_is_equal_volume(self):
         # uniform samples of the representative differ by a unimodular
@@ -371,7 +372,8 @@ class TestVolumeReports:
         # a volume of the other sign lies more than |c| from c: the spread alone refuses it
         assert np.any(rep.values > 0) and np.any(rep.values < 0)
         assert rep.spread > 1.0
-        assert not is_equal_volume(rep)
+        with pytest.raises(NotEqualVolumeError):
+            volume_constant(rep)
 
 
 class TestResampler:
@@ -485,3 +487,81 @@ class TestResampler:
         f = random_generic_framed(rng, 3)
         with pytest.raises(GeometryError):
             resample_equal_volume(parallel_darboux(f))
+
+
+# ---------------------------------------------------------------- refusals of the march
+
+
+def planar_directions(pts, d2, forward):
+    """Directions 0 .. 2 + ``forward`` on ``pts``, each face planar by construction:
+    d1 = 0.5 side(1) + 0.7 d2 and d0 = 0.5 side(0) + 0.8 d1 back from d2, then
+    d(k+1) = 0.4 side(k) + d(k)."""
+    d1 = 0.5 * (pts[2] - pts[1]) + 0.7 * d2
+    d = [0.5 * (pts[1] - pts[0]) + 0.8 * d1, d1, d2]
+    for k in range(2, 2 + forward):
+        d.append(0.4 * (pts[k + 1] - pts[k]) + d[k])
+    return d
+
+
+def nearly_tangent_start(scale):
+    # d0 lies 1e-6 off side 0 in its face, so the field's scale at vertex 1
+    # is about 1e-6: with the points scaled by 1e-158, side 1 crossed with
+    # that field vector, the first face normal, underflows to 0
+    pts = np.array([[0, 0, 0], [1, 0.5, 0.2], [2, 0.25, -0.3], [3, 0.5, 1], [4, 0.75, 1.5]])
+    d = planar_directions(pts, np.array([0.3, 1.0, 0.4]), 2)
+    d[0] = pts[1] - pts[0] + 1e-6 * d[1]
+    return FramedPolygon.build(scale * pts, d)
+
+
+def start_off_the_first_face_by(offset):
+    # vertices 1, 2 and directions 1, 2 lie in z = 0 and vertex 0 at
+    # z = offset, so the plane through vertex 0 meets side 2 about
+    # ``offset`` from vertex 2: at 1e-170 the new side crossed with
+    # direction 2 underflows to 0
+    pts = np.array([[0, 0, offset], [1, 0.5, 0], [2, 0.25, 0], [3, 0.5, 1], [4, 0.75, 1.5]])
+    return FramedPolygon.build(pts, planar_directions(pts, np.array([0.3, 1.0, 0.0]), 2))
+
+
+def opposite_directions_across_the_plane():
+    # vertex 0 lies in the plane z = 0 of the first face, and side 3 runs
+    # from z = 1 to z = -1 between opposite directions: the march lands at
+    # its midpoint, where the interpolated direction is 0
+    pts = np.array([[0.0, 0, 0], [1, 0.5, 0], [2, 0, 0], [3, 0.5, 1], [4, 0, -1]])
+    d = planar_directions(pts, np.array([0.3, 1.0, 0.0]), 1)
+    return FramedPolygon.build(pts, d + [-d[3]])
+
+
+def landing_along_its_own_direction():
+    # vertex 2 is the origin and vertex 5 lies on the x axis, with
+    # direction x, in the plane through vertex 0 parallel to the first face:
+    # the march lands on vertex 5, and the side to it runs along the
+    # direction it gets there, so p = 0 in side = p v + q d
+    p0, p1, d2 = np.array([-2, 1, 0.5]), np.array([-1, 0.2, 0.1]), np.array([0.3, 1, 0.2])
+    n = np.cross(p1, d2)  # the first face's normal
+    pts = np.array([p0, p1, [0, 0, 0], [1, 0.5, -0.7], [2, 0.3, -1], [n @ p0 / n[0], 0, 0]])
+    d4 = pts[5] - pts[4] + [0.8, 0, 0]
+    # direction 3 in the faces of side 2, from the origin, and of side 3
+    d3 = np.cross(np.cross(pts[3], d2), np.cross(pts[4] - pts[3], d4))
+    return FramedPolygon.build(pts, planar_directions(pts, d2, 0) + [d3, d4, [1.0, 0, 0]])
+
+
+@pytest.mark.parametrize("frame, message", [
+    (lambda: nearly_tangent_start(1e-158), "degenerate face during resampling"),
+    (lambda: start_off_the_first_face_by(1e-170), "new side parallel to the frame direction"),
+    (opposite_directions_across_the_plane, "interpolated direction collapsed during projection"),
+    # every direction along z: the new direction is the last one, whose
+    # two coordinates left after dropping the normal's largest are (0, 1)
+    (lambda: parabola_prism([3, 2, 3, 3, 2, 3]), "singular face basis during resampling"),
+    (landing_along_its_own_direction, "degenerate Darboux recursion during resampling"),
+], ids=["degenerate-face", "parallel-side", "collapsed-direction", "singular-basis",
+        "degenerate-recursion"])
+def test_march_refusals_name_their_cause(frame, message):
+    df = parallel_darboux(frame())
+    with pytest.raises(GeometryError, match=f"^{message}$"):
+        resample_equal_volume(df)
+
+
+def test_the_underflowing_marches_resample_at_a_larger_size():
+    for f in (nearly_tangent_start(1e-150), start_off_the_first_face_by(1e-10)):
+        res = resample_equal_volume(parallel_darboux(f))
+        assert len(res.framed.polygon) >= 3

@@ -19,12 +19,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import (
     PlanarEqualAreaPolygon,
     affine_curvature,
+    frame_flags,
     parabola_prism,
     random_cone_fixture,
     random_equal_area,
@@ -65,7 +66,7 @@ from evpoly.equal_volume import (
     NotEqualVolumeError,
     centroaffine_volumes,
     darboux_volumes,
-    is_equal_volume,
+    volume_constant,
 )
 from evpoly.invariants import (
     centroaffine_frenet,
@@ -485,17 +486,16 @@ def test_validate_frame_flags_what_the_determinant_and_padded_margins_flag(kind,
     at = np.concatenate([cop, margins, [darboux.TOL_FACE]])
     for tol in np.unique(np.concatenate([at, np.nextafter(at, -np.inf)])):
         with mock.patch.object(darboux, "TOL_FACE", tol):
-            rep = validate_frame(f)
-        assert rep.bad_sides == np.flatnonzero(cop > tol).tolist()
-        assert rep.bad_vertices == np.flatnonzero(margins <= tol).tolist()
+            sides, vertices = frame_flags(f)
+        assert sides == np.flatnonzero(cop > tol).tolist()
+        assert vertices == np.flatnonzero(margins <= tol).tolist()
 
 
 def test_validate_frame_on_a_two_vertex_polygon():
     f = FramedPolygon.build([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
     _, margins = reference_frame_measures(f)
     assert margins.tolist() == [1.0, 0.0]
-    rep = validate_frame(f)
-    assert (rep.bad_sides, rep.bad_vertices) == ([], [1])
+    assert frame_flags(f) == ([], [1])
 
 
 def reference_focal_lines(fd):
@@ -626,9 +626,7 @@ def test_frame_gate_ignores_scale(scale, angle, refused):
     rng = np.random.default_rng(7)
     pts, d = planar_framed(rng)
     d[4] = turn_into_side(pts, 3, angle)
-    rep = validate_frame(FramedPolygon.build(scale * pts, d))
-    assert rep.bad_sides == []
-    assert rep.bad_vertices == ([4] if refused else [])
+    assert frame_flags(FramedPolygon.build(scale * pts, d)) == ([], [4] if refused else [])
 
 
 def test_overflow_names_side():
@@ -641,7 +639,8 @@ def test_overflow_names_side():
     inside = FramedPolygon.build(pts, d)
     d[45] = turn_into_side(pts, 44, 2e-8)
     outside = FramedPolygon.build(pts, d)
-    assert validate_frame(inside).ok and validate_frame(outside).ok
+    validate_frame(inside)
+    validate_frame(outside)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         df = parallel_darboux(inside)
@@ -661,7 +660,8 @@ def test_underflow_names_side():
     for k in (43, 44):
         d[k] = turn_into_side(pts, k, 2e-8)
     outside = FramedPolygon.build(pts, d)
-    assert validate_frame(inside).ok and validate_frame(outside).ok
+    validate_frame(inside)
+    validate_frame(outside)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         df = parallel_darboux(inside)
@@ -699,9 +699,7 @@ def test_frame_report_names_injected_face():
     f = random_generic_framed(np.random.default_rng(3), 12)
     d = f.directions.values.copy()
     d[5] += [0.0, 0.0, 0.4]
-    rep = validate_frame(FramedPolygon.build(f.polygon.points, d))
-    assert rep.bad_sides == [4, 5]
-    assert rep.bad_vertices == []
+    assert frame_flags(FramedPolygon.build(f.polygon.points, d)) == ([4, 5], [])
 
 
 @pytest.fixture
@@ -725,6 +723,34 @@ def test_degenerate_frenet_face_names_side(pipeline):
     with pytest.raises(NotEqualVolumeError, match=r"^vertex 5: volume spread") as info:
         frenet(with_xi(df, xi))
     assert info.value.vertex == 5
+
+
+def short_side_cone(scale):
+    """An open equal-volume silhouette of 5 vertices about the origin, times ``scale``.
+
+    Side 2 is (0, 1e-6, 0) at distance about 1 from the origin, and
+    vertices 1 and 4 lie 7e5 away, perpendicular to vertices 2 and 3, so
+    each centro-affine volume is 1: vertex 0 at y = 1e-6 gives the first.
+    Vertex 0 lies 1.1e4 away, so |xi| is about 1e-4 at vertex 3.
+    """
+    far = 1 / 2e-6
+    pts = [[1e4, 1e-6, 5e3], [-far, 0, far], [1, 0, 1], [1, 1e-6, 1], [-far, 0.5, far]]
+    return FramedPolygon.silhouette(scale * np.array(pts))
+
+
+def test_frenet_face_basis_that_underflows_names_side(tmp_path, capsys):
+    # scaled by 1e-153 the volumes are about 9e-311 and still equal, but on
+    # side 2 the normal side x xi is about 1e-163, whose square underflows to
+    # 0: the face solve has no basis there
+    assert frenet(parallel_darboux(short_side_cone(1.0))).tau.values.size == 2
+    df = parallel_darboux(short_side_cone(1e-153))
+    assert 0 < volume_constant(darboux_volumes(df)) < 1e-308
+    with pytest.raises(GeometryError, match=r"^side 2: degenerate face basis in Frenet solve$"):
+        frenet(df)
+    doc = tmp_path / "short.json"
+    write_document(PolygonDocument.from_polygon(df.frame.polygon), doc)
+    assert cli.main(["analyze", str(doc), "--origin", "0,0,0"]) == 2
+    assert capsys.readouterr().err == "evpoly: side 2: degenerate face basis in Frenet solve\n"
 
 
 def test_cone_line_moves_within_the_volume_gate_get_a_focal_set(tmp_path):
@@ -760,9 +786,12 @@ def test_focal_data_needs_only_the_frame_and_volume_gates(seed, n, along, size):
     else:
         moved = p + size * np.abs(p).max() * rng.normal(size=p.shape)
     f = FramedPolygon.silhouette(moved)
-    assume(validate_frame(f).ok)
+    assume(frame_flags(f) == ([], []))
     df = parallel_darboux(f)
-    assume(is_equal_volume(darboux_volumes(df)))
+    try:
+        volume_constant(darboux_volumes(df))
+    except NotEqualVolumeError:
+        reject()
     focal_data(df)
 
 
@@ -778,7 +807,7 @@ def test_cone_frame_off_its_lines_by_roundoff_is_a_cone(seed, tmp_path):
     perp = r - np.einsum("ij,ij->i", r, u)[:, None] * u
     perp /= np.linalg.norm(perp, axis=1)[:, None]
     f = FramedPolygon.build(phi, phi + 1e-10 * np.linalg.norm(phi, axis=1)[:, None] * perp)
-    assert validate_frame(f).ok
+    validate_frame(f)
     doc, out = tmp_path / "tilted.json", tmp_path / "report.json"
     write_document(PolygonDocument.from_framed(f), doc)
     assert cli.main(["analyze", str(doc), "--json", str(out)]) == 0

@@ -24,7 +24,9 @@ on a pin that is no longer needed.
 The tolerances, the module-level ``*_TOL`` and ``TOL_*`` names, are
 listed in ``CONSTANTS`` with their values.  That census fails in both
 directions too: on a tolerance it does not list, on a listed one that is
-gone, and on one that no module reads.
+gone, and on one that no module reads.  Each of them, and each coordinate
+bound in ``BOUNDS``, is read by one function; for a gate, one of
+``GATES``, that function also raises the refusal it decides.
 
 No public function or method takes more than one parameter annotated
 ``DarbouxField``, ``FrenetData`` or ``FocalSetData``: a stage takes the
@@ -513,6 +515,99 @@ def test_every_tolerance_is_listed_and_read():
     assert sorted(defined - listed) == [], "new tolerances: list them in CONSTANTS"
     assert sorted(listed - defined) == [], "tolerances gone: drop them from CONSTANTS"
     assert sorted(dead) == [], "tolerances nothing reads: delete them"
+
+
+# the coordinate bounds core.COORD_MAX and projective.LIFT_COORD_MAX, which
+# like the gate tolerances refuse an input
+BOUNDS = {"COORD_MAX", "LIFT_COORD_MAX"}
+# the constants a refusal is decided by; the others are classifier tolerances
+GATES = {"TOL_FACE", "EQUAL_VOLUME_TOL", "GAUGE_CLOSURE_TOL", "COORD_MAX", "LIFT_COORD_MAX"}
+
+
+def _functions(tree, prefix):
+    """(qualified name, node) of each function in ``tree``, methods and nested ones included."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qual = f"{prefix}.{node.name}"
+            if not isinstance(node, ast.ClassDef):
+                yield qual, node
+            yield from _functions(node, qual)
+        else:
+            yield from _functions(node, prefix)
+
+
+def _own_nodes(fn):
+    """The nodes of function ``fn`` outside the functions nested in it."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _loaded(node):
+    """The name or attribute that ``node`` loads, else None."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    return None
+
+
+def reader_faults(sources: dict, names: set, gates: set) -> list:
+    """Faults in who reads ``names`` in ``sources`` (module name -> source
+    text): a name loaded by no function or by more than one, and a name of
+    ``gates`` whose one reader raises nothing.  A load outside every
+    function counts as a reader of its own."""
+    readers, raising = defaultdict(set), set()
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        inside = set()
+        for qual, fn in _functions(tree, module):
+            own = list(_own_nodes(fn))
+            inside |= {id(node) for node in own}
+            if any(isinstance(node, ast.Raise) for node in own):
+                raising.add(qual)
+            for name in names & {_loaded(node) for node in own}:
+                readers[name].add(qual)
+        for name in names & {_loaded(node) for node in ast.walk(tree) if id(node) not in inside}:
+            readers[name].add(f"{module} outside a function")
+    faults = []
+    for name in sorted(names):
+        found = sorted(readers[name])
+        if len(found) != 1:
+            faults.append(f"{name}: read by {found}, not by one function")
+        elif name in gates and found[0] not in raising:
+            faults.append(f"{name}: {found[0]} decides a refusal it does not raise")
+    return faults
+
+
+def test_each_tolerance_has_one_reader():
+    """One function reads each tolerance and bound; a gate's reader also raises its refusal."""
+    sources = {path.stem: path.read_text() for path in Path(evpoly.__file__).parent.glob("*.py")}
+    names = {name for _, name, _ in CONSTANTS} | BOUNDS
+    assert reader_faults(sources, names, GATES) == []
+
+
+def test_second_readers_and_gates_that_do_not_raise_are_caught():
+    sources = {
+        "a": "TOL_A = 1.0\nGATE_TOL = 2.0\n"
+             "def decide(x):\n    return x < GATE_TOL\n"
+             "def refuse(x):\n    if not decide(x):\n        raise ValueError(x)\n"
+             "def f(x):\n    return x < TOL_A\n",
+        "b": "from . import a\ndef g(x):\n    def inner():\n        raise ValueError\n"
+             "    return x < a.TOL_A\n",
+    }
+    assert reader_faults(sources, {"TOL_A", "GATE_TOL"}, {"GATE_TOL"}) == [
+        "GATE_TOL: a.decide decides a refusal it does not raise",
+        "TOL_A: read by ['a.f', 'b.g'], not by one function",
+    ]
+    sources["b"] = "from . import a\nLIMIT = 2 * a.TOL_A\n"
+    sources["a"] = sources["a"].replace("return x < GATE_TOL", "raise ValueError(x < GATE_TOL)")
+    assert reader_faults(sources, {"TOL_A", "GATE_TOL"}, {"GATE_TOL"}) == [
+        "TOL_A: read by ['a.f', 'b outside a function'], not by one function",
+    ]
 
 
 def test_tolerance_census_catches_unread_constants():
